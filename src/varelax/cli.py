@@ -133,15 +133,7 @@ def _load(args) -> tuple[str, Problem, DPConfig, np.ndarray]:
     loaded = vio.parse_problem(args.problem)
     problem, cfg = loaded.problem, loaded.config
     if args.xi_max is not None:
-        problem = Problem(
-            horizon=problem.horizon,
-            start=problem.start,
-            end=problem.end,
-            f=problem.f,
-            g=problem.g,
-            state_box=problem.state_box,
-            velocity_cap=args.xi_max,
-        )
+        problem = replace(problem, velocity_cap=args.xi_max)
     if args.n_t is not None or args.n_x is not None:
         cfg = replace(
             cfg,

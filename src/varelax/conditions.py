@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import evaluate_envelope, subdifferential
+from .convex import Grid1D, evaluate_envelope, subdifferential
 from .discretize import f_envelope, velocity_grid_for
 from .errors import NotAutonomousError
 from .problem import DPConfig, Problem, Trajectory
@@ -35,8 +35,7 @@ class DRReport:
     max_residual: float
 
 
-def _interval_energy(problem: Problem, trajectory: Trajectory, cfg: DPConfig) -> np.ndarray:
-    grid = velocity_grid_for(problem, cfg, extra=trajectory.velocities)
+def _interval_energy(problem: Problem, trajectory: Trajectory, grid: Grid1D) -> np.ndarray:
     energies = np.empty(trajectory.velocities.size)
     for i, (t, x, xi) in enumerate(
         zip(trajectory.times[:-1], trajectory.states[:-1], trajectory.velocities)
@@ -60,8 +59,8 @@ def dubois_reymond_residual(
     the time derivative is estimated by central differences of the
     envelope-plus-state cost (one-sided at the horizon ends).
     """
-    energies = _interval_energy(problem, trajectory, cfg)
     grid = velocity_grid_for(problem, cfg, extra=trajectory.velocities)
+    energies = _interval_energy(problem, trajectory, grid)
     n = trajectory.velocities.size
     horizon = problem.horizon
     delta = horizon / (4.0 * n)
@@ -103,5 +102,6 @@ def energy_constancy(problem: Problem, trajectory: Trajectory, cfg: DPConfig) ->
             "energy constancy requires an autonomous problem; "
             "use dubois_reymond_residual instead"
         )
-    energies = _interval_energy(problem, trajectory, cfg)
+    grid = velocity_grid_for(problem, cfg, extra=trajectory.velocities)
+    energies = _interval_energy(problem, trajectory, grid)
     return float(np.max(np.abs(energies - np.median(energies))))

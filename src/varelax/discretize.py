@@ -55,30 +55,43 @@ def merge_close_velocities(values: np.ndarray) -> np.ndarray:
 
 def transition_table(
     xs: np.ndarray, step: float, cap: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Admissible difference quotients and the per-pair quotient index.
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Admissible difference quotients and the band of state pairs behind them.
 
-    Returns the sorted canonical quotient values with magnitude at most
-    the cap, and an (n, n) index matrix mapping source/target state pairs
-    to their quotient (-1 marks an inadmissible transition).
+    Walks the state offsets d = 0, +-1, +-2, ... until no pair at offset d
+    is within the cap; on an increasing grid the quotients grow with |d|,
+    so no farther pair is admissible either.  Returns the sorted merged
+    quotient values and, per value, the (predecessor, target) index arrays
+    of the pairs realizing it, ordered by target.  No (n, n) array is built.
     """
-    diffs = (xs[None, :] - xs[:, None]) / step
-    all_q, inverse = np.unique(diffs, return_inverse=True)
-    inverse = inverse.reshape(diffs.shape)
-    admissible = np.abs(all_q) <= cap * (1.0 + 1e-12)
-    if np.count_nonzero(admissible) < 2:
+    limit = cap * (1.0 + 1e-12)
+    n = xs.size
+    pairs = []
+    for direction in (1, -1):
+        d = 0 if direction > 0 else -1
+        while abs(d) < n:
+            j = np.arange(max(0, -d), min(n, n - d))
+            raw = (xs[j + d] - xs[j]) / step
+            ok = np.abs(raw) <= limit
+            if not ok.any():
+                break
+            pairs.append((j[ok], j[ok] + d, raw[ok]))
+            d += direction
+    j, k, raw = (np.concatenate(parts) for parts in zip(*pairs))
+    values = np.unique(raw)
+    if values.size < 2:
         raise InfeasibleError("velocity cap admits fewer than two difference quotients")
-    reps = merge_close_velocities(all_q[admissible])
-    position = np.full(all_q.size, -1, dtype=np.int64)
-    nearest = np.searchsorted(reps, all_q[admissible])
-    nearest = np.clip(nearest, 0, reps.size - 1)
+    reps = merge_close_velocities(values)
+    nearest = np.clip(np.searchsorted(reps, raw), 0, reps.size - 1)
     left = np.clip(nearest - 1, 0, reps.size - 1)
-    pick_left = np.abs(reps[left] - all_q[admissible]) <= np.abs(
-        reps[nearest] - all_q[admissible]
+    pick_left = np.abs(reps[left] - raw) <= np.abs(reps[nearest] - raw)
+    group = np.where(pick_left, left, nearest)
+    order = np.lexsort((k, group))
+    bounds = np.searchsorted(group[order], np.arange(reps.size + 1))
+    band = tuple(
+        (j[order[lo:hi]], k[order[lo:hi]]) for lo, hi in zip(bounds[:-1], bounds[1:])
     )
-    position[admissible] = np.where(pick_left, left, nearest)
-    qindex = position[inverse]
-    return reps, qindex
+    return reps, band
 
 
 def velocity_grid_for(

@@ -226,9 +226,11 @@ def emit_reconstructed(rec, path: str | Path) -> None:
 def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajectory:
     """Read a ``t,x,xdot`` CSV back into a validated trajectory.
 
-    Endpoint states must match the problem exactly (17-digit CSV round-
-    trips doubles bit-exactly), velocities must respect the cap, and the
-    costs are recomputed on the configuration's envelope grid.
+    Every value must be finite, the times must run from 0 to T (within
+    1e-9 T), the states must stay in the state box, endpoint states must
+    match the problem exactly (17-digit CSV round-trips doubles
+    bit-exactly), and velocities must respect the cap.  The costs are
+    recomputed on the configuration's envelope grid.
     """
     path = Path(path)
     try:
@@ -251,7 +253,15 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
     if len(rows) < 2:
         raise SchemaError(f"{path}: need at least two rows")
     data = np.array(rows)
+    if not np.all(np.isfinite(data)):
+        raise SchemaError(f"{path}: trajectory values must be finite")
     times, states, vels = data[:, 0], data[:, 1], data[:, 2][:-1]
+    tol = 1e-9 * problem.horizon
+    if abs(times[0]) > tol or abs(times[-1] - problem.horizon) > tol:
+        raise SchemaError(f"{path}: times must run from 0 to T = {problem.horizon!r}")
+    lo, hi = problem.state_box
+    if np.any(states < lo) or np.any(states > hi):
+        raise SchemaError(f"{path}: states leave the state box [{lo!r}, {hi!r}]")
     if states[0] != problem.start or states[-1] != problem.end:
         raise SchemaError(f"{path}: endpoint states do not match the problem")
     step = times[1] - times[0]

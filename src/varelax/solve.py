@@ -9,12 +9,12 @@ smallest predecessor index so results are schedule-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classify import HypothesisReport
-from .convex import Grid1D, evaluate_envelope, evaluate_envelope_many
+from .convex import ConvexEnvelope, Grid1D, evaluate_envelope, evaluate_envelope_many
 from .discretize import exact_index, f_envelope, state_grid, transition_table
 from .errors import CertificateError, InfeasibleError
 from .problem import DPConfig, Problem, SweepReport, Trajectory
@@ -24,11 +24,21 @@ SETTLE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class _Tables:
+    """Grids, transition band and per-time cost rows of one (problem, grid).
+
+    ``envs``/``f_costs`` hold the envelope of f and its values at the
+    quotients, and ``g_costs`` holds g on the state grid; each has one row
+    when its integrand is autonomous and one row per time step otherwise.
+    """
+
     xs: np.ndarray
     times: np.ndarray
     step: float
-    vgrid: Grid1D
-    qindex: np.ndarray
+    reps: np.ndarray
+    band: tuple[tuple[np.ndarray, np.ndarray], ...]
+    envs: tuple[ConvexEnvelope, ...]
+    f_costs: np.ndarray
+    g_costs: np.ndarray
     i_start: int
     i_end: int
 
@@ -37,48 +47,104 @@ def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     xs = state_grid(problem, cfg.n_x)
     step = problem.horizon / cfg.n_t
     times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
-    values, qindex = transition_table(xs, step, problem.velocity_cap)
+    reps, band = transition_table(xs, step, problem.velocity_cap)
+    vgrid = Grid1D(reps)
+    f_times = times[:1] if problem.f.autonomous else times[:-1]
+    g_times = times[:1] if problem.g.autonomous else times[:-1]
+    envs = tuple(f_envelope(problem, vgrid, t)[1] for t in f_times)
     return _Tables(
         xs=xs,
         times=times,
         step=step,
-        vgrid=Grid1D(values),
-        qindex=qindex,
+        reps=reps,
+        band=band,
+        envs=envs,
+        f_costs=np.array([evaluate_envelope_many(env, reps) for env in envs]),
+        g_costs=np.array([problem.g.value(t, xs) for t in g_times]),
         i_start=exact_index(xs, problem.start, "start"),
         i_end=exact_index(xs, problem.end, "end"),
     )
 
 
-def _quotient_costs(problem: Problem, cfg: DPConfig, tab: _Tables, t: float) -> np.ndarray:
-    _, env = f_envelope(problem, tab.vgrid, t)
-    costs = evaluate_envelope_many(env, tab.vgrid.points)
-    if cfg.penalty > 0.0 and cfg.theta is not None:
-        costs = costs + cfg.penalty * cfg.theta(tab.vgrid.points)
-    return costs
+def _row(rows, i: int):
+    return rows[i if len(rows) > 1 else 0]
 
 
-def _backtrack(tab: _Tables, back: np.ndarray) -> np.ndarray:
-    n_t = back.shape[0]
-    idx = np.empty(n_t + 1, dtype=np.int64)
+def _dp(tab: _Tables, cfg: DPConfig, budget: float | None, want_path: bool):
+    """Minimum of the (penalized) path cost, optionally under a speed budget.
+
+    The state is (used budget units, grid node); without a budget there is
+    a single level and every step costs zero units.  Per-step budgets are
+    rounded up to the quantum budget/levels, so any accepted path satisfies
+    the true budget and feasibility can only grow with the budget.
+    Quotients are visited in descending order, which is ascending
+    predecessor index for each target, and only a strict improvement
+    replaces a candidate: ties go to the smallest predecessor.
+
+    Returns (value, node path, quotient path), or Nones when the end node
+    is unreachable; the paths are None unless ``want_path``.
+    """
+    costs = tab.f_costs
+    if cfg.penalty > 0.0:
+        costs = costs + cfg.penalty * cfg.theta(tab.reps)
+    n_q = tab.reps.size
+    if budget is None:
+        units = np.zeros(n_q, dtype=np.int64)
+        capacity = 0
+    else:
+        quantum = budget / cfg.budget_levels
+        units = np.ceil(tab.step * cfg.theta(tab.reps) / quantum).astype(np.int64)
+        units = np.maximum(units, 0)
+        capacity = cfg.budget_levels
+    value = np.full((tab.xs.size, capacity + 1), np.inf)
+    value[tab.i_start, 0] = 0.0
+    back = np.full((cfg.n_t,) + value.shape, -1, dtype=np.int64) if want_path else None
+    for i in range(cfg.n_t):
+        fq = _row(costs, i)
+        gx = _row(tab.g_costs, i)
+        nxt = np.full_like(value, np.inf)
+        for q in range(n_q - 1, -1, -1):
+            u = int(units[q])
+            if u > capacity:
+                continue
+            jq, kq = tab.band[q]
+            cand = value[jq, : capacity + 1 - u] + (tab.step * (gx[jq] + fq[q]))[:, None]
+            block = nxt[kq, u:]
+            better = cand < block
+            nxt[kq, u:] = np.where(better, cand, block)
+            if want_path:
+                back[i, kq, u:] = np.where(better, q, back[i, kq, u:])
+        value = nxt
+    column = value[tab.i_end]
+    if not np.any(np.isfinite(column)):
+        return None, None, None
+    level = int(np.argmin(column))
+    best = float(column[level])
+    if not want_path:
+        return best, None, None
+    idx = np.empty(cfg.n_t + 1, dtype=np.int64)
+    qidx = np.empty(cfg.n_t, dtype=np.int64)
     idx[-1] = tab.i_end
-    for i in range(n_t - 1, -1, -1):
-        idx[i] = back[i, idx[i + 1]]
-    return idx
+    for i in range(cfg.n_t - 1, -1, -1):
+        q = int(back[i, idx[i + 1], level])
+        jq, kq = tab.band[q]
+        idx[i] = jq[np.searchsorted(kq, idx[i + 1])]
+        qidx[i] = q
+        level -= int(units[q])
+    return best, idx, qidx
 
 
 def _assemble(
-    problem: Problem, cfg: DPConfig, tab: _Tables, idx: np.ndarray
+    problem: Problem, cfg: DPConfig, tab: _Tables, idx: np.ndarray, qidx: np.ndarray
 ) -> tuple[Trajectory, float]:
     xs, step = tab.xs, tab.step
     states = xs[idx]
-    q = tab.vgrid.points[tab.qindex[idx[:-1], idx[1:]]]
+    q = tab.reps[qidx]
     f_cost = 0.0
     g_cost = 0.0
     for i in range(q.size):
-        t = tab.times[i]
-        _, env = f_envelope(problem, tab.vgrid, t)
-        f_cost += step * evaluate_envelope(env, q[i])
-        g_cost += step * float(problem.g.value(t, states[i]))
+        f_cost += step * float(_row(tab.f_costs, i)[qidx[i]])
+        g_cost += step * float(_row(tab.g_costs, i)[idx[i]])
     penalty_cost = 0.0
     theta_value = None
     if cfg.theta is not None:
@@ -102,29 +168,17 @@ def _assemble(
     ), penalty_cost
 
 
-def _plain_dp(problem: Problem, cfg: DPConfig) -> Trajectory:
-    tab = _tables(problem, cfg)
-    n_x = tab.xs.size
-    qindex = tab.qindex
-    admissible = qindex >= 0
-    safe_q = np.where(admissible, qindex, 0)
-    value = np.full(n_x, np.inf)
-    value[tab.i_start] = 0.0
-    back = np.empty((cfg.n_t, n_x), dtype=np.int64)
-    for i in range(cfg.n_t):
-        t = tab.times[i]
-        fq = _quotient_costs(problem, cfg, tab, t)
-        gx = problem.g.value(t, tab.xs)
-        move = np.where(admissible, fq[safe_q], np.inf)
-        candidates = value[:, None] + tab.step * (gx[:, None] + move)
-        back[i] = np.argmin(candidates, axis=0)
-        value = np.min(candidates, axis=0)
-    if not np.isfinite(value[tab.i_end]):
-        raise InfeasibleError("no admissible grid path connects the endpoints")
-    idx = _backtrack(tab, back)
-    traj, penalty_cost = _assemble(problem, cfg, tab, idx)
+def _solve(
+    problem: Problem, cfg: DPConfig, tab: _Tables, budget: float | None = None
+) -> Trajectory:
+    value, idx, qidx = _dp(tab, cfg, budget, want_path=True)
+    if value is None:
+        if budget is None:
+            raise InfeasibleError("no admissible grid path connects the endpoints")
+        raise InfeasibleError("speed budget excludes every admissible path")
+    traj, penalty_cost = _assemble(problem, cfg, tab, idx, qidx)
     total = traj.value + penalty_cost
-    if abs(total - value[tab.i_end]) > 1e-9 * (1.0 + abs(total)):
+    if abs(total - value) > 1e-9 * (1.0 + abs(total)):
         raise CertificateError("trajectory cost does not reproduce the DP value")
     return traj
 
@@ -138,26 +192,8 @@ def solve_relaxed(problem: Problem, cfg: DPConfig) -> Trajectory:
     quantized speed budget stays within the bound.  The ``penalty`` field
     is ignored here; ``nagumo_penalized_solve`` owns it.
     """
-    base = cfg if cfg.penalty == 0.0 else _without_penalty(cfg)
-    if cfg.theta_budget is not None:
-        value, idx = _budget_dp(problem, base, cfg.theta_budget, want_path=True)
-        tab = _tables(problem, base)
-        traj, _ = _assemble(problem, base, tab, idx)
-        if abs(traj.value - value) > 1e-9 * (1.0 + abs(value)):
-            raise CertificateError("trajectory cost does not reproduce the DP value")
-        return traj
-    return _plain_dp(problem, base)
-
-
-def _without_penalty(cfg: DPConfig) -> DPConfig:
-    return DPConfig(
-        n_t=cfg.n_t,
-        n_x=cfg.n_x,
-        theta=cfg.theta,
-        penalty=0.0,
-        theta_budget=cfg.theta_budget,
-        budget_levels=cfg.budget_levels,
-    )
+    base = replace(cfg, penalty=0.0)
+    return _solve(problem, base, _tables(problem, base), cfg.theta_budget)
 
 
 def nagumo_penalized_solve(problem: Problem, cfg: DPConfig) -> Trajectory:
@@ -169,95 +205,7 @@ def nagumo_penalized_solve(problem: Problem, cfg: DPConfig) -> Trajectory:
     """
     if cfg.theta is None:
         raise CertificateError("penalized solve requires a Nagumo entry")
-    return _plain_dp(problem, cfg)
-
-
-def _quotient_groups(qindex: np.ndarray, n_q: int):
-    flat = qindex.ravel()
-    order = np.argsort(flat, kind="stable")
-    sorted_vals = flat[order]
-    groups = []
-    n = qindex.shape[0]
-    for q in range(n_q):
-        lo = np.searchsorted(sorted_vals, q, side="left")
-        hi = np.searchsorted(sorted_vals, q, side="right")
-        pos = order[lo:hi]
-        groups.append((pos // n, pos % n))
-    return groups
-
-
-def _budget_dp(
-    problem: Problem,
-    cfg: DPConfig,
-    budget: float,
-    want_path: bool = False,
-    precomputed: dict | None = None,
-):
-    """DP over (used-budget, state) with conservative integer budget units.
-
-    Per-step speed budgets are rounded up to the quantum budget/levels, so
-    any accepted path satisfies the true budget, and rounding up means
-    feasibility can only grow along an increasing budget schedule.
-    """
-    if cfg.theta is None:
-        raise CertificateError("budget-constrained solve requires a Nagumo entry")
-    tab = precomputed["tab"] if precomputed else _tables(problem, cfg)
-    n_x = tab.xs.size
-    n_q = tab.vgrid.points.size
-    groups = precomputed["groups"] if precomputed else _quotient_groups(tab.qindex, n_q)
-    theta_q = cfg.theta(tab.vgrid.points)
-    quantum = budget / cfg.budget_levels
-    units = np.ceil(tab.step * theta_q / quantum).astype(np.int64)
-    units = np.maximum(units, 0)
-    capacity = cfg.budget_levels
-    value = np.full((capacity + 1, n_x), np.inf)
-    value[0, tab.i_start] = 0.0
-    back = (
-        np.full((cfg.n_t, capacity + 1, n_x), -1, dtype=np.int64) if want_path else None
-    )
-    for i in range(cfg.n_t):
-        t = tab.times[i]
-        if precomputed and "fq" in precomputed:
-            fq = precomputed["fq"][i]
-            gx = precomputed["gx"][i]
-        else:
-            fq = _quotient_costs(problem, cfg, tab, t)
-            gx = problem.g.value(t, tab.xs)
-        nxt = np.full_like(value, np.inf)
-        bck = back[i] if want_path else None
-        for q in range(n_q):
-            u = int(units[q])
-            if u > capacity:
-                continue
-            jq, kq = groups[q]
-            if jq.size == 0:
-                continue
-            cand = value[: capacity + 1 - u, jq] + tab.step * (gx[jq] + fq[q])[None, :]
-            block = nxt[u:, kq]
-            better = cand < block
-            if better.any():
-                nxt[u:, kq] = np.where(better, cand, block)
-                if want_path:
-                    prev = bck[u:, kq]
-                    bck[u:, kq] = np.where(better, jq[None, :], prev)
-        value = nxt
-    column = value[:, tab.i_end]
-    if not np.any(np.isfinite(column)):
-        if want_path:
-            raise InfeasibleError("speed budget excludes every admissible path")
-        return None, None
-    best = float(np.min(column))
-    if not want_path:
-        return best, None
-    b = int(np.argmin(column))
-    idx = np.empty(cfg.n_t + 1, dtype=np.int64)
-    idx[-1] = tab.i_end
-    for i in range(cfg.n_t - 1, -1, -1):
-        j = int(back[i, b, idx[i + 1]])
-        q = tab.qindex[j, idx[i + 1]]
-        b -= int(units[q])
-        idx[i] = j
-    return best, idx
+    return _solve(problem, cfg, _tables(problem, cfg))
 
 
 def value_sweep(
@@ -278,18 +226,7 @@ def value_sweep(
     if budgets[0] <= 0.0:
         raise CertificateError("budget schedule entries must be positive")
     tab = _tables(problem, cfg)
-    n_q = tab.vgrid.points.size
-    pre = {
-        "tab": tab,
-        "groups": _quotient_groups(tab.qindex, n_q),
-    }
-    if cfg.n_t * n_q <= 20_000_000:  # cache envelope costs across the sweep
-        pre["fq"] = [_quotient_costs(problem, cfg, tab, t) for t in tab.times[:-1]]
-        pre["gx"] = [problem.g.value(t, tab.xs) for t in tab.times[:-1]]
-    values: list[float | None] = []
-    for budget in budgets:
-        v, _ = _budget_dp(problem, cfg, float(budget), want_path=False, precomputed=pre)
-        values.append(v)
+    values = [_dp(tab, cfg, float(budget), want_path=False)[0] for budget in budgets]
     feasible = [(i, v) for i, v in enumerate(values) if v is not None]
     for (_, v1), (_, v2) in zip(feasible, feasible[1:]):
         if v2 > v1 + SETTLE_TOL * (1.0 + abs(v1)):
@@ -322,25 +259,15 @@ def lagrangian_sweep(
     multipliers = np.asarray(multiplier_schedule, dtype=float)
     if np.any(multipliers < 0.0):
         raise CertificateError("multipliers must be nonnegative")
+    tab = _tables(problem, cfg)
     penalized_minima = []
     for rate in multipliers:
-        traj = _plain_dp(problem, _with_penalty(cfg, float(rate)))
+        traj = _solve(problem, replace(cfg, penalty=float(rate)), tab)
         penalized_minima.append(traj.value + float(rate) * traj.theta_value)
     duals = np.array(penalized_minima)[:, None] - multipliers[:, None] * budgets[None, :]
     values = [float(v) for v in duals.max(axis=0)]
     return SweepReport(
         budgets=budgets, values=values, settle_index=settle_index(budgets, values)
-    )
-
-
-def _with_penalty(cfg: DPConfig, rate: float) -> DPConfig:
-    return DPConfig(
-        n_t=cfg.n_t,
-        n_x=cfg.n_x,
-        theta=cfg.theta,
-        penalty=rate,
-        theta_budget=None,
-        budget_levels=cfg.budget_levels,
     )
 
 
@@ -446,9 +373,8 @@ def _path_cost(problem: Problem, tab: _Tables, states: np.ndarray) -> float:
         raise InfeasibleError("reference path violates the velocity cap")
     total = 0.0
     for i in range(q.size):
-        t = tab.times[i]
-        _, env = f_envelope(problem, tab.vgrid, t)
         total += tab.step * (
-            evaluate_envelope(env, q[i]) + float(problem.g.value(t, states[i]))
+            evaluate_envelope(_row(tab.envs, i), q[i])
+            + float(problem.g.value(tab.times[i], states[i]))
         )
     return total

@@ -116,6 +116,42 @@ class TestTrajectoryRoundTrip:
             read_trajectory(path, loaded.problem, DPConfig(n_t=8, n_x=9))
 
 
+class TestTrajectoryContract:
+    """``verify`` rejects a malformed trajectory CSV with exit 2 and a
+    one-line message before any costing."""
+
+    def verify(self, tmp_path, capsys, rows):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,x,xdot\n" + "".join(f"{r}\n" for r in rows))
+        code = main(
+            [
+                "verify",
+                str(PROBLEMS / "doublewell.json"),
+                "--traj", str(path),
+                "--out", str(tmp_path / "verify.json"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "verify.json").exists()
+        return err
+
+    def test_nan_velocity_rejected(self, tmp_path, capsys):
+        err = self.verify(tmp_path, capsys, ["0,0,0", "0.5,0,nan", "1,0,0"])
+        assert "finite" in err
+
+    def test_partial_horizon_rejected(self, tmp_path, capsys):
+        # covers t in [0, 0.5] of T = 1 with zero cost so far
+        rows = [f"{t},0,0" for t in np.linspace(0.0, 0.5, 9).tolist()]
+        err = self.verify(tmp_path, capsys, rows)
+        assert "from 0 to T" in err
+
+    def test_state_outside_box_rejected(self, tmp_path, capsys):
+        err = self.verify(tmp_path, capsys, ["0,0,1.5", "0.5,0.75,-1.5", "1,0,-1.5"])
+        assert "state box" in err
+
+
 class TestCliExitCodes:
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -7,23 +7,34 @@ Frozen analytic values:
 """
 
 import itertools
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varelax.catalog import nagumo_function, state_function, velocity_function
+from varelax.catalog import nagumo_function, state_function, time_factor, velocity_function
 from varelax.classify import hypothesis_check
-from varelax.convex import Grid1D, evaluate_envelope, lower_convex_hull
+from varelax.convex import Grid1D, evaluate_envelope, evaluate_envelope_many, lower_convex_hull
+from varelax.discretize import merge_close_velocities, state_grid
 from varelax.errors import CertificateError, InfeasibleError
 from varelax.families import IntegrandFamily
+from varelax.io import parse_problem
 from varelax.problem import DPConfig, Problem
 from varelax.solve import (
+    _dp,
+    _tables,
     lagrangian_sweep,
     coercivity_bound_check,
     nagumo_penalized_solve,
     solve_relaxed,
     value_sweep,
 )
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def make_problem(f_name, f_params=None, g_name="zero", g_params=None, **kw):
@@ -289,3 +300,216 @@ class TestCoercivityBound:
         assert traj.value >= -1.0 * shifted.horizon + 1.0 * traj.velocity_l1() - 1e-12
         report = coercivity_bound_check(shifted, traj, hypothesis_check(shifted), cfg)
         assert report.consistent
+
+
+def dense_quotients(xs, step, cap):
+    """Merged quotient values and the (n, n) quotient index of every state
+    pair (-1 when inadmissible), built from the full difference matrix."""
+    diffs = (xs[None, :] - xs[:, None]) / step
+    all_q, inverse = np.unique(diffs, return_inverse=True)
+    admissible = np.abs(all_q) <= cap * (1.0 + 1e-12)
+    if np.count_nonzero(admissible) < 2:
+        return None, None
+    reps = merge_close_velocities(all_q[admissible])
+    raw = all_q[admissible]
+    nearest = np.clip(np.searchsorted(reps, raw), 0, reps.size - 1)
+    left = np.clip(nearest - 1, 0, reps.size - 1)
+    position = np.full(all_q.size, -1, dtype=np.int64)
+    position[admissible] = np.where(
+        np.abs(reps[left] - raw) <= np.abs(reps[nearest] - raw), left, nearest
+    )
+    return reps, position[inverse.reshape(diffs.shape)]
+
+
+def dense_setup(problem, cfg):
+    xs = state_grid(problem, cfg.n_x)
+    step = problem.horizon / cfg.n_t
+    times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
+    reps, qindex = dense_quotients(xs, step, problem.velocity_cap)
+    if reps is None:
+        return None
+    costs = []
+    for t in times[:-1]:
+        fq = evaluate_envelope_many(lower_convex_hull(problem.f.sample(t, Grid1D(reps))), reps)
+        if cfg.penalty > 0.0:
+            fq = fq + cfg.penalty * cfg.theta(reps)
+        costs.append((fq, problem.g.value(t, xs)))
+    i_a = int(np.flatnonzero(xs == problem.start)[0])
+    i_b = int(np.flatnonzero(xs == problem.end)[0])
+    return xs, step, reps, qindex, costs, i_a, i_b
+
+
+def dense_reference_dp(problem, cfg):
+    """Plain DP over the dense n x n candidate matrix; argmin picks the
+    smallest predecessor.  Returns (value, states) or None if infeasible."""
+    setup = dense_setup(problem, cfg)
+    if setup is None:
+        return None
+    xs, step, reps, qindex, costs, i_a, i_b = setup
+    value = np.full(xs.size, np.inf)
+    value[i_a] = 0.0
+    back = []
+    for fq, gx in costs:
+        move = np.where(qindex >= 0, fq[np.maximum(qindex, 0)], np.inf)
+        candidates = value[:, None] + step * (gx[:, None] + move)
+        back.append(np.argmin(candidates, axis=0))
+        value = np.min(candidates, axis=0)
+    if not np.isfinite(value[i_b]):
+        return None
+    idx = [i_b]
+    for b in reversed(back):
+        idx.append(b[idx[-1]])
+    return value[i_b], xs[np.array(idx[::-1])]
+
+
+def dense_reference_budget(problem, cfg, budget):
+    """Budget DP over (used units, state) that visits predecessors in
+    ascending index for every target and keeps the first strict minimum.
+    Returns (value, states) or None if no path fits the budget."""
+    setup = dense_setup(problem, cfg)
+    if setup is None:
+        return None
+    xs, step, reps, qindex, costs, i_a, i_b = setup
+    units = np.ceil(step * cfg.theta(reps) / (budget / cfg.budget_levels)).astype(np.int64)
+    units = np.maximum(units, 0)
+    levels = cfg.budget_levels + 1
+    value = np.full((levels, xs.size), np.inf)
+    value[0, i_a] = 0.0
+    back = []
+    for fq, gx in costs:
+        nxt = np.full_like(value, np.inf)
+        pred = np.full(value.shape, -1)
+        for j in range(xs.size):
+            for k in np.flatnonzero(qindex[j] >= 0):
+                q = qindex[j, k]
+                u = units[q]
+                if u >= levels:
+                    continue
+                cand = value[: levels - u, j] + step * (gx[j] + fq[q])
+                better = cand < nxt[u:, k]
+                nxt[u:, k][better] = cand[better]
+                pred[u:, k][better] = j
+        back.append(pred)
+        value = nxt
+    column = value[:, i_b]
+    if not np.any(np.isfinite(column)):
+        return None
+    level = int(np.argmin(column))
+    idx = [i_b]
+    for pred in reversed(back):
+        j = pred[level, idx[-1]]
+        level -= units[qindex[j, idx[-1]]]
+        idx.append(j)
+    return column.min(), xs[np.array(idx[::-1])]
+
+
+THETA = nagumo_function("power_p", {"p": 2.0})
+F_SHAPES = (
+    ("double_well", None),
+    ("power_p", {"p": 2.0}),
+    ("linear_minus_sqrt", None),
+    ("sqrt_one_plus", None),
+)
+G_FAMILIES = (
+    IntegrandFamily(base=state_function("zero")),
+    IntegrandFamily(base=state_function("concave_quadratic", {"kappa": 0.5})),
+    IntegrandFamily(
+        base=state_function("affine", {"slope": -0.7, "offset": 0.1}),
+        modulation=state_function("concave_quadratic", {"kappa": 1.0}),
+        factor=time_factor("affine_t", {"slope": 2.0, "offset": -0.5}),
+    ),
+)
+
+
+@st.composite
+def dp_cases(draw):
+    """Small problems on the box [-0.5, 0.5]: endpoints 0 and 0.25 fall off
+    the uniform grid for some n_x and are inserted as extra nodes."""
+    name, params = draw(st.sampled_from(F_SHAPES))
+    f = IntegrandFamily(base=velocity_function(name, params))
+    if draw(st.booleans()):
+        f = IntegrandFamily(
+            base=f.base,
+            modulation=velocity_function("power_p", {"p": 2.0}),
+            factor=time_factor("sine", {"amplitude": 0.5, "frequency": 3.0}),
+        )
+    start, end = draw(st.sampled_from([(0.0, 0.0), (-0.5, 0.5), (0.0, 0.25), (-0.25, 0.5)]))
+    problem = Problem(
+        horizon=1.0,
+        start=start,
+        end=end,
+        f=f,
+        g=draw(st.sampled_from(G_FAMILIES)),
+        state_box=(-0.5, 0.5),
+        velocity_cap=draw(st.sampled_from([1.0, 1.5, 2.0, 4.0])),
+    )
+    cfg = DPConfig(
+        n_t=draw(st.integers(2, 12)),
+        n_x=draw(st.integers(3, 33)),
+        theta=THETA,
+        budget_levels=draw(st.sampled_from([4, 8, 16])),
+    )
+    return problem, cfg, draw(st.sampled_from([0.5, 3.0])), draw(st.sampled_from([0.3, 1.0, 5.0]))
+
+
+def assert_kernel_matches(problem, cfg, budget, reference, solve):
+    """The kernel's value and path equal the reference's bit for bit, and
+    the public solve returns the same path."""
+    if reference is None:
+        with pytest.raises(InfeasibleError):
+            solve()
+        return
+    ref_value, ref_states = reference
+    value, idx, _ = _dp(_tables(problem, cfg), cfg, budget, want_path=True)
+    assert value == ref_value
+    np.testing.assert_array_equal(state_grid(problem, cfg.n_x)[idx], ref_states)
+    np.testing.assert_array_equal(solve().states, ref_states)
+
+
+class TestBandedKernelAgainstDenseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(dp_cases())
+    def test_plain_penalized_and_budget_solves(self, case):
+        problem, cfg, penalty, budget = case
+        assert_kernel_matches(
+            problem, cfg, None, dense_reference_dp(problem, cfg),
+            lambda: solve_relaxed(problem, cfg),
+        )
+        penalized = replace(cfg, penalty=penalty)
+        assert_kernel_matches(
+            problem, penalized, None, dense_reference_dp(problem, penalized),
+            lambda: nagumo_penalized_solve(problem, penalized),
+        )
+        budgeted = replace(cfg, theta_budget=budget)
+        assert_kernel_matches(
+            problem, cfg, budget, dense_reference_budget(problem, cfg, budget),
+            lambda: solve_relaxed(problem, budgeted),
+        )
+
+    def test_slack_budget_path_equals_plain_path(self):
+        # a budget that never binds must not change the tie-break
+        loaded = parse_problem(PROBLEMS / "doublewell_concave.json")
+        cfg = replace(loaded.config, n_t=32, n_x=33, theta=THETA)
+        plain = solve_relaxed(loaded.problem, cfg)
+        budgeted = solve_relaxed(loaded.problem, replace(cfg, theta_budget=1e6))
+        np.testing.assert_array_equal(budgeted.states, plain.states)
+        assert budgeted.value == plain.value
+
+    def test_sweep_values_match_dense_budget_reference(self):
+        cfg = DPConfig(n_t=8, n_x=17, theta=THETA, budget_levels=16)
+        schedule = np.linspace(0.5, 3.0, 4)
+        report = value_sweep(QUADRATIC, cfg, schedule)
+        for budget, value in zip(schedule, report.values):
+            reference = dense_reference_budget(QUADRATIC, cfg, budget)
+            assert value == (None if reference is None else reference[0])
+
+    def test_no_dense_state_table(self):
+        # one float64 array of n_x^2 entries would take 33.6 MB here
+        cfg = DPConfig(n_t=256, n_x=2049)
+        tracemalloc.start()
+        try:
+            solve_relaxed(DOUBLE_WELL, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .convex import (
     ConvexEnvelope,
@@ -96,9 +95,10 @@ def class_e_certificate(
     For each radius R the probe rebuilds the envelope on the expanding box
     [-margin*R, margin*R] and takes chi(R) = sup over sampled times and
     grid points beyond R of the envelope value minus its steepest
-    supporting linearization.  chi must come out nonincreasing; a rise
-    beyond tolerance signals an envelope bug rather than a property of the
-    integrand.
+    supporting linearization; an autonomous family is sampled at the first
+    time only, since every time gives the same envelope.  chi must come
+    out nonincreasing; a rise beyond tolerance signals an envelope bug
+    rather than a property of the integrand.
     """
     radii = np.asarray(
         default_radius_schedule() if radius_schedule is None else radius_schedule,
@@ -107,6 +107,8 @@ def class_e_certificate(
     if radii.size < 4 or not np.all(np.diff(radii) > 0):
         raise CertificateError("radius schedule must be increasing with at least 4 entries")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if family.autonomous:
+        t_grid = t_grid[:1]
     chi = np.empty(radii.size)
     for k, radius in enumerate(radii):
         box = box_margin * radius
@@ -285,6 +287,25 @@ class ProbeBox:
 
 
 @dataclass(frozen=True, eq=False)
+class LinearBounds:
+    """The H1 and H2 lines fitted on a probe box."""
+
+    f_offset: float  # f >= -offset + slope*|xi|
+    f_slope: float
+    g_offset: float  # g >= -offset - slope*|x|
+    g_slope: float
+    slope_margin: float  # f_slope / horizon - g_slope
+
+    @property
+    def h1_pass(self) -> bool:
+        return bool(self.f_slope > 0.0)
+
+    @property
+    def h2_pass(self) -> bool:
+        return bool(self.g_slope >= 0.0 and self.slope_margin > 0.0)
+
+
+@dataclass(frozen=True, eq=False)
 class HypothesisReport:
     f_bound_offset: float  # f >= -offset + slope*|xi| on the probe box
     f_bound_slope: float
@@ -346,12 +367,11 @@ def _hull_edge_slopes(r, vmin):
     return env.edge_slopes
 
 
-def hypothesis_check(problem, probe: ProbeBox | None = None) -> HypothesisReport:
-    """Fit the structural constants on a probe box and report pass/fail.
+def linear_bounds(problem, probe: ProbeBox | None = None) -> LinearBounds:
+    """Fit the H1 line below f and the H2 line below g on a probe box.
 
-    Constants minimize the maximum slack of their inequality over the probe
-    grid, with ties broken toward smaller constants, so reports are
-    deterministic and reproducible.  Failures are reported, never raised.
+    Each line minimizes the maximum slack of its inequality over the probe
+    grid, with ties broken toward smaller constants.
     """
     if probe is None:
         probe = default_probe(problem)
@@ -375,7 +395,29 @@ def hypothesis_check(problem, probe: ProbeBox | None = None) -> HypothesisReport
     )
     g_offset, g_slope = -gb_intercept, -gb_slope
 
+    return LinearBounds(
+        f_offset=float(f_offset),
+        f_slope=float(f_slope),
+        g_offset=float(g_offset),
+        g_slope=float(g_slope),
+        slope_margin=float(f_slope / problem.horizon - g_slope),
+    )
+
+
+def hypothesis_check(problem, probe: ProbeBox | None = None) -> HypothesisReport:
+    """Fit the structural constants on a probe box and report pass/fail.
+
+    Constants minimize the maximum slack of their inequality over the probe
+    grid, with ties broken toward smaller constants, so reports are
+    deterministic and reproducible.  Failures are reported, never raised.
+    """
+    if probe is None:
+        probe = default_probe(problem)
+    ts, xs, xis = probe.times, probe.states, probe.velocities
+    bounds = linear_bounds(problem, probe)
+
     # time Lipschitz constant of f on the probe box
+    f_vals = np.stack([problem.f.value(t, xis) for t in ts])  # (nt, nxi)
     df = np.abs(np.diff(f_vals, axis=0))
     dt = np.diff(ts)[:, None]
     time_lip = float(np.max(df / dt)) if ts.size > 1 else 0.0
@@ -387,13 +429,12 @@ def hypothesis_check(problem, probe: ProbeBox | None = None) -> HypothesisReport
     g_concave = np.array([_midpoint_concave(problem.g, t, xs) for t in ts])
     f_convex = np.array([_samples_convex(problem.f, t, xis) for t in ts])
 
-    margin = f_slope / problem.horizon - g_slope
     return HypothesisReport(
-        f_bound_offset=float(f_offset),
-        f_bound_slope=float(f_slope),
-        g_bound_offset=float(g_offset),
-        g_bound_slope=float(g_slope),
-        slope_margin=float(margin),
+        f_bound_offset=bounds.f_offset,
+        f_bound_slope=bounds.f_slope,
+        g_bound_offset=bounds.g_offset,
+        g_bound_slope=bounds.g_slope,
+        slope_margin=bounds.slope_margin,
         time_lipschitz=time_lip,
         drift_cost_coeff=c0,
         drift_state_coeff=c1,
@@ -401,8 +442,8 @@ def hypothesis_check(problem, probe: ProbeBox | None = None) -> HypothesisReport
         drift_slack=slack,
         g_concave_per_t=g_concave,
         f_convex_per_t=f_convex,
-        h1_pass=bool(f_slope > 0.0),
-        h2_pass=bool(g_slope >= 0.0 and margin > 0.0),
+        h1_pass=bounds.h1_pass,
+        h2_pass=bounds.h2_pass,
     )
 
 
@@ -431,6 +472,19 @@ def _samples_convex(family: IntegrandFamily, t: float, xis: np.ndarray) -> bool:
 
 
 def _fit_drift_bound(problem, ts, xs, xis):
+    """(c0, c1, c2, slack) of |d phi/dt| <= c0*|phi| + c1*|x| + c2.
+
+    An autonomous problem has d phi/dt = 0 at every probe point, so every
+    constant and the slack are exactly 0 and no LP is solved.
+    """
+    if problem.autonomous:
+        return 0.0, 0.0, 0.0, 0.0
+    return _drift_lp(*_drift_samples(problem, ts, xs, xis))
+
+
+def _drift_samples(problem, ts, xs, xis):
+    """|phi|, |x| and the central-difference |d phi/dt| at every probe point,
+    where phi = g + f** on the (time, state, velocity) probe grid."""
     grid = Grid1D(xis)
     span = float(ts[-1] - ts[0])
     step = span / (4.0 * max(ts.size - 1, 1)) if span > 0 else 0.0
@@ -455,6 +509,12 @@ def _fit_drift_bound(problem, ts, xs, xis):
     abs_phi = np.abs(np.stack(phis)).ravel()
     abs_v = np.abs(np.stack(vels)).ravel()
     abs_x = np.abs(np.broadcast_to(xs[None, :, None], (ts.size, xs.size, xis.size))).ravel()
+    return abs_phi, abs_x, abs_v
+
+
+def _drift_lp(abs_phi, abs_x, abs_v):
+    """Drift constants and slack from two HiGHS LPs; scipy loads on first call."""
+    from scipy.optimize import linprog
 
     # Two-phase LP: minimize the maximum slack, then shrink the constants.
     n = abs_phi.size

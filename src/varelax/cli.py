@@ -21,6 +21,7 @@ from .classify import (
     class_e_certificate,
     default_radius_schedule,
     hypothesis_check,
+    linear_bounds,
     sci_certificate,
 )
 from .conditions import dubois_reymond_residual
@@ -157,7 +158,10 @@ def _out_base(args, default_name: str, default_suffix: str) -> Path:
 def _classification(problem: Problem, schedule: np.ndarray) -> dict:
     t_grid = np.linspace(0.0, problem.horizon, CLASSIFY_TIMES)
     class_e = class_e_certificate(problem.f, t_grid, schedule)
-    sci = [sci_certificate(problem.f, float(t), schedule) for t in t_grid]
+    if problem.f.autonomous:
+        sci = [sci_certificate(problem.f, 0.0, schedule)] * t_grid.size
+    else:
+        sci = [sci_certificate(problem.f, float(t), schedule) for t in t_grid]
     hyp = hypothesis_check(problem)
     required = {
         "class_e_diverges": class_e.diverges,
@@ -191,8 +195,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_relax(args) -> int:
     name, problem, cfg, _ = _load(args)
-    hyp = hypothesis_check(problem)
-    hypotheses_pass = hyp.h1_pass and hyp.h2_pass
+    bounds = linear_bounds(problem)
+    hypotheses_pass = bounds.h1_pass and bounds.h2_pass
     if not hypotheses_pass:
         print(
             "warning: hypothesis constants failed on the probe box; solving anyway",

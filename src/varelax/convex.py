@@ -6,7 +6,8 @@ evaluation, subdifferentials, conjugates, convex-combination splittings)
 is exact on the sample data and can be cross-checked by enumeration.
 
 One-dimensional velocity grids are the workhorse; a two-dimensional
-variant backed by a 3-d hull covers planar velocity clouds.
+variant backed by scipy's 3-d hull covers planar velocity clouds.  scipy
+is imported there on first use, so the 1-d path never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from .errors import DegenerateInputError, OutOfDomainError
 
@@ -350,6 +350,8 @@ def lower_hull_2d(cloud: EpigraphCloud2D) -> LowerHull2D:
     A value-affine cloud has a flat 3-d hull that qhull rejects; in that
     case every triangle of the projected triangulation is a valid facet.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     pts = cloud.points
     vals = cloud.values
     if pts.shape[0] < 3:
@@ -369,6 +371,8 @@ def lower_hull_2d(cloud: EpigraphCloud2D) -> LowerHull2D:
 
 
 def _flat_cloud_facets(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    from scipy.spatial import Delaunay, QhullError
+
     coeffs, res, rank, _ = np.linalg.lstsq(
         np.column_stack([np.ones(pts.shape[0]), pts]), vals, rcond=None
     )

@@ -98,7 +98,9 @@ def _dp(tab: _Tables, cfg: DPConfig, budget: float | None, want_path: bool):
         capacity = cfg.budget_levels
     value = np.full((tab.xs.size, capacity + 1), np.inf)
     value[tab.i_start, 0] = 0.0
-    back = np.full((cfg.n_t,) + value.shape, -1, dtype=np.int64) if want_path else None
+    # backpointers: a quotient index, or -1 where no candidate arrived
+    back_type = np.min_scalar_type(-n_q)
+    back = np.full((cfg.n_t,) + value.shape, -1, back_type) if want_path else None
     for i in range(cfg.n_t):
         fq = _row(costs, i)
         gx = _row(tab.g_costs, i)

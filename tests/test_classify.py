@@ -7,17 +7,26 @@ Closed-form linearization defects used below (all hand-differentiated):
   sqrt(1+x^2)  -> 1/sqrt(1+x^2)                        (bounded)
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varelax.catalog import state_function, time_factor, velocity_function
 from varelax.classify import (
     ProbeBox,
+    _drift_lp,
+    _drift_samples,
+    _fit_drift_bound,
     class_e_certificate,
+    default_probe,
     erdmann_value,
     fstar_lipschitz_check,
     growth_constants,
     hypothesis_check,
+    linear_bounds,
     sci_certificate,
 )
 from varelax.convex import Grid1D, SampledFunction, lower_convex_hull, subdifferential
@@ -307,3 +316,109 @@ class TestFstarLipschitz:
         report = fstar_lipschitz_check(fam, np.array([0.0]), np.linspace(0, 1, 5))
         assert not report.conclusive
         assert not report.entries[0].conclusive
+
+
+# Catalog compositions for the drift and linear-bound properties.  A "const"
+# factor makes a modulated family autonomous; "affine_t" and "sine" do not.
+F_BASES = (
+    ("power_p", {"p": 2.0}),
+    ("power_p", {"p": 3.0}),
+    ("abs", None),
+    ("double_well", None),
+    ("linear_minus_sqrt", None),
+    ("sqrt_one_plus", None),
+    ("affine", {"slope": 0.5, "offset": -1.0}),
+)
+G_BASES = (
+    ("zero", None),
+    ("affine", {"slope": -0.7, "offset": 0.1}),
+    ("concave_quadratic", {"kappa": 0.5}),
+)
+CONST_FACTORS = (("const", {"value": 0.3}), ("const", {"value": -1.0}))
+TIME_FACTORS = (
+    ("affine_t", {"slope": 2.0, "offset": -0.5}),
+    ("sine", {"amplitude": 0.5, "frequency": 3.0}),
+)
+
+
+@st.composite
+def compositions(draw, autonomous):
+    factors = CONST_FACTORS if autonomous else TIME_FACTORS
+
+    def modulated(base, shapes, shape_fn):
+        if not draw(st.booleans()):
+            return IntegrandFamily(base=base)
+        name, params = draw(st.sampled_from(shapes))
+        factor, f_params = draw(st.sampled_from(factors))
+        return IntegrandFamily(
+            base=base, modulation=shape_fn(name, params), factor=time_factor(factor, f_params)
+        )
+
+    f_name, f_params = draw(st.sampled_from(F_BASES))
+    g_name, g_params = draw(st.sampled_from(G_BASES))
+    f = modulated(velocity_function(f_name, f_params), F_BASES, velocity_function)
+    g = modulated(state_function(g_name, g_params), G_BASES, state_function)
+    if not autonomous and f.autonomous and g.autonomous:
+        f = IntegrandFamily(
+            base=f.base,
+            modulation=velocity_function("power_p", {"p": 2.0}),
+            factor=time_factor(*TIME_FACTORS[0]),
+        )
+    box = draw(st.sampled_from([(-1.0, 1.0), (0.0, 2.0)]))
+    cap = draw(st.sampled_from([1.0, 4.0]))
+    return make_problem(f, g, horizon=draw(st.sampled_from([0.5, 1.0])), box=box, cap=cap)
+
+
+class TestDriftShortcut:
+    @settings(max_examples=20, deadline=None)
+    @given(compositions(autonomous=True))
+    def test_lp_gives_exact_zeros_for_autonomous_problems(self, problem):
+        # the shortcut returns what the LP returns on the real probe samples
+        probe = default_probe(problem)
+        ts, xs, xis = probe.times, probe.states, probe.velocities
+        abs_phi, abs_x, abs_v = _drift_samples(problem, ts, xs, xis)
+        assert problem.autonomous and not np.any(abs_v)
+        fitted = _drift_lp(abs_phi, abs_x, np.zeros_like(abs_v))
+        shortcut = _fit_drift_bound(problem, ts, xs, xis)
+        for values in (fitted, shortcut):
+            assert values == (0.0, 0.0, 0.0, 0.0)
+            assert [math.copysign(1.0, v) for v in values] == [1.0] * 4  # no -0.0
+
+
+class TestLinearBounds:
+    @settings(max_examples=12, deadline=None)
+    @given(st.booleans().flatmap(compositions))
+    def test_agrees_with_hypothesis_check(self, problem):
+        bounds = linear_bounds(problem)
+        report = hypothesis_check(problem)
+        assert (bounds.h1_pass, bounds.h2_pass) == (report.h1_pass, report.h2_pass)
+        assert (
+            bounds.f_offset,
+            bounds.f_slope,
+            bounds.g_offset,
+            bounds.g_slope,
+            bounds.slope_margin,
+        ) == (
+            report.f_bound_offset,
+            report.f_bound_slope,
+            report.g_bound_offset,
+            report.g_bound_slope,
+            report.slope_margin,
+        )
+
+
+class TestAutonomousClassE:
+    def test_one_time_sample_matches_all_times(self):
+        # a zero-slope affine_t factor is constant in value but not flagged
+        # autonomous, so its certificate samples every time
+        kwargs = dict(modulation="power_p", mod_params={"p": 2.0})
+        flagged = family("double_well", factor="const", f_params={"value": 0.3}, **kwargs)
+        unflagged = family(
+            "double_well", factor="affine_t", f_params={"slope": 0.0, "offset": 0.3}, **kwargs
+        )
+        assert flagged.autonomous and not unflagged.autonomous
+        t_grid = np.linspace(0.0, 1.0, 9)
+        a = class_e_certificate(flagged, t_grid)
+        b = class_e_certificate(unflagged, t_grid)
+        np.testing.assert_array_equal(a.chi_values, b.chi_values)
+        assert (a.verdict, a.divergence_slope) == (b.verdict, b.divergence_slope)

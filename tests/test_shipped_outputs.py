@@ -8,6 +8,14 @@ trajectory CSV and ``_dr.json`` report for every shipped problem, and
 ``solve`` the same report for ``doublewell`` and ``quadratic``.  Another
 numpy build may round differently; re-record the hashes there only after
 checking the outputs by other means.
+
+``CERTIFICATES`` and ``SOLVE_WITH_EXIT`` were recorded the same way at
+commit 726e45223d08a7114951d09698cc01b77207f92e, before scipy moved off the
+import path and the certificates started reusing envelopes of autonomous
+integrands.  They pin ``classify``'s ``_certificates.json`` on every shipped
+problem and ``solve``'s report with its exit code on the other four, so the
+drift constants, the class-E chi values and the per-time SCI probes keep
+their bytes; ``sqrt_one_plus`` is the catalog's negative control and exits 4.
 """
 
 import hashlib
@@ -51,6 +59,40 @@ SOLVE = {
     "quadratic": "79a42dcd6ee4a9161ea40546b7065d5f1dc5d07f07905dc47d2e3296feff2ace",
 }
 
+CERTIFICATES = {
+    "doublewell": (0, "1b9b079f4c7cfc71653289d39d36467d7cbc455c05a03d725faca863116dbde2"),
+    "doublewell_concave": (
+        0,
+        "a348389e1caea697bd012bb41b6ee4a160468af8b8fd9027c48142d353a275b7",
+    ),
+    "doublewell_timevarying": (
+        0,
+        "866166352073e3b70a5f9629bd297b53509096de22257cecb418082b4d6827cf",
+    ),
+    "linear_minus_sqrt": (
+        0,
+        "7ed1480966318e1603afb01d007593ef32dcc0b978b830aca49901c8795ee83e",
+    ),
+    "quadratic": (0, "116425cd0b4573ce7ec582b80fb24f552805bcc9344c43cac0f68c7d85fbefcd"),
+    "sqrt_one_plus": (4, "67e87eebdf779f86d8b1c38bcd8578ab04e37da7808256c4da8ac67abea30da7"),
+}
+
+SOLVE_WITH_EXIT = {
+    "doublewell_concave": (
+        0,
+        "59015ba0f41602696e01c73925d009bd8d894c23d6aa752bb21eca73084fd443",
+    ),
+    "doublewell_timevarying": (
+        0,
+        "2823de77dce6add7f4d7cdb91a912d963c43ac7af2c2c549d8ba7743279177bf",
+    ),
+    "linear_minus_sqrt": (
+        0,
+        "fae1c2456c5b4b62423e3e98bdf18813e2e63a07cf2dcece2fa4b6c19c9e9d13",
+    ),
+    "sqrt_one_plus": (4, "415a2abaf50e99de3e7e876265fc67b49290cebaad3104b54f8d7defcfcecab3"),
+}
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -70,3 +112,19 @@ def test_solve_report_pinned(name, tmp_path):
     out = tmp_path / f"{name}_solution.json"
     assert main(["solve", str(PROBLEMS / f"{name}.json"), "--out", str(out)]) == 0
     assert sha256(out) == SOLVE[name]
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATES))
+def test_classify_certificates_pinned(name, tmp_path):
+    out = tmp_path / f"{name}_certificates.json"
+    code, digest = CERTIFICATES[name]
+    assert main(["classify", str(PROBLEMS / f"{name}.json"), "--out", str(out)]) == code
+    assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_WITH_EXIT))
+def test_solve_report_and_exit_pinned(name, tmp_path):
+    out = tmp_path / f"{name}_solution.json"
+    code, digest = SOLVE_WITH_EXIT[name]
+    assert main(["solve", str(PROBLEMS / f"{name}.json"), "--out", str(out)]) == code
+    assert sha256(out) == digest

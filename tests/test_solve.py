@@ -513,3 +513,19 @@ class TestBandedKernelAgainstDenseOracle:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_budget_backpointers_are_narrow(self):
+        # int64 backpointers of shape (128, 257, 129) alone would take 34 MB;
+        # the 9 admissible quotients here fit in int8
+        loaded = parse_problem(PROBLEMS / "quadratic.json")
+        cfg = replace(loaded.config, n_t=128, n_x=257, budget_levels=128, theta_budget=4.0)
+        tracemalloc.start()
+        try:
+            traj = solve_relaxed(loaded.problem, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+        # speed 1 throughout is the unique minimizer (Jensen), and its
+        # theta cost 1 fits the budget
+        np.testing.assert_array_equal(traj.states, np.linspace(0.0, 1.0, 129))

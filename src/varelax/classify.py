@@ -19,6 +19,7 @@ from .convex import (
     evaluate_envelope,
     evaluate_envelope_many,
     lower_convex_hull,
+    slope_bounds,
     subdifferential,
 )
 from .errors import CertificateError
@@ -38,26 +39,10 @@ def default_radius_schedule() -> np.ndarray:
     return 2.0 ** np.arange(4, 24)
 
 
-def _slope_bounds(env: ConvexEnvelope, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized subdifferential endpoints at in-domain points."""
-    bp, slopes = env.breakpoints, env.edge_slopes
-    pts = np.asarray(pts, dtype=float)
-    idx = np.searchsorted(bp, pts)
-    idx = np.clip(idx, 0, bp.size - 1)
-    exact = bp[idx] == pts
-    edge = np.clip(idx - 1, 0, slopes.size - 1)
-    lo = slopes[edge].copy()
-    hi = slopes[edge].copy()
-    ebi = idx[exact]
-    lo[exact] = slopes[np.clip(ebi - 1, 0, slopes.size - 1)]
-    hi[exact] = slopes[np.clip(ebi, 0, slopes.size - 1)]
-    return lo, hi
-
-
 def _erdmann_sup_on_grid(env: ConvexEnvelope, pts: np.ndarray) -> np.ndarray:
     """max over subgradient selections of envelope(xi) - p*xi, per point."""
     vals = evaluate_envelope_many(env, pts)
-    lo, hi = _slope_bounds(env, pts)
+    lo, hi = slope_bounds(env, pts)
     return vals - np.minimum(lo * pts, hi * pts)
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import Grid1D, evaluate_envelope, subdifferential
-from .discretize import f_envelope, velocity_grid_for
+from .discretize import path_costs, velocity_grid_for
 from .errors import NotAutonomousError
 from .problem import DPConfig, Problem, Trajectory
 
@@ -35,19 +34,9 @@ class DRReport:
     max_residual: float
 
 
-def _interval_energy(problem: Problem, trajectory: Trajectory, grid: Grid1D) -> np.ndarray:
-    energies = np.empty(trajectory.velocities.size)
-    for i, (t, x, xi) in enumerate(
-        zip(trajectory.times[:-1], trajectory.states[:-1], trajectory.velocities)
-    ):
-        _, env = f_envelope(problem, grid, float(t))
-        p = subdifferential(env, float(xi)).midpoint
-        energies[i] = (
-            evaluate_envelope(env, float(xi))
-            - p * float(xi)
-            + float(problem.g.value(float(t), x))
-        )
-    return energies
+def _energy(values: np.ndarray, midpoints: np.ndarray, g: np.ndarray, xi: np.ndarray):
+    """Linearization defect f**(xi) - p*xi + g per interval."""
+    return values - midpoints * xi + g
 
 
 def dubois_reymond_residual(
@@ -57,25 +46,29 @@ def dubois_reymond_residual(
 
     The subgradient selection is the interval midpoint at each velocity;
     the time derivative is estimated by central differences of the
-    envelope-plus-state cost (one-sided at the horizon ends).
+    envelope-plus-state cost (one-sided at the horizon ends).  The
+    interval times and both difference times are costed in one call, so
+    an autonomous f needs a single envelope.
     """
     grid = velocity_grid_for(problem, cfg, extra=trajectory.velocities)
-    energies = _interval_energy(problem, trajectory, grid)
     n = trajectory.velocities.size
     horizon = problem.horizon
     delta = horizon / (4.0 * n)
-    rates = np.empty(n)
-    for i, (t, x, xi) in enumerate(
-        zip(trajectory.times[:-1], trajectory.states[:-1], trajectory.velocities)
-    ):
-        t = float(t)
-        lo = max(t - delta, 0.0)
-        hi = min(t + delta, horizon)
-        _, env_lo = f_envelope(problem, grid, lo)
-        _, env_hi = f_envelope(problem, grid, hi)
-        phi_lo = evaluate_envelope(env_lo, float(xi)) + float(problem.g.value(lo, x))
-        phi_hi = evaluate_envelope(env_hi, float(xi)) + float(problem.g.value(hi, x))
-        rates[i] = (phi_hi - phi_lo) / (hi - lo)
+    t = trajectory.times[:-1]
+    lo = np.maximum(t - delta, 0.0)
+    hi = np.minimum(t + delta, horizon)
+    xi = trajectory.velocities
+    values, midpoints, g = path_costs(
+        problem,
+        grid,
+        np.concatenate([t, lo, hi]),
+        np.tile(trajectory.states[:-1], 3),
+        np.tile(xi, 3),
+    )
+    energies = _energy(values[:n], midpoints[:n], g[:n], xi)
+    phi_lo = values[n : 2 * n] + g[n : 2 * n]
+    phi_hi = values[2 * n :] + g[2 * n :]
+    rates = (phi_hi - phi_lo) / (hi - lo)
     step = trajectory.step
     drift = np.concatenate([[0.0], np.cumsum(rates[:-1]) * step])
     corrected = energies - drift
@@ -103,5 +96,7 @@ def energy_constancy(problem: Problem, trajectory: Trajectory, cfg: DPConfig) ->
             "use dubois_reymond_residual instead"
         )
     grid = velocity_grid_for(problem, cfg, extra=trajectory.velocities)
-    energies = _interval_energy(problem, trajectory, grid)
+    xi = trajectory.velocities
+    costs = path_costs(problem, grid, trajectory.times[:-1], trajectory.states[:-1], xi)
+    energies = _energy(*costs, xi)
     return float(np.max(np.abs(energies - np.median(energies))))

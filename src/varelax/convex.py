@@ -12,6 +12,7 @@ is imported there on first use, so the 1-d path never loads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +113,7 @@ class SubgradientInterval:
     hi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DegenerateInputError("subgradient bounds must be finite")
         if self.lo > self.hi:
             raise DegenerateInputError("subgradient interval must satisfy lo <= hi")
@@ -205,7 +206,7 @@ def _locate(env: ConvexEnvelope, xi: float) -> tuple[int, bool]:
             f"velocity {xi!r} outside envelope domain [{lo!r}, {hi!r}]"
         )
     xi = min(max(xi, lo), hi)
-    i = int(np.searchsorted(bp, xi))
+    i = int(bp.searchsorted(xi))
     if i < bp.size and bp[i] == xi:
         return i, True
     return i, False
@@ -221,15 +222,19 @@ def evaluate_envelope(env: ConvexEnvelope, xi: float) -> float:
     return float(lam * env.hull_values[i - 1] + (1.0 - lam) * env.hull_values[i])
 
 
-def evaluate_envelope_many(env: ConvexEnvelope, xis: np.ndarray) -> np.ndarray:
-    """Vectorized ``evaluate_envelope`` with the same breakpoint exactness."""
-    bp, hv = env.breakpoints, env.hull_values
-    xis = np.asarray(xis, dtype=float)
+def _check_domain(env: ConvexEnvelope, xis: np.ndarray) -> None:
     lo, hi = env.domain
     tol = 1e-12 * max(1.0, abs(lo), abs(hi))
     if np.any(xis < lo - tol) or np.any(xis > hi + tol):
         raise OutOfDomainError("velocity outside envelope domain")
-    clipped = np.clip(xis, lo, hi)
+
+
+def evaluate_envelope_many(env: ConvexEnvelope, xis: np.ndarray) -> np.ndarray:
+    """Vectorized ``evaluate_envelope`` with the same breakpoint exactness."""
+    bp, hv = env.breakpoints, env.hull_values
+    xis = np.asarray(xis, dtype=float)
+    _check_domain(env, xis)
+    clipped = np.clip(xis, *env.domain)
     idx = np.searchsorted(bp, clipped)
     idx = np.clip(idx, 1, bp.size - 1)
     xl, xr = bp[idx - 1], bp[idx]
@@ -257,6 +262,35 @@ def subdifferential(env: ConvexEnvelope, xi: float) -> SubgradientInterval:
         return SubgradientInterval(float(left), float(right))
     s = float(slopes[i - 1])
     return SubgradientInterval(s, s)
+
+
+def slope_bounds(env: ConvexEnvelope, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized ``subdifferential`` endpoints at in-domain points.
+
+    Points within the domain tolerance outside the domain get the clamped
+    extreme edge slope, as ``subdifferential`` gives them.
+    """
+    bp, slopes = env.breakpoints, env.edge_slopes
+    pts = np.asarray(pts, dtype=float)
+    idx = np.searchsorted(bp, pts)
+    idx = np.clip(idx, 0, bp.size - 1)
+    exact = bp[idx] == pts
+    # the edge left of each point; at a breakpoint the edge right of it
+    # closes the interval
+    lo = slopes[np.clip(idx - 1, 0, slopes.size - 1)]
+    hi = lo.copy()
+    hi[exact] = slopes[np.clip(idx[exact], 0, slopes.size - 1)]
+    return lo, hi
+
+
+def subgradient_midpoints(env: ConvexEnvelope, xis: np.ndarray) -> np.ndarray:
+    """Vectorized ``subdifferential(env, xi).midpoint`` with the same checks."""
+    xis = np.asarray(xis, dtype=float)
+    _check_domain(env, xis)
+    lo, hi = slope_bounds(env, xis)
+    if np.any(lo > hi):
+        raise DegenerateInputError("subgradient interval must satisfy lo <= hi")
+    return 0.5 * (lo + hi)
 
 
 def _sample_index(grid: np.ndarray, breakpoint: float) -> int:

@@ -4,14 +4,24 @@ reconstruction stage.
 The per-step velocity set is the set of state-grid difference quotients
 clipped at the velocity cap, and envelopes are built on exactly that set.
 Costs, decompositions, and necessary-condition checks therefore all see
-the same discrete relaxation.
+the same discrete relaxation, and they cost a trajectory through one
+routine, ``path_costs``, which builds one envelope per distinct time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .convex import ConvexEnvelope, Grid1D, SampledFunction, lower_convex_hull
+from .convex import (
+    ConvexEnvelope,
+    Grid1D,
+    SampledFunction,
+    evaluate_envelope,
+    evaluate_envelope_many,
+    lower_convex_hull,
+    subdifferential,
+    subgradient_midpoints,
+)
 from .errors import InfeasibleError, OutOfDomainError
 from .problem import DPConfig, Problem
 
@@ -53,20 +63,18 @@ def merge_close_velocities(values: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def transition_table(
+def _offset_pairs(
     xs: np.ndarray, step: float, cap: float
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """Admissible difference quotients and the band of state pairs behind them.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(predecessor, target, quotient) of every state pair within the cap.
 
     Walks the state offsets d = 0, +-1, +-2, ... until no pair at offset d
     is within the cap; on an increasing grid the quotients grow with |d|,
-    so no farther pair is admissible either.  Returns the sorted merged
-    quotient values and, per value, the (predecessor, target) index arrays
-    of the pairs realizing it, ordered by target.  No (n, n) array is built.
+    so no farther pair is admissible either.
     """
     limit = cap * (1.0 + 1e-12)
     n = xs.size
-    pairs = []
+    js, ks, raws = [], [], []
     for direction in (1, -1):
         d = 0 if direction > 0 else -1
         while abs(d) < n:
@@ -75,22 +83,53 @@ def transition_table(
             ok = np.abs(raw) <= limit
             if not ok.any():
                 break
-            pairs.append((j[ok], j[ok] + d, raw[ok]))
+            js.append(j[ok])
+            ks.append(j[ok] + d)
+            raws.append(raw[ok])
             d += direction
-    j, k, raw = (np.concatenate(parts) for parts in zip(*pairs))
+    out = []
+    for parts in (js, ks, raws):  # drop each column's pieces once joined
+        out.append(np.concatenate(parts))
+        parts.clear()
+    return tuple(out)
+
+
+def _distinct_quotients(raw: np.ndarray) -> np.ndarray:
     values = np.unique(raw)
     if values.size < 2:
         raise InfeasibleError("velocity cap admits fewer than two difference quotients")
+    return values
+
+
+def transition_table(
+    xs: np.ndarray, step: float, cap: float
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Admissible difference quotients and the band of state pairs behind them.
+
+    Returns the sorted merged quotient values and, per value, the
+    (predecessor, target) index arrays of the pairs realizing it, ordered
+    by target.  No (n, n) array is built.  The nearest merged value is
+    picked once per distinct quotient, not per pair, and every per-pair
+    temporary is released before the band is cut, which keeps the peak
+    near three times the band's size.
+    """
+    j, k, raw = _offset_pairs(xs, step, cap)
+    values = _distinct_quotients(raw)
     reps = merge_close_velocities(values)
-    nearest = np.clip(np.searchsorted(reps, raw), 0, reps.size - 1)
+    nearest = np.clip(np.searchsorted(reps, values), 0, reps.size - 1)
     left = np.clip(nearest - 1, 0, reps.size - 1)
-    pick_left = np.abs(reps[left] - raw) <= np.abs(reps[nearest] - raw)
-    group = np.where(pick_left, left, nearest)
+    pick_left = np.abs(reps[left] - values) <= np.abs(reps[nearest] - values)
+    rep_of = np.where(pick_left, left, nearest).astype(np.min_scalar_type(reps.size))
+    # every pair's quotient is one of ``values``, so the search hits it exactly
+    group = rep_of[np.searchsorted(values, raw)]
+    del raw
     order = np.lexsort((k, group))
-    bounds = np.searchsorted(group[order], np.arange(reps.size + 1))
-    band = tuple(
-        (j[order[lo:hi]], k[order[lo:hi]]) for lo, hi in zip(bounds[:-1], bounds[1:])
-    )
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=reps.size))])
+    del group
+    j = j[order]
+    k = k[order]
+    del order
+    band = tuple((j[lo:hi], k[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
     return reps, band
 
 
@@ -101,7 +140,8 @@ def velocity_grid_for(
     velocities of an externally supplied trajectory."""
     xs = state_grid(problem, cfg.n_x)
     step = problem.horizon / cfg.n_t
-    values, _ = transition_table(xs, step, problem.velocity_cap)
+    raw = _offset_pairs(xs, step, problem.velocity_cap)[2]
+    values = merge_close_velocities(_distinct_quotients(raw))
     if extra is not None:
         extra = np.asarray(extra, dtype=float)
         beyond = np.abs(extra) > problem.velocity_cap * (1.0 + 1e-12)
@@ -118,6 +158,54 @@ def f_envelope(
 ) -> tuple[SampledFunction, ConvexEnvelope]:
     samples = problem.f.sample(t, grid)
     return samples, lower_convex_hull(samples)
+
+
+def f_envelopes(
+    problem: Problem, grid: Grid1D, times: np.ndarray
+) -> tuple[list[tuple[SampledFunction, ConvexEnvelope]], np.ndarray]:
+    """One (samples, envelope) pair of f per distinct time, and each time's
+    pair index.  An autonomous f gets a single pair for all times."""
+    times = np.asarray(times, dtype=float)
+    if problem.f.autonomous:
+        keys, which = times[:1], np.zeros(times.size, dtype=np.intp)
+    else:
+        keys, which = np.unique(times, return_inverse=True)
+    return [f_envelope(problem, grid, float(t)) for t in keys], which
+
+
+def path_costs(
+    problem: Problem,
+    grid: Grid1D,
+    times: np.ndarray,
+    states: np.ndarray,
+    velocities: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-interval f**(velocity), midpoint subgradient of f** there, and g.
+
+    Row i is the interval starting at (times[i], states[i]) with constant
+    velocities[i].  Intervals that share an envelope are evaluated
+    together; a lone interval takes the scalar path, which is cheaper for
+    one point and gives the same bits.  g takes one scalar call per
+    interval, so its bits do not depend on how a state cost vectorizes.
+    """
+    velocities = np.asarray(velocities, dtype=float)
+    pairs, which = f_envelopes(problem, grid, times)
+    values = np.empty(velocities.size)
+    midpoints = np.empty(velocities.size)
+    order = np.argsort(which, kind="stable")
+    bounds = np.searchsorted(which[order], np.arange(len(pairs) + 1))
+    for (_, env), lo, hi in zip(pairs, bounds[:-1], bounds[1:]):
+        rows = order[lo:hi]
+        if rows.size == 1:
+            r = rows[0]
+            xi = float(velocities[r])
+            values[r] = evaluate_envelope(env, xi)
+            midpoints[r] = subdifferential(env, xi).midpoint
+        else:
+            values[rows] = evaluate_envelope_many(env, velocities[rows])
+            midpoints[rows] = subgradient_midpoints(env, velocities[rows])
+    g = np.array([float(problem.g.value(float(t), x)) for t, x in zip(times, states)])
+    return values, midpoints, g
 
 
 def exact_index(xs: np.ndarray, v: float, name: str) -> int:

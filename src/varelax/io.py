@@ -35,8 +35,7 @@ from .catalog import (
     time_factor,
     velocity_function,
 )
-from .discretize import f_envelope, velocity_grid_for
-from .convex import evaluate_envelope
+from .discretize import path_costs, velocity_grid_for
 from .errors import SchemaError, VarelaxError
 from .families import IntegrandFamily
 from .problem import DPConfig, Problem, Trajectory
@@ -266,12 +265,12 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
         raise SchemaError(f"{path}: endpoint states do not match the problem")
     step = times[1] - times[0]
     grid = velocity_grid_for(problem, cfg, extra=vels)
+    f_values, _, g_values = path_costs(problem, grid, times[:-1], states[:-1], vels)
     f_cost = 0.0
     g_cost = 0.0
-    for t, x, v in zip(times[:-1], states[:-1], vels):
-        _, env = f_envelope(problem, grid, float(t))
-        f_cost += step * evaluate_envelope(env, float(v))
-        g_cost += step * float(problem.g.value(float(t), x))
+    for f, g in zip(f_values.tolist(), g_values.tolist()):
+        f_cost += step * f
+        g_cost += step * g
     theta_value = None
     if cfg.theta is not None:
         theta_value = float(step * np.sum(cfg.theta(vels)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import CaratheodoryDecomposition, caratheodory_decompose
-from .discretize import f_envelope, velocity_grid_for
+from .discretize import f_envelopes, velocity_grid_for
 from .problem import DPConfig, Problem, Trajectory
 
 ORDER_TIE_TOL = 1e-12
@@ -45,10 +45,11 @@ def decompose_velocities(
     reported; it is a property of the problem, not of the grid.
     """
     grid = velocity_grid_for(problem, cfg, extra=trajectory.velocities)
-    decs = []
-    for t, xi in zip(trajectory.times[:-1], trajectory.velocities):
-        samples, env = f_envelope(problem, grid, float(t))
-        decs.append(caratheodory_decompose(samples, env, float(xi)))
+    pairs, which = f_envelopes(problem, grid, trajectory.times[:-1])
+    decs = [
+        caratheodory_decompose(*pairs[k], float(xi))
+        for k, xi in zip(which, trajectory.velocities)
+    ]
     radius = max(float(np.max(np.abs(d.points))) for d in decs)
     return VelocityDecompositionTrack(tuple(decs), radius)
 

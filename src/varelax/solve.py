@@ -14,8 +14,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classify import HypothesisReport
-from .convex import ConvexEnvelope, Grid1D, evaluate_envelope, evaluate_envelope_many
-from .discretize import exact_index, f_envelope, state_grid, transition_table
+from .convex import Grid1D, evaluate_envelope_many
+from .discretize import (
+    exact_index,
+    f_envelopes,
+    path_costs,
+    state_grid,
+    transition_table,
+    velocity_grid_for,
+)
 from .errors import CertificateError, InfeasibleError
 from .problem import DPConfig, Problem, SweepReport, Trajectory
 
@@ -26,9 +33,9 @@ SETTLE_TOL = 1e-9
 class _Tables:
     """Grids, transition band and per-time cost rows of one (problem, grid).
 
-    ``envs``/``f_costs`` hold the envelope of f and its values at the
-    quotients, and ``g_costs`` holds g on the state grid; each has one row
-    when its integrand is autonomous and one row per time step otherwise.
+    ``f_costs`` holds the envelope of f at the quotients and ``g_costs``
+    holds g on the state grid; each has one row when its integrand is
+    autonomous and one row per time step otherwise.
     """
 
     xs: np.ndarray
@@ -36,7 +43,6 @@ class _Tables:
     step: float
     reps: np.ndarray
     band: tuple[tuple[np.ndarray, np.ndarray], ...]
-    envs: tuple[ConvexEnvelope, ...]
     f_costs: np.ndarray
     g_costs: np.ndarray
     i_start: int
@@ -48,18 +54,15 @@ def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     step = problem.horizon / cfg.n_t
     times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
     reps, band = transition_table(xs, step, problem.velocity_cap)
-    vgrid = Grid1D(reps)
-    f_times = times[:1] if problem.f.autonomous else times[:-1]
+    pairs, _ = f_envelopes(problem, Grid1D(reps), times[:-1])
     g_times = times[:1] if problem.g.autonomous else times[:-1]
-    envs = tuple(f_envelope(problem, vgrid, t)[1] for t in f_times)
     return _Tables(
         xs=xs,
         times=times,
         step=step,
         reps=reps,
         band=band,
-        envs=envs,
-        f_costs=np.array([evaluate_envelope_many(env, reps) for env in envs]),
+        f_costs=np.array([evaluate_envelope_many(env, reps) for _, env in pairs]),
         g_costs=np.array([problem.g.value(t, xs) for t in g_times]),
         i_start=exact_index(xs, problem.start, "start"),
         i_end=exact_index(xs, problem.end, "end"),
@@ -328,13 +331,23 @@ def coercivity_bound_check(
     A violated inequality flags inconsistent hypothesis constants rather
     than raising: the report is a diagnostic on fitted constants.
     """
-    tab = _tables(problem, cfg)
+    xs = state_grid(problem, cfg.n_x)
+    step = problem.horizon / cfg.n_t
+    times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
     mean_speed = (problem.end - problem.start) / problem.horizon
-    raw = problem.start + mean_speed * tab.times
-    snapped = tab.xs[np.argmin(np.abs(tab.xs[:, None] - raw[None, :]), axis=0)]
+    raw = problem.start + mean_speed * times
+    snapped = xs[np.argmin(np.abs(xs[:, None] - raw[None, :]), axis=0)]
     snapped[0] = problem.start
     snapped[-1] = problem.end
-    ref_value = _path_cost(problem, tab, snapped)
+    q = np.diff(snapped) / step
+    if np.any(np.abs(q) > problem.velocity_cap * (1.0 + 1e-12)):
+        raise InfeasibleError("reference path violates the velocity cap")
+    f_values, _, g_values = path_costs(
+        problem, velocity_grid_for(problem, cfg), times[:-1], snapped[:-1], q
+    )
+    ref_value = 0.0
+    for f, g in zip(f_values.tolist(), g_values.tolist()):
+        ref_value += step * (f + g)
 
     a_const = hypotheses.f_bound_offset
     alpha = hypotheses.g_bound_offset
@@ -368,15 +381,3 @@ def coercivity_bound_check(
         velocity_bound_ok=None if vel_ok is None else bool(vel_ok),
     )
 
-
-def _path_cost(problem: Problem, tab: _Tables, states: np.ndarray) -> float:
-    q = np.diff(states) / tab.step
-    if np.any(np.abs(q) > problem.velocity_cap * (1.0 + 1e-12)):
-        raise InfeasibleError("reference path violates the velocity cap")
-    total = 0.0
-    for i in range(q.size):
-        total += tab.step * (
-            evaluate_envelope(_row(tab.envs, i), q[i])
-            + float(problem.g.value(tab.times[i], states[i]))
-        )
-    return total

@@ -7,6 +7,8 @@ hand, and a brute-force enumeration oracle over all support pairs.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from varelax.convex import (
     Grid1D,
@@ -17,6 +19,7 @@ from varelax.convex import (
     legendre_conjugate,
     lower_convex_hull,
     subdifferential,
+    subgradient_midpoints,
 )
 from varelax.errors import DegenerateInputError, OutOfDomainError
 
@@ -234,3 +237,56 @@ class TestLegendreConjugate:
                         samples, p
                     )
                     assert lhs == pytest.approx(p * xi, abs=1e-9)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def envelope_and_points(draw):
+    """A random sampled graph's envelope, with random in-domain points, every
+    breakpoint, both domain ends and points inside the domain tolerance."""
+    coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+    xs = np.sort(np.array(draw(st.lists(coord, min_size=2, max_size=24, unique=True))))
+    assume(np.all(np.diff(xs) > 1e-9))
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    ys = np.array(draw(st.lists(value, min_size=xs.size, max_size=xs.size)))
+    try:
+        env = lower_convex_hull(SampledFunction(Grid1D(xs), ys))
+    except DegenerateInputError:
+        assume(False)
+    lo, hi = env.domain
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    inner = draw(st.lists(st.floats(lo, hi), max_size=24))
+    ends = [lo, hi, lo - 0.5 * tol, hi + 0.5 * tol]
+    points = np.concatenate([np.array(inner, dtype=float), xs, env.breakpoints, ends])
+    return env, draw(st.permutations(list(points)))
+
+
+class TestVectorizedAgainstScalar:
+    """The vectorized envelope and midpoint evaluations give the scalar bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(envelope_and_points())
+    def test_evaluate_envelope_many(self, case):
+        env, points = case
+        scalar = [evaluate_envelope(env, float(xi)) for xi in points]
+        assert bits(evaluate_envelope_many(env, np.array(points))) == bits(scalar)
+
+    @settings(max_examples=200, deadline=None)
+    @given(envelope_and_points())
+    def test_subgradient_midpoints(self, case):
+        env, points = case
+        try:
+            scalar = [subdifferential(env, float(xi)).midpoint for xi in points]
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                subgradient_midpoints(env, np.array(points))
+            return
+        assert bits(subgradient_midpoints(env, np.array(points))) == bits(scalar)
+
+    def test_out_of_domain_rejected(self):
+        env = lower_convex_hull(PARABOLA)
+        with pytest.raises(OutOfDomainError):
+            subgradient_midpoints(env, np.array([0.0, 2.5]))

@@ -1,0 +1,168 @@
+"""Shared costing of trajectories and the transition table's memory.
+
+Envelopes of f are built once per distinct time, and once in total for an
+autonomous f; ``path_costs`` must give the bits of the per-interval scalar
+evaluation it replaces, and the hull counts below pin the sharing.
+"""
+
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import varelax.discretize as discretize
+import varelax.solve as solve
+from varelax.classify import hypothesis_check
+from varelax.conditions import dubois_reymond_residual
+from varelax.convex import evaluate_envelope, subdifferential
+from varelax.discretize import (
+    f_envelope,
+    path_costs,
+    state_grid,
+    transition_table,
+    velocity_grid_for,
+)
+from varelax.io import emit_trajectory, parse_problem, read_trajectory
+from varelax.reconstruct import decompose_velocities
+from varelax.solve import coercivity_bound_check, solve_relaxed
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
+def load(name):
+    loaded = parse_problem(PROBLEMS / f"{name}.json")
+    return loaded.problem, loaded.config
+
+
+@pytest.fixture
+def hulls(monkeypatch):
+    """List that grows by one entry per envelope built through discretize."""
+    calls = []
+    build = discretize.lower_convex_hull
+
+    def counting(samples):
+        calls.append(samples)
+        return build(samples)
+
+    monkeypatch.setattr(discretize, "lower_convex_hull", counting)
+    return calls
+
+
+class TestHullCounts:
+    def test_autonomous_verify_and_decompose_build_one_envelope(self, hulls):
+        # quadratic.json at its shipped 256 intervals: 768 and 256 envelopes
+        # were built per interval before the sharing
+        problem, cfg = load("quadratic")
+        traj = solve_relaxed(problem, cfg)
+        hulls.clear()
+        dubois_reymond_residual(problem, traj, cfg)
+        assert len(hulls) == 1
+        hulls.clear()
+        decompose_velocities(problem, traj, cfg)
+        assert len(hulls) == 1
+
+    def test_read_trajectory_builds_one_envelope_for_autonomous_f(self, hulls, tmp_path):
+        problem, cfg = load("doublewell")
+        emit_trajectory(solve_relaxed(problem, cfg), tmp_path / "traj.csv")
+        hulls.clear()
+        read_trajectory(tmp_path / "traj.csv", problem, cfg)
+        assert len(hulls) == 1
+
+    def test_time_varying_dr_builds_one_envelope_per_distinct_time(self, hulls):
+        problem, cfg = load("doublewell_timevarying")
+        assert not problem.f.autonomous
+        traj = solve_relaxed(problem, cfg)
+        hulls.clear()
+        dubois_reymond_residual(problem, traj, cfg)
+        # the interval times and t -+ delta; t = 0 and its clipped lower
+        # difference time share one envelope
+        assert len(hulls) == 3 * cfg.n_t - 1
+
+    def test_coercivity_builds_no_transition_band(self, hulls, monkeypatch):
+        problem, cfg = load("quadratic")
+        traj = solve_relaxed(problem, cfg)
+        hypotheses = hypothesis_check(problem)
+
+        def forbidden(*args):
+            raise AssertionError("coercivity rebuilt the transition band")
+
+        monkeypatch.setattr(solve, "transition_table", forbidden)
+        monkeypatch.setattr(discretize, "transition_table", forbidden)
+        hulls.clear()
+        report = coercivity_bound_check(problem, traj, hypotheses, cfg)
+        assert len(hulls) == 1
+        assert report.reference_ok
+
+
+def scalar_costs(problem, grid, times, states, velocities):
+    """The per-interval loop ``path_costs`` replaces."""
+    values, midpoints, g = [], [], []
+    for t, x, xi in zip(times, states, velocities):
+        _, env = f_envelope(problem, grid, float(t))
+        values.append(evaluate_envelope(env, float(xi)))
+        midpoints.append(subdifferential(env, float(xi)).midpoint)
+        g.append(float(problem.g.value(float(t), x)))
+    return values, midpoints, g
+
+
+@st.composite
+def costing_cases(draw):
+    name = draw(
+        st.sampled_from(
+            ["doublewell", "doublewell_timevarying", "linear_minus_sqrt", "quadratic"]
+        )
+    )
+    problem, cfg = load(name)
+    n_x = draw(st.integers(5, 33))
+    cfg = replace(cfg, n_t=draw(st.integers(2, n_x - 1)), n_x=n_x)
+    grid = velocity_grid_for(problem, cfg)
+    n = draw(st.integers(1, 24))
+    # few distinct times, so that some envelopes serve several intervals
+    pool = draw(st.lists(st.floats(0.0, problem.horizon), min_size=1, max_size=4))
+    times = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    lo, hi = problem.state_box
+    states = np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+    at_nodes = st.sampled_from(list(grid.points))
+    between = st.floats(float(grid.points[0]), float(grid.points[-1]))
+    velocities = np.array(
+        draw(st.lists(st.one_of(at_nodes, between), min_size=n, max_size=n))
+    )
+    return problem, grid, times, states, velocities
+
+
+class TestPathCosts:
+    @settings(max_examples=80, deadline=None)
+    @given(costing_cases())
+    def test_matches_scalar_loop_bit_for_bit(self, case):
+        problem, grid, times, states, velocities = case
+        got = path_costs(problem, grid, times, states, velocities)
+        want = scalar_costs(problem, grid, times, states, velocities)
+        for a, b in zip(got, want):
+            assert a.tobytes() == np.array(b, dtype=float).tobytes()
+
+    def test_envelopes_once_per_distinct_time(self, hulls):
+        problem, cfg = load("doublewell_timevarying")
+        grid = velocity_grid_for(problem, cfg)
+        times = np.array([0.5, 0.0, 0.5, 0.25, 0.0])
+        path_costs(problem, grid, times, np.zeros(5), np.zeros(5))
+        assert len(hulls) == 3
+
+
+class TestTransitionTableMemory:
+    def test_peak_stays_near_the_band(self):
+        # the double well's 2049-node grid at n_t = 64 holds a 4.2 MB band;
+        # keeping every per-offset piece and per-pair temporary peaked at
+        # 25 MB
+        problem, _ = load("doublewell")
+        xs = state_grid(problem, 2049)
+        tracemalloc.start()
+        try:
+            transition_table(xs, problem.horizon / 64, problem.velocity_cap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6

@@ -16,6 +16,15 @@ integrands.  They pin ``classify``'s ``_certificates.json`` on every shipped
 problem and ``solve``'s report with its exit code on the other four, so the
 drift constants, the class-E chi values and the per-time SCI probes keep
 their bytes; ``sqrt_one_plus`` is the catalog's negative control and exits 4.
+
+``VERIFY_DECOMPOSE`` was recorded the same way at commit
+f1e31b21b7ba3f87264c7dab7b8b8ed912e5de95, before verification and
+reconstruction started sharing one envelope per distinct time.  Each
+shipped problem's ``relax`` CSV is fed back at the problem's own numerics;
+the hashes pin ``verify``'s ``_verify.json`` and ``_verify_energy.csv`` and
+``decompose``'s ``_decomposition.json``, so the costs that
+``read_trajectory`` recomputes, the Du Bois-Reymond energies and the
+splittings keep their bytes.
 """
 
 import hashlib
@@ -93,6 +102,39 @@ SOLVE_WITH_EXIT = {
     "sqrt_one_plus": (4, "415a2abaf50e99de3e7e876265fc67b49290cebaad3104b54f8d7defcfcecab3"),
 }
 
+VERIFY_DECOMPOSE = {
+    "doublewell": (
+        "ee7d1475adc1a3d9b8cd232472f4d2c3d2ddce6da375e0b57021493af2352a2a",
+        "d2744513170cbf0abbfb647077f50e814a7ce1dcfc75470ad8b43b07c86edea0",
+        "8048e13f8ee5f685bca630cc6654c31b756ee5b759c1093aac7258f38453e21e",
+    ),
+    "doublewell_concave": (
+        "628fb539f674c7b022d796db97e7b8b2cadbfbc7adc8a1ca0b844edf9831ed31",
+        "d23185c7d2defab9fc393b24497ea0cf1885b89918ee0a2db9bb11a7558cc1ce",
+        "52eefff04f89e9e8c5eba9f62791867eeea79286078f10aa6779b50a3ffafa4c",
+    ),
+    "doublewell_timevarying": (
+        "a432b10f419d03d69c899065deaa456f9b865b7dd8d6b386776947b6b229f2d5",
+        "91538c0245d208e842c80faaa7179a396eb22b912811ebd1f260c7a1cbb8cff8",
+        "f53dce9da12fb7ed703ade8156961a38cdde956108cbbe9ffc97522d163618e5",
+    ),
+    "linear_minus_sqrt": (
+        "97e7474b36f7960b6b9f025908d5843fb35fc698c0a38be880ddc56387050801",
+        "8e444071cf760c60eccb740ce82d0bc6320af51371842cb1e9a69f2fdf4355f9",
+        "ff9fc447ec615c9556194e72a4dac493b26fc411401c350cf79c68d2725960a8",
+    ),
+    "quadratic": (
+        "4326dbfabbe0f2fb91141cb86570094002fa5c554f8ff6f954c6832de3b913bd",
+        "96f420e07a46e943bf26097c924664cc221348a8d569532a6e284dc9454e2a90",
+        "a515de54ec3a5a46d05864f6b470362af1c703dfb1e74592eaf6a069e303d703",
+    ),
+    "sqrt_one_plus": (
+        "aac2d4ddcaeadcfc41c6c497bed11928d4a38279c485172f5141e722efdfd838",
+        "d75fa5a08cd213cb317362470ae6c4e5c3626df6cf90894f6a1b611db2430079",
+        "1639f9cb7bcb8620f24d52a3b5d989ea4b6ac12c7f247d2ed0c72e2d13c06aa0",
+    ),
+}
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -128,3 +170,18 @@ def test_solve_report_and_exit_pinned(name, tmp_path):
     code, digest = SOLVE_WITH_EXIT[name]
     assert main(["solve", str(PROBLEMS / f"{name}.json"), "--out", str(out)]) == code
     assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_DECOMPOSE))
+def test_verify_and_decompose_outputs_pinned(name, tmp_path):
+    problem = str(PROBLEMS / f"{name}.json")
+    traj = tmp_path / f"{name}_relaxed.csv"
+    assert main(["relax", problem, "--out", str(traj)]) == 0
+    report = tmp_path / f"{name}_verify.json"
+    assert main(["verify", problem, "--traj", str(traj), "--out", str(report)]) == 0
+    track = tmp_path / f"{name}_decomposition.json"
+    assert main(["decompose", problem, "--traj", str(traj), "--out", str(track)]) == 0
+    report_hash, energy_hash, track_hash = VERIFY_DECOMPOSE[name]
+    assert sha256(report) == report_hash
+    assert sha256(tmp_path / f"{name}_verify_energy.csv") == energy_hash
+    assert sha256(track) == track_hash

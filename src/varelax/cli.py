@@ -34,10 +34,11 @@ from .errors import (
     SchemaError,
     VarelaxError,
 )
-from .problem import DPConfig, Problem
+from .problem import DPConfig, Problem, SweepReport
 from .reconstruct import compare_costs, decompose_velocities, rearrange
 from .solve import (
     coercivity_bound_check,
+    fewest_budget_units,
     nagumo_penalized_solve,
     settle_index,
     solve_relaxed,
@@ -262,7 +263,27 @@ def _cmd_sweep(args) -> int:
             },
             out.with_name(out.stem + "_vl.csv"),
         )
-    return EXIT_OK if report.settled else EXIT_ACCEPTANCE
+    if report.settled:
+        return EXIT_OK
+    print(_unsettled_reason(problem, cfg, report), file=sys.stderr)
+    return EXIT_ACCEPTANCE
+
+
+def _unsettled_reason(problem: Problem, cfg: DPConfig, report: SweepReport) -> str:
+    """One line on a sweep that did not settle: how many budgets admit no
+    grid path, and by how much the largest of them misses."""
+    infeasible = [b for b, v in zip(report.budgets, report.values) if v is None]
+    line = (
+        f"sweep did not settle: {len(infeasible)} of {report.budgets.size} "
+        "budgets admit no grid path"
+    )
+    if infeasible:
+        units = fewest_budget_units(problem, cfg, float(infeasible[-1]))
+        line += (
+            f"; at l={infeasible[-1]:g} the fewest budget units of any path are "
+            f"{units:.0f} > budget_levels {cfg.budget_levels}"
+        )
+    return line
 
 
 def _cmd_solve(args) -> int:

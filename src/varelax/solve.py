@@ -9,6 +9,7 @@ smallest predecessor index so results are schedule-independent.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,59 +74,92 @@ def _row(rows, i: int):
     return rows[i if len(rows) > 1 else 0]
 
 
-def _dp(tab: _Tables, cfg: DPConfig, budget: float | None, want_path: bool):
-    """Minimum of the (penalized) path cost, optionally under a speed budget.
+def _units(tab: _Tables, cfg: DPConfig, budget: float) -> np.ndarray:
+    """Budget units of each quotient: h*theta(q) rounded up to whole quanta
+    of budget/levels.  They do not increase as the budget grows."""
+    quantum = budget / cfg.budget_levels
+    units = np.ceil(tab.step * cfg.theta(tab.reps) / quantum).astype(np.int64)
+    return np.maximum(units, 0)
 
-    The state is (used budget units, grid node); without a budget there is
-    a single level and every step costs zero units.  Per-step budgets are
-    rounded up to the quantum budget/levels, so any accepted path satisfies
-    the true budget and feasibility can only grow with the budget.
+
+def _dp(
+    tab: _Tables,
+    cfg: DPConfig,
+    budget: float | None,
+    want_path: bool,
+    rates: np.ndarray | None = None,
+):
+    """Minimum of the (penalized) path cost, optionally under a speed budget
+    or for several penalty rates in one pass.
+
+    The state is (grid node, column).  With a budget the columns are used
+    budget units: a path starts in column 0 and each step moves it up by
+    the step's units, h*theta(q) rounded up to the quantum budget/levels,
+    so any accepted path satisfies the true budget and feasibility can
+    only grow with the budget.  After i steps no column above i times the
+    largest admissible unit count holds a finite value, and the step skips
+    those columns.  Without a budget every step costs zero units and the
+    columns are the penalty rates: one for ``cfg.penalty``, or one per
+    entry of ``rates``, each with cost rows f** + rate*theta.
     Quotients are visited in descending order, which is ascending
     predecessor index for each target, and only a strict improvement
     replaces a candidate: ties go to the smallest predecessor.
 
     Returns (value, node path, quotient path), or Nones when the end node
-    is unreachable; the paths are None unless ``want_path``.
+    is unreachable; the paths are None unless ``want_path``.  With
+    ``rates`` it returns a list of such triples, one per rate.
     """
-    costs = tab.f_costs
-    if cfg.penalty > 0.0:
-        costs = costs + cfg.penalty * cfg.theta(tab.reps)
+    per_rate = rates is not None
+    columns = [
+        tab.f_costs + rate * cfg.theta(tab.reps) if rate > 0.0 else tab.f_costs
+        for rate in (map(float, rates) if per_rate else [cfg.penalty])
+    ]
+    costs = np.stack(columns, axis=-1)
     n_q = tab.reps.size
     if budget is None:
         units = np.zeros(n_q, dtype=np.int64)
-        capacity = 0
+        n_cols = start = costs.shape[-1]
     else:
-        quantum = budget / cfg.budget_levels
-        units = np.ceil(tab.step * cfg.theta(tab.reps) / quantum).astype(np.int64)
-        units = np.maximum(units, 0)
-        capacity = cfg.budget_levels
-    value = np.full((tab.xs.size, capacity + 1), np.inf)
-    value[tab.i_start, 0] = 0.0
+        units = _units(tab, cfg, budget)
+        n_cols, start = cfg.budget_levels + 1, 1
+    admissible = units[units < n_cols]
+    u_max = int(admissible.max()) if admissible.size else 0
+    value = np.full((tab.xs.size, n_cols), np.inf)
+    value[tab.i_start, :start] = 0.0
     # backpointers: a quotient index, or -1 where no candidate arrived
     back_type = np.min_scalar_type(-n_q)
     back = np.full((cfg.n_t,) + value.shape, -1, back_type) if want_path else None
     for i in range(cfg.n_t):
+        reach = min(n_cols, start + i * u_max)  # later columns are all infinite
         fq = _row(costs, i)
         gx = _row(tab.g_costs, i)
         nxt = np.full_like(value, np.inf)
         for q in range(n_q - 1, -1, -1):
             u = int(units[q])
-            if u > capacity:
+            width = min(reach, n_cols - u)
+            if width <= 0:
                 continue
             jq, kq = tab.band[q]
-            cand = value[jq, : capacity + 1 - u] + (tab.step * (gx[jq] + fq[q]))[:, None]
-            block = nxt[kq, u:]
+            cand = value[jq, :width] + tab.step * (gx[jq][:, None] + fq[q])
+            block = nxt[kq, u : u + width]
             better = cand < block
-            nxt[kq, u:] = np.where(better, cand, block)
+            nxt[kq, u : u + width] = np.where(better, cand, block)
             if want_path:
-                back[i, kq, u:] = np.where(better, q, back[i, kq, u:])
+                target = back[i, kq, u : u + width]
+                back[i, kq, u : u + width] = np.where(better, q, target)
         value = nxt
     column = value[tab.i_end]
-    if not np.any(np.isfinite(column)):
+    ends = range(n_cols) if per_rate else [int(np.argmin(column))]
+    results = [_backtrack(tab, cfg, column, back, units, end) for end in ends]
+    return results if per_rate else results[0]
+
+
+def _backtrack(tab, cfg, column, back, units, level):
+    """(value, node path, quotient path) of the DP ending in column ``level``."""
+    if not np.isfinite(column[level]):
         return None, None, None
-    level = int(np.argmin(column))
     best = float(column[level])
-    if not want_path:
+    if back is None:
         return best, None, None
     idx = np.empty(cfg.n_t + 1, dtype=np.int64)
     qidx = np.empty(cfg.n_t, dtype=np.int64)
@@ -181,6 +215,14 @@ def _solve(
         if budget is None:
             raise InfeasibleError("no admissible grid path connects the endpoints")
         raise InfeasibleError("speed budget excludes every admissible path")
+    return _checked(problem, cfg, tab, value, idx, qidx)
+
+
+def _checked(
+    problem: Problem, cfg: DPConfig, tab: _Tables, value: float, idx, qidx
+) -> Trajectory:
+    """The trajectory of a DP path, whose recomputed cost must reproduce
+    the DP value."""
     traj, penalty_cost = _assemble(problem, cfg, tab, idx, qidx)
     total = traj.value + penalty_cost
     if abs(total - value) > 1e-9 * (1.0 + abs(total)):
@@ -213,6 +255,65 @@ def nagumo_penalized_solve(problem: Problem, cfg: DPConfig) -> Trajectory:
     return _solve(problem, cfg, _tables(problem, cfg))
 
 
+def _fewest_units(tab: _Tables, cfg: DPConfig, units: np.ndarray) -> float:
+    """Fewest budget units of any grid path, or inf when none reaches the
+    end: the plain DP with the units as step costs.  Units are whole
+    numbers, so their float sums are exact."""
+    counts = replace(
+        tab,
+        step=1.0,
+        f_costs=units[None, :].astype(float),
+        g_costs=np.zeros((1, tab.xs.size)),
+    )
+    value = _dp(counts, replace(cfg, penalty=0.0), None, want_path=False)[0]
+    return np.inf if value is None else value
+
+
+def fewest_budget_units(problem: Problem, cfg: DPConfig, budget: float) -> float:
+    """Fewest quantized budget units of any grid path under ``budget``; the
+    budget admits a path iff this is at most ``cfg.budget_levels``."""
+    if cfg.theta is None:
+        raise CertificateError("budget units require a Nagumo entry")
+    tab = _tables(problem, cfg)
+    return _fewest_units(tab, cfg, _units(tab, cfg, budget))
+
+
+def _budget_values(
+    tab: _Tables, cfg: DPConfig, budgets: np.ndarray
+) -> list[float | None]:
+    """The budget DP's value at each entry of an increasing schedule,
+    running that DP only where three exact checks leave the answer open.
+
+    Float rounding is monotone, so a DP value is the least left-to-right
+    float sum over the paths it admits, and a budget admits a path iff the
+    path's whole-number units total at most ``budget_levels``.  Units do
+    not increase with the budget, so the admitted set only grows: no value
+    is below the plain DP's (same ``cfg``, penalty included), and from the
+    first entry that reaches it on, every entry equals it bit for bit.
+    An entry is None iff even the fewest units of any grid path exceed the
+    levels; those entries are a prefix, found by bisection.  An entry
+    whose units admit the plain minimizer takes its value.
+    """
+    plain, _, plain_q = _dp(tab, cfg, None, want_path=True)
+    values: list[float | None] = [None] * budgets.size
+    if plain is None:
+        return values
+    units = [_units(tab, cfg, float(b)) for b in budgets]
+
+    def fits(k: int) -> bool:
+        return int(units[k][plain_q].sum()) <= cfg.budget_levels
+
+    def admits(k: int) -> bool:
+        return fits(k) or _fewest_units(tab, cfg, units[k]) <= cfg.budget_levels
+
+    for k in range(bisect_left(range(budgets.size), True, key=admits), budgets.size):
+        values[k] = plain if fits(k) else _dp(tab, cfg, float(budgets[k]), False)[0]
+        if values[k] == plain:
+            values[k:] = [plain] * (budgets.size - k)
+            break
+    return values
+
+
 def value_sweep(
     problem: Problem, cfg: DPConfig, budget_schedule: np.ndarray
 ) -> SweepReport:
@@ -220,8 +321,11 @@ def value_sweep(
 
     Rounding the per-step budget up to each entry's quantum makes larger
     budgets admit every path a smaller one does, so the feasible values
-    are nonincreasing by construction.  The settle index is reported when
-    the last quarter of the schedule agrees within tolerance.
+    are nonincreasing by construction.  Each value is the budget DP's bit
+    for bit, but entries that admit no path or admit the unconstrained
+    minimizer, and entries after the first that reaches its value, are
+    decided without one.  The settle index is reported when the last
+    quarter of the schedule agrees within tolerance.
     """
     if cfg.theta is None:
         raise CertificateError("value sweep requires a Nagumo entry")
@@ -230,8 +334,7 @@ def value_sweep(
         raise CertificateError("budget schedule must be increasing with >= 2 entries")
     if budgets[0] <= 0.0:
         raise CertificateError("budget schedule entries must be positive")
-    tab = _tables(problem, cfg)
-    values = [_dp(tab, cfg, float(budget), want_path=False)[0] for budget in budgets]
+    values = _budget_values(_tables(problem, cfg), cfg, budgets)
     feasible = [(i, v) for i, v in enumerate(values) if v is not None]
     for (_, v1), (_, v2) in zip(feasible, feasible[1:]):
         if v2 > v1 + SETTLE_TOL * (1.0 + abs(v1)):
@@ -248,11 +351,13 @@ def lagrangian_sweep(
 ) -> SweepReport:
     """Fast dual lower bound on the budget-constrained values.
 
-    One penalized solve per multiplier covers the whole budget schedule:
-    each multiplier contributes the affine bound (penalized minimum)
-    - multiplier * budget, and the pointwise maximum over multipliers
-    bounds the constrained value from below.  This is an approximation;
-    the authoritative sweep is ``value_sweep``.
+    One DP pass solves the penalized problem for every multiplier, with
+    one cost column f** + multiplier*theta each, and every column's path
+    is costed again and must reproduce its DP value.  Each multiplier
+    contributes the affine bound (penalized minimum) - multiplier *
+    budget, and the pointwise maximum over multipliers bounds the
+    constrained value from below.  This is an approximation; the
+    authoritative sweep is ``value_sweep``.
     """
     if cfg.theta is None:
         raise CertificateError("Lagrangian sweep requires a Nagumo entry")
@@ -266,8 +371,13 @@ def lagrangian_sweep(
         raise CertificateError("multipliers must be nonnegative")
     tab = _tables(problem, cfg)
     penalized_minima = []
-    for rate in multipliers:
-        traj = _solve(problem, replace(cfg, penalty=float(rate)), tab)
+    for rate, (value, idx, qidx) in zip(
+        multipliers, _dp(tab, cfg, None, want_path=True, rates=multipliers)
+    ):
+        if value is None:
+            raise InfeasibleError("no admissible grid path connects the endpoints")
+        rated = replace(cfg, penalty=float(rate))
+        traj = _checked(problem, rated, tab, value, idx, qidx)
         penalized_minima.append(traj.value + float(rate) * traj.theta_value)
     duals = np.array(penalized_minima)[:, None] - multipliers[:, None] * budgets[None, :]
     values = [float(v) for v in duals.max(axis=0)]

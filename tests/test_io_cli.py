@@ -388,3 +388,40 @@ class TestCliExitCodes:
             assert code == 0
         for name in ("run.json", "run_relaxed.csv", "run_reconstructed.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+class TestSweepExplainsExit:
+    def test_readme_sweep_names_the_infeasible_budgets(self, tmp_path, capsys):
+        # at the shipped 256x256 every budget up to l = 4 needs more than
+        # its 64 levels; the report itself stays all null
+        out = tmp_path / "sweep.json"
+        code = main(
+            [
+                "sweep",
+                str(PROBLEMS / "quadratic.json"),
+                "--l-schedule", "0.25:4:16",
+                "--out", str(out),
+            ]
+        )
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "sweep did not settle: 16 of 16 budgets admit no grid path; at l=4 "
+            "the fewest budget units of any path are 255 > budget_levels 64\n"
+        )
+        doc = json.loads(out.read_text())
+        assert doc["values"] == [None] * 16
+
+    def test_settled_sweep_is_silent(self, tmp_path, capsys):
+        code = main(
+            [
+                "sweep",
+                str(PROBLEMS / "quadratic.json"),
+                "--n-t", "32", "--n-x", "32",
+                "--l-schedule", "0.25:4:16",
+                "--out", str(tmp_path / "sweep.json"),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""

@@ -24,9 +24,11 @@ from varelax.errors import CertificateError, InfeasibleError
 from varelax.families import IntegrandFamily
 from varelax.io import parse_problem
 from varelax.problem import DPConfig, Problem
+from varelax import solve
 from varelax.solve import (
     _dp,
     _tables,
+    fewest_budget_units,
     lagrangian_sweep,
     coercivity_bound_check,
     nagumo_penalized_solve,
@@ -529,3 +531,95 @@ class TestBandedKernelAgainstDenseOracle:
         # speed 1 throughout is the unique minimizer (Jensen), and its
         # theta cost 1 fits the budget
         np.testing.assert_array_equal(traj.states, np.linspace(0.0, 1.0, 129))
+
+
+@st.composite
+def sweep_cases(draw):
+    """A ``dp_cases`` problem, with or without a penalty, and an increasing
+    schedule spread over two decades, so that it often crosses the
+    smallest budget that admits a path."""
+    problem, cfg, penalty, _ = draw(dp_cases())
+    if draw(st.booleans()):
+        cfg = replace(cfg, penalty=penalty)
+    exponents = draw(st.lists(st.integers(-8, 8), min_size=2, max_size=5, unique=True))
+    return problem, cfg, np.array(sorted(2.0 ** (k / 4) for k in exponents))
+
+
+class TestSweepsAgainstPerEntrySolves:
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_cases())
+    def test_value_sweep_equals_one_budget_dp_per_entry(self, case):
+        problem, cfg, schedule = case
+        if dense_setup(problem, cfg) is None:
+            with pytest.raises(InfeasibleError):
+                value_sweep(problem, cfg, schedule)
+            return
+        report = value_sweep(problem, cfg, schedule)
+        tab = _tables(problem, cfg)
+        assert report.values == [_dp(tab, cfg, float(b), want_path=False)[0] for b in schedule]
+        for budget, value in zip(schedule, report.values):
+            reference = dense_reference_budget(problem, cfg, budget)
+            assert value == (None if reference is None else reference[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_cases())
+    def test_lagrangian_sweep_equals_one_solve_per_multiplier(self, case):
+        problem, cfg, schedule = case
+        if dense_reference_dp(problem, cfg) is None:
+            with pytest.raises(InfeasibleError):
+                lagrangian_sweep(problem, cfg, schedule)
+            return
+        report = lagrangian_sweep(problem, cfg, schedule)
+        multipliers = np.concatenate([[0.0], 2.0 ** np.arange(-6.0, 7.0)])
+        minima = []
+        for rate in multipliers:
+            traj = nagumo_penalized_solve(problem, replace(cfg, penalty=float(rate)))
+            minima.append(traj.value + float(rate) * traj.theta_value)
+        duals = np.array(minima)[:, None] - multipliers[:, None] * schedule[None, :]
+        assert report.values == [float(v) for v in duals.max(axis=0)]
+
+    def test_fewest_units_decide_feasibility(self):
+        # the README sweep: no 256-step path fits 64 levels of l = 4
+        loaded = parse_problem(PROBLEMS / "quadratic.json")
+        assert fewest_budget_units(loaded.problem, loaded.config, 4.0) == 255.0
+        cfg = DPConfig(n_t=16, n_x=17, theta=THETA)
+        for budget in np.linspace(0.2, 2.0, 8):
+            reference = dense_reference_budget(QUADRATIC, cfg, budget)
+            fits = fewest_budget_units(QUADRATIC, cfg, budget) <= cfg.budget_levels
+            assert fits == (reference is not None)
+
+
+class TestSweepBudgetDPCount:
+    """value_sweep runs a budget DP only where its exact checks leave the
+    value open."""
+
+    @staticmethod
+    def budget_dps(monkeypatch, problem, cfg, schedule):
+        calls = []
+        kernel = solve._dp
+
+        def counted(tab, cfg, budget, want_path, rates=None):
+            calls.append(budget is not None)
+            return kernel(tab, cfg, budget, want_path, rates)
+
+        monkeypatch.setattr(solve, "_dp", counted)
+        value_sweep(problem, cfg, schedule)
+        return sum(calls)
+
+    def test_budget_sweep_grid_needs_no_budget_dp(self, monkeypatch):
+        loaded = parse_problem(PROBLEMS / "quadratic.json")
+        cfg = replace(loaded.config, n_t=64, n_x=129, budget_levels=128)
+        schedule = np.linspace(0.25, 4.0, 16)
+        assert self.budget_dps(monkeypatch, loaded.problem, cfg, schedule) == 0
+
+    def test_readme_sweep_needs_no_budget_dp(self, monkeypatch):
+        loaded = parse_problem(PROBLEMS / "quadratic.json")
+        schedule = np.linspace(0.25, 4.0, 16)
+        assert self.budget_dps(monkeypatch, loaded.problem, loaded.config, schedule) == 0
+
+    def test_unsettled_sweep_runs_budget_dps(self, monkeypatch):
+        # 64 levels at 128 steps never admit the plain minimizer
+        loaded = parse_problem(PROBLEMS / "quadratic.json")
+        cfg = replace(loaded.config, n_t=128, n_x=129)
+        schedule = np.linspace(0.25, 4.0, 16)
+        assert self.budget_dps(monkeypatch, loaded.problem, cfg, schedule) > 0

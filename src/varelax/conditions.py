@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import path_costs, velocity_grid_for
+from .discretize import Discretization
 from .errors import NotAutonomousError
 from .problem import DPConfig, Problem, Trajectory
 
@@ -34,11 +34,6 @@ class DRReport:
     max_residual: float
 
 
-def _energy(values: np.ndarray, midpoints: np.ndarray, g: np.ndarray, xi: np.ndarray):
-    """Linearization defect f**(xi) - p*xi + g per interval."""
-    return values - midpoints * xi + g
-
-
 def dubois_reymond_residual(
     problem: Problem, trajectory: Trajectory, cfg: DPConfig
 ) -> DRReport:
@@ -50,7 +45,7 @@ def dubois_reymond_residual(
     interval times and both difference times are costed in one call, so
     an autonomous f needs a single envelope.
     """
-    grid = velocity_grid_for(problem, cfg, extra=trajectory.velocities)
+    disc = Discretization.of(problem, cfg).extended(trajectory.velocities)
     n = trajectory.velocities.size
     horizon = problem.horizon
     delta = horizon / (4.0 * n)
@@ -58,14 +53,11 @@ def dubois_reymond_residual(
     lo = np.maximum(t - delta, 0.0)
     hi = np.minimum(t + delta, horizon)
     xi = trajectory.velocities
-    values, midpoints, g = path_costs(
-        problem,
-        grid,
-        np.concatenate([t, lo, hi]),
-        np.tile(trajectory.states[:-1], 3),
-        np.tile(xi, 3),
+    values, midpoints, g = disc.path_costs(
+        np.concatenate([t, lo, hi]), np.tile(trajectory.states[:-1], 3), np.tile(xi, 3)
     )
-    energies = _energy(values[:n], midpoints[:n], g[:n], xi)
+    # the linearization defect f**(xi) - p*xi + g per interval
+    energies = values[:n] - midpoints[:n] * xi + g[:n]
     phi_lo = values[n : 2 * n] + g[n : 2 * n]
     phi_hi = values[2 * n :] + g[2 * n :]
     rates = (phi_hi - phi_lo) / (hi - lo)
@@ -87,16 +79,12 @@ def dubois_reymond_residual(
 def energy_constancy(problem: Problem, trajectory: Trajectory, cfg: DPConfig) -> float:
     """Maximum deviation of the interval energy from its median.
 
-    Only defined for autonomous problems, where the drift vanishes; use
-    the general residual otherwise.
+    Only defined for autonomous problems, where the drift is exactly zero,
+    so this is the residual's maximum; use the general residual otherwise.
     """
     if not problem.autonomous:
         raise NotAutonomousError(
             "energy constancy requires an autonomous problem; "
             "use dubois_reymond_residual instead"
         )
-    grid = velocity_grid_for(problem, cfg, extra=trajectory.velocities)
-    xi = trajectory.velocities
-    costs = path_costs(problem, grid, trajectory.times[:-1], trajectory.states[:-1], xi)
-    energies = _energy(*costs, xi)
-    return float(np.max(np.abs(energies - np.median(energies))))
+    return dubois_reymond_residual(problem, trajectory, cfg).max_residual

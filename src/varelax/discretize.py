@@ -1,5 +1,5 @@
-"""Shared grid construction for the solver, the verifier, and the
-reconstruction stage.
+"""One ``Discretization`` per (problem, grid) for the solver, the verifier,
+and the reconstruction stage.
 
 The per-step velocity set is the set of state-grid difference quotients
 clipped at the velocity cap, and envelopes are built on exactly that set.
@@ -9,6 +9,9 @@ routine, ``path_costs``, which builds one envelope per distinct time.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -101,25 +104,32 @@ def _distinct_quotients(raw: np.ndarray) -> np.ndarray:
     return values
 
 
+def nearest_index(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Index of the node of an increasing array nearest each point; a tie
+    goes to the lower index, as with argmin over all nodes."""
+    right = np.clip(np.searchsorted(nodes, points), 0, nodes.size - 1)
+    left = np.clip(right - 1, 0, nodes.size - 1)
+    pick_left = np.abs(nodes[left] - points) <= np.abs(nodes[right] - points)
+    return np.where(pick_left, left, right)
+
+
 def transition_table(
-    xs: np.ndarray, step: float, cap: float
+    xs: np.ndarray, step: float, cap: float, reps: np.ndarray | None = None
 ) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """Admissible difference quotients and the band of state pairs behind them.
 
-    Returns the sorted merged quotient values and, per value, the
-    (predecessor, target) index arrays of the pairs realizing it, ordered
-    by target.  No (n, n) array is built.  The nearest merged value is
-    picked once per distinct quotient, not per pair, and every per-pair
-    temporary is released before the band is cut, which keeps the peak
-    near three times the band's size.
+    Returns the sorted merged quotient values (or ``reps``, when given)
+    and, per value, the (predecessor, target) index arrays of the pairs
+    whose quotient lies nearest it, ordered by target.  No (n, n) array is
+    built.  The nearest value is picked once per distinct quotient, not
+    per pair, and every per-pair temporary is released before the band is
+    cut, which keeps the peak near three times the band's size.
     """
     j, k, raw = _offset_pairs(xs, step, cap)
     values = _distinct_quotients(raw)
-    reps = merge_close_velocities(values)
-    nearest = np.clip(np.searchsorted(reps, values), 0, reps.size - 1)
-    left = np.clip(nearest - 1, 0, reps.size - 1)
-    pick_left = np.abs(reps[left] - values) <= np.abs(reps[nearest] - values)
-    rep_of = np.where(pick_left, left, nearest).astype(np.min_scalar_type(reps.size))
+    if reps is None:
+        reps = merge_close_velocities(values)
+    rep_of = nearest_index(reps, values).astype(np.min_scalar_type(reps.size))
     # every pair's quotient is one of ``values``, so the search hits it exactly
     group = rep_of[np.searchsorted(values, raw)]
     del raw
@@ -133,26 +143,6 @@ def transition_table(
     return reps, band
 
 
-def velocity_grid_for(
-    problem: Problem, cfg: DPConfig, extra: np.ndarray | None = None
-) -> Grid1D:
-    """Quotient grid of the configuration, optionally extended by the
-    velocities of an externally supplied trajectory."""
-    xs = state_grid(problem, cfg.n_x)
-    step = problem.horizon / cfg.n_t
-    raw = _offset_pairs(xs, step, problem.velocity_cap)[2]
-    values = merge_close_velocities(_distinct_quotients(raw))
-    if extra is not None:
-        extra = np.asarray(extra, dtype=float)
-        beyond = np.abs(extra) > problem.velocity_cap * (1.0 + 1e-12)
-        if np.any(beyond):
-            raise OutOfDomainError(
-                "trajectory velocity exceeds the cap; outside the envelope domain"
-            )
-        values = merge_close_velocities(np.unique(np.concatenate([values, extra])))
-    return Grid1D(values)
-
-
 def f_envelope(
     problem: Problem, grid: Grid1D, t: float
 ) -> tuple[SampledFunction, ConvexEnvelope]:
@@ -160,56 +150,97 @@ def f_envelope(
     return samples, lower_convex_hull(samples)
 
 
-def f_envelopes(
-    problem: Problem, grid: Grid1D, times: np.ndarray
-) -> tuple[list[tuple[SampledFunction, ConvexEnvelope]], np.ndarray]:
-    """One (samples, envelope) pair of f per distinct time, and each time's
-    pair index.  An autonomous f gets a single pair for all times."""
-    times = np.asarray(times, dtype=float)
-    if problem.f.autonomous:
-        keys, which = times[:1], np.zeros(times.size, dtype=np.intp)
-    else:
-        keys, which = np.unique(times, return_inverse=True)
-    return [f_envelope(problem, grid, float(t)) for t in keys], which
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """State nodes, time nodes, step and quotient grid of one (problem, grid).
 
-
-def path_costs(
-    problem: Problem,
-    grid: Grid1D,
-    times: np.ndarray,
-    states: np.ndarray,
-    velocities: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-interval f**(velocity), midpoint subgradient of f** there, and g.
-
-    Row i is the interval starting at (times[i], states[i]) with constant
-    velocities[i].  Intervals that share an envelope are evaluated
-    together; a lone interval takes the scalar path, which is cheaper for
-    one point and gives the same bits.  g takes one scalar call per
-    interval, so its bits do not depend on how a state cost vectorizes.
+    ``of`` is the one place that decides them, with one walk over the state
+    offsets for the merged quotients.  The transition band and the
+    endpoint indices are built on first use, so only the DP pays for them.
     """
-    velocities = np.asarray(velocities, dtype=float)
-    pairs, which = f_envelopes(problem, grid, times)
-    values = np.empty(velocities.size)
-    midpoints = np.empty(velocities.size)
-    order = np.argsort(which, kind="stable")
-    bounds = np.searchsorted(which[order], np.arange(len(pairs) + 1))
-    for (_, env), lo, hi in zip(pairs, bounds[:-1], bounds[1:]):
-        rows = order[lo:hi]
-        if rows.size == 1:
-            r = rows[0]
-            xi = float(velocities[r])
-            values[r] = evaluate_envelope(env, xi)
-            midpoints[r] = subdifferential(env, xi).midpoint
+
+    problem: Problem
+    xs: np.ndarray
+    times: np.ndarray
+    step: float
+    grid: Grid1D
+
+    @classmethod
+    def of(cls, problem: Problem, cfg: DPConfig) -> Discretization:
+        xs = state_grid(problem, cfg.n_x)
+        step = problem.horizon / cfg.n_t
+        raw = _offset_pairs(xs, step, problem.velocity_cap)[2]
+        grid = Grid1D(merge_close_velocities(_distinct_quotients(raw)))
+        times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
+        return cls(problem, xs, times, step, grid)
+
+    @cached_property
+    def band(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per grid point, the (predecessor, target) pairs realizing it."""
+        cap = self.problem.velocity_cap
+        return transition_table(self.xs, self.step, cap, self.grid.points)[1]
+
+    @cached_property
+    def endpoints(self) -> tuple[int, int]:
+        """State-node indices of the start and the end."""
+        problem = self.problem
+        hits = [np.flatnonzero(self.xs == v) for v in (problem.start, problem.end)]
+        for name, found in zip(("start", "end"), hits):
+            if found.size == 0:
+                raise InfeasibleError(f"{name} endpoint is not on the state grid")
+        return int(hits[0][0]), int(hits[1][0])
+
+    def extended(self, velocities: np.ndarray) -> Discretization:
+        """This discretization with the quotient grid extended by the
+        velocities of an externally supplied trajectory."""
+        extra = np.asarray(velocities, dtype=float)
+        if np.any(np.abs(extra) > self.problem.velocity_cap * (1.0 + 1e-12)):
+            raise OutOfDomainError(
+                "trajectory velocity exceeds the cap; outside the envelope domain"
+            )
+        points = np.unique(np.concatenate([self.grid.points, extra]))
+        return replace(self, grid=Grid1D(merge_close_velocities(points)))
+
+    def envelopes(
+        self, times: np.ndarray
+    ) -> tuple[list[tuple[SampledFunction, ConvexEnvelope]], np.ndarray]:
+        """One (samples, envelope) pair of f per distinct time, and each time's
+        pair index.  An autonomous f gets a single pair for all times."""
+        times = np.asarray(times, dtype=float)
+        if self.problem.f.autonomous:
+            keys, which = times[:1], np.zeros(times.size, dtype=np.intp)
         else:
-            values[rows] = evaluate_envelope_many(env, velocities[rows])
-            midpoints[rows] = subgradient_midpoints(env, velocities[rows])
-    g = np.array([float(problem.g.value(float(t), x)) for t, x in zip(times, states)])
-    return values, midpoints, g
+            keys, which = np.unique(times, return_inverse=True)
+        return [f_envelope(self.problem, self.grid, float(t)) for t in keys], which
 
+    def path_costs(
+        self, times: np.ndarray, states: np.ndarray, velocities: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-interval f**(velocity), midpoint subgradient of f** there, and g.
 
-def exact_index(xs: np.ndarray, v: float, name: str) -> int:
-    hits = np.flatnonzero(xs == v)
-    if hits.size == 0:
-        raise InfeasibleError(f"{name} endpoint is not on the state grid")
-    return int(hits[0])
+        Row i is the interval starting at (times[i], states[i]) with
+        constant velocities[i].  Intervals that share an envelope are
+        evaluated together; a lone interval takes the scalar path, which is
+        cheaper for one point and gives the same bits.  g takes one scalar
+        call per interval, so its bits do not depend on how a state cost
+        vectorizes.
+        """
+        velocities = np.asarray(velocities, dtype=float)
+        pairs, which = self.envelopes(times)
+        values = np.empty(velocities.size)
+        midpoints = np.empty(velocities.size)
+        order = np.argsort(which, kind="stable")
+        bounds = np.searchsorted(which[order], np.arange(len(pairs) + 1))
+        for (_, env), lo, hi in zip(pairs, bounds[:-1], bounds[1:]):
+            rows = order[lo:hi]
+            if rows.size == 1:
+                r = rows[0]
+                xi = float(velocities[r])
+                values[r] = evaluate_envelope(env, xi)
+                midpoints[r] = subdifferential(env, xi).midpoint
+            else:
+                values[rows] = evaluate_envelope_many(env, velocities[rows])
+                midpoints[rows] = subgradient_midpoints(env, velocities[rows])
+        problem = self.problem
+        g = np.array([float(problem.g.value(float(t), x)) for t, x in zip(times, states)])
+        return values, midpoints, g

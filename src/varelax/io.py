@@ -35,7 +35,7 @@ from .catalog import (
     time_factor,
     velocity_function,
 )
-from .discretize import path_costs, velocity_grid_for
+from .discretize import Discretization
 from .errors import SchemaError, VarelaxError
 from .families import IntegrandFamily
 from .problem import DPConfig, Problem, Trajectory
@@ -264,8 +264,8 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
     if states[0] != problem.start or states[-1] != problem.end:
         raise SchemaError(f"{path}: endpoint states do not match the problem")
     step = times[1] - times[0]
-    grid = velocity_grid_for(problem, cfg, extra=vels)
-    f_values, _, g_values = path_costs(problem, grid, times[:-1], states[:-1], vels)
+    disc = Discretization.of(problem, cfg).extended(vels)
+    f_values, _, g_values = disc.path_costs(times[:-1], states[:-1], vels)
     f_cost = 0.0
     g_cost = 0.0
     for f, g in zip(f_values.tolist(), g_values.tolist()):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import CaratheodoryDecomposition, caratheodory_decompose
-from .discretize import f_envelopes, velocity_grid_for
+from .discretize import Discretization
 from .problem import DPConfig, Problem, Trajectory
 
 ORDER_TIE_TOL = 1e-12
@@ -44,8 +44,8 @@ def decompose_velocities(
     The support points stay inside one velocity ball whose radius is
     reported; it is a property of the problem, not of the grid.
     """
-    grid = velocity_grid_for(problem, cfg, extra=trajectory.velocities)
-    pairs, which = f_envelopes(problem, grid, trajectory.times[:-1])
+    disc = Discretization.of(problem, cfg).extended(trajectory.velocities)
+    pairs, which = disc.envelopes(trajectory.times[:-1])
     decs = [
         caratheodory_decompose(*pairs[k], float(xi))
         for k, xi in zip(which, trajectory.velocities)

@@ -4,7 +4,9 @@ sweeps, penalized variants, and the a-priori coercivity check.
 The DP is exact on its grid: transitions run between state-grid nodes
 with per-interval constant velocities, time-dependent costs are sampled
 at the left endpoint of each interval, and ties are broken toward the
-smallest predecessor index so results are schedule-independent.
+smallest predecessor index so results are schedule-independent.  The grid
+and the transition band come from ``discretize.Discretization``; the DP
+adds only its cost rows.
 """
 
 from __future__ import annotations
@@ -15,15 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classify import HypothesisReport
-from .convex import Grid1D, evaluate_envelope_many
-from .discretize import (
-    exact_index,
-    f_envelopes,
-    path_costs,
-    state_grid,
-    transition_table,
-    velocity_grid_for,
-)
+from .convex import evaluate_envelope_many
+from .discretize import Discretization, nearest_index
 from .errors import CertificateError, InfeasibleError
 from .problem import DPConfig, Problem, SweepReport, Trajectory
 
@@ -32,18 +27,15 @@ SETTLE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class _Tables:
-    """Grids, transition band and per-time cost rows of one (problem, grid).
+    """Cost rows of one discretization, the DP's step factor and endpoints.
 
     ``f_costs`` holds the envelope of f at the quotients and ``g_costs``
     holds g on the state grid; each has one row when its integrand is
     autonomous and one row per time step otherwise.
     """
 
-    xs: np.ndarray
-    times: np.ndarray
+    disc: Discretization
     step: float
-    reps: np.ndarray
-    band: tuple[tuple[np.ndarray, np.ndarray], ...]
     f_costs: np.ndarray
     g_costs: np.ndarray
     i_start: int
@@ -51,23 +43,12 @@ class _Tables:
 
 
 def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
-    xs = state_grid(problem, cfg.n_x)
-    step = problem.horizon / cfg.n_t
-    times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
-    reps, band = transition_table(xs, step, problem.velocity_cap)
-    pairs, _ = f_envelopes(problem, Grid1D(reps), times[:-1])
-    g_times = times[:1] if problem.g.autonomous else times[:-1]
-    return _Tables(
-        xs=xs,
-        times=times,
-        step=step,
-        reps=reps,
-        band=band,
-        f_costs=np.array([evaluate_envelope_many(env, reps) for _, env in pairs]),
-        g_costs=np.array([problem.g.value(t, xs) for t in g_times]),
-        i_start=exact_index(xs, problem.start, "start"),
-        i_end=exact_index(xs, problem.end, "end"),
-    )
+    disc = Discretization.of(problem, cfg)
+    pairs, _ = disc.envelopes(disc.times[:-1])
+    f_costs = np.array([evaluate_envelope_many(env, disc.grid.points) for _, env in pairs])
+    g_times = disc.times[:1] if problem.g.autonomous else disc.times[:-1]
+    g_costs = np.array([problem.g.value(t, disc.xs) for t in g_times])
+    return _Tables(disc, disc.step, f_costs, g_costs, *disc.endpoints)
 
 
 def _row(rows, i: int):
@@ -78,8 +59,9 @@ def _units(tab: _Tables, cfg: DPConfig, budget: float) -> np.ndarray:
     """Budget units of each quotient: h*theta(q) rounded up to whole quanta
     of budget/levels.  They do not increase as the budget grows."""
     quantum = budget / cfg.budget_levels
-    units = np.ceil(tab.step * cfg.theta(tab.reps) / quantum).astype(np.int64)
-    return np.maximum(units, 0)
+    units = np.ceil(tab.step * cfg.theta(tab.disc.grid.points) / quantum)
+    # counts above the levels are all inadmissible; clip them before the cast
+    return np.clip(units, 0, cfg.budget_levels + 1).astype(np.int64)
 
 
 def _dp(
@@ -110,12 +92,13 @@ def _dp(
     ``rates`` it returns a list of such triples, one per rate.
     """
     per_rate = rates is not None
+    reps, band = tab.disc.grid.points, tab.disc.band
     columns = [
-        tab.f_costs + rate * cfg.theta(tab.reps) if rate > 0.0 else tab.f_costs
+        tab.f_costs + rate * cfg.theta(reps) if rate > 0.0 else tab.f_costs
         for rate in (map(float, rates) if per_rate else [cfg.penalty])
     ]
     costs = np.stack(columns, axis=-1)
-    n_q = tab.reps.size
+    n_q = reps.size
     if budget is None:
         units = np.zeros(n_q, dtype=np.int64)
         n_cols = start = costs.shape[-1]
@@ -124,7 +107,7 @@ def _dp(
         n_cols, start = cfg.budget_levels + 1, 1
     admissible = units[units < n_cols]
     u_max = int(admissible.max()) if admissible.size else 0
-    value = np.full((tab.xs.size, n_cols), np.inf)
+    value = np.full((tab.disc.xs.size, n_cols), np.inf)
     value[tab.i_start, :start] = 0.0
     # backpointers: a quotient index, or -1 where no candidate arrived
     back_type = np.min_scalar_type(-n_q)
@@ -139,7 +122,7 @@ def _dp(
             width = min(reach, n_cols - u)
             if width <= 0:
                 continue
-            jq, kq = tab.band[q]
+            jq, kq = band[q]
             cand = value[jq, :width] + tab.step * (gx[jq][:, None] + fq[q])
             block = nxt[kq, u : u + width]
             better = cand < block
@@ -166,7 +149,7 @@ def _backtrack(tab, cfg, column, back, units, level):
     idx[-1] = tab.i_end
     for i in range(cfg.n_t - 1, -1, -1):
         q = int(back[i, idx[i + 1], level])
-        jq, kq = tab.band[q]
+        jq, kq = tab.disc.band[q]
         idx[i] = jq[np.searchsorted(kq, idx[i + 1])]
         qidx[i] = q
         level -= int(units[q])
@@ -176,9 +159,9 @@ def _backtrack(tab, cfg, column, back, units, level):
 def _assemble(
     problem: Problem, cfg: DPConfig, tab: _Tables, idx: np.ndarray, qidx: np.ndarray
 ) -> tuple[Trajectory, float]:
-    xs, step = tab.xs, tab.step
+    xs, step = tab.disc.xs, tab.step
     states = xs[idx]
-    q = tab.reps[qidx]
+    q = tab.disc.grid.points[qidx]
     f_cost = 0.0
     g_cost = 0.0
     for i in range(q.size):
@@ -196,7 +179,7 @@ def _assemble(
     if np.any(np.abs(q) >= problem.velocity_cap * (1.0 - 1e-12)):
         warnings.append("cap-saturation")
     return Trajectory(
-        times=tab.times,
+        times=tab.disc.times,
         states=states,
         velocities=q,
         value=f_cost + g_cost,
@@ -263,7 +246,7 @@ def _fewest_units(tab: _Tables, cfg: DPConfig, units: np.ndarray) -> float:
         tab,
         step=1.0,
         f_costs=units[None, :].astype(float),
-        g_costs=np.zeros((1, tab.xs.size)),
+        g_costs=np.zeros((1, tab.disc.xs.size)),
     )
     value = _dp(counts, replace(cfg, penalty=0.0), None, want_path=False)[0]
     return np.inf if value is None else value
@@ -441,20 +424,17 @@ def coercivity_bound_check(
     A violated inequality flags inconsistent hypothesis constants rather
     than raising: the report is a diagnostic on fitted constants.
     """
-    xs = state_grid(problem, cfg.n_x)
-    step = problem.horizon / cfg.n_t
-    times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
+    disc = Discretization.of(problem, cfg)
+    step, times = disc.step, disc.times
     mean_speed = (problem.end - problem.start) / problem.horizon
     raw = problem.start + mean_speed * times
-    snapped = xs[np.argmin(np.abs(xs[:, None] - raw[None, :]), axis=0)]
+    snapped = disc.xs[nearest_index(disc.xs, raw)]
     snapped[0] = problem.start
     snapped[-1] = problem.end
     q = np.diff(snapped) / step
     if np.any(np.abs(q) > problem.velocity_cap * (1.0 + 1e-12)):
         raise InfeasibleError("reference path violates the velocity cap")
-    f_values, _, g_values = path_costs(
-        problem, velocity_grid_for(problem, cfg), times[:-1], snapped[:-1], q
-    )
+    f_values, _, g_values = disc.path_costs(times[:-1], snapped[:-1], q)
     ref_value = 0.0
     for f, g in zip(f_values.tolist(), g_values.tolist()):
         ref_value += step * (f + g)

@@ -5,15 +5,27 @@ DP minimizer, and a uniform-velocity path keeps it constant for any
 subgradient selection, so the residual vanishes up to roundoff.
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from varelax.catalog import state_function, time_factor, velocity_function
 from varelax.conditions import dubois_reymond_residual, energy_constancy
-from varelax.errors import NotAutonomousError
+from varelax.discretize import Discretization
+from varelax.errors import InfeasibleError, NotAutonomousError
 from varelax.families import IntegrandFamily
+from varelax.io import parse_problem
 from varelax.problem import DPConfig, Problem, Trajectory
 from varelax.solve import solve_relaxed
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+AUTONOMOUS = (
+    "doublewell", "doublewell_concave", "linear_minus_sqrt", "quadratic", "sqrt_one_plus"
+)
 
 
 def quadratic_problem(cap=2.0, g_family=None):
@@ -150,3 +162,45 @@ class TestDuboisReymondResidual:
         report = dubois_reymond_residual(prob, traj, cfg)
         np.testing.assert_allclose(report.energy, 0.0, atol=1e-12)
         assert report.max_residual <= 1e-12
+
+
+def median_deviation(problem, trajectory, cfg):
+    """The energy-constancy formula before it became the residual's
+    maximum: the interval energies' largest deviation from their median."""
+    disc = Discretization.of(problem, cfg).extended(trajectory.velocities)
+    xi = trajectory.velocities
+    t, x = trajectory.times[:-1], trajectory.states[:-1]
+    values, midpoints, g = disc.path_costs(t, x, xi)
+    energies = values - midpoints * xi + g
+    return float(np.max(np.abs(energies - np.median(energies))))
+
+
+@st.composite
+def autonomous_paths(draw):
+    """A shipped autonomous problem on a small grid, with its relaxed
+    minimizer or that path moved off the state grid."""
+    loaded = parse_problem(PROBLEMS / f"{draw(st.sampled_from(AUTONOMOUS))}.json")
+    problem = loaded.problem
+    cfg = replace(loaded.config, n_t=draw(st.integers(2, 40)), n_x=draw(st.integers(3, 41)))
+    try:
+        traj = solve_relaxed(problem, cfg)
+    except InfeasibleError:
+        assume(False)
+    if draw(st.booleans()):
+        lo, hi = problem.state_box
+        n = cfg.n_t - 1
+        shift = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+        states = traj.states.copy()
+        states[1:-1] = np.clip(states[1:-1] + shift * (hi - lo) / cfg.n_x, lo, hi)
+        traj = manual_trajectory(traj.times, states)
+        assume(np.all(np.abs(traj.velocities) <= problem.velocity_cap))
+    return problem, traj, cfg
+
+
+class TestEnergyConstancyIsTheResidualMaximum:
+    @settings(max_examples=120, deadline=None)
+    @given(autonomous_paths())
+    def test_matches_the_median_deviation_bit_for_bit(self, case):
+        problem, traj, cfg = case
+        assert problem.autonomous
+        assert energy_constancy(problem, traj, cfg) == median_deviation(problem, traj, cfg)

@@ -1,7 +1,7 @@
 """Shared costing of trajectories and the transition table's memory.
 
 Envelopes of f are built once per distinct time, and once in total for an
-autonomous f; ``path_costs`` must give the bits of the per-interval scalar
+autonomous f; ``Discretization.path_costs`` must give the bits of the per-interval scalar
 evaluation it replaces, and the hull counts below pin the sharing.
 """
 
@@ -11,22 +11,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import varelax.discretize as discretize
-import varelax.solve as solve
 from varelax.classify import hypothesis_check
 from varelax.conditions import dubois_reymond_residual
 from varelax.convex import evaluate_envelope, subdifferential
+from varelax.catalog import state_function, velocity_function
 from varelax.discretize import (
+    Discretization,
     f_envelope,
-    path_costs,
+    merge_close_velocities,
     state_grid,
     transition_table,
-    velocity_grid_for,
 )
+from varelax.errors import DegenerateInputError, InfeasibleError
+from varelax.families import IntegrandFamily
 from varelax.io import emit_trajectory, parse_problem, read_trajectory
+from varelax.problem import DPConfig, Problem
 from varelax.reconstruct import decompose_velocities
 from varelax.solve import coercivity_bound_check, solve_relaxed
 
@@ -90,7 +93,6 @@ class TestHullCounts:
         def forbidden(*args):
             raise AssertionError("coercivity rebuilt the transition band")
 
-        monkeypatch.setattr(solve, "transition_table", forbidden)
         monkeypatch.setattr(discretize, "transition_table", forbidden)
         hulls.clear()
         report = coercivity_bound_check(problem, traj, hypotheses, cfg)
@@ -98,14 +100,14 @@ class TestHullCounts:
         assert report.reference_ok
 
 
-def scalar_costs(problem, grid, times, states, velocities):
+def scalar_costs(disc, times, states, velocities):
     """The per-interval loop ``path_costs`` replaces."""
     values, midpoints, g = [], [], []
     for t, x, xi in zip(times, states, velocities):
-        _, env = f_envelope(problem, grid, float(t))
+        _, env = f_envelope(disc.problem, disc.grid, float(t))
         values.append(evaluate_envelope(env, float(xi)))
         midpoints.append(subdifferential(env, float(xi)).midpoint)
-        g.append(float(problem.g.value(float(t), x)))
+        g.append(float(disc.problem.g.value(float(t), x)))
     return values, midpoints, g
 
 
@@ -119,7 +121,8 @@ def costing_cases(draw):
     problem, cfg = load(name)
     n_x = draw(st.integers(5, 33))
     cfg = replace(cfg, n_t=draw(st.integers(2, n_x - 1)), n_x=n_x)
-    grid = velocity_grid_for(problem, cfg)
+    disc = Discretization.of(problem, cfg)
+    grid = disc.grid
     n = draw(st.integers(1, 24))
     # few distinct times, so that some envelopes serve several intervals
     pool = draw(st.lists(st.floats(0.0, problem.horizon), min_size=1, max_size=4))
@@ -131,24 +134,24 @@ def costing_cases(draw):
     velocities = np.array(
         draw(st.lists(st.one_of(at_nodes, between), min_size=n, max_size=n))
     )
-    return problem, grid, times, states, velocities
+    return disc, times, states, velocities
 
 
 class TestPathCosts:
     @settings(max_examples=80, deadline=None)
     @given(costing_cases())
     def test_matches_scalar_loop_bit_for_bit(self, case):
-        problem, grid, times, states, velocities = case
-        got = path_costs(problem, grid, times, states, velocities)
-        want = scalar_costs(problem, grid, times, states, velocities)
+        disc, times, states, velocities = case
+        got = disc.path_costs(times, states, velocities)
+        want = scalar_costs(disc, times, states, velocities)
         for a, b in zip(got, want):
             assert a.tobytes() == np.array(b, dtype=float).tobytes()
 
     def test_envelopes_once_per_distinct_time(self, hulls):
         problem, cfg = load("doublewell_timevarying")
-        grid = velocity_grid_for(problem, cfg)
+        disc = Discretization.of(problem, cfg)
         times = np.array([0.5, 0.0, 0.5, 0.25, 0.0])
-        path_costs(problem, grid, times, np.zeros(5), np.zeros(5))
+        disc.path_costs(times, np.zeros(5), np.zeros(5))
         assert len(hulls) == 3
 
 
@@ -166,3 +169,100 @@ class TestTransitionTableMemory:
         finally:
             tracemalloc.stop()
         assert peak < 15e6
+
+
+@st.composite
+def discretization_cases(draw):
+    """A random box, horizon, cap and grid; the endpoints are drawn freely,
+    so they usually fall off the uniform grid and are inserted."""
+    lo = draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(0.05, 3.0))
+    start, end = (draw(st.floats(lo, hi)) for _ in range(2))
+    horizon = draw(st.floats(0.25, 2.0))
+    cap = draw(st.floats(0.05, 8.0))
+    assume(abs(end - start) / horizon <= cap)
+    name, params = draw(st.sampled_from([("power_p", {"p": 2.0}), ("double_well", None)]))
+    problem = Problem(
+        horizon=horizon,
+        start=start,
+        end=end,
+        f=IntegrandFamily(base=velocity_function(name, params)),
+        g=IntegrandFamily(base=state_function("zero")),
+        state_box=(lo, hi),
+        velocity_cap=cap,
+    )
+    return problem, DPConfig(n_t=draw(st.integers(2, 48)), n_x=draw(st.integers(3, 48)))
+
+
+def brute_force_grid(problem, cfg):
+    """Merged quotients of every state pair within the cap, from the full
+    difference matrix rather than the offset walk."""
+    xs = state_grid(problem, cfg.n_x)
+    diffs = (xs[None, :] - xs[:, None]) / (problem.horizon / cfg.n_t)
+    within = np.abs(diffs) <= problem.velocity_cap * (1.0 + 1e-12)
+    return merge_close_velocities(np.unique(diffs[within]))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestDiscretizationOwnsTheGrid:
+    """``_dp`` indexes band entries by grid position, and verification costs
+    trajectories on the grid extended by their velocities; both must see
+    the quotients the offset walk and the band were built from."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(discretization_cases())
+    def test_grid_is_the_band_quotients(self, case):
+        problem, cfg = case
+        xs = state_grid(problem, cfg.n_x)
+        step = problem.horizon / cfg.n_t
+        try:
+            reps, band = transition_table(xs, step, problem.velocity_cap)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                Discretization.of(problem, cfg)
+            return
+        if reps.size < 2:
+            with pytest.raises(DegenerateInputError):
+                Discretization.of(problem, cfg)
+            return
+        disc = Discretization.of(problem, cfg)
+        assert same_bits(disc.grid.points, reps)
+        assert same_bits(disc.grid.points, brute_force_grid(problem, cfg))
+        assert same_bits(disc.xs, xs)
+        assert disc.step == step
+        assert same_bits(disc.times, np.linspace(0.0, problem.horizon, cfg.n_t + 1))
+        assert len(disc.band) == len(band)
+        for (j, k), (want_j, want_k) in zip(disc.band, band):
+            assert same_bits(j, want_j) and same_bits(k, want_k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(discretization_cases(), st.data())
+    def test_extended_grid(self, case, data):
+        problem, cfg = case
+        try:
+            disc = Discretization.of(problem, cfg)
+        except (InfeasibleError, DegenerateInputError):
+            assume(False)
+        cap = problem.velocity_cap
+        try:
+            relaxed = solve_relaxed(problem, cfg).velocities
+        except InfeasibleError:  # no grid path between the endpoints
+            relaxed = np.array([])
+        brute = brute_force_grid(problem, cfg)
+        # a relaxed path's velocities are grid points: they merge back
+        assert same_bits(disc.extended(relaxed).grid.points, disc.grid.points)
+        assert same_bits(
+            disc.grid.points, merge_close_velocities(np.unique(np.concatenate([brute, relaxed])))
+        )
+        # perturbed velocities, some within the merge tolerance of a point
+        points = list(disc.grid.points)
+        nudged = st.sampled_from(points).map(lambda v: v * (1.0 + 3e-13) + 1e-14)
+        free = st.floats(-cap, cap)
+        extra = np.clip(
+            data.draw(st.lists(st.one_of(free, nudged), min_size=1, max_size=12)), -cap, cap
+        )
+        want = merge_close_velocities(np.unique(np.concatenate([brute, extra])))
+        assert same_bits(disc.extended(extra).grid.points, want)

@@ -8,6 +8,7 @@ Frozen analytic values:
 
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,11 +20,11 @@ from hypothesis import strategies as st
 from varelax.catalog import nagumo_function, state_function, time_factor, velocity_function
 from varelax.classify import hypothesis_check
 from varelax.convex import Grid1D, evaluate_envelope, evaluate_envelope_many, lower_convex_hull
-from varelax.discretize import merge_close_velocities, state_grid
+from varelax.discretize import merge_close_velocities, nearest_index, state_grid
 from varelax.errors import CertificateError, InfeasibleError
 from varelax.families import IntegrandFamily
 from varelax.io import parse_problem
-from varelax.problem import DPConfig, Problem
+from varelax.problem import DPConfig, Problem, Trajectory
 from varelax import solve
 from varelax.solve import (
     _dp,
@@ -303,6 +304,67 @@ class TestCoercivityBound:
         report = coercivity_bound_check(shifted, traj, hypothesis_check(shifted), cfg)
         assert report.consistent
 
+
+
+@st.composite
+def snap_cases(draw):
+    """A state grid with off-grid endpoints, and points to snap onto it:
+    the coercivity reference path, node midpoints (ties) and points
+    beyond both ends of the box."""
+    lo = draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(0.05, 3.0))
+    start, end = (draw(st.floats(lo, hi)) for _ in range(2))
+    problem = make_problem(
+        "power_p", {"p": 2.0}, start=start, end=end, state_box=(lo, hi), velocity_cap=1e6
+    )
+    xs = state_grid(problem, draw(st.integers(3, 80)))
+    times = np.linspace(0.0, 1.0, draw(st.integers(2, 80)) + 1)
+    reference = start + (end - start) * times
+    midpoints = (xs[:-1] + xs[1:]) / 2.0
+    outside = np.array([lo - 1.0, hi + 1.0, draw(st.floats(lo - 1.0, hi + 1.0))])
+    return xs, np.concatenate([reference, midpoints, xs, outside])
+
+
+class TestReferenceSnap:
+    """The coercivity reference path snaps by a sorted search, not by an
+    (n_x, n_t + 1) distance table."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(snap_cases())
+    def test_nearest_index_matches_argmin(self, case):
+        xs, points = case
+        want = np.argmin(np.abs(xs[:, None] - points[None, :]), axis=0)
+        np.testing.assert_array_equal(nearest_index(xs, points), want)
+
+    def test_peak_at_2048_nodes(self):
+        # the distance table and its temporary peaked at 67 MB here
+        cfg = DPConfig(n_t=2048, n_x=2048)
+        times = np.linspace(0.0, 1.0, cfg.n_t + 1)
+        straight = Trajectory(
+            times=times, states=times.copy(), velocities=np.ones(cfg.n_t),
+            value=1.0, f_cost=1.0, g_cost=0.0,
+        )
+        hypotheses = hypothesis_check(QUADRATIC)
+        tracemalloc.start()
+        try:
+            report = coercivity_bound_check(QUADRATIC, straight, hypotheses, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.reference_ok
+        assert peak < 4e6
+
+
+class TestBudgetUnitOverflow:
+    def test_tiny_budget_is_infeasible_without_a_cast_warning(self):
+        # h*theta(q)/quantum is about 1e20 units here; cast before clipping,
+        # it overflowed int64 and every quotient became free
+        loaded = parse_problem(PROBLEMS / "quadratic.json")
+        cfg = replace(loaded.config, n_t=16, n_x=17, theta_budget=1e-19)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InfeasibleError):
+                solve_relaxed(loaded.problem, cfg)
 
 def dense_quotients(xs, step, cap):
     """Merged quotient values and the (n, n) quotient index of every state

@@ -8,7 +8,7 @@ shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,21 +50,24 @@ class TimeFactor:
         return self.fn(np.asarray(t, dtype=float))
 
 
+# Speeds 1 .. 32 at which every Nagumo entry is probed on construction.
+NAGUMO_PROBE = 2.0 ** np.arange(0, 6)
+
+
 @dataclass(frozen=True, eq=False)
 class NagumoFunction:
     """Convex increasing superlinear penalty on speed.
 
-    Construction runs a probe over a fixed dyadic schedule: values must be
+    Construction runs a probe over ``NAGUMO_PROBE``: values must be
     increasing, midpoint-convex, and have strictly increasing ratio to the
     argument.  The probe is a certificate, not a proof.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    probe_schedule: np.ndarray = field(default_factory=lambda: 2.0 ** np.arange(0, 6))
 
     def __post_init__(self):
-        r = np.asarray(self.probe_schedule, dtype=float)
+        r = NAGUMO_PROBE
         v = self.fn(r)
         mid = self.fn((r[:-1] + r[1:]) / 2.0)
         if not np.all(np.isfinite(v)):

@@ -7,7 +7,7 @@ probe box.  Verdicts are certificates over the probed range, not proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,16 @@ from .families import IntegrandFamily
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e3
 STABILIZE_TOL = 1e-6
+# Velocity samples of each class-E and SCI envelope; the class-E envelope
+# at radius R spans [-CLASS_E_MARGIN*R, CLASS_E_MARGIN*R].
+CERTIFICATE_GRID_POINTS = 257
+CLASS_E_MARGIN = 2.0
+SCI_DIRECTIONS = (1.0, -1.0)
+# Velocity samples of the envelope in ``fstar_lipschitz_check``.
+FSTAR_GRID_POINTS = 513
+# The probe box: times over the horizon, states over the box, velocities
+# over the cap.
+PROBE_TIMES, PROBE_STATES, PROBE_VELOCITIES = 9, 33, 65
 
 
 def default_radius_schedule() -> np.ndarray:
@@ -37,6 +47,17 @@ def default_radius_schedule() -> np.ndarray:
     test resolves bounded tails below 1e-6.
     """
     return 2.0 ** np.arange(4, 24)
+
+
+def _radii(radius_schedule: np.ndarray | None) -> np.ndarray:
+    """The given radius schedule, or the default one, checked."""
+    radii = np.asarray(
+        default_radius_schedule() if radius_schedule is None else radius_schedule,
+        dtype=float,
+    )
+    if radii.size < 4 or not np.all(np.diff(radii) > 0):
+        raise CertificateError("radius schedule must be increasing with at least 4 entries")
+    return radii
 
 
 def _erdmann_sup_on_grid(env: ConvexEnvelope, pts: np.ndarray) -> np.ndarray:
@@ -72,32 +93,25 @@ def class_e_certificate(
     t_grid: np.ndarray,
     radius_schedule: np.ndarray | None = None,
     threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-    grid_points: int = 257,
-    box_margin: float = 2.0,
 ) -> ClassECertificate:
     """Probe whether the worst-case linearization defect diverges.
 
     For each radius R the probe rebuilds the envelope on the expanding box
-    [-margin*R, margin*R] and takes chi(R) = sup over sampled times and
+    [-CLASS_E_MARGIN*R, CLASS_E_MARGIN*R] and takes chi(R) = sup over sampled times and
     grid points beyond R of the envelope value minus its steepest
     supporting linearization; an autonomous family is sampled at the first
     time only, since every time gives the same envelope.  chi must come
     out nonincreasing; a rise beyond tolerance signals an envelope bug
     rather than a property of the integrand.
     """
-    radii = np.asarray(
-        default_radius_schedule() if radius_schedule is None else radius_schedule,
-        dtype=float,
-    )
-    if radii.size < 4 or not np.all(np.diff(radii) > 0):
-        raise CertificateError("radius schedule must be increasing with at least 4 entries")
+    radii = _radii(radius_schedule)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if family.autonomous:
         t_grid = t_grid[:1]
     chi = np.empty(radii.size)
     for k, radius in enumerate(radii):
-        box = box_margin * radius
-        grid = Grid1D(np.linspace(-box, box, grid_points))
+        box = CLASS_E_MARGIN * radius
+        grid = Grid1D(np.linspace(-box, box, CERTIFICATE_GRID_POINTS))
         beyond = np.abs(grid.points) > radius
         best = -np.inf
         for t in t_grid:
@@ -109,12 +123,9 @@ def class_e_certificate(
     tol = 1e-9 * np.maximum(1.0, np.abs(chi[:-1]))
     if np.any(diffs > tol):
         raise CertificateError("chi sequence increased along the radius schedule")
-    if radii.size >= 2:
-        half = radii.size // 2
-        fit = np.polyfit(radii[half:], chi[half:], 1)
-        slope = float(fit[0])
-    else:
-        slope = 0.0
+    half = radii.size // 2
+    fit = np.polyfit(radii[half:], chi[half:], 1)
+    slope = float(fit[0])
     if np.all(diffs < 0) and chi[-1] < -threshold:
         verdict = "diverges"
     elif abs(chi[-1] - chi[-2]) <= STABILIZE_TOL and chi[-1] >= -threshold:
@@ -143,27 +154,20 @@ def sci_certificate(
     family: IntegrandFamily,
     t: float,
     radius_schedule: np.ndarray | None = None,
-    directions: tuple[float, ...] = (1.0, -1.0),
-    grid_points: int = 257,
 ) -> SciCertificate:
     """Check that the envelope's directional slope keeps increasing.
 
     A direction fails when the slope shows no strict increase across the
     last two radius shells: a terminal flat run is the discrete signature
-    of a ray in the graph.
+    of a ray in the graph.  Both directions of ``SCI_DIRECTIONS`` are probed.
     """
-    radii = np.asarray(
-        default_radius_schedule() if radius_schedule is None else radius_schedule,
-        dtype=float,
-    )
-    if radii.size < 4 or not np.all(np.diff(radii) > 0):
-        raise CertificateError("radius schedule must be increasing with at least 4 entries")
+    radii = _radii(radius_schedule)
     box = float(radii[-1])
     inner = float(radii[-3])
-    grid = Grid1D(np.linspace(-box, box, grid_points))
+    grid = Grid1D(np.linspace(-box, box, CERTIFICATE_GRID_POINTS))
     env = lower_convex_hull(family.sample(t, grid))
     probes = []
-    for direction in directions:
+    for direction in SCI_DIRECTIONS:
         p_in = direction * inner
         p_out = direction * box
         sub_in = subdifferential(env, p_in)
@@ -273,30 +277,26 @@ class ProbeBox:
 
 @dataclass(frozen=True, eq=False)
 class LinearBounds:
-    """The H1 and H2 lines fitted on a probe box."""
+    """The H1 and H2 lines fitted on the probe box, and their verdicts."""
 
-    f_offset: float  # f >= -offset + slope*|xi|
-    f_slope: float
-    g_offset: float  # g >= -offset - slope*|x|
-    g_slope: float
-    slope_margin: float  # f_slope / horizon - g_slope
-
-    @property
-    def h1_pass(self) -> bool:
-        return bool(self.f_slope > 0.0)
-
-    @property
-    def h2_pass(self) -> bool:
-        return bool(self.g_slope >= 0.0 and self.slope_margin > 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class HypothesisReport:
     f_bound_offset: float  # f >= -offset + slope*|xi| on the probe box
     f_bound_slope: float
     g_bound_offset: float  # g >= -offset - slope*|x| on the probe box
     g_bound_slope: float
     slope_margin: float  # f_bound_slope / horizon - g_bound_slope
+    h1_pass: bool = field(init=False)
+    h2_pass: bool = field(init=False)
+
+    def __post_init__(self):
+        h2 = self.g_bound_slope >= 0.0 and self.slope_margin > 0.0
+        object.__setattr__(self, "h1_pass", bool(self.f_bound_slope > 0.0))
+        object.__setattr__(self, "h2_pass", bool(h2))
+
+
+@dataclass(frozen=True, eq=False)
+class HypothesisReport(LinearBounds):
+    """The H1 and H2 lines plus the time-regularity, drift and shape probes."""
+
     time_lipschitz: float
     drift_cost_coeff: float  # |d phi/dt| <= c0*|phi| + c1*|x| + c2
     drift_state_coeff: float
@@ -304,8 +304,6 @@ class HypothesisReport:
     drift_slack: float
     g_concave_per_t: np.ndarray
     f_convex_per_t: np.ndarray
-    h1_pass: bool
-    h2_pass: bool
 
     @property
     def g_concave(self) -> bool:
@@ -329,40 +327,38 @@ def _fit_bound_line(r, vmin, vmax, candidate_slopes, tie_key):
 
 
 def _pooled_radial_profile(radii, values):
-    """Per unique radius: pooled min and max of the value cloud."""
+    """Per unique radius: pooled min and max over the rows of a value stack."""
     r = np.abs(np.asarray(radii, dtype=float))
     order = np.argsort(r, kind="stable")
     r_sorted = r[order]
-    v_sorted = values[..., order] if values.ndim > 1 else values[order]
+    v_sorted = values[:, order]
     uniq, start = np.unique(r_sorted, return_index=True)
     vmins, vmaxs = [], []
     edges = list(start) + [r_sorted.size]
-    flat = v_sorted.reshape(-1, r_sorted.size) if values.ndim > 1 else v_sorted[None, :]
     for i in range(uniq.size):
-        block = flat[:, edges[i] : edges[i + 1]]
+        block = v_sorted[:, edges[i] : edges[i + 1]]
         vmins.append(float(block.min()))
         vmaxs.append(float(block.max()))
     return uniq, np.array(vmins), np.array(vmaxs)
 
 
 def _hull_edge_slopes(r, vmin):
-    if r.size < 2:
-        return np.array([0.0])
     env = lower_convex_hull(SampledFunction(Grid1D(r), vmin))
     return env.edge_slopes
 
 
-def linear_bounds(problem, probe: ProbeBox | None = None) -> LinearBounds:
-    """Fit the H1 line below f and the H2 line below g on a probe box.
+def _f_on_probe(problem, probe: ProbeBox) -> np.ndarray:
+    return np.stack([problem.f.value(t, probe.velocities) for t in probe.times])  # (nt, nxi)
+
+
+def _fit_lines(problem, probe: ProbeBox, f_vals: np.ndarray) -> tuple[float, ...]:
+    """The five ``LinearBounds`` constants, from f's values on the probe box.
 
     Each line minimizes the maximum slack of its inequality over the probe
     grid, with ties broken toward smaller constants.
     """
-    if probe is None:
-        probe = default_probe(problem)
-    ts, xs, xis = probe.times, probe.states, probe.velocities
-    f_vals = np.stack([problem.f.value(t, xis) for t in ts])  # (nt, nxi)
-    g_vals = np.stack([problem.g.value(t, xs) for t in ts])  # (nt, nx)
+    xs, xis = probe.states, probe.velocities
+    g_vals = np.stack([problem.g.value(t, xs) for t in probe.times])  # (nt, nx)
 
     # f lower bound: -A + B|xi|
     r_u, fmin_u, fmax_u = _pooled_radial_profile(xis, f_vals)
@@ -380,32 +376,36 @@ def linear_bounds(problem, probe: ProbeBox | None = None) -> LinearBounds:
     )
     g_offset, g_slope = -gb_intercept, -gb_slope
 
-    return LinearBounds(
-        f_offset=float(f_offset),
-        f_slope=float(f_slope),
-        g_offset=float(g_offset),
-        g_slope=float(g_slope),
-        slope_margin=float(f_slope / problem.horizon - g_slope),
+    return (
+        float(f_offset),
+        float(f_slope),
+        float(g_offset),
+        float(g_slope),
+        float(f_slope / problem.horizon - g_slope),
     )
 
 
-def hypothesis_check(problem, probe: ProbeBox | None = None) -> HypothesisReport:
-    """Fit the structural constants on a probe box and report pass/fail.
+def linear_bounds(problem) -> LinearBounds:
+    """Fit the H1 line below f and the H2 line below g on the probe box."""
+    probe = default_probe(problem)
+    return LinearBounds(*_fit_lines(problem, probe, _f_on_probe(problem, probe)))
+
+
+def hypothesis_check(problem) -> HypothesisReport:
+    """Fit the structural constants on the probe box and report pass/fail.
 
     Constants minimize the maximum slack of their inequality over the probe
     grid, with ties broken toward smaller constants, so reports are
     deterministic and reproducible.  Failures are reported, never raised.
     """
-    if probe is None:
-        probe = default_probe(problem)
+    probe = default_probe(problem)
     ts, xs, xis = probe.times, probe.states, probe.velocities
-    bounds = linear_bounds(problem, probe)
+    f_vals = _f_on_probe(problem, probe)
 
     # time Lipschitz constant of f on the probe box
-    f_vals = np.stack([problem.f.value(t, xis) for t in ts])  # (nt, nxi)
     df = np.abs(np.diff(f_vals, axis=0))
     dt = np.diff(ts)[:, None]
-    time_lip = float(np.max(df / dt)) if ts.size > 1 else 0.0
+    time_lip = float(np.max(df / dt))
 
     # drift bound |d(g + f**)/dt| <= c0|phi| + c1|x| + c2
     c0, c1, c2, slack = _fit_drift_bound(problem, ts, xs, xis)
@@ -415,11 +415,7 @@ def hypothesis_check(problem, probe: ProbeBox | None = None) -> HypothesisReport
     f_convex = np.array([_samples_convex(problem.f, t, xis) for t in ts])
 
     return HypothesisReport(
-        f_bound_offset=bounds.f_offset,
-        f_bound_slope=bounds.f_slope,
-        g_bound_offset=bounds.g_offset,
-        g_bound_slope=bounds.g_slope,
-        slope_margin=bounds.slope_margin,
+        *_fit_lines(problem, probe, f_vals),
         time_lipschitz=time_lip,
         drift_cost_coeff=c0,
         drift_state_coeff=c1,
@@ -427,17 +423,17 @@ def hypothesis_check(problem, probe: ProbeBox | None = None) -> HypothesisReport
         drift_slack=slack,
         g_concave_per_t=g_concave,
         f_convex_per_t=f_convex,
-        h1_pass=bounds.h1_pass,
-        h2_pass=bounds.h2_pass,
     )
 
 
-def default_probe(problem, n_t: int = 9, n_x: int = 33, n_xi: int = 65) -> ProbeBox:
+def default_probe(problem) -> ProbeBox:
+    """``PROBE_TIMES`` times over the horizon, ``PROBE_STATES`` states over
+    the box and ``PROBE_VELOCITIES`` velocities over the cap."""
     lo, hi = problem.state_box
     return ProbeBox(
-        times=np.linspace(0.0, problem.horizon, n_t),
-        states=np.linspace(lo, hi, n_x),
-        velocities=np.linspace(-problem.velocity_cap, problem.velocity_cap, n_xi),
+        times=np.linspace(0.0, problem.horizon, PROBE_TIMES),
+        states=np.linspace(lo, hi, PROBE_STATES),
+        velocities=np.linspace(-problem.velocity_cap, problem.velocity_cap, PROBE_VELOCITIES),
     )
 
 
@@ -472,7 +468,7 @@ def _drift_samples(problem, ts, xs, xis):
     where phi = g + f** on the (time, state, velocity) probe grid."""
     grid = Grid1D(xis)
     span = float(ts[-1] - ts[0])
-    step = span / (4.0 * max(ts.size - 1, 1)) if span > 0 else 0.0
+    step = span / (4.0 * (ts.size - 1))
 
     def fstar(t):
         env = lower_convex_hull(problem.f.sample(t, grid))
@@ -481,14 +477,11 @@ def _drift_samples(problem, ts, xs, xis):
     phis, vels = [], []
     for t in ts:
         phi_t = problem.g.value(t, xs)[:, None] + fstar(t)[None, :]
-        if step == 0.0:
-            v_t = np.zeros_like(phi_t)
-        else:
-            t_lo = max(t - step, float(ts[0]))
-            t_hi = min(t + step, float(ts[-1]))
-            phi_lo = problem.g.value(t_lo, xs)[:, None] + fstar(t_lo)[None, :]
-            phi_hi = problem.g.value(t_hi, xs)[:, None] + fstar(t_hi)[None, :]
-            v_t = (phi_hi - phi_lo) / (t_hi - t_lo)
+        t_lo = max(t - step, float(ts[0]))
+        t_hi = min(t + step, float(ts[-1]))
+        phi_lo = problem.g.value(t_lo, xs)[:, None] + fstar(t_lo)[None, :]
+        phi_hi = problem.g.value(t_hi, xs)[:, None] + fstar(t_hi)[None, :]
+        v_t = (phi_hi - phi_lo) / (t_hi - t_lo)
         phis.append(phi_t)
         vels.append(v_t)
     abs_phi = np.abs(np.stack(phis)).ravel()
@@ -559,23 +552,22 @@ def fstar_lipschitz_check(
     family: IntegrandFamily,
     xi_probe: np.ndarray,
     t_grid: np.ndarray,
-    probe_radius: float | None = None,
-    grid_points: int = 513,
 ) -> TimeLipschitzReport:
     """Compare the envelope's time rate against the integrand's on the
     ball spanned by the observed decomposition support points.
 
-    An entry is inconclusive when a support point escapes toward the probe
-    boundary, since the controlling ball is then unknown.
+    The envelope is sampled at ``FSTAR_GRID_POINTS`` velocities on
+    [-R, R] with R = 4*(1 + max|xi_probe|).  An entry is inconclusive when
+    a support point escapes toward that boundary, since the controlling
+    ball is then unknown.
     """
     xi_probe = np.atleast_1d(np.asarray(xi_probe, dtype=float))
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2:
         raise CertificateError("need at least two probe times")
-    if probe_radius is None:
-        probe_radius = 4.0 * (1.0 + float(np.max(np.abs(xi_probe))))
-    grid = Grid1D(np.linspace(-probe_radius, probe_radius, grid_points))
-    pitch = 2.0 * probe_radius / (grid_points - 1)
+    probe_radius = 4.0 * (1.0 + float(np.max(np.abs(xi_probe))))
+    grid = Grid1D(np.linspace(-probe_radius, probe_radius, FSTAR_GRID_POINTS))
+    pitch = 2.0 * probe_radius / (FSTAR_GRID_POINTS - 1)
     sampled = [family.sample(t, grid) for t in t_grid]
     envs = [lower_convex_hull(s) for s in sampled]
     values = np.stack([s.values for s in sampled])  # (nt, nxi_grid)

@@ -53,29 +53,16 @@ class Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """A function slice tabulated on a velocity grid.
-
-    ``lower_bound`` records the constant below which the underlying
-    function never falls; by default the sample minimum.
-    """
+    """A function slice tabulated on a velocity grid."""
 
     grid: Grid1D
     values: np.ndarray
-    lower_bound: float | None = None
 
     def __post_init__(self):
         vals = _as_array(self.values, "sample values")
         if vals.shape != (len(self.grid),):
             raise DegenerateInputError("values length must match grid length")
-        bound = self.lower_bound
-        if bound is None:
-            bound = float(vals.min())
-        if not np.isfinite(bound):
-            raise DegenerateInputError("lower bound must be finite")
-        if vals.min() < bound:
-            raise DegenerateInputError("sample values fall below the declared lower bound")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "lower_bound", float(bound))
 
 
 @dataclass(frozen=True, eq=False)

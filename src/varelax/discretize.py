@@ -34,18 +34,26 @@ def state_grid(problem: Problem, n_x: int) -> np.ndarray:
     lo, hi = problem.state_box
     xs = np.linspace(lo, hi, n_x)
     for v in (problem.start, problem.end):
-        xs = _place(xs, v)
+        xs = _place(xs, v, problem.start)
     return xs
 
 
-def _place(xs: np.ndarray, v: float) -> np.ndarray:
+def _place(xs: np.ndarray, v: float, start: float) -> np.ndarray:
+    """``xs`` with ``v`` on it: the nearest node moves to ``v`` when it is
+    within tolerance, unless it already holds a different ``start``;
+    otherwise ``v`` is inserted, unless it lies within 1e-14 of the box
+    scale of that node: distances from points a few box scales away could
+    not tell the two apart, so ``v`` stays off the grid."""
     pitch = np.min(np.diff(xs))
-    tol = min(1e-9 * max(1.0, np.abs(xs).max()), 0.25 * pitch)
+    scale = max(1.0, np.abs(xs).max())
+    tol = min(1e-9 * scale, 0.25 * pitch)
     i = int(np.argmin(np.abs(xs - v)))
-    if abs(xs[i] - v) <= tol:
+    if abs(xs[i] - v) <= tol and (xs[i] != start or v == start):
         out = xs.copy()
         out[i] = v
         return out
+    if abs(xs[i] - v) <= 1e-14 * scale:
+        return xs
     return np.sort(np.append(xs, v))
 
 
@@ -114,33 +122,35 @@ def nearest_index(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def transition_table(
-    xs: np.ndarray, step: float, cap: float, reps: np.ndarray | None = None
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """Admissible difference quotients and the band of state pairs behind them.
+    xs: np.ndarray, step: float, cap: float, points: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The band of state pairs behind the quotient grid ``points``.
 
-    Returns the sorted merged quotient values (or ``reps``, when given)
-    and, per value, the (predecessor, target) index arrays of the pairs
-    whose quotient lies nearest it, ordered by target.  No (n, n) array is
-    built.  The nearest value is picked once per distinct quotient, not
+    Per grid point, the (predecessor, target) index arrays of the
+    admissible pairs whose quotient lies nearest it, ordered by target.
+    A target appears at most once per grid point, since the DP keeps one
+    predecessor per (target, quotient); two nodes close enough for their
+    quotients to merge raise ``InfeasibleError``.  No (n, n) array is
+    built.  The nearest point is picked once per distinct quotient, not
     per pair, and every per-pair temporary is released before the band is
     cut, which keeps the peak near three times the band's size.
     """
     j, k, raw = _offset_pairs(xs, step, cap)
-    values = _distinct_quotients(raw)
-    if reps is None:
-        reps = merge_close_velocities(values)
-    rep_of = nearest_index(reps, values).astype(np.min_scalar_type(reps.size))
+    values = np.unique(raw)
+    point_of = nearest_index(points, values).astype(np.min_scalar_type(points.size))
     # every pair's quotient is one of ``values``, so the search hits it exactly
-    group = rep_of[np.searchsorted(values, raw)]
+    group = point_of[np.searchsorted(values, raw)]
     del raw
     order = np.lexsort((k, group))
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=reps.size))])
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=points.size))])
     del group
     j = j[order]
     k = k[order]
     del order
     band = tuple((j[lo:hi], k[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return reps, band
+    if any(np.any(kq[1:] == kq[:-1]) for _, kq in band):
+        raise InfeasibleError("two state nodes are closer than one step's quotients resolve")
+    return band
 
 
 def f_envelope(
@@ -178,7 +188,7 @@ class Discretization:
     def band(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per grid point, the (predecessor, target) pairs realizing it."""
         cap = self.problem.velocity_cap
-        return transition_table(self.xs, self.step, cap, self.grid.points)[1]
+        return transition_table(self.xs, self.step, cap, self.grid.points)
 
     @cached_property
     def endpoints(self) -> tuple[int, int]:

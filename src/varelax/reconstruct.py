@@ -95,16 +95,8 @@ def rearrange(
         t0 = float(trajectory.times[i])
         x0 = float(trajectory.states[i])
         x1 = float(trajectory.states[i + 1])
-        if dec.trivial:
-            q = float(dec.points[0])
-            f_cost += step * float(dec.point_values[0])
-            g_cost += step * float(problem.g.value(t0, x0))
-            times.append(float(trajectory.times[i + 1]))
-            states.append(x1)
-            velocities.append(q)
-            labels.append(0)
-            continue
-        order = _pick_order(problem, dec, t0, x0, step)
+        # a trivial splitting has weight exactly 1.0: one sub-interval of length step
+        order = (0,) if dec.trivial else _pick_order(problem, dec, t0, x0, step)
         durations = [step * float(dec.weights[j]) for j in order]
         t_cursor, x_cursor = t0, x0
         for pos, j in enumerate(order):
@@ -172,13 +164,12 @@ def compare_costs(
     problem: Problem,
     relaxed: Trajectory,
     reconstructed: ReconstructedTrajectory,
-    state_lipschitz: float | None = None,
 ) -> CostComparison:
     """PASS when the reconstruction reproduces the relaxed velocity cost
     and does not exceed the relaxed total beyond the step-sized slack
-    state_lipschitz * max-speed * step * horizon."""
-    if state_lipschitz is None:
-        state_lipschitz = _state_lipschitz(problem)
+    state_lipschitz * max-speed * step * horizon, with g's state Lipschitz
+    constant measured on a probe grid."""
+    state_lipschitz = _state_lipschitz(problem)
     step = relaxed.step
     n = relaxed.velocities.size
     f_tol = n * 1e-9 * (1.0 + abs(relaxed.f_cost))

@@ -23,6 +23,8 @@ from .errors import CertificateError, InfeasibleError
 from .problem import DPConfig, Problem, SweepReport, Trajectory
 
 SETTLE_TOL = 1e-9
+# The multipliers of ``lagrangian_sweep``: 0 and 2^-6 .. 2^6.
+MULTIPLIERS = np.concatenate([[0.0], 2.0 ** np.arange(-6.0, 7.0)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +229,8 @@ def solve_relaxed(problem: Problem, cfg: DPConfig) -> Trajectory:
 
 
 def nagumo_penalized_solve(problem: Problem, cfg: DPConfig) -> Trajectory:
-    """DP on the penalized cost f** + g + penalty * theta(|x'|).
+    """DP on the penalized cost f** + g + penalty * theta(|x'|), under the
+    ``theta_budget`` when one is configured.
 
     With ``penalty == 0`` this is bit-identical to ``solve_relaxed``.  The
     reported ``value`` stays the unpenalized running cost; the penalized
@@ -235,7 +238,7 @@ def nagumo_penalized_solve(problem: Problem, cfg: DPConfig) -> Trajectory:
     """
     if cfg.theta is None:
         raise CertificateError("penalized solve requires a Nagumo entry")
-    return _solve(problem, cfg, _tables(problem, cfg))
+    return _solve(problem, cfg, _tables(problem, cfg), cfg.theta_budget)
 
 
 def _fewest_units(tab: _Tables, cfg: DPConfig, units: np.ndarray) -> float:
@@ -330,16 +333,15 @@ def lagrangian_sweep(
     problem: Problem,
     cfg: DPConfig,
     budget_schedule: np.ndarray,
-    multiplier_schedule: np.ndarray | None = None,
 ) -> SweepReport:
     """Fast dual lower bound on the budget-constrained values.
 
-    One DP pass solves the penalized problem for every multiplier, with
-    one cost column f** + multiplier*theta each, and every column's path
-    is costed again and must reproduce its DP value.  Each multiplier
-    contributes the affine bound (penalized minimum) - multiplier *
-    budget, and the pointwise maximum over multipliers bounds the
-    constrained value from below.  This is an approximation; the
+    One DP pass solves the penalized problem for every multiplier of
+    ``MULTIPLIERS``, with one cost column f** + multiplier*theta each, and
+    every column's path is costed again and must reproduce its DP value.
+    Each multiplier contributes the affine bound (penalized minimum) -
+    multiplier * budget, and the pointwise maximum over multipliers bounds
+    the constrained value from below.  This is an approximation; the
     authoritative sweep is ``value_sweep``.
     """
     if cfg.theta is None:
@@ -347,22 +349,17 @@ def lagrangian_sweep(
     budgets = np.asarray(budget_schedule, dtype=float)
     if budgets.size < 2 or not np.all(np.diff(budgets) > 0):
         raise CertificateError("budget schedule must be increasing with >= 2 entries")
-    if multiplier_schedule is None:
-        multiplier_schedule = np.concatenate([[0.0], 2.0 ** np.arange(-6.0, 7.0)])
-    multipliers = np.asarray(multiplier_schedule, dtype=float)
-    if np.any(multipliers < 0.0):
-        raise CertificateError("multipliers must be nonnegative")
     tab = _tables(problem, cfg)
     penalized_minima = []
     for rate, (value, idx, qidx) in zip(
-        multipliers, _dp(tab, cfg, None, want_path=True, rates=multipliers)
+        MULTIPLIERS, _dp(tab, cfg, None, want_path=True, rates=MULTIPLIERS)
     ):
         if value is None:
             raise InfeasibleError("no admissible grid path connects the endpoints")
         rated = replace(cfg, penalty=float(rate))
         traj = _checked(problem, rated, tab, value, idx, qidx)
         penalized_minima.append(traj.value + float(rate) * traj.theta_value)
-    duals = np.array(penalized_minima)[:, None] - multipliers[:, None] * budgets[None, :]
+    duals = np.array(penalized_minima)[:, None] - MULTIPLIERS[:, None] * budgets[None, :]
     values = [float(v) for v in duals.max(axis=0)]
     return SweepReport(
         budgets=budgets, values=values, settle_index=settle_index(budgets, values)

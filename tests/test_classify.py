@@ -393,10 +393,10 @@ class TestLinearBounds:
         report = hypothesis_check(problem)
         assert (bounds.h1_pass, bounds.h2_pass) == (report.h1_pass, report.h2_pass)
         assert (
-            bounds.f_offset,
-            bounds.f_slope,
-            bounds.g_offset,
-            bounds.g_slope,
+            bounds.f_bound_offset,
+            bounds.f_bound_slope,
+            bounds.g_bound_offset,
+            bounds.g_bound_slope,
             bounds.slope_margin,
         ) == (
             report.f_bound_offset,

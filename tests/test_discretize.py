@@ -161,10 +161,10 @@ class TestTransitionTableMemory:
         # keeping every per-offset piece and per-pair temporary peaked at
         # 25 MB
         problem, _ = load("doublewell")
-        xs = state_grid(problem, 2049)
+        disc = Discretization.of(problem, DPConfig(n_t=64, n_x=2049))
         tracemalloc.start()
         try:
-            transition_table(xs, problem.horizon / 64, problem.velocity_cap)
+            transition_table(disc.xs, disc.step, problem.velocity_cap, disc.grid.points)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -218,25 +218,36 @@ class TestDiscretizationOwnsTheGrid:
         problem, cfg = case
         xs = state_grid(problem, cfg.n_x)
         step = problem.horizon / cfg.n_t
-        try:
-            reps, band = transition_table(xs, step, problem.velocity_cap)
-        except InfeasibleError:
+        diffs = (xs[None, :] - xs[:, None]) / step  # [j, k]: from node j to node k
+        within = np.abs(diffs) <= problem.velocity_cap * (1.0 + 1e-12)
+        if np.unique(diffs[within]).size < 2:
             with pytest.raises(InfeasibleError):
                 Discretization.of(problem, cfg)
             return
-        if reps.size < 2:
+        points = brute_force_grid(problem, cfg)
+        if points.size < 2:
             with pytest.raises(DegenerateInputError):
                 Discretization.of(problem, cfg)
             return
         disc = Discretization.of(problem, cfg)
-        assert same_bits(disc.grid.points, reps)
-        assert same_bits(disc.grid.points, brute_force_grid(problem, cfg))
+        assert same_bits(disc.grid.points, points)
         assert same_bits(disc.xs, xs)
         assert disc.step == step
         assert same_bits(disc.times, np.linspace(0.0, problem.horizon, cfg.n_t + 1))
-        assert len(disc.band) == len(band)
-        for (j, k), (want_j, want_k) in zip(disc.band, band):
-            assert same_bits(j, want_j) and same_bits(k, want_k)
+        # every admissible pair belongs to its nearest grid point (the lower
+        # one on a tie), and an entry lists its pairs by target
+        pred, target = np.nonzero(within)
+        nearest = np.argmin(np.abs(points[None, :] - diffs[within][:, None]), axis=1)
+        want = [(pred[nearest == q], target[nearest == q]) for q in range(points.size)]
+        if any(np.unique(k).size < k.size for _, k in want):
+            with pytest.raises(InfeasibleError):
+                disc.band
+            return
+        assert len(disc.band) == points.size
+        for (j, k), (want_j, want_k) in zip(disc.band, want):
+            by_target = np.argsort(want_k)
+            assert np.array_equal(j, want_j[by_target])
+            assert np.array_equal(k, want_k[by_target])
 
     @settings(max_examples=150, deadline=None)
     @given(discretization_cases(), st.data())
@@ -266,3 +277,38 @@ class TestDiscretizationOwnsTheGrid:
         )
         want = merge_close_velocities(np.unique(np.concatenate([brute, extra])))
         assert same_bits(disc.extended(extra).grid.points, want)
+
+
+class TestStateGridKeepsBothEndpoints:
+    """The end is placed after the start and must not take the start's node."""
+
+    @staticmethod
+    def problem(end, horizon=1.0):
+        return Problem(
+            horizon=horizon,
+            start=0.0,
+            end=end,
+            f=IntegrandFamily(base=velocity_function("power_p", {"p": 2.0})),
+            g=IntegrandFamily(base=state_function("zero")),
+            state_box=(-1.0, 1.0),
+            velocity_cap=2.0,
+        )
+
+    def test_end_within_tolerance_of_the_start_is_inserted(self):
+        # the end used to overwrite the start's node, and the solve raised
+        # "start endpoint is not on the state grid"
+        problem = self.problem(1e-12)
+        xs = state_grid(problem, 9)
+        assert xs.size == 10 and 0.0 in xs and 1e-12 in xs
+        traj = solve_relaxed(problem, DPConfig(n_t=8, n_x=9))
+        assert (traj.states[0], traj.states[-1]) == (0.0, 1e-12)
+
+    def test_unresolved_gaps_raise_infeasible(self):
+        # over a step of 1 the gap's quotient merges with 0, so two pairs of
+        # one quotient reach the end's node
+        with pytest.raises(InfeasibleError, match="closer than one step's quotients"):
+            solve_relaxed(self.problem(1e-12, horizon=8.0), DPConfig(n_t=8, n_x=9))
+        # below the float resolution of the box the end stays off the grid
+        assert state_grid(self.problem(1e-300), 9).size == 9
+        with pytest.raises(InfeasibleError, match="end endpoint is not on the state grid"):
+            solve_relaxed(self.problem(1e-300), DPConfig(n_t=8, n_x=9))

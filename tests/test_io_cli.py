@@ -425,3 +425,25 @@ class TestSweepExplainsExit:
         )
         assert code == 0
         assert capsys.readouterr().err == ""
+
+
+class TestRelaxBudgetUnderPenalty:
+    """``relax`` takes the penalized solver when the file sets a penalty;
+    the speed budget must bind there as it does in the plain solve."""
+
+    def relax(self, tmp_path, capsys, theta):
+        doc = json.loads((PROBLEMS / "quadratic.json").read_text())
+        doc["numerics"].update(n_t=16, n_x=17, theta=theta)
+        path = write_problem(tmp_path, doc)
+        code = main(["relax", str(path), "--out", str(tmp_path / "traj.csv")])
+        return code, capsys.readouterr().err
+
+    def test_budget_below_every_path_is_infeasible_with_or_without_penalty(
+        self, tmp_path, capsys
+    ):
+        # every path from 0 to 1 needs a budget of at least 1.0 (Jensen)
+        theta = {"name": "power_p", "params": {"p": 2.0}, "budget": 0.5}
+        want = (3, "error: speed budget excludes every admissible path\n")
+        assert self.relax(tmp_path, capsys, theta) == want
+        assert self.relax(tmp_path, capsys, dict(theta, penalty=0.5)) == want
+        assert not (tmp_path / "traj.csv").exists()

@@ -550,6 +550,16 @@ class TestBandedKernelAgainstDenseOracle:
             lambda: solve_relaxed(problem, budgeted),
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(dp_cases())
+    def test_penalized_solve_keeps_the_budget(self, case):
+        problem, cfg, penalty, budget = case
+        penalized = replace(cfg, penalty=penalty)
+        assert_kernel_matches(
+            problem, penalized, budget, dense_reference_budget(problem, penalized, budget),
+            lambda: nagumo_penalized_solve(problem, replace(penalized, theta_budget=budget)),
+        )
+
     def test_slack_budget_path_equals_plain_path(self):
         # a budget that never binds must not change the tie-break
         loaded = parse_problem(PROBLEMS / "doublewell_concave.json")

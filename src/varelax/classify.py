@@ -8,6 +8,7 @@ probe box.  Verdicts are certificates over the probed range, not proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,9 +68,7 @@ def _erdmann_sup_on_grid(env: ConvexEnvelope, pts: np.ndarray) -> np.ndarray:
     return vals - np.minimum(lo * pts, hi * pts)
 
 
-def erdmann_value(
-    family: IntegrandFamily, t: float, xi: float, env: ConvexEnvelope
-) -> float:
+def erdmann_value(xi: float, env: ConvexEnvelope) -> float:
     """Envelope value minus the midpoint-subgradient linearization at xi."""
     p = subdifferential(env, xi).midpoint
     return evaluate_envelope(env, xi) - p * xi
@@ -263,16 +262,24 @@ def growth_constants(samples: SampledFunction) -> GrowthConstants:
 
 @dataclass(frozen=True, eq=False)
 class ProbeBox:
+    """The probe grid of the certify stage, with ``f`` and ``g`` tabulated
+    on it once; ``f**`` is built on first use."""
+
     times: np.ndarray
     states: np.ndarray
     velocities: np.ndarray
+    f_values: np.ndarray  # (times, velocities)
+    g_values: np.ndarray  # (times, states)
 
-    def __post_init__(self):
-        for name in ("times", "states", "velocities"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1 or arr.size < 2 or not np.all(np.isfinite(arr)):
-                raise CertificateError(f"probe {name} must be a finite 1-d grid")
-            object.__setattr__(self, name, arr)
+    @cached_property
+    def fstar(self) -> np.ndarray:
+        """f** on the probe velocities at each probe time: (times, velocities)."""
+        grid = Grid1D(self.velocities)
+        rows = []
+        for values in self.f_values:
+            env = lower_convex_hull(SampledFunction(grid, values))
+            rows.append(evaluate_envelope_many(env, self.velocities))
+        return np.stack(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,21 +354,15 @@ def _hull_edge_slopes(r, vmin):
     return env.edge_slopes
 
 
-def _f_on_probe(problem, probe: ProbeBox) -> np.ndarray:
-    return np.stack([problem.f.value(t, probe.velocities) for t in probe.times])  # (nt, nxi)
-
-
-def _fit_lines(problem, probe: ProbeBox, f_vals: np.ndarray) -> tuple[float, ...]:
-    """The five ``LinearBounds`` constants, from f's values on the probe box.
+def _fit_lines(problem, probe: ProbeBox) -> tuple[float, ...]:
+    """The five ``LinearBounds`` constants, from f's and g's values on the
+    probe box.
 
     Each line minimizes the maximum slack of its inequality over the probe
     grid, with ties broken toward smaller constants.
     """
-    xs, xis = probe.states, probe.velocities
-    g_vals = np.stack([problem.g.value(t, xs) for t in probe.times])  # (nt, nx)
-
     # f lower bound: -A + B|xi|
-    r_u, fmin_u, fmax_u = _pooled_radial_profile(xis, f_vals)
+    r_u, fmin_u, fmax_u = _pooled_radial_profile(probe.velocities, probe.f_values)
     slopes_f = _hull_edge_slopes(r_u, fmin_u)
     b_slope, b_intercept, _ = _fit_bound_line(
         r_u, fmin_u, fmax_u, slopes_f, tie_key=lambda s, b: (s, -b)
@@ -369,7 +370,7 @@ def _fit_lines(problem, probe: ProbeBox, f_vals: np.ndarray) -> tuple[float, ...
     f_offset, f_slope = -b_intercept, b_slope
 
     # g lower bound: -alpha - beta|x|, beta >= 0
-    rg_u, gmin_u, gmax_u = _pooled_radial_profile(xs, g_vals)
+    rg_u, gmin_u, gmax_u = _pooled_radial_profile(probe.states, probe.g_values)
     slopes_g = [s for s in _hull_edge_slopes(rg_u, gmin_u) if s <= 0.0] + [0.0]
     gb_slope, gb_intercept, _ = _fit_bound_line(
         rg_u, gmin_u, gmax_u, slopes_g, tie_key=lambda s, b: (-s, -b)
@@ -387,8 +388,7 @@ def _fit_lines(problem, probe: ProbeBox, f_vals: np.ndarray) -> tuple[float, ...
 
 def linear_bounds(problem) -> LinearBounds:
     """Fit the H1 line below f and the H2 line below g on the probe box."""
-    probe = default_probe(problem)
-    return LinearBounds(*_fit_lines(problem, probe, _f_on_probe(problem, probe)))
+    return LinearBounds(*_fit_lines(problem, default_probe(problem)))
 
 
 def hypothesis_check(problem) -> HypothesisReport:
@@ -399,23 +399,23 @@ def hypothesis_check(problem) -> HypothesisReport:
     deterministic and reproducible.  Failures are reported, never raised.
     """
     probe = default_probe(problem)
-    ts, xs, xis = probe.times, probe.states, probe.velocities
-    f_vals = _f_on_probe(problem, probe)
 
     # time Lipschitz constant of f on the probe box
-    df = np.abs(np.diff(f_vals, axis=0))
-    dt = np.diff(ts)[:, None]
+    df = np.abs(np.diff(probe.f_values, axis=0))
+    dt = np.diff(probe.times)[:, None]
     time_lip = float(np.max(df / dt))
 
     # drift bound |d(g + f**)/dt| <= c0|phi| + c1|x| + c2
-    c0, c1, c2, slack = _fit_drift_bound(problem, ts, xs, xis)
+    c0, c1, c2, slack = _fit_drift_bound(problem, probe)
 
-    # concavity / convexity probes per sampled time
-    g_concave = np.array([_midpoint_concave(problem.g, t, xs) for t in ts])
-    f_convex = np.array([_samples_convex(problem.f, t, xis) for t in ts])
+    # concavity / convexity probes per sampled time; f is convex at a time
+    # when its samples lie on their envelope
+    g_concave = _midpoint_concave(problem, probe)
+    gap = probe.f_values - probe.fstar
+    f_convex = np.max(gap, axis=1) <= 1e-9 * (1.0 + np.max(np.abs(probe.f_values), axis=1))
 
     return HypothesisReport(
-        *_fit_lines(problem, probe, f_vals),
+        *_fit_lines(problem, probe),
         time_lipschitz=time_lip,
         drift_cost_coeff=c0,
         drift_state_coeff=c1,
@@ -428,31 +428,33 @@ def hypothesis_check(problem) -> HypothesisReport:
 
 def default_probe(problem) -> ProbeBox:
     """``PROBE_TIMES`` times over the horizon, ``PROBE_STATES`` states over
-    the box and ``PROBE_VELOCITIES`` velocities over the cap."""
+    the box and ``PROBE_VELOCITIES`` velocities over the cap, with ``f`` and
+    ``g`` tabulated there."""
     lo, hi = problem.state_box
+    times = np.linspace(0.0, problem.horizon, PROBE_TIMES)
+    states = np.linspace(lo, hi, PROBE_STATES)
+    velocities = np.linspace(-problem.velocity_cap, problem.velocity_cap, PROBE_VELOCITIES)
     return ProbeBox(
-        times=np.linspace(0.0, problem.horizon, PROBE_TIMES),
-        states=np.linspace(lo, hi, PROBE_STATES),
-        velocities=np.linspace(-problem.velocity_cap, problem.velocity_cap, PROBE_VELOCITIES),
+        times=times,
+        states=states,
+        velocities=velocities,
+        f_values=np.stack([problem.f.value(t, velocities) for t in times]),
+        g_values=np.stack([problem.g.value(t, states) for t in times]),
     )
 
 
-def _midpoint_concave(family: IntegrandFamily, t: float, xs: np.ndarray) -> bool:
-    vals = family.value(t, xs)
-    xi, xj = np.meshgrid(xs, xs)
-    vi, vj = np.meshgrid(vals, vals)
-    mids = family.value(t, (xi + xj) / 2.0)
-    return bool(np.all(mids >= (vi + vj) / 2.0 - 1e-9))
+def _midpoint_concave(problem, probe: ProbeBox) -> np.ndarray:
+    """Midpoint concavity of g over the probe states, per probe time."""
+    xi, xj = np.meshgrid(probe.states, probe.states)
+    concave = []
+    for t, vals in zip(probe.times, probe.g_values):
+        vi, vj = np.meshgrid(vals, vals)
+        mids = problem.g.value(t, (xi + xj) / 2.0)
+        concave.append(bool(np.all(mids >= (vi + vj) / 2.0 - 1e-9)))
+    return np.array(concave)
 
 
-def _samples_convex(family: IntegrandFamily, t: float, xis: np.ndarray) -> bool:
-    samples = family.sample(t, Grid1D(xis))
-    env = lower_convex_hull(samples)
-    gap = samples.values - evaluate_envelope_many(env, xis)
-    return bool(np.max(gap) <= 1e-9 * (1.0 + float(np.max(np.abs(samples.values)))))
-
-
-def _fit_drift_bound(problem, ts, xs, xis):
+def _fit_drift_bound(problem, probe: ProbeBox):
     """(c0, c1, c2, slack) of |d phi/dt| <= c0*|phi| + c1*|x| + c2.
 
     An autonomous problem has d phi/dt = 0 at every probe point, so every
@@ -460,31 +462,28 @@ def _fit_drift_bound(problem, ts, xs, xis):
     """
     if problem.autonomous:
         return 0.0, 0.0, 0.0, 0.0
-    return _drift_lp(*_drift_samples(problem, ts, xs, xis))
+    return _drift_lp(*_drift_samples(problem, probe))
 
 
-def _drift_samples(problem, ts, xs, xis):
+def _drift_samples(problem, probe: ProbeBox):
     """|phi|, |x| and the central-difference |d phi/dt| at every probe point,
-    where phi = g + f** on the (time, state, velocity) probe grid."""
+    where phi = g + f** on the (time, state, velocity) probe grid; only the
+    envelopes at t +- delta are built here."""
+    ts, xs, xis = probe.times, probe.states, probe.velocities
     grid = Grid1D(xis)
     span = float(ts[-1] - ts[0])
     step = span / (4.0 * (ts.size - 1))
 
-    def fstar(t):
+    def phi(t):
         env = lower_convex_hull(problem.f.sample(t, grid))
-        return evaluate_envelope_many(env, xis)
+        return problem.g.value(t, xs)[:, None] + evaluate_envelope_many(env, xis)[None, :]
 
-    phis, vels = [], []
+    vels = []
     for t in ts:
-        phi_t = problem.g.value(t, xs)[:, None] + fstar(t)[None, :]
         t_lo = max(t - step, float(ts[0]))
         t_hi = min(t + step, float(ts[-1]))
-        phi_lo = problem.g.value(t_lo, xs)[:, None] + fstar(t_lo)[None, :]
-        phi_hi = problem.g.value(t_hi, xs)[:, None] + fstar(t_hi)[None, :]
-        v_t = (phi_hi - phi_lo) / (t_hi - t_lo)
-        phis.append(phi_t)
-        vels.append(v_t)
-    abs_phi = np.abs(np.stack(phis)).ravel()
+        vels.append((phi(t_hi) - phi(t_lo)) / (t_hi - t_lo))
+    abs_phi = np.abs(probe.g_values[:, :, None] + probe.fstar[:, None, :]).ravel()
     abs_v = np.abs(np.stack(vels)).ravel()
     abs_x = np.abs(np.broadcast_to(xs[None, :, None], (ts.size, xs.size, xis.size))).ravel()
     return abs_phi, abs_x, abs_v

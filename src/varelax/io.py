@@ -206,20 +206,16 @@ def _write_text(path: str | Path, text: str) -> None:
 
 def emit_trajectory(trajectory: Trajectory, path: str | Path) -> None:
     """Write node rows ``t,x,xdot``; the last row repeats the final velocity."""
-    lines = ["t,x,xdot"]
     vels = np.append(trajectory.velocities, trajectory.velocities[-1])
-    for t, x, v in zip(trajectory.times, trajectory.states, vels):
-        lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(v)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    emit_plot_data({"t": trajectory.times, "x": trajectory.states, "xdot": vels}, path)
 
 
 def emit_reconstructed(rec, path: str | Path) -> None:
-    lines = ["t,x,xdot,piece"]
+    """Write node rows ``t,x,xdot,piece``; the last row repeats the final
+    velocity and piece label, and labels print as whole numbers."""
     vels = np.append(rec.velocities, rec.velocities[-1])
     pieces = np.append(rec.piece, rec.piece[-1])
-    for t, x, v, p in zip(rec.times, rec.states, vels, pieces):
-        lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(v)},{int(p)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    emit_plot_data({"t": rec.times, "x": rec.states, "xdot": vels, "piece": pieces}, path)
 
 
 def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajectory:
@@ -323,11 +319,11 @@ def emit_report(payload, path: str | Path) -> None:
 
 
 def emit_plot_data(columns: dict[str, np.ndarray], path: str | Path) -> None:
-    """Plain CSV of aligned columns for external plotting tools."""
+    """Plain CSV of aligned columns, every cell at 17 significant digits;
+    the trajectory CSVs and the plot-data files share it."""
     names = list(columns)
-    arrays = [np.asarray(columns[n], dtype=float) for n in names]
-    length = arrays[0].size
+    arrays = [np.asarray(columns[n], dtype=float).tolist() for n in names]
     lines = [",".join(names)]
-    for i in range(length):
-        lines.append(",".join(_fmt(a[i]) for a in arrays))
+    for row in zip(*arrays):
+        lines.append(",".join(_fmt(v) for v in row))
     _write_text(path, "\n".join(lines) + "\n")

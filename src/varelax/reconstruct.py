@@ -9,7 +9,7 @@ only degree of freedom that affects cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from .discretize import Discretization
 from .problem import DPConfig, Problem, Trajectory
 
 ORDER_TIE_TOL = 1e-12
+# The probe grid of g's state Lipschitz constant in ``compare_costs``:
+# times over the horizon by states over the box.
+LIPSCHITZ_TIMES, LIPSCHITZ_STATES = 9, 129
 
 
 @dataclass(eq=False)
@@ -26,9 +29,12 @@ class VelocityDecompositionTrack:
 
     decompositions: tuple[CaratheodoryDecomposition, ...]
     support_radius: float
-    selection_note: str = (
-        "discrete time grid: the selection behind the splittings is "
-        "piecewise constant, one decomposition per interval"
+    selection_note: str = field(
+        init=False,
+        default=(
+            "discrete time grid: the selection behind the splittings is "
+            "piecewise constant, one decomposition per interval"
+        ),
     )
 
     @property
@@ -157,7 +163,14 @@ class CostComparison:
     total_gap: float
     f_tolerance: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.passed = bool(
+            abs(self.f_gap) <= self.f_tolerance
+            and self.total_reconstructed
+            <= self.total_relaxed + self.tolerance + self.f_tolerance
+        )
 
 
 def compare_costs(
@@ -177,7 +190,6 @@ def compare_costs(
     f_gap = reconstructed.f_cost - relaxed.f_cost
     g_gap = reconstructed.g_cost - relaxed.g_cost
     total_gap = reconstructed.total - relaxed.value
-    passed = abs(f_gap) <= f_tol and reconstructed.total <= relaxed.value + tol + f_tol
     return CostComparison(
         f_relaxed=relaxed.f_cost,
         g_relaxed=relaxed.g_cost,
@@ -190,15 +202,14 @@ def compare_costs(
         total_gap=float(total_gap),
         f_tolerance=float(f_tol),
         tolerance=float(tol),
-        passed=bool(passed),
     )
 
 
-def _state_lipschitz(problem: Problem, n_t: int = 9, n_x: int = 129) -> float:
+def _state_lipschitz(problem: Problem) -> float:
     lo, hi = problem.state_box
-    xs = np.linspace(lo, hi, n_x)
+    xs = np.linspace(lo, hi, LIPSCHITZ_STATES)
     worst = 0.0
-    for t in np.linspace(0.0, problem.horizon, n_t):
+    for t in np.linspace(0.0, problem.horizon, LIPSCHITZ_TIMES):
         vals = problem.g.value(float(t), xs)
         worst = max(worst, float(np.max(np.abs(np.diff(vals) / np.diff(xs)))))
     return worst

@@ -192,12 +192,11 @@ def _assemble(
     ), penalty_cost
 
 
-def _solve(
-    problem: Problem, cfg: DPConfig, tab: _Tables, budget: float | None = None
-) -> Trajectory:
-    value, idx, qidx = _dp(tab, cfg, budget, want_path=True)
+def _solve(problem: Problem, cfg: DPConfig, tab: _Tables) -> Trajectory:
+    """The minimizer of the DP under ``cfg``, its speed budget included."""
+    value, idx, qidx = _dp(tab, cfg, cfg.theta_budget, want_path=True)
     if value is None:
-        if budget is None:
+        if cfg.theta_budget is None:
             raise InfeasibleError("no admissible grid path connects the endpoints")
         raise InfeasibleError("speed budget excludes every admissible path")
     return _checked(problem, cfg, tab, value, idx, qidx)
@@ -225,7 +224,7 @@ def solve_relaxed(problem: Problem, cfg: DPConfig) -> Trajectory:
     is ignored here; ``nagumo_penalized_solve`` owns it.
     """
     base = replace(cfg, penalty=0.0)
-    return _solve(problem, base, _tables(problem, base), cfg.theta_budget)
+    return _solve(problem, base, _tables(problem, base))
 
 
 def nagumo_penalized_solve(problem: Problem, cfg: DPConfig) -> Trajectory:
@@ -238,7 +237,7 @@ def nagumo_penalized_solve(problem: Problem, cfg: DPConfig) -> Trajectory:
     """
     if cfg.theta is None:
         raise CertificateError("penalized solve requires a Nagumo entry")
-    return _solve(problem, cfg, _tables(problem, cfg), cfg.theta_budget)
+    return _solve(problem, cfg, _tables(problem, cfg))
 
 
 def _fewest_units(tab: _Tables, cfg: DPConfig, units: np.ndarray) -> float:

@@ -7,19 +7,28 @@ Closed-form linearization defects used below (all hand-differentiated):
   sqrt(1+x^2)  -> 1/sqrt(1+x^2)                        (bounded)
 """
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varelax import classify
 from varelax.catalog import state_function, time_factor, velocity_function
 from varelax.classify import (
+    PROBE_STATES,
+    PROBE_TIMES,
+    PROBE_VELOCITIES,
     ProbeBox,
     _drift_lp,
     _drift_samples,
+    _fit_bound_line,
     _fit_drift_bound,
+    _hull_edge_slopes,
+    _pooled_radial_profile,
     class_e_certificate,
     default_probe,
     erdmann_value,
@@ -29,10 +38,19 @@ from varelax.classify import (
     linear_bounds,
     sci_certificate,
 )
-from varelax.convex import Grid1D, SampledFunction, lower_convex_hull, subdifferential
+from varelax.convex import (
+    Grid1D,
+    SampledFunction,
+    evaluate_envelope_many,
+    lower_convex_hull,
+    subdifferential,
+)
 from varelax.errors import CertificateError
 from varelax.families import IntegrandFamily
+from varelax.io import parse_problem
 from varelax.problem import Problem
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def family(name, params=None, modulation=None, mod_params=None, factor=None, f_params=None):
@@ -53,19 +71,19 @@ class TestErdmannValue:
         grid = Grid1D(np.linspace(-5.0, 5.0, 101))
         env = lower_convex_hull(fam.sample(0.0, grid))
         # chord-midpoint slope at an interior parabola node is the true derivative
-        assert erdmann_value(fam, 0.0, 3.0, env) == pytest.approx(-9.0, abs=1e-12)
+        assert erdmann_value(3.0, env) == pytest.approx(-9.0, abs=1e-12)
 
     def test_abs(self):
         fam = family("abs")
         grid = Grid1D(np.linspace(-8.0, 8.0, 33))
         env = lower_convex_hull(fam.sample(0.0, grid))
-        assert erdmann_value(fam, 0.0, 5.0, env) == pytest.approx(0.0, abs=1e-12)
+        assert erdmann_value(5.0, env) == pytest.approx(0.0, abs=1e-12)
 
     def test_sqrt_one_plus_at_origin(self):
         fam = family("sqrt_one_plus")
         grid = Grid1D(np.linspace(-4.0, 4.0, 65))
         env = lower_convex_hull(fam.sample(0.0, grid))
-        assert erdmann_value(fam, 0.0, 0.0, env) == pytest.approx(1.0, abs=1e-12)
+        assert erdmann_value(0.0, env) == pytest.approx(1.0, abs=1e-12)
 
     def test_selection_invariant_at_degenerate_points(self):
         fam = family("power_p", {"p": 2.0})
@@ -77,9 +95,7 @@ class TestErdmannValue:
         from varelax.convex import evaluate_envelope
 
         for p in (sub.lo, sub.hi, sub.midpoint):
-            assert evaluate_envelope(env, xi) - p * xi == erdmann_value(
-                fam, 0.0, xi, env
-            )
+            assert evaluate_envelope(env, xi) - p * xi == erdmann_value(xi, env)
 
 
 class TestClassECertificate:
@@ -375,11 +391,10 @@ class TestDriftShortcut:
     def test_lp_gives_exact_zeros_for_autonomous_problems(self, problem):
         # the shortcut returns what the LP returns on the real probe samples
         probe = default_probe(problem)
-        ts, xs, xis = probe.times, probe.states, probe.velocities
-        abs_phi, abs_x, abs_v = _drift_samples(problem, ts, xs, xis)
+        abs_phi, abs_x, abs_v = _drift_samples(problem, probe)
         assert problem.autonomous and not np.any(abs_v)
         fitted = _drift_lp(abs_phi, abs_x, np.zeros_like(abs_v))
-        shortcut = _fit_drift_bound(problem, ts, xs, xis)
+        shortcut = _fit_drift_bound(problem, probe)
         for values in (fitted, shortcut):
             assert values == (0.0, 0.0, 0.0, 0.0)
             assert [math.copysign(1.0, v) for v in values] == [1.0] * 4  # no -0.0
@@ -405,6 +420,134 @@ class TestLinearBounds:
             report.g_bound_slope,
             report.slope_margin,
         )
+
+
+def per_probe_reference(problem):
+    """``hypothesis_check``'s fields and drift samples by per-probe formulas:
+    each probe evaluates f, g and f** at the probe points itself, and the
+    drift probe builds the envelope at every probe time as well as at
+    t +- delta.  The line fits and the LP are the library's own."""
+    lo, hi = problem.state_box
+    ts = np.linspace(0.0, problem.horizon, PROBE_TIMES)
+    xs = np.linspace(lo, hi, PROBE_STATES)
+    xis = np.linspace(-problem.velocity_cap, problem.velocity_cap, PROBE_VELOCITIES)
+    f_vals = np.stack([problem.f.value(t, xis) for t in ts])
+    g_vals = np.stack([problem.g.value(t, xs) for t in ts])
+
+    r_u, fmin_u, fmax_u = _pooled_radial_profile(xis, f_vals)
+    f_slope, f_intercept, _ = _fit_bound_line(
+        r_u, fmin_u, fmax_u, _hull_edge_slopes(r_u, fmin_u), tie_key=lambda s, b: (s, -b)
+    )
+    rg_u, gmin_u, gmax_u = _pooled_radial_profile(xs, g_vals)
+    slopes_g = [s for s in _hull_edge_slopes(rg_u, gmin_u) if s <= 0.0] + [0.0]
+    gb_slope, gb_intercept, _ = _fit_bound_line(
+        rg_u, gmin_u, gmax_u, slopes_g, tie_key=lambda s, b: (-s, -b)
+    )
+    g_slope = -gb_slope
+    fields = dict(
+        f_bound_offset=float(-f_intercept),
+        f_bound_slope=float(f_slope),
+        g_bound_offset=float(-gb_intercept),
+        g_bound_slope=float(g_slope),
+        slope_margin=float(f_slope / problem.horizon - g_slope),
+    )
+    fields["h1_pass"] = bool(fields["f_bound_slope"] > 0.0)
+    fields["h2_pass"] = bool(fields["g_bound_slope"] >= 0.0 and fields["slope_margin"] > 0.0)
+    fields["time_lipschitz"] = float(
+        np.max(np.abs(np.diff(f_vals, axis=0)) / np.diff(ts)[:, None])
+    )
+
+    def fstar(t):
+        env = lower_convex_hull(problem.f.sample(t, Grid1D(xis)))
+        return evaluate_envelope_many(env, xis)
+
+    def phi(t):
+        return problem.g.value(t, xs)[:, None] + fstar(t)[None, :]
+
+    step = float(ts[-1] - ts[0]) / (4.0 * (ts.size - 1))
+    phis, rates = [], []
+    for t in ts:
+        t_lo = max(t - step, float(ts[0]))
+        t_hi = min(t + step, float(ts[-1]))
+        phis.append(phi(t))
+        rates.append((phi(t_hi) - phi(t_lo)) / (t_hi - t_lo))
+    samples = (
+        np.abs(np.stack(phis)).ravel(),
+        np.abs(np.broadcast_to(xs[None, :, None], (ts.size, xs.size, xis.size))).ravel(),
+        np.abs(np.stack(rates)).ravel(),
+    )
+    drift = (0.0, 0.0, 0.0, 0.0) if problem.autonomous else _drift_lp(*samples)
+    for name, value in zip(
+        ("drift_cost_coeff", "drift_state_coeff", "drift_const", "drift_slack"), drift
+    ):
+        fields[name] = value
+
+    concave, convex = [], []
+    for t in ts:
+        vals = problem.g.value(t, xs)
+        xi, xj = np.meshgrid(xs, xs)
+        vi, vj = np.meshgrid(vals, vals)
+        mids = problem.g.value(t, (xi + xj) / 2.0)
+        concave.append(bool(np.all(mids >= (vi + vj) / 2.0 - 1e-9)))
+        f_samples = problem.f.sample(t, Grid1D(xis))
+        env = lower_convex_hull(f_samples)
+        gap = f_samples.values - evaluate_envelope_many(env, xis)
+        scale = 1.0 + float(np.max(np.abs(f_samples.values)))
+        convex.append(bool(np.max(gap) <= 1e-9 * scale))
+    fields["g_concave_per_t"] = np.array(concave)
+    fields["f_convex_per_t"] = np.array(convex)
+    return fields, samples
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestProbeTable:
+    @pytest.mark.parametrize("autonomous", [True, False])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_reports_match_per_probe_formulas(self, autonomous, data):
+        problem = data.draw(compositions(autonomous))
+        want, samples = per_probe_reference(problem)
+        report = hypothesis_check(problem)
+        bounds = linear_bounds(problem)
+        for f in dataclasses.fields(report):
+            assert same_bits(getattr(report, f.name), want[f.name]), f.name
+        for f in dataclasses.fields(bounds):
+            assert same_bits(getattr(bounds, f.name), want[f.name]), f.name
+        for got, expected in zip(_drift_samples(problem, default_probe(problem)), samples):
+            assert same_bits(got, expected)
+
+    @staticmethod
+    def costs(monkeypatch, name):
+        """(hulls built, points at which f is evaluated) by one hypothesis_check."""
+        problem = parse_problem(PROBLEMS / name).problem
+        hulls, points = [], []
+        build, value = classify.lower_convex_hull, IntegrandFamily.value
+
+        def counted_build(samples):
+            hulls.append(1)
+            return build(samples)
+
+        def counted_value(family, t, y):
+            if family is problem.f:
+                points.append(np.size(y))
+            return value(family, t, y)
+
+        monkeypatch.setattr(classify, "lower_convex_hull", counted_build)
+        monkeypatch.setattr(IntegrandFamily, "value", counted_value)
+        hypothesis_check(problem)
+        return len(hulls), sum(points)
+
+    def test_time_varying_problem_tabulates_f_once(self, monkeypatch):
+        # f: the 9 x 65 table, then 65 velocities at each of 18 times t +- delta;
+        # hulls: 9 of the table, 18 at t +- delta and 2 for the line fits
+        assert self.costs(monkeypatch, "doublewell_timevarying.json") == (29, 1755)
+
+    def test_autonomous_problem_tabulates_f_once(self, monkeypatch):
+        assert self.costs(monkeypatch, "doublewell.json") == (11, 585)
 
 
 class TestAutonomousClassE:

@@ -390,6 +390,19 @@ class TestCliExitCodes:
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
 
+class TestSolveTolerance:
+    def test_tol_replaces_only_the_state_cost_slack(self, tmp_path):
+        # at 37x41 the reconstruction's velocity cost exceeds the relaxed one
+        # by a few ulps, inside f_tolerance, and the state costs agree
+        out = tmp_path / "solution.json"
+        argv = ["solve", str(PROBLEMS / "doublewell.json"), "--n-t", "37", "--n-x", "41"]
+        assert main(argv + ["--tol", "0", "--out", str(out)]) == 0
+        comparison = json.loads(out.read_text())["comparison"]
+        assert comparison["tolerance"] == 0.0
+        assert 0.0 < comparison["total_gap"] <= comparison["f_tolerance"]
+        assert comparison["passed"] is True
+
+
 class TestSweepExplainsExit:
     def test_readme_sweep_names_the_infeasible_budgets(self, tmp_path, capsys):
         # at the shipped 256x256 every budget up to l = 4 needs more than

@@ -5,6 +5,8 @@ support points exactly at the wells, so splittings, costs, and orderings
 all have closed forms.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from varelax.catalog import state_function, velocity_function
@@ -177,3 +179,22 @@ class TestCompareCosts:
             gaps.append(abs(cmp.total_gap))
         assert gaps[1] <= 0.7 * gaps[0]
         assert gaps[1] > 0.0
+
+    def test_verdict_follows_a_replaced_tolerance(self):
+        # a reconstruction whose state cost exceeds the relaxed one by 0.01
+        cfg = DPConfig(n_t=16, n_x=17)
+        traj = solve_relaxed(CLIPPED_CONCAVE, cfg)
+        rec = rearrange(CLIPPED_CONCAVE, traj, decompose_velocities(CLIPPED_CONCAVE, traj, cfg))
+        cmp = compare_costs(CLIPPED_CONCAVE, traj, replace(rec, g_cost=traj.g_cost + 0.01))
+        assert cmp.f_tolerance > 0.0 and cmp.total_gap > 0.0
+        edge = cmp.total_gap - cmp.f_tolerance  # the smallest tolerance that passes
+        verdicts = []
+        for tol in (0.0, cmp.tolerance, 0.5 * edge, edge - 1e-9, edge + 1e-9, 0.02):
+            got = replace(cmp, tolerance=tol)
+            assert got.tolerance == tol
+            assert got.passed == (
+                abs(cmp.f_gap) <= cmp.f_tolerance
+                and cmp.total_reconstructed <= cmp.total_relaxed + tol + cmp.f_tolerance
+            )
+            verdicts.append(got.passed)
+        assert verdicts == [False, False, False, False, True, True]

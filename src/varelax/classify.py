@@ -38,6 +38,9 @@ FSTAR_GRID_POINTS = 513
 # The probe box: times over the horizon, states over the box, velocities
 # over the cap.
 PROBE_TIMES, PROBE_STATES, PROBE_VELOCITIES = 9, 33, 65
+# Pivot cap of each drift LP, per LP row: Bland's rule never cycles, so
+# reaching it means the arithmetic went astray.
+LP_PIVOTS_PER_ROW = 20
 
 
 def default_radius_schedule() -> np.ndarray:
@@ -273,13 +276,16 @@ class ProbeBox:
 
     @cached_property
     def fstar(self) -> np.ndarray:
-        """f** on the probe velocities at each probe time: (times, velocities)."""
+        """f** on the probe velocities at each probe time: (times, velocities);
+        when ``f`` is the same at every probe time, one envelope serves all."""
         grid = Grid1D(self.velocities)
-        rows = []
-        for values in self.f_values:
-            env = lower_convex_hull(SampledFunction(grid, values))
-            rows.append(evaluate_envelope_many(env, self.velocities))
-        return np.stack(rows)
+        same = np.all(self.f_values == self.f_values[0])
+        tables = self.f_values[:1] if same else self.f_values
+        rows = [
+            evaluate_envelope_many(lower_convex_hull(SampledFunction(grid, v)), self.velocities)
+            for v in tables
+        ]
+        return np.repeat(rows, self.times.size // len(rows), axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,21 +474,24 @@ def _fit_drift_bound(problem, probe: ProbeBox):
 def _drift_samples(problem, probe: ProbeBox):
     """|phi|, |x| and the central-difference |d phi/dt| at every probe point,
     where phi = g + f** on the (time, state, velocity) probe grid; only the
-    envelopes at t +- delta are built here."""
+    envelopes at t +- delta inside the horizon are built here, the clamped
+    ends read the probe table."""
     ts, xs, xis = probe.times, probe.states, probe.velocities
     grid = Grid1D(xis)
     span = float(ts[-1] - ts[0])
     step = span / (4.0 * (ts.size - 1))
 
-    def phi(t):
+    def phi(t, k):
+        if t == ts[k]:  # clamped to the horizon: the k-th probe time itself
+            return probe.g_values[k][:, None] + probe.fstar[k][None, :]
         env = lower_convex_hull(problem.f.sample(t, grid))
         return problem.g.value(t, xs)[:, None] + evaluate_envelope_many(env, xis)[None, :]
 
     vels = []
-    for t in ts:
+    for k, t in enumerate(ts):
         t_lo = max(t - step, float(ts[0]))
         t_hi = min(t + step, float(ts[-1]))
-        vels.append((phi(t_hi) - phi(t_lo)) / (t_hi - t_lo))
+        vels.append((phi(t_hi, k) - phi(t_lo, k)) / (t_hi - t_lo))
     abs_phi = np.abs(probe.g_values[:, :, None] + probe.fstar[:, None, :]).ravel()
     abs_v = np.abs(np.stack(vels)).ravel()
     abs_x = np.abs(np.broadcast_to(xs[None, :, None], (ts.size, xs.size, xis.size))).ravel()
@@ -490,39 +499,140 @@ def _drift_samples(problem, probe: ProbeBox):
 
 
 def _drift_lp(abs_phi, abs_x, abs_v):
-    """Drift constants and slack from two HiGHS LPs; scipy loads on first call."""
-    from scipy.optimize import linprog
+    """Drift constants and slack from two LPs over c = (c0, c1, c2) >= 0.
 
-    # Two-phase LP: minimize the maximum slack, then shrink the constants.
-    n = abs_phi.size
-    a_low = np.column_stack([-abs_phi, -abs_x, -np.ones(n), np.zeros(n)])
-    a_high = np.column_stack([abs_phi, abs_x, np.ones(n), -np.ones(n)])
-    a_ub = np.vstack([a_low, a_high])
-    b_ub = np.concatenate([-abs_v, abs_v])
-    res1 = linprog(
-        c=[0.0, 0.0, 0.0, 1.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0, None)] * 4,
-        method="highs",
+    Phase 1 minimizes the largest slack t of c0|phi| + c1|x| + c2 >= |v|;
+    phase 2 minimizes c0 + c1 + c2 with the slack capped just above that
+    optimum.  Only the rows no other row dominates can bind, so both LPs
+    run on those (``_undominated``); the reported slack is the largest
+    over every sample.
+    """
+    samples = np.column_stack([abs_phi, abs_x, abs_v])
+    if not np.all(np.isfinite(samples)):
+        raise CertificateError("drift-bound fit failed: the drift samples are not all finite")
+    low, high = _undominated(samples)
+    # columns (c2, t, c0, c1): the unit columns first, see _lp_vertex
+    ones_lo, ones_hi = np.ones(len(low)), np.ones(len(high))
+    a_ub = np.vstack(
+        [
+            -np.column_stack([ones_lo, np.zeros(len(low)), low[:, 0], low[:, 1]]),
+            np.column_stack([ones_hi, -ones_hi, high[:, 0], high[:, 1]]),
+        ]
     )
-    if not res1.success:
-        raise CertificateError(f"drift-bound fit failed: {res1.message}")
-    slack_cap = float(res1.x[3]) * (1.0 + 1e-9) + 1e-12
-    a_ub2 = np.vstack([a_low[:, :3], a_high[:, :3]])
-    b_ub2 = np.concatenate([-abs_v, abs_v + slack_cap])
-    res2 = linprog(
-        c=[1.0, 1.0, 1.0],
-        A_ub=a_ub2,
-        b_ub=b_ub2,
-        bounds=[(0, None)] * 3,
-        method="highs",
-    )
-    if not res2.success:
-        raise CertificateError(f"drift-bound refinement failed: {res2.message}")
-    c0, c1, c2 = (float(v) for v in res2.x)
+    b_ub = np.concatenate([-low[:, 2], high[:, 2]])
+    t_min = _lp_vertex(np.array([0.0, 1.0, 0.0, 0.0]), a_ub, b_ub)[1]
+    slack_cap = float(t_min) * (1.0 + 1e-9) + 1e-12
+    b_ub2 = np.concatenate([-low[:, 2], high[:, 2] + slack_cap])
+    c2, c0, c1 = (float(v) for v in _lp_vertex(np.ones(3), a_ub[:, [0, 2, 3]], b_ub2))
     slack = float(np.max(c0 * abs_phi + c1 * abs_x + c2 - abs_v))
     return c0, c1, c2, slack
+
+
+def _undominated(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high): the distinct rows (|phi|, |x|, |v|) of ``samples`` that
+    no other row dominates for the lower inequality, that is with
+    phi' <= phi, x' <= x and v' >= v, and for the upper one, with the
+    reverse."""
+    rows = np.unique(samples, axis=0)
+    return rows[_skyline(rows)], rows[_skyline(-rows)]
+
+
+def _skyline(rows: np.ndarray) -> np.ndarray:
+    """Mask of the distinct rows (phi, x, v) that no other row dominates
+    with phi' <= phi, x' <= x and v' >= v.
+
+    Sorted by (phi, x, -v), a row's dominators all come before it, so a
+    row is dominated iff an earlier row on a level x' <= x has v' >= v: a
+    running maximum of v along each x level, then a cumulative one across
+    levels.
+    """
+    phi, x, v = rows.T
+    order = np.lexsort((-v, x, phi))
+    v_sorted = v[order]
+    _, level = np.unique(x[order], return_inverse=True)
+    best = np.full(v_sorted.size, -np.inf)  # max v at or before each position
+    keep = np.empty(v_sorted.size, dtype=bool)
+    for k in range(level.max() + 1):
+        on = level == k
+        np.maximum(best, np.maximum.accumulate(np.where(on, v_sorted, -np.inf)), out=best)
+        before = np.concatenate([[-np.inf], best[:-1]])
+        keep[on] = before[on] < v_sorted[on]
+    mask = np.empty_like(keep)
+    mask[order] = keep
+    return mask
+
+
+def _lp_vertex(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
+    """A minimizer of cost . y subject to a_ub @ y <= b_ub and y >= 0, for
+    cost >= 0.
+
+    The dense simplex runs on the dual, min b_ub . u subject to
+    -a_ub.T @ u <= cost and u >= 0, whose origin is feasible because
+    cost >= 0; Bland's rule picks the entering and leaving variables, so
+    it cannot cycle.  The vertex is then recomputed from the final basis:
+    the rows whose multipliers are basic hold with equality, the columns
+    whose dual slacks are basic are +0.0, and the other columns solve that
+    square system (``_solve_in_column_order``).
+    """
+    m, n = a_ub.shape
+    tab = np.hstack([-a_ub.T, np.eye(n), cost[:, None]])
+    reduced = np.concatenate([b_ub, np.zeros(n)])
+    basis = list(range(m, m + n))
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(b_ub))), float(np.max(np.abs(a_ub))))
+    cap = LP_PIVOTS_PER_ROW * m
+    for pivot in range(cap + 1):
+        entering = np.flatnonzero(reduced < -tol)
+        if entering.size == 0:
+            break
+        if pivot == cap:
+            raise CertificateError(
+                f"drift-bound fit failed: the simplex took more than {cap} pivots"
+            )
+        j = int(entering[0])
+        rising = np.flatnonzero(tab[:, j] > tol)
+        if rising.size == 0:
+            raise CertificateError("drift-bound fit failed: the LP is infeasible")
+        ratios = tab[rising, -1] / tab[rising, j]
+        ties = rising[ratios <= ratios.min() + tol]
+        i = min(ties, key=lambda r: basis[r])
+        tab[i] /= tab[i, j]
+        for r in range(n):
+            if r != i:
+                tab[r] -= tab[r, j] * tab[i]
+        reduced -= reduced[j] * tab[i, :-1]
+        basis[i] = j
+
+    rows = sorted(k for k in basis if k < m)
+    cols = [j for j in range(n) if m + j not in basis]
+    y = np.zeros(n)
+    y[cols] = _solve_in_column_order(a_ub[np.ix_(rows, cols)], b_ub[rows])
+    return np.maximum(y, 0.0) + 0.0  # no -0.0
+
+
+def _solve_in_column_order(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a square system by Gaussian elimination of its columns in
+    order, each on the first remaining row of largest magnitude, then back
+    substitution.  A column of units put first is eliminated by exact
+    subtractions, so rounding enters only in the columns after it."""
+    mat, rhs = mat.copy(), rhs.copy()
+    size = rhs.size
+    pivots, free = [], list(range(size))
+    for c in range(size):
+        p = max(free, key=lambda r: abs(mat[r, c]))
+        free.remove(p)
+        pivots.append(p)
+        for r in free:
+            factor = mat[r, c] / mat[p, c]
+            mat[r, c:] -= factor * mat[p, c:]
+            rhs[r] -= factor * rhs[p]
+    x = np.zeros(size)
+    for c in reversed(range(size)):
+        p = pivots[c]
+        rest = rhs[p]
+        for k in range(c + 1, size):
+            rest -= mat[p, k] * x[k]
+        x[c] = rest / mat[p, c]
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from varelax.classify import (
     _fit_drift_bound,
     _hull_edge_slopes,
     _pooled_radial_profile,
+    _undominated,
     class_e_certificate,
     default_probe,
     erdmann_value,
@@ -400,6 +401,123 @@ class TestDriftShortcut:
             assert [math.copysign(1.0, v) for v in values] == [1.0] * 4  # no -0.0
 
 
+def lp_calls(monkeypatch):
+    """Record (cost, a_ub, b_ub, vertex) of every ``_lp_vertex`` call."""
+    calls, solve = [], classify._lp_vertex
+
+    def recorded(cost, a_ub, b_ub):
+        vertex = solve(cost, a_ub, b_ub)
+        calls.append((cost, a_ub, b_ub, vertex))
+        return vertex
+
+    monkeypatch.setattr(classify, "_lp_vertex", recorded)
+    return calls
+
+
+def highs_drift_optima(abs_phi, abs_x, abs_v):
+    """The phase-1 and phase-2 optima of the drift LP over every sample, by
+    HiGHS with tolerances below the comparison's."""
+    from scipy.optimize import linprog
+
+    n = abs_phi.size
+    a_ub = np.vstack(
+        [
+            np.column_stack([-abs_phi, -abs_x, -np.ones(n), np.zeros(n)]),
+            np.column_stack([abs_phi, abs_x, np.ones(n), -np.ones(n)]),
+        ]
+    )
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    bounds = [(0, None)] * 4
+    b_ub = np.concatenate([-abs_v, abs_v])
+    phase1 = linprog([0, 0, 0, 1], A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=tight)
+    slack_cap = phase1.fun * (1.0 + 1e-9) + 1e-12
+    b_ub2 = np.concatenate([-abs_v, abs_v + slack_cap])
+    phase2 = linprog([1, 1, 1], A_ub=a_ub[:, :3], b_ub=b_ub2, bounds=bounds[:3], options=tight)
+    assert phase1.success and phase2.success
+    return phase1.fun, phase2.fun
+
+
+few_values = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+class TestDriftLP:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(few_values, few_values, few_values), min_size=1, max_size=40))
+    def test_undominated_rows_match_pairwise_oracle(self, samples):
+        # few values per column, so duplicate rows and ties are common
+        low, high = _undominated(np.array(samples))
+        distinct = sorted(set(samples))
+
+        def undominated(beats):
+            return [r for r in distinct if not any(beats(o, r) for o in distinct if o != r)]
+
+        assert list(map(tuple, low.tolist())) == undominated(
+            lambda o, r: o[0] <= r[0] and o[1] <= r[1] and o[2] >= r[2]
+        )
+        assert list(map(tuple, high.tolist())) == undominated(
+            lambda o, r: o[0] >= r[0] and o[1] >= r[1] and o[2] <= r[2]
+        )
+
+    @settings(max_examples=6, deadline=None)
+    @given(compositions(autonomous=False))
+    def test_vertices_are_optimal(self, problem):
+        from scipy.optimize import nnls
+
+        samples = _drift_samples(problem, default_probe(problem))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = lp_calls(monkeypatch)
+            c0, c1, c2, slack = _drift_lp(*samples)
+        assert len(calls) == 2
+        for cost, a_ub, b_ub, y in calls:
+            tol = 1e-9 * (1.0 + np.max(np.abs(b_ub)))
+            gap = b_ub - a_ub @ y
+            assert np.all(y >= 0.0) and np.all(gap >= -tol)  # primal feasible
+            # multipliers u >= 0 on the tight rows and mu >= 0 on the zero
+            # columns with cost + a_ub.T u - mu = 0 (stationarity); complementary
+            # slackness holds by the choice of rows and columns
+            tight, zero = gap <= tol, y == 0.0
+            system = np.hstack([a_ub[tight].T, -np.eye(y.size)[:, zero]])
+            multipliers, residual = nnls(system, -cost)
+            assert residual <= 1e-9
+            assert multipliers[: tight.sum()] @ gap[tight] <= 1e-9
+        abs_phi, abs_x, abs_v = samples
+        lhs = c0 * abs_phi + c1 * abs_x + c2
+        assert np.all(lhs >= abs_v - 1e-9 * (1.0 + abs_v))
+        assert slack == np.max(lhs - abs_v)
+
+    @settings(max_examples=6, deadline=None)
+    @given(compositions(autonomous=False))
+    def test_optima_match_highs(self, problem):
+        samples = _drift_samples(problem, default_probe(problem))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = lp_calls(monkeypatch)
+            _drift_lp(*samples)
+        optima = [float(cost @ y) for cost, _, _, y in calls]
+        assert optima == pytest.approx(highs_drift_optima(*samples), rel=1e-9, abs=1e-12)
+
+    def test_shipped_time_varying_constants(self):
+        problem = parse_problem(PROBLEMS / "doublewell_timevarying.json").problem
+        report = hypothesis_check(problem)
+        assert (
+            report.drift_cost_coeff,
+            report.drift_state_coeff,
+            report.drift_const,
+            report.drift_slack,
+        ) == (0.0868328128248428, 0.0, 1.2181791796372594, 1.0390865110629233)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_raise(self, bad):
+        abs_phi, abs_x, abs_v = np.ones(4), np.ones(4), np.array([0.5, 1.0, bad, 2.0])
+        with pytest.raises(CertificateError, match="not all finite"):
+            _drift_lp(abs_phi, abs_x, abs_v)
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        problem = parse_problem(PROBLEMS / "doublewell_timevarying.json").problem
+        samples = _drift_samples(problem, default_probe(problem))
+        monkeypatch.setattr(classify, "LP_PIVOTS_PER_ROW", 0)
+        with pytest.raises(CertificateError, match="pivots"):
+            _drift_lp(*samples)
+
 class TestLinearBounds:
     @settings(max_examples=12, deadline=None)
     @given(st.booleans().flatmap(compositions))
@@ -542,12 +660,14 @@ class TestProbeTable:
         return len(hulls), sum(points)
 
     def test_time_varying_problem_tabulates_f_once(self, monkeypatch):
-        # f: the 9 x 65 table, then 65 velocities at each of 18 times t +- delta;
-        # hulls: 9 of the table, 18 at t +- delta and 2 for the line fits
-        assert self.costs(monkeypatch, "doublewell_timevarying.json") == (29, 1755)
+        # f: the 9 x 65 table, then 65 velocities at each of the 16 times
+        # t +- delta inside the horizon (the clamped ends 0 and T read the
+        # table); hulls: 9 of the table, 16 at t +- delta and 2 for the line fits
+        assert self.costs(monkeypatch, "doublewell_timevarying.json") == (27, 1625)
 
     def test_autonomous_problem_tabulates_f_once(self, monkeypatch):
-        assert self.costs(monkeypatch, "doublewell.json") == (11, 585)
+        # hulls: one envelope for every probe time and 2 for the line fits
+        assert self.costs(monkeypatch, "doublewell.json") == (3, 585)
 
 
 class TestAutonomousClassE:

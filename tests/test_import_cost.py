@@ -1,8 +1,7 @@
 """scipy stays off the everyday CLI path.
 
-scipy is needed only for the drift LP of a time-dependent problem and for
-the 2-d hull.  Each check starts a fresh interpreter, so modules loaded by
-other tests cannot hide an eager import.
+scipy is needed only for the 2-d hull.  Each check starts a fresh
+interpreter, so modules loaded by other tests cannot hide an eager import.
 """
 
 import json
@@ -63,9 +62,15 @@ def test_import_and_lp_free_commands_load_no_scipy(tmp_path):
     assert seen["commands"] == []
 
 
-def test_time_dependent_classify_still_solves_the_lp(tmp_path):
+def test_time_dependent_classify_and_solve_load_no_scipy(tmp_path):
+    # the drift LP of a time-dependent problem runs on numpy alone
     tv = str(PROBLEMS / "doublewell_timevarying.json")
-    seen = run_fresh([["classify", tv, "--out", str(tmp_path / "tv_cert.json")]])
-    assert seen["codes"] == [0]
+    seen = run_fresh(
+        [
+            ["classify", tv, "--out", str(tmp_path / "tv_cert.json")],
+            ["solve", tv, "--out", str(tmp_path / "tv_solve.json")],
+        ]
+    )
+    assert seen["codes"] == [0, 0]
     assert seen["import"] == []
-    assert "scipy.optimize" in seen["commands"]
+    assert seen["commands"] == []

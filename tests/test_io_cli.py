@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from varelax import classify
 from varelax.cli import main
 from varelax.errors import SchemaError
 from varelax.io import emit_trajectory, parse_problem, read_trajectory
@@ -389,6 +390,31 @@ class TestCliExitCodes:
         for name in ("run.json", "run_relaxed.csv", "run_reconstructed.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
+
+class TestDriftFitFailure:
+    """A drift LP that cannot be solved ends ``classify`` with exit 4 and one line."""
+
+    def run(self, tmp_path, capsys):
+        tv = str(PROBLEMS / "doublewell_timevarying.json")
+        code = main(["classify", tv, "--out", str(tmp_path / "cert.json")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.count("\n") == 1 and err.startswith("error: drift-bound fit failed")
+        return err
+
+    def test_pivot_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(classify, "LP_PIVOTS_PER_ROW", 0)
+        assert "pivots" in self.run(tmp_path, capsys)
+
+    def test_non_finite_samples(self, tmp_path, capsys, monkeypatch):
+        samples = classify._drift_samples
+
+        def with_nan(problem, probe):
+            abs_phi, abs_x, abs_v = samples(problem, probe)
+            return abs_phi, abs_x, np.where(abs_v == abs_v.max(), np.nan, abs_v)
+
+        monkeypatch.setattr(classify, "_drift_samples", with_nan)
+        assert "not all finite" in self.run(tmp_path, capsys)
 
 class TestSolveTolerance:
     def test_tol_replaces_only_the_state_cost_slack(self, tmp_path):

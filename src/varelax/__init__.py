@@ -18,16 +18,13 @@ from .catalog import (
 )
 from .classify import (
     ClassECertificate,
-    GrowthConstants,
     HypothesisReport,
     ProbeBox,
     SciCertificate,
     TimeLipschitzReport,
     class_e_certificate,
     default_radius_schedule,
-    erdmann_value,
     fstar_lipschitz_check,
-    growth_constants,
     hypothesis_check,
     sci_certificate,
 )
@@ -42,9 +39,7 @@ from .convex import (
     caratheodory_decompose,
     decompose_2d,
     evaluate_envelope,
-    legendre_conjugate,
     lower_convex_hull,
-    lower_hull_2d,
     subdifferential,
 )
 from .errors import (

@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .convex import (
+    LP_PIVOTS_PER_ROW,
     ConvexEnvelope,
     Grid1D,
     SampledFunction,
@@ -20,10 +21,11 @@ from .convex import (
     evaluate_envelope,
     evaluate_envelope_many,
     lower_convex_hull,
+    _lp_vertex,
     slope_bounds,
     subdifferential,
 )
-from .errors import CertificateError
+from .errors import CertificateError, OutOfDomainError
 from .families import IntegrandFamily
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e3
@@ -38,9 +40,6 @@ FSTAR_GRID_POINTS = 513
 # The probe box: times over the horizon, states over the box, velocities
 # over the cap.
 PROBE_TIMES, PROBE_STATES, PROBE_VELOCITIES = 9, 33, 65
-# Pivot cap of each drift LP, per LP row: Bland's rule never cycles, so
-# reaching it means the arithmetic went astray.
-LP_PIVOTS_PER_ROW = 20
 
 
 def default_radius_schedule() -> np.ndarray:
@@ -69,12 +68,6 @@ def _erdmann_sup_on_grid(env: ConvexEnvelope, pts: np.ndarray) -> np.ndarray:
     vals = evaluate_envelope_many(env, pts)
     lo, hi = slope_bounds(env, pts)
     return vals - np.minimum(lo * pts, hi * pts)
-
-
-def erdmann_value(xi: float, env: ConvexEnvelope) -> float:
-    """Envelope value minus the midpoint-subgradient linearization at xi."""
-    p = subdifferential(env, xi).midpoint
-    return evaluate_envelope(env, xi) - p * xi
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,77 +178,6 @@ def sci_certificate(
             SciProbe(direction, inner_slope, outer_slope, increase, increase > tol)
         )
     return SciCertificate(tuple(probes), all(p.passed for p in probes))
-
-
-@dataclass(frozen=True, eq=False)
-class GrowthConstants:
-    """Linear minorant of the recentred envelope: phi(xi) >= c*|xi - center|."""
-
-    c: float
-    rho: float
-    shift_slope: float
-    shift_intercept: float
-    center: float
-
-
-def _envelope_has_terminal_flat(env: ConvexEnvelope, center: float) -> bool:
-    slopes = env.edge_slopes
-    bp = env.breakpoints
-    e_center = int(np.clip(np.searchsorted(bp, center) - 1, 0, slopes.size - 1))
-    right = slopes[e_center:]
-    left = slopes[: e_center + 1]
-    tol_r = 1e-9 * max(1.0, float(np.max(np.abs(right))) if right.size else 1.0)
-    tol_l = 1e-9 * max(1.0, float(np.max(np.abs(left))) if left.size else 1.0)
-    if right.size == 1 or (right.size >= 2 and right[-1] - right[-2] <= tol_r):
-        return True
-    if left.size == 1 or (left.size >= 2 and left[1] - left[0] <= tol_l):
-        return True
-    return False
-
-
-def growth_constants(samples: SampledFunction) -> GrowthConstants:
-    """Largest verified linear-growth constant of the recentred envelope.
-
-    The envelope is recentred by subtracting the supporting line at the
-    midpoint of its argmin set; the recentred function is then nonnegative
-    and vanishes at the center, and the certificate returns the largest c
-    with phi >= c*dist verified on all grid points beyond rho.
-    """
-    env = lower_convex_hull(samples)
-    hv = env.hull_values
-    vmin = float(hv.min())
-    flat = np.flatnonzero(hv <= vmin + 1e-12 * (1.0 + abs(vmin)))
-    center = 0.5 * (env.breakpoints[flat[0]] + env.breakpoints[flat[-1]])
-    if _envelope_has_terminal_flat(env, center):
-        raise CertificateError(
-            "envelope has a terminal flat run; no linear growth constant exists"
-        )
-    shift_slope = subdifferential(env, center).midpoint
-    value_at_center = evaluate_envelope(env, center)
-    grid = samples.grid.points
-    phi = evaluate_envelope_many(env, grid) - (
-        value_at_center + shift_slope * (grid - center)
-    )
-    phi = np.maximum(phi, 0.0)
-    dist = np.abs(grid - center)
-    zero_tol = 1e-12 * (1.0 + float(phi.max()))
-    zero_dists = dist[phi <= zero_tol]
-    rho_inner = float(zero_dists.max()) if zero_dists.size else 0.0
-    beyond_inner = dist[dist > rho_inner]
-    if beyond_inner.size == 0:
-        raise CertificateError("no grid points beyond the flat region")
-    rho = 0.5 * (rho_inner + float(beyond_inner.min()))
-    mask = dist > rho
-    c = float(np.min(phi[mask] / dist[mask]))
-    if c <= 0.0:
-        raise CertificateError("recentred envelope admits no positive growth constant")
-    return GrowthConstants(
-        c=c,
-        rho=rho,
-        shift_slope=float(shift_slope),
-        shift_intercept=float(value_at_center - shift_slope * center),
-        center=float(center),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +324,9 @@ def hypothesis_check(problem) -> HypothesisReport:
 
     Constants minimize the maximum slack of their inequality over the probe
     grid, with ties broken toward smaller constants, so reports are
-    deterministic and reproducible.  Failures are reported, never raised.
+    deterministic and reproducible.  A failed hypothesis is reported in its
+    verdict field; a drift LP that cannot be solved raises
+    ``CertificateError`` (the CLI's exit 4).
     """
     probe = default_probe(problem)
 
@@ -505,25 +429,29 @@ def _drift_lp(abs_phi, abs_x, abs_v):
     phase 2 minimizes c0 + c1 + c2 with the slack capped just above that
     optimum.  Only the rows no other row dominates can bind, so both LPs
     run on those (``_undominated``); the reported slack is the largest
-    over every sample.
+    over every sample.  Any failure raises ``CertificateError``.
     """
     samples = np.column_stack([abs_phi, abs_x, abs_v])
-    if not np.all(np.isfinite(samples)):
-        raise CertificateError("drift-bound fit failed: the drift samples are not all finite")
-    low, high = _undominated(samples)
-    # columns (c2, t, c0, c1): the unit columns first, see _lp_vertex
-    ones_lo, ones_hi = np.ones(len(low)), np.ones(len(high))
-    a_ub = np.vstack(
-        [
-            -np.column_stack([ones_lo, np.zeros(len(low)), low[:, 0], low[:, 1]]),
-            np.column_stack([ones_hi, -ones_hi, high[:, 0], high[:, 1]]),
-        ]
-    )
-    b_ub = np.concatenate([-low[:, 2], high[:, 2]])
-    t_min = _lp_vertex(np.array([0.0, 1.0, 0.0, 0.0]), a_ub, b_ub)[1]
-    slack_cap = float(t_min) * (1.0 + 1e-9) + 1e-12
-    b_ub2 = np.concatenate([-low[:, 2], high[:, 2] + slack_cap])
-    c2, c0, c1 = (float(v) for v in _lp_vertex(np.ones(3), a_ub[:, [0, 2, 3]], b_ub2))
+    try:
+        if not np.all(np.isfinite(samples)):
+            raise CertificateError("the drift samples are not all finite")
+        low, high = _undominated(samples)
+        # columns (c2, t, c0, c1): the unit columns first, see _lp_vertex
+        ones_lo, ones_hi = np.ones(len(low)), np.ones(len(high))
+        a_ub = np.vstack(
+            [
+                -np.column_stack([ones_lo, np.zeros(len(low)), low[:, 0], low[:, 1]]),
+                np.column_stack([ones_hi, -ones_hi, high[:, 0], high[:, 1]]),
+            ]
+        )
+        b_ub = np.concatenate([-low[:, 2], high[:, 2]])
+        t_min = _lp_vertex(np.array([0.0, 1.0, 0.0, 0.0]), a_ub, b_ub, LP_PIVOTS_PER_ROW)[1]
+        slack_cap = float(t_min) * (1.0 + 1e-9) + 1e-12
+        b_ub2 = np.concatenate([-low[:, 2], high[:, 2] + slack_cap])
+        vertex = _lp_vertex(np.ones(3), a_ub[:, [0, 2, 3]], b_ub2, LP_PIVOTS_PER_ROW)
+    except (CertificateError, OutOfDomainError) as exc:
+        raise CertificateError(f"drift-bound fit failed: {exc}") from None
+    c2, c0, c1 = (float(v) for v in vertex)
     slack = float(np.max(c0 * abs_phi + c1 * abs_x + c2 - abs_v))
     return c0, c1, c2, slack
 
@@ -560,79 +488,6 @@ def _skyline(rows: np.ndarray) -> np.ndarray:
     mask = np.empty_like(keep)
     mask[order] = keep
     return mask
-
-
-def _lp_vertex(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
-    """A minimizer of cost . y subject to a_ub @ y <= b_ub and y >= 0, for
-    cost >= 0.
-
-    The dense simplex runs on the dual, min b_ub . u subject to
-    -a_ub.T @ u <= cost and u >= 0, whose origin is feasible because
-    cost >= 0; Bland's rule picks the entering and leaving variables, so
-    it cannot cycle.  The vertex is then recomputed from the final basis:
-    the rows whose multipliers are basic hold with equality, the columns
-    whose dual slacks are basic are +0.0, and the other columns solve that
-    square system (``_solve_in_column_order``).
-    """
-    m, n = a_ub.shape
-    tab = np.hstack([-a_ub.T, np.eye(n), cost[:, None]])
-    reduced = np.concatenate([b_ub, np.zeros(n)])
-    basis = list(range(m, m + n))
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(b_ub))), float(np.max(np.abs(a_ub))))
-    cap = LP_PIVOTS_PER_ROW * m
-    for pivot in range(cap + 1):
-        entering = np.flatnonzero(reduced < -tol)
-        if entering.size == 0:
-            break
-        if pivot == cap:
-            raise CertificateError(
-                f"drift-bound fit failed: the simplex took more than {cap} pivots"
-            )
-        j = int(entering[0])
-        rising = np.flatnonzero(tab[:, j] > tol)
-        if rising.size == 0:
-            raise CertificateError("drift-bound fit failed: the LP is infeasible")
-        ratios = tab[rising, -1] / tab[rising, j]
-        ties = rising[ratios <= ratios.min() + tol]
-        i = min(ties, key=lambda r: basis[r])
-        tab[i] /= tab[i, j]
-        for r in range(n):
-            if r != i:
-                tab[r] -= tab[r, j] * tab[i]
-        reduced -= reduced[j] * tab[i, :-1]
-        basis[i] = j
-
-    rows = sorted(k for k in basis if k < m)
-    cols = [j for j in range(n) if m + j not in basis]
-    y = np.zeros(n)
-    y[cols] = _solve_in_column_order(a_ub[np.ix_(rows, cols)], b_ub[rows])
-    return np.maximum(y, 0.0) + 0.0  # no -0.0
-
-
-def _solve_in_column_order(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a square system by Gaussian elimination of its columns in
-    order, each on the first remaining row of largest magnitude, then back
-    substitution.  A column of units put first is eliminated by exact
-    subtractions, so rounding enters only in the columns after it."""
-    mat, rhs = mat.copy(), rhs.copy()
-    size = rhs.size
-    pivots, free = [], list(range(size))
-    for c in range(size):
-        p = max(free, key=lambda r: abs(mat[r, c]))
-        free.remove(p)
-        pivots.append(p)
-        for r in free:
-            factor = mat[r, c] / mat[p, c]
-            mat[r, c:] -= factor * mat[p, c:]
-            rhs[r] -= factor * rhs[p]
-    x = np.zeros(size)
-    for c in reversed(range(size)):
-        p = pivots[c]
-        rest = rhs[p]
-        for k in range(c + 1, size):
-            rest -= mat[p, k] * x[k]
-        x[c] = rest / mat[p, c]
-    return x
 
 
 # ---------------------------------------------------------------------------

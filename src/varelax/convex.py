@@ -2,12 +2,12 @@
 
 The central representation is the piecewise-linear lower convex hull of a
 sampled graph.  Because everything is finite, each operation (envelope
-evaluation, subdifferentials, conjugates, convex-combination splittings)
+evaluation, subdifferentials, convex-combination splittings)
 is exact on the sample data and can be cross-checked by enumeration.
 
-One-dimensional velocity grids are the workhorse; a two-dimensional
-variant backed by scipy's 3-d hull covers planar velocity clouds.  scipy
-is imported there on first use, so the 1-d path never loads it.
+One-dimensional velocity grids are the workhorse.  A planar velocity
+cloud is split at one target by a small linear program, solved by the
+dense simplex that the drift fit of the certify stage also uses.
 """
 
 from __future__ import annotations
@@ -17,13 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, OutOfDomainError
+from .errors import CertificateError, DegenerateInputError, OutOfDomainError
 
 # Absolute tolerance for simplex-weight sums; relative tolerance for
 # barycentric reconstruction.  Both are pinned by double-precision hull
 # arithmetic, not by problem data.
 WEIGHT_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-9
+# Pivot cap of each simplex run, per LP row: the entering rule never
+# cycles, so reaching it means the arithmetic went astray.
+LP_PIVOTS_PER_ROW = 20
 
 
 def _as_array(values, name: str) -> np.ndarray:
@@ -322,11 +325,6 @@ def caratheodory_decompose(
     )
 
 
-def legendre_conjugate(samples: SampledFunction, p: float) -> float:
-    """sup over the grid of ``p*xi - f(xi)``; conjugation kills non-convexity."""
-    return float(np.max(p * samples.grid.points - samples.values))
-
-
 # ---------------------------------------------------------------------------
 # Two-dimensional velocity clouds.
 # ---------------------------------------------------------------------------
@@ -353,91 +351,125 @@ class EpigraphCloud2D:
         object.__setattr__(self, "values", vals[keep])
 
 
-@dataclass(frozen=True, eq=False)
-class LowerHull2D:
-    """Triangulated lower hull of a 2-d epigraph cloud."""
-
-    cloud: EpigraphCloud2D
-    facets: np.ndarray  # (m, 3) vertex indices into the cloud
-
-    def facet_vertices(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.facets[k]
-        return self.cloud.points[idx], self.cloud.values[idx]
-
-
-def lower_hull_2d(cloud: EpigraphCloud2D) -> LowerHull2D:
-    """Downward-facing facets of the 3-d hull of (xi, value) triples.
-
-    A value-affine cloud has a flat 3-d hull that qhull rejects; in that
-    case every triangle of the projected triangulation is a valid facet.
-    """
-    from scipy.spatial import ConvexHull, QhullError
-
-    pts = cloud.points
-    vals = cloud.values
-    if pts.shape[0] < 3:
-        raise DegenerateInputError("need at least 3 cloud points")
-    lifted = np.column_stack([pts, vals])
-    try:
-        hull = ConvexHull(lifted, qhull_options="Qt")
-    except QhullError:
-        facets = _flat_cloud_facets(pts, vals)
-        return LowerHull2D(cloud, facets)
-    downward = hull.equations[:, 2] < -1e-12
-    facets = np.sort(hull.simplices[downward], axis=1)
-    if facets.size == 0:
-        raise DegenerateInputError("cloud has no downward-facing facets")
-    order = np.lexsort((facets[:, 2], facets[:, 1], facets[:, 0]))
-    return LowerHull2D(cloud, facets[order])
-
-
-def _flat_cloud_facets(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    from scipy.spatial import Delaunay, QhullError
-
-    coeffs, res, rank, _ = np.linalg.lstsq(
-        np.column_stack([np.ones(pts.shape[0]), pts]), vals, rcond=None
-    )
-    plane = np.column_stack([np.ones(pts.shape[0]), pts]) @ coeffs
-    if np.max(np.abs(plane - vals)) > 1e-9 * (1.0 + np.max(np.abs(vals))):
-        raise DegenerateInputError("cloud is degenerate but not value-affine")
-    try:
-        tri = Delaunay(pts)
-    except QhullError as exc:
-        raise DegenerateInputError("cloud points are collinear") from exc
-    facets = np.sort(tri.simplices, axis=1)
-    order = np.lexsort((facets[:, 2], facets[:, 1], facets[:, 0]))
-    return facets[order]
-
-
 def decompose_2d(cloud: EpigraphCloud2D, xi) -> CaratheodoryDecomposition:
-    """Barycentric splitting of ``xi`` inside the containing lower facet."""
-    hull = lower_hull_2d(cloud)
-    return decompose_on_hull_2d(hull, xi)
+    """Split ``xi`` over at most 3 cloud points that realize f**(xi).
 
-
-def decompose_on_hull_2d(hull: LowerHull2D, xi) -> CaratheodoryDecomposition:
+    At one target, f**(xi) is the LP min sum lam_i v_i subject to
+    sum lam_i p_i = xi, sum lam_i = 1 and lam >= 0, with each equality
+    written as a pair of <= rows.  The costs are shifted by min v so they
+    are >= 0, as ``_lp_vertex`` needs; a vertex has at most 3 nonzero
+    weights, one per equality.  An infeasible LP means the target lies
+    outside the cloud's hull.
+    """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,):
         raise DegenerateInputError("2-d target must have shape (2,)")
-    scale = 1.0 + float(np.max(np.abs(hull.cloud.points)))
-    for k in range(hull.facets.shape[0]):
-        pts, vals = hull.facet_vertices(k)
-        mat = np.column_stack([pts[1] - pts[0], pts[2] - pts[0]])
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        if abs(det) <= 1e-14 * scale * scale:
-            continue
-        lam12 = np.linalg.solve(mat, xi - pts[0])
-        lam = np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
-        if np.all(lam >= -1e-9):
-            lam = np.clip(lam, 0.0, None)
-            lam = lam / lam.sum()
-            keep = lam > WEIGHT_TOL
-            lam = lam[keep] / lam[keep].sum()
-            return CaratheodoryDecomposition(
-                weights=lam,
-                points=pts[keep],
-                point_values=vals[keep],
-                target=xi,
-                envelope_value=float(lam @ vals[keep]),
-            )
-    raise OutOfDomainError(f"target {xi.tolist()} outside the projected hull")
+    pts, vals = cloud.points, cloud.values
+    if pts.shape[0] < 3:
+        raise DegenerateInputError("need at least 3 cloud points")
+    if np.linalg.matrix_rank(pts - pts[0]) < 2:
+        raise DegenerateInputError("cloud points are collinear")
+    eq = np.vstack([np.ones(pts.shape[0]), pts.T])
+    rhs = np.concatenate([[1.0], xi])
+    try:
+        lam = _lp_vertex(
+            vals - vals.min(), np.vstack([eq, -eq]), np.concatenate([rhs, -rhs]), LP_PIVOTS_PER_ROW
+        )
+    except OutOfDomainError:
+        raise OutOfDomainError(f"target {xi.tolist()} outside the projected hull") from None
+    keep = lam > WEIGHT_TOL
+    lam = lam[keep] / lam[keep].sum()
+    return CaratheodoryDecomposition(
+        weights=lam,
+        points=pts[keep],
+        point_values=vals[keep],
+        target=xi,
+        envelope_value=float(lam @ vals[keep]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Small linear programs.
+# ---------------------------------------------------------------------------
+
+
+def _lp_vertex(
+    cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, pivots_per_row: int
+) -> np.ndarray:
+    """A minimizer of cost . y subject to a_ub @ y <= b_ub and y >= 0, for
+    cost >= 0.
+
+    The dense simplex runs on the dual, min b_ub . u subject to
+    -a_ub.T @ u <= cost and u >= 0, whose origin is feasible because
+    cost >= 0.  The entering variable has the most negative reduced cost,
+    except right after a degenerate pivot, where Bland's lowest-index rule
+    picks it; ties for leaving go to the lowest basic index.  A cycle holds
+    only degenerate pivots, so it would run under Bland's rule alone, which
+    cannot cycle.  The vertex is then recomputed from the final basis: the
+    rows whose multipliers are basic hold with equality, the columns whose
+    dual slacks are basic are +0.0, and the other columns solve that square
+    system (``_solve_in_column_order``).
+
+    Raises ``OutOfDomainError`` when no y meets the rows (the dual is
+    unbounded), and ``CertificateError`` after ``pivots_per_row`` pivots per
+    row.
+    """
+    m, n = a_ub.shape
+    tab = np.hstack([-a_ub.T, np.eye(n), cost[:, None]])
+    reduced = np.concatenate([b_ub, np.zeros(n)])
+    basis = list(range(m, m + n))
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(b_ub))), float(np.max(np.abs(a_ub))))
+    cap = pivots_per_row * m
+    degenerate = False
+    for pivot in range(cap + 1):
+        entering = np.flatnonzero(reduced < -tol)
+        if entering.size == 0:
+            break
+        if pivot == cap:
+            raise CertificateError(f"the simplex took more than {cap} pivots")
+        j = int(entering[0]) if degenerate else int(np.argmin(reduced))
+        rising = np.flatnonzero(tab[:, j] > tol)
+        if rising.size == 0:
+            raise OutOfDomainError("the LP is infeasible")
+        ratios = tab[rising, -1] / tab[rising, j]
+        ties = rising[ratios <= ratios.min() + tol]
+        degenerate = ratios.min() <= tol
+        i = min(ties, key=lambda r: basis[r])
+        tab[i] /= tab[i, j]
+        for r in range(n):
+            if r != i:
+                tab[r] -= tab[r, j] * tab[i]
+        reduced -= reduced[j] * tab[i, :-1]
+        basis[i] = j
+
+    rows = sorted(k for k in basis if k < m)
+    cols = [j for j in range(n) if m + j not in basis]
+    y = np.zeros(n)
+    y[cols] = _solve_in_column_order(a_ub[np.ix_(rows, cols)], b_ub[rows])
+    return np.maximum(y, 0.0) + 0.0  # no -0.0
+
+
+def _solve_in_column_order(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a square system by Gaussian elimination of its columns in
+    order, each on the first remaining row of largest magnitude, then back
+    substitution.  A column of units put first is eliminated by exact
+    subtractions, so rounding enters only in the columns after it."""
+    mat, rhs = mat.copy(), rhs.copy()
+    size = rhs.size
+    pivots, free = [], list(range(size))
+    for c in range(size):
+        p = max(free, key=lambda r: abs(mat[r, c]))
+        free.remove(p)
+        pivots.append(p)
+        for r in free:
+            factor = mat[r, c] / mat[p, c]
+            mat[r, c:] -= factor * mat[p, c:]
+            rhs[r] -= factor * rhs[p]
+    x = np.zeros(size)
+    for c in reversed(range(size)):
+        p = pivots[c]
+        rest = rhs[p]
+        for k in range(c + 1, size):
+            rest -= mat[p, k] * x[k]
+        x[c] = rest / mat[p, c]
+    return x

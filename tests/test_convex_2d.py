@@ -1,4 +1,4 @@
-"""Two-dimensional lower hulls and barycentric splittings.
+"""Two-dimensional lower hulls, through the splittings that realize them.
 
 The oracle enumerates all support triples (and degenerate pairs and
 singletons) of the cloud and minimizes the combined value subject to the
@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from varelax.convex import EpigraphCloud2D, decompose_2d, lower_hull_2d
+from varelax.convex import EpigraphCloud2D, decompose_2d
 from varelax.errors import DegenerateInputError, OutOfDomainError
 
 
@@ -49,31 +49,19 @@ def triple_minimum_oracle(cloud, target):
 
 
 class TestLowerHull2D:
-    def test_paraboloid_keeps_all_points(self):
-        cloud = grid_cloud(np.linspace(-1, 1, 9), lambda p: (p**2).sum(axis=1))
-        hull = lower_hull_2d(cloud)
-        assert np.unique(hull.facets).size == cloud.points.shape[0]
-
-    def test_facet_normals_face_down(self):
-        # every facet plane must support the cloud from below
-        cloud = grid_cloud(np.linspace(-1, 1, 5), lambda p: (p**2).sum(axis=1))
-        hull = lower_hull_2d(cloud)
-        for k in range(hull.facets.shape[0]):
-            pts, vals = hull.facet_vertices(k)
-            mat = np.column_stack([np.ones(3), pts])
-            coeffs = np.linalg.solve(mat, vals)
-            plane = np.column_stack([np.ones(cloud.points.shape[0]), cloud.points]) @ coeffs
-            assert np.all(cloud.values >= plane - 1e-9)
-
     def test_collinear_cloud_rejected(self):
         xs = np.linspace(0, 1, 6)
         cloud = EpigraphCloud2D(np.column_stack([xs, 2 * xs]), xs**2)
         with pytest.raises(DegenerateInputError):
-            lower_hull_2d(cloud)
+            decompose_2d(cloud, np.array([0.5, 1.0]))
+
+    def test_fewer_than_three_points_rejected(self):
+        cloud = EpigraphCloud2D(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+        with pytest.raises(DegenerateInputError):
+            decompose_2d(cloud, np.array([0.5, 0.5]))
 
     def test_affine_cloud_gets_flat_facets(self):
         cloud = grid_cloud(np.linspace(-1, 1, 4), lambda p: 2 * p[:, 0] - p[:, 1] + 1)
-        hull = lower_hull_2d(cloud)
         dec = decompose_2d(cloud, np.array([0.1, -0.2]))
         expected = 2 * 0.1 - (-0.2) + 1
         assert dec.envelope_value == pytest.approx(expected, abs=1e-12)
@@ -121,6 +109,16 @@ class TestDecompose2D:
             assert dec.envelope_value == pytest.approx(
                 triple_minimum_oracle(cloud, target), abs=1e-9
             )
+
+    def test_oracle_seeds_split_over_at_most_three_points(self):
+        # the clouds and targets of acceptance criterion 1
+        for seed in range(10):
+            sub = np.random.default_rng(seed)
+            side = np.sort(sub.uniform(-1.5, 1.5, size=7))
+            cloud = grid_cloud(side, lambda p: sub.uniform(0.0, 2.0, size=p.shape[0]))
+            lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
+            target = lo + (hi - lo) * sub.uniform(0.3, 0.7, size=2)
+            assert decompose_2d(cloud, target).weights.size <= 3
 
     def test_invariants_hold(self):
         cloud = grid_cloud(

@@ -31,7 +31,7 @@ LP_PIVOTS_PER_ROW = 20
 
 def _as_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise DegenerateInputError(f"{name} must contain finite values only")
     return arr
 
@@ -82,9 +82,9 @@ class ConvexEnvelope:
         es = _as_array(self.edge_slopes, "edge slopes")
         if bp.size < 2 or hv.shape != bp.shape or es.shape != (bp.size - 1,):
             raise DegenerateInputError("inconsistent envelope arrays")
-        if not np.all(np.diff(bp) > 0):
+        if not (bp[1:] > bp[:-1]).all():
             raise DegenerateInputError("breakpoints must be strictly increasing")
-        if np.any(np.diff(es) < -1e-12 * np.maximum(1.0, np.abs(es[:-1]))):
+        if (es[1:] - es[:-1] < -1e-12 * np.maximum(1.0, np.abs(es[:-1]))).any():
             raise DegenerateInputError("edge slopes must be nondecreasing")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "hull_values", hv)

@@ -74,10 +74,15 @@ def merge_close_velocities(values: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def _offset_pairs(
-    xs: np.ndarray, step: float, cap: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(predecessor, target, quotient) of every state pair within the cap.
+# Per state offset d with an admissible pair: d, the admissibility of each
+# pair (j, j + d) for j = max(0, -d), ..., and the pairs' difference quotients.
+OffsetWalk = tuple[tuple[int, np.ndarray, np.ndarray], ...]
+# A contiguous run of (predecessor, target) pairs: both indices rise by one.
+Run = tuple[slice, slice]
+
+
+def _offset_walk(xs: np.ndarray, step: float, cap: float) -> OffsetWalk:
+    """The difference quotients of every state pair, offset by offset.
 
     Walks the state offsets d = 0, +-1, +-2, ... until no pair at offset d
     is within the cap; on an increasing grid the quotients grow with |d|,
@@ -85,28 +90,22 @@ def _offset_pairs(
     """
     limit = cap * (1.0 + 1e-12)
     n = xs.size
-    js, ks, raws = [], [], []
+    walk = []
     for direction in (1, -1):
         d = 0 if direction > 0 else -1
         while abs(d) < n:
-            j = np.arange(max(0, -d), min(n, n - d))
-            raw = (xs[j + d] - xs[j]) / step
+            lo, hi = max(0, -d), min(n, n - d)
+            raw = (xs[lo + d : hi + d] - xs[lo:hi]) / step
             ok = np.abs(raw) <= limit
             if not ok.any():
                 break
-            js.append(j[ok])
-            ks.append(j[ok] + d)
-            raws.append(raw[ok])
+            walk.append((d, ok, raw))
             d += direction
-    out = []
-    for parts in (js, ks, raws):  # drop each column's pieces once joined
-        out.append(np.concatenate(parts))
-        parts.clear()
-    return tuple(out)
+    return tuple(walk)
 
 
-def _distinct_quotients(raw: np.ndarray) -> np.ndarray:
-    values = np.unique(raw)
+def _distinct_quotients(walk: OffsetWalk) -> np.ndarray:
+    values = np.unique(np.concatenate([raw[ok] for _, ok, raw in walk]))
     if values.size < 2:
         raise InfeasibleError("velocity cap admits fewer than two difference quotients")
     return values
@@ -121,36 +120,34 @@ def nearest_index(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.where(pick_left, left, right)
 
 
-def transition_table(
-    xs: np.ndarray, step: float, cap: float, points: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def transition_table(walk: OffsetWalk, points: np.ndarray) -> tuple[tuple[Run, ...], ...]:
     """The band of state pairs behind the quotient grid ``points``.
 
-    Per grid point, the (predecessor, target) index arrays of the
-    admissible pairs whose quotient lies nearest it, ordered by target.
-    A target appears at most once per grid point, since the DP keeps one
-    predecessor per (target, quotient); two nodes close enough for their
-    quotients to merge raise ``InfeasibleError``.  No (n, n) array is
-    built.  The nearest point is picked once per distinct quotient, not
-    per pair, and every per-pair temporary is released before the band is
-    cut, which keeps the peak near three times the band's size.
+    Per grid point, the admissible (predecessor, target) pairs whose
+    quotient lies nearest it, as maximal runs of (predecessor slice,
+    target slice) ordered by target: a run is cut wherever either index
+    stops rising by one.  Within one offset both indices rise together, so
+    each run is a stretch of one offset's pairs with one nearest point,
+    and pairs of different offsets never join a run.  A target appears at
+    most once per grid point, since the DP keeps one predecessor per
+    (target, quotient); two nodes close enough for their quotients to
+    merge raise ``InfeasibleError``.  Per-pair temporaries live for one
+    offset at a time.
     """
-    j, k, raw = _offset_pairs(xs, step, cap)
-    values = np.unique(raw)
-    point_of = nearest_index(points, values).astype(np.min_scalar_type(points.size))
-    # every pair's quotient is one of ``values``, so the search hits it exactly
-    group = point_of[np.searchsorted(values, raw)]
-    del raw
-    order = np.lexsort((k, group))
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=points.size))])
-    del group
-    j = j[order]
-    k = k[order]
-    del order
-    band = tuple((j[lo:hi], k[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
-    if any(np.any(kq[1:] == kq[:-1]) for _, kq in band):
-        raise InfeasibleError("two state nodes are closer than one step's quotients resolve")
-    return band
+    runs: list[list[Run]] = [[] for _ in range(points.size)]
+    for d, ok, raw in walk:
+        group = np.where(ok, nearest_index(points, raw), -1)
+        edges = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), group.size]
+        lo = max(0, -d)
+        for a, b in zip(edges[:-1], edges[1:]):
+            if group[a] >= 0:
+                runs[group[a]].append((slice(lo + a, lo + b), slice(lo + a + d, lo + b + d)))
+    for entry in runs:
+        entry.sort(key=lambda run: run[1].start)
+        targets = [k for _, k in entry]
+        if any(k.start < prev.stop for prev, k in zip(targets, targets[1:])):
+            raise InfeasibleError("two state nodes are closer than one step's quotients resolve")
+    return tuple(map(tuple, runs))
 
 
 def f_envelope(
@@ -165,8 +162,9 @@ class Discretization:
     """State nodes, time nodes, step and quotient grid of one (problem, grid).
 
     ``of`` is the one place that decides them, with one walk over the state
-    offsets for the merged quotients.  The transition band and the
-    endpoint indices are built on first use, so only the DP pays for them.
+    offsets for the merged quotients; the band is cut from that same walk.
+    The transition band and the endpoint indices are built on first use,
+    so only the DP pays for them.
     """
 
     problem: Problem
@@ -174,21 +172,21 @@ class Discretization:
     times: np.ndarray
     step: float
     grid: Grid1D
+    walk: OffsetWalk
 
     @classmethod
     def of(cls, problem: Problem, cfg: DPConfig) -> Discretization:
         xs = state_grid(problem, cfg.n_x)
         step = problem.horizon / cfg.n_t
-        raw = _offset_pairs(xs, step, problem.velocity_cap)[2]
-        grid = Grid1D(merge_close_velocities(_distinct_quotients(raw)))
+        walk = _offset_walk(xs, step, problem.velocity_cap)
+        grid = Grid1D(merge_close_velocities(_distinct_quotients(walk)))
         times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
-        return cls(problem, xs, times, step, grid)
+        return cls(problem, xs, times, step, grid, walk)
 
     @cached_property
-    def band(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per grid point, the (predecessor, target) pairs realizing it."""
-        cap = self.problem.velocity_cap
-        return transition_table(self.xs, self.step, cap, self.grid.points)
+    def band(self) -> tuple[tuple[Run, ...], ...]:
+        """Per grid point, the (predecessor, target) runs realizing it."""
+        return transition_table(self.walk, self.grid.points)
 
     @cached_property
     def endpoints(self) -> tuple[int, int]:

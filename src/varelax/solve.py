@@ -6,7 +6,8 @@ with per-interval constant velocities, time-dependent costs are sampled
 at the left endpoint of each interval, and ties are broken toward the
 smallest predecessor index so results are schedule-independent.  The grid
 and the transition band come from ``discretize.Discretization``; the DP
-adds only its cost rows.
+adds only its cost rows, and steps over the band's contiguous runs of
+(predecessor, target) pairs with slices, never with index arrays.
 """
 
 from __future__ import annotations
@@ -87,7 +88,12 @@ def _dp(
     entry of ``rates``, each with cost rows f** + rate*theta.
     Quotients are visited in descending order, which is ascending
     predecessor index for each target, and only a strict improvement
-    replaces a candidate: ties go to the smallest predecessor.
+    replaces a candidate: ties go to the smallest predecessor.  Each band
+    entry is a tuple of runs, a predecessor slice and a target slice of
+    one length; a step reads the values and g at the predecessor slice and
+    updates the target slice of the next value buffer, and its
+    backpointer row, in place where the candidate is strictly better.
+    Two value buffers are swapped between steps.
 
     Returns (value, node path, quotient path), or Nones when the end node
     is unreachable; the paths are None unless ``want_path``.  With
@@ -111,6 +117,7 @@ def _dp(
     u_max = int(admissible.max()) if admissible.size else 0
     value = np.full((tab.disc.xs.size, n_cols), np.inf)
     value[tab.i_start, :start] = 0.0
+    nxt = np.empty_like(value)
     # backpointers: a quotient index, or -1 where no candidate arrived
     back_type = np.min_scalar_type(-n_q)
     back = np.full((cfg.n_t,) + value.shape, -1, back_type) if want_path else None
@@ -118,21 +125,20 @@ def _dp(
         reach = min(n_cols, start + i * u_max)  # later columns are all infinite
         fq = _row(costs, i)
         gx = _row(tab.g_costs, i)
-        nxt = np.full_like(value, np.inf)
+        nxt.fill(np.inf)
         for q in range(n_q - 1, -1, -1):
             u = int(units[q])
             width = min(reach, n_cols - u)
             if width <= 0:
                 continue
-            jq, kq = band[q]
-            cand = value[jq, :width] + tab.step * (gx[jq][:, None] + fq[q])
-            block = nxt[kq, u : u + width]
-            better = cand < block
-            nxt[kq, u : u + width] = np.where(better, cand, block)
-            if want_path:
-                target = back[i, kq, u : u + width]
-                back[i, kq, u : u + width] = np.where(better, q, target)
-        value = nxt
+            for js, ks in band[q]:
+                cand = value[js, :width] + tab.step * (gx[js][:, None] + fq[q])
+                block = nxt[ks, u : u + width]
+                better = cand < block
+                np.copyto(block, cand, where=better)
+                if want_path:
+                    np.copyto(back[i, ks, u : u + width], q, where=better)
+        value, nxt = nxt, value
     column = value[tab.i_end]
     ends = range(n_cols) if per_rate else [int(np.argmin(column))]
     results = [_backtrack(tab, cfg, column, back, units, end) for end in ends]
@@ -146,13 +152,15 @@ def _backtrack(tab, cfg, column, back, units, level):
     best = float(column[level])
     if back is None:
         return best, None, None
+    band = tab.disc.band
     idx = np.empty(cfg.n_t + 1, dtype=np.int64)
     qidx = np.empty(cfg.n_t, dtype=np.int64)
     idx[-1] = tab.i_end
     for i in range(cfg.n_t - 1, -1, -1):
-        q = int(back[i, idx[i + 1], level])
-        jq, kq = tab.disc.band[q]
-        idx[i] = jq[np.searchsorted(kq, idx[i + 1])]
+        k = int(idx[i + 1])
+        q = int(back[i, k, level])
+        # the run of entry q that holds target k, and its predecessor there
+        idx[i] = next(js.start + k - ks.start for js, ks in band[q] if ks.start <= k < ks.stop)
         qidx[i] = q
         level -= int(units[q])
     return best, idx, qidx

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from varelax.convex import (
+    ConvexEnvelope,
     Grid1D,
     SampledFunction,
     caratheodory_decompose,
@@ -99,6 +100,53 @@ class TestLowerConvexHull:
             hit = np.isin(xs, env.breakpoints)
             np.testing.assert_array_equal(vals[hit], samples.values[hit])
             assert np.all(np.diff(env.edge_slopes) >= -1e-12)
+
+
+class TestConvexEnvelopeValidation:
+    """``ConvexEnvelope`` rejects each kind of malformed vertex list with
+    its own message."""
+
+    BREAKPOINTS = [-1.0, 0.0, 2.0]
+    VALUES = [1.0, 0.0, 2.0]
+    SLOPES = [-1.0, 1.0]
+
+    def test_accepts_a_convex_vertex_list(self):
+        arrays = map(np.array, (self.BREAKPOINTS, self.VALUES, self.SLOPES))
+        assert ConvexEnvelope(*arrays).domain == (-1.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        for field in range(3):
+            arrays = [list(self.BREAKPOINTS), list(self.VALUES), list(self.SLOPES)]
+            arrays[field][1] = bad
+            with pytest.raises(DegenerateInputError, match="must contain finite values only"):
+                ConvexEnvelope(*map(np.array, arrays))
+
+    @pytest.mark.parametrize(
+        "breakpoints, values, slopes",
+        [
+            ([0.0], [0.0], []),
+            ([-1.0, 0.0, 2.0], [1.0, 0.0], [-1.0, 1.0]),
+            ([-1.0, 0.0, 2.0], [1.0, 0.0, 2.0], [-1.0]),
+            ([[-1.0, 0.0, 2.0]], [[1.0, 0.0, 2.0]], [[-1.0, 1.0]]),
+        ],
+    )
+    def test_rejects_inconsistent_shapes(self, breakpoints, values, slopes):
+        with pytest.raises(DegenerateInputError, match="inconsistent envelope arrays"):
+            ConvexEnvelope(np.array(breakpoints), np.array(values), np.array(slopes))
+
+    @pytest.mark.parametrize("breakpoints", [[-1.0, -1.0, 2.0], [-1.0, 2.0, 0.0]])
+    def test_rejects_breakpoints_that_do_not_increase(self, breakpoints):
+        values, slopes = np.array(self.VALUES), np.array(self.SLOPES)
+        with pytest.raises(DegenerateInputError, match="strictly increasing"):
+            ConvexEnvelope(np.array(breakpoints), values, slopes)
+
+    def test_rejects_decreasing_slopes(self):
+        values, slopes = np.array(self.VALUES), np.array([1.0, -1.0])
+        with pytest.raises(DegenerateInputError, match="edge slopes must be nondecreasing"):
+            ConvexEnvelope(np.array(self.BREAKPOINTS), values, slopes)
+        # a drop within the relative 1e-12 rounding allowance is accepted
+        ConvexEnvelope(np.array(self.BREAKPOINTS), values, np.array([1.0, 1.0 - 1e-13]))
 
 
 class TestEvaluateEnvelope:

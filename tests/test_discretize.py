@@ -24,7 +24,6 @@ from varelax.discretize import (
     f_envelope,
     merge_close_velocities,
     state_grid,
-    transition_table,
 )
 from varelax.errors import DegenerateInputError, InfeasibleError
 from varelax.families import IntegrandFamily
@@ -157,14 +156,14 @@ class TestPathCosts:
 
 class TestTransitionTableMemory:
     def test_peak_stays_near_the_band(self):
-        # the double well's 2049-node grid at n_t = 64 holds a 4.2 MB band;
-        # keeping every per-offset piece and per-pair temporary peaked at
-        # 25 MB
+        # the double well's 2049-node grid at n_t = 64 has 129 quotients; the
+        # band as index arrays held 4.2 MB, and keeping every per-offset piece
+        # and per-pair temporary of it peaked at 25 MB.  The walk, the grid
+        # and the band are traced together: the band is cut from the walk.
         problem, _ = load("doublewell")
-        disc = Discretization.of(problem, DPConfig(n_t=64, n_x=2049))
         tracemalloc.start()
         try:
-            transition_table(disc.xs, disc.step, problem.velocity_cap, disc.grid.points)
+            Discretization.of(problem, DPConfig(n_t=64, n_x=2049)).band
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -203,6 +202,30 @@ def brute_force_grid(problem, cfg):
     return merge_close_velocities(np.unique(diffs[within]))
 
 
+def brute_force_band(problem, cfg, points):
+    """Per grid point, the (predecessor, target) arrays of the admissible
+    pairs nearest it (the lower one on a tie), ordered by target, from the
+    full difference matrix."""
+    xs = state_grid(problem, cfg.n_x)
+    diffs = (xs[None, :] - xs[:, None]) / (problem.horizon / cfg.n_t)  # [j, k]: j to k
+    within = np.abs(diffs) <= problem.velocity_cap * (1.0 + 1e-12)
+    pred, target = np.nonzero(within)
+    nearest = np.argmin(np.abs(points[None, :] - diffs[within][:, None]), axis=1)
+    want = []
+    for q in range(points.size):
+        j, k = pred[nearest == q], target[nearest == q]
+        by_target = np.argsort(k)
+        want.append((j[by_target], k[by_target]))
+    return want
+
+
+def run_pairs(entry):
+    """The (predecessor, target) arrays of a band entry's runs, concatenated."""
+    j = np.concatenate([np.arange(js.start, js.stop) for js, _ in entry])
+    k = np.concatenate([np.arange(ks.start, ks.stop) for _, ks in entry])
+    return j, k
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -236,18 +259,36 @@ class TestDiscretizationOwnsTheGrid:
         assert same_bits(disc.times, np.linspace(0.0, problem.horizon, cfg.n_t + 1))
         # every admissible pair belongs to its nearest grid point (the lower
         # one on a tie), and an entry lists its pairs by target
-        pred, target = np.nonzero(within)
-        nearest = np.argmin(np.abs(points[None, :] - diffs[within][:, None]), axis=1)
-        want = [(pred[nearest == q], target[nearest == q]) for q in range(points.size)]
+        want = brute_force_band(problem, cfg, points)
         if any(np.unique(k).size < k.size for _, k in want):
             with pytest.raises(InfeasibleError):
                 disc.band
             return
         assert len(disc.band) == points.size
-        for (j, k), (want_j, want_k) in zip(disc.band, want):
-            by_target = np.argsort(want_k)
-            assert np.array_equal(j, want_j[by_target])
-            assert np.array_equal(k, want_k[by_target])
+        for entry, (want_j, want_k) in zip(disc.band, want):
+            j, k = run_pairs(entry)
+            assert np.array_equal(j, want_j)
+            assert np.array_equal(k, want_k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(discretization_cases())
+    def test_band_entries_are_maximal_runs(self, case):
+        problem, cfg = case
+        try:
+            disc = Discretization.of(problem, cfg)
+            band = disc.band
+        except (InfeasibleError, DegenerateInputError):
+            assume(False)
+        want = brute_force_band(problem, cfg, disc.grid.points)
+        for entry, (want_j, want_k) in zip(band, want):
+            j, k = run_pairs(entry)
+            assert np.array_equal(j, want_j) and np.array_equal(k, want_k)
+            for js, ks in entry:
+                assert js.step is None and ks.step is None
+                assert 0 < js.stop - js.start == ks.stop - ks.start
+            # a run ends only where an index stops rising by one
+            for (j0, k0), (j1, k1) in zip(entry, entry[1:]):
+                assert (j1.start, k1.start) != (j0.stop, k0.stop)
 
     @settings(max_examples=150, deadline=None)
     @given(discretization_cases(), st.data())

@@ -6,6 +6,7 @@ Frozen analytic values:
   steps is n/(n-1) (n-1 unit moves of speed n/(n-1), one rest step).
 """
 
+import hashlib
 import itertools
 import tracemalloc
 import warnings
@@ -603,6 +604,46 @@ class TestBandedKernelAgainstDenseOracle:
         # speed 1 throughout is the unique minimizer (Jensen), and its
         # theta cost 1 fits the budget
         np.testing.assert_array_equal(traj.states, np.linspace(0.0, 1.0, 129))
+
+
+class TestKernelOnBandRuns:
+    """The DP steps over contiguous runs of each band entry; an endpoint
+    inserted off the uniform grid splits entries into several runs."""
+
+    def test_split_entries_match_the_dense_oracle(self):
+        # 0 is not a node of the 64-point grid on (-0.5, 0.5): it is inserted
+        loaded = parse_problem(PROBLEMS / "doublewell.json")
+        cfg = replace(loaded.config, n_t=24, n_x=64)
+        assert max(len(entry) for entry in _tables(loaded.problem, cfg).disc.band) >= 2
+        assert_kernel_matches(
+            loaded.problem, cfg, None, dense_reference_dp(loaded.problem, cfg),
+            lambda: solve_relaxed(loaded.problem, cfg),
+        )
+
+    # solve_relaxed on the fine-grid benchmark ops, recorded before the DP
+    # stepped over runs of slices: (n_t, n_x, value, sha256 of the states)
+    FINE_GRID = {
+        "doublewell": (
+            256, 512, 1.5348561081995633e-05,
+            "ec8ea85e0ff1d562cbf6fd858eb08473835e26922d9b4e0afb9d766ea6be4088",
+        ),
+        "doublewell_timevarying": (
+            384, 385, 0.22930088449665867,
+            "eac2826d5fe4007dcc27f34a9232d64f9792ba656a61db9c97a408ae0cc6ac82",
+        ),
+        "doublewell_concave": (
+            512, 257, -0.010416746139526367,
+            "aaeb11a45b2c85eab059d6a670de87d671843683771d73b6ef6419e0f1874edf",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FINE_GRID))
+    def test_fine_grid_solves_keep_their_bits(self, name):
+        n_t, n_x, value, digest = self.FINE_GRID[name]
+        loaded = parse_problem(PROBLEMS / f"{name}.json")
+        traj = solve_relaxed(loaded.problem, replace(loaded.config, n_t=n_t, n_x=n_x))
+        assert traj.value.hex() == value.hex()
+        assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
 
 
 @st.composite

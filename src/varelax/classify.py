@@ -17,14 +17,13 @@ from .convex import (
     ConvexEnvelope,
     Grid1D,
     SampledFunction,
-    caratheodory_decompose,
-    evaluate_envelope,
     evaluate_envelope_many,
     lower_convex_hull,
     _lp_vertex,
     slope_bounds,
     subdifferential,
 )
+from .discretize import EnvelopeTable
 from .errors import CertificateError, OutOfDomainError
 from .families import IntegrandFamily
 
@@ -532,20 +531,17 @@ def fstar_lipschitz_check(
     probe_radius = 4.0 * (1.0 + float(np.max(np.abs(xi_probe))))
     grid = Grid1D(np.linspace(-probe_radius, probe_radius, FSTAR_GRID_POINTS))
     pitch = 2.0 * probe_radius / (FSTAR_GRID_POINTS - 1)
-    sampled = [family.sample(t, grid) for t in t_grid]
-    envs = [lower_convex_hull(s) for s in sampled]
-    values = np.stack([s.values for s in sampled])  # (nt, nxi_grid)
+    table = EnvelopeTable.of(grid.points, family.table(t_grid, grid.points))
+    values = table.values  # (nt, nxi_grid)
+    rows = np.arange(t_grid.size)
     dt = np.diff(t_grid)
 
     entries = []
     for xi in xi_probe:
-        supports = []
-        for samples, env in zip(sampled, envs):
-            dec = caratheodory_decompose(samples, env, xi)
-            supports.extend(np.abs(dec.points).tolist())
-        radius = max(supports)
+        at = np.full(t_grid.size, xi)
+        radius = float(np.max(np.abs(table.split(rows, at)[1])))
         conclusive = radius < probe_radius - pitch
-        env_at = np.array([evaluate_envelope(env, xi) for env in envs])
+        env_at = table.at(rows, at)
         envelope_rate = float(np.max(np.abs(np.diff(env_at)) / dt))
         mask = np.abs(grid.points) <= radius * (1.0 + 1e-12)
         ball_diffs = np.abs(np.diff(values[:, mask], axis=0)) / dt[:, None]

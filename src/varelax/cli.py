@@ -305,7 +305,7 @@ def _cmd_solve(args) -> int:
             "relaxed_value": trajectory.value,
             "warnings": list(trajectory.warnings),
             "dubois_reymond": dr,
-            "decomposition": track,
+            "decomposition": track.report(),
             "comparison": comparison,
             "coercivity": coercivity,
         },
@@ -333,7 +333,7 @@ def _cmd_decompose(args) -> int:
     trajectory = vio.read_trajectory(args.traj, problem, cfg)
     track = decompose_velocities(problem, trajectory, cfg)
     out = _out_base(args, name, "_decomposition.json")
-    vio.emit_report(track, out)
+    vio.emit_report(track.report(), out)
     return EXIT_OK
 
 

@@ -138,17 +138,7 @@ class CaratheodoryDecomposition:
         target = np.asarray(self.target, dtype=float)
         if w.ndim != 1 or vals.shape != w.shape or pts.shape[0] != w.size:
             raise DegenerateInputError("inconsistent decomposition arrays")
-        if np.any(w < -WEIGHT_TOL):
-            raise DegenerateInputError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise DegenerateInputError("weights must sum to one")
-        mean = np.tensordot(w, pts, axes=(0, 0))
-        scale = 1.0 + float(np.max(np.abs(target))) if target.size else 1.0
-        if np.max(np.abs(mean - target)) > RECONSTRUCTION_TOL * scale:
-            raise DegenerateInputError("support points do not average to the target")
-        recon = float(w @ vals)
-        if abs(recon - self.envelope_value) > RECONSTRUCTION_TOL * (1.0 + abs(self.envelope_value)):
-            raise DegenerateInputError("support values do not reproduce the envelope value")
+        _check_splits(w[None], pts[None], vals[None], target[None], np.array([self.envelope_value]))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "point_values", vals)
@@ -156,6 +146,40 @@ class CaratheodoryDecomposition:
     @property
     def trivial(self) -> bool:
         return self.weights.size == 1
+
+
+def _check_splits(weights, points, values, targets, envelope_values) -> None:
+    """``CaratheodoryDecomposition``'s checks on a batch: row i splits
+    ``targets[i]`` over ``points[i]`` ((k,) or (k, d)) with ``weights[i]``,
+    reproducing ``envelope_values[i]`` from ``values[i]``."""
+    if np.any(weights < -WEIGHT_TOL):
+        raise DegenerateInputError("weights must be nonnegative")
+    if np.any(np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_TOL):
+        raise DegenerateInputError("weights must sum to one")
+    targets = targets.reshape(targets.shape[0], -1)
+    mean = np.einsum("nk,nk...->n...", weights, points).reshape(targets.shape)
+    scale = 1.0 + np.abs(targets).max(axis=1, initial=0.0)
+    if np.any(np.abs(mean - targets).max(axis=1, initial=0.0) > RECONSTRUCTION_TOL * scale):
+        raise DegenerateInputError("support points do not average to the target")
+    recon = np.einsum("nk,nk->n", weights, values)
+    if np.any(np.abs(recon - envelope_values) > RECONSTRUCTION_TOL * (1.0 + np.abs(envelope_values))):
+        raise DegenerateInputError("support values do not reproduce the envelope value")
+
+
+def _hull_vertices(xs: list[float], ys: list[float]) -> list[int]:
+    """Lower hull vertex indices of the points (xs[i], ys[i]), xs increasing,
+    by Andrew's monotone chain on Python floats: they round as numpy's
+    float64 scalars do, at a fraction of the cost per operation."""
+    keep: list[int] = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        while len(keep) >= 2:
+            a, b = keep[-2], keep[-1]
+            if (xs[b] - xs[a]) * (y - ys[a]) - (ys[b] - ys[a]) * (x - xs[a]) <= 0.0:
+                keep.pop()
+            else:
+                break
+        keep.append(i)
+    return keep
 
 
 def lower_convex_hull(samples: SampledFunction) -> ConvexEnvelope:
@@ -169,17 +193,7 @@ def lower_convex_hull(samples: SampledFunction) -> ConvexEnvelope:
     ys = samples.values
     if xs.size < 2:
         raise DegenerateInputError("need at least 2 samples")
-    keep: list[int] = []
-    for i in range(xs.size):
-        while len(keep) >= 2:
-            a, b = keep[-2], keep[-1]
-            cross = (xs[b] - xs[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (xs[i] - xs[a])
-            if cross <= 0.0:
-                keep.pop()
-            else:
-                break
-        keep.append(i)
-    idx = np.array(keep, dtype=int)
+    idx = np.array(_hull_vertices(xs.tolist(), ys.tolist()), dtype=int)
     bp = xs[idx]
     hv = ys[idx]
     slopes = np.diff(hv) / np.diff(bp)
@@ -271,16 +285,6 @@ def slope_bounds(env: ConvexEnvelope, pts: np.ndarray) -> tuple[np.ndarray, np.n
     hi = lo.copy()
     hi[exact] = slopes[np.clip(idx[exact], 0, slopes.size - 1)]
     return lo, hi
-
-
-def subgradient_midpoints(env: ConvexEnvelope, xis: np.ndarray) -> np.ndarray:
-    """Vectorized ``subdifferential(env, xi).midpoint`` with the same checks."""
-    xis = np.asarray(xis, dtype=float)
-    _check_domain(env, xis)
-    lo, hi = slope_bounds(env, xis)
-    if np.any(lo > hi):
-        raise DegenerateInputError("subgradient interval must satisfy lo <= hi")
-    return 0.5 * (lo + hi)
 
 
 def _sample_index(grid: np.ndarray, breakpoint: float) -> int:

@@ -35,5 +35,14 @@ class IntegrandFamily:
             out = out + float(self.factor(t)) * self.modulation(y)
         return out
 
+    def table(self, times: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``value(t, y)`` for each of ``times``, one row each, with the same
+        bits: base and modulation are evaluated once, the factor per time."""
+        out = self.base(y)
+        if self.modulation is None:
+            return np.tile(out, (times.size, 1))
+        factors = np.array([float(self.factor(t)) for t in times])
+        return out + factors[:, None] * self.modulation(y)
+
     def sample(self, t: float, grid: Grid1D) -> SampledFunction:
         return SampledFunction(grid, self.value(t, grid.points))

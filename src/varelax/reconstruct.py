@@ -1,7 +1,8 @@
 """Turn a relaxed minimizer into a trajectory of the original problem.
 
 Each interval's velocity is split across the hull-edge support points
-that realize the relaxed cost; the two resulting sub-intervals are then
+that realize the relaxed cost, read as arrays from one envelope table of
+the trajectory's times; the two resulting sub-intervals are then
 ordered to favor the cheaper state cost.  Contiguous sub-intervals are a
 valid bang-bang realization as the step vanishes, and the ordering is the
 only degree of freedom that affects cost.
@@ -10,10 +11,11 @@ only degree of freedom that affects cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .convex import CaratheodoryDecomposition, caratheodory_decompose
+from .convex import CaratheodoryDecomposition
 from .discretize import Discretization
 from .problem import DPConfig, Problem, Trajectory
 
@@ -25,21 +27,44 @@ LIPSCHITZ_TIMES, LIPSCHITZ_STATES = 9, 129
 
 @dataclass(eq=False)
 class VelocityDecompositionTrack:
-    """Per-interval velocity splittings of a relaxed trajectory."""
+    """Per-interval velocity splittings of a relaxed trajectory, as arrays:
+    row i splits ``targets[i]`` over ``points[i]`` with ``weights[i]``, and
+    ``support[i]`` is 2, or 1 where the second column is a copy of weight 0."""
 
-    decompositions: tuple[CaratheodoryDecomposition, ...]
+    weights: np.ndarray
+    points: np.ndarray
+    point_values: np.ndarray
+    support: np.ndarray
+    targets: np.ndarray
+    envelope_values: np.ndarray
     support_radius: float
-    selection_note: str = field(
-        init=False,
-        default=(
-            "discrete time grid: the selection behind the splittings is "
-            "piecewise constant, one decomposition per interval"
-        ),
-    )
 
     @property
     def split_count(self) -> int:
-        return sum(1 for d in self.decompositions if not d.trivial)
+        return int(np.count_nonzero(self.support == 2))
+
+    @cached_property
+    def decompositions(self) -> tuple[CaratheodoryDecomposition, ...]:
+        """One ``CaratheodoryDecomposition`` per interval, built on first use."""
+        return tuple(
+            CaratheodoryDecomposition(
+                self.weights[i, :k], self.points[i, :k], self.point_values[i, :k],
+                float(self.targets[i]), self.envelope_values[i],
+            )
+            for i, k in enumerate(self.support.tolist())
+        )
+
+    def report(self) -> dict:
+        """The track as the CLI reports it."""
+        note = (
+            "discrete time grid: the selection behind the splittings is "
+            "piecewise constant, one decomposition per interval"
+        )
+        return {
+            "decompositions": self.decompositions,
+            "selection_note": note,
+            "support_radius": self.support_radius,
+        }
 
 
 def decompose_velocities(
@@ -51,13 +76,9 @@ def decompose_velocities(
     reported; it is a property of the problem, not of the grid.
     """
     disc = Discretization.of(problem, cfg).extended(trajectory.velocities)
-    pairs, which = disc.envelopes(trajectory.times[:-1])
-    decs = [
-        caratheodory_decompose(*pairs[k], float(xi))
-        for k, xi in zip(which, trajectory.velocities)
-    ]
-    radius = max(float(np.max(np.abs(d.points))) for d in decs)
-    return VelocityDecompositionTrack(tuple(decs), radius)
+    table, rows = disc.envelope_table(trajectory.times[:-1])
+    split = table.split(rows, trajectory.velocities)
+    return VelocityDecompositionTrack(*split, float(np.max(np.abs(split[1]))))
 
 
 @dataclass(eq=False)
@@ -97,18 +118,19 @@ def rearrange(
     labels: list[int] = []
     f_cost = 0.0
     g_cost = 0.0
-    for i, dec in enumerate(track.decompositions):
+    splits = (track.weights, track.points, track.point_values, track.support)
+    for i, (weights, points, values, support) in enumerate(zip(*(a.tolist() for a in splits))):
         t0 = float(trajectory.times[i])
         x0 = float(trajectory.states[i])
         x1 = float(trajectory.states[i + 1])
         # a trivial splitting has weight exactly 1.0: one sub-interval of length step
-        order = (0,) if dec.trivial else _pick_order(problem, dec, t0, x0, step)
-        durations = [step * float(dec.weights[j]) for j in order]
+        order = (0,) if support == 1 else _pick_order(problem, weights, points, t0, x0, step)
+        durations = [step * weights[j] for j in order]
         t_cursor, x_cursor = t0, x0
         for pos, j in enumerate(order):
-            q = float(dec.points[j])
+            q = points[j]
             dt = durations[pos]
-            f_cost += dt * float(dec.point_values[j])
+            f_cost += dt * values[j]
             g_cost += dt * float(problem.g.value(t_cursor, x_cursor))
             t_cursor += dt
             x_cursor += q * dt
@@ -128,14 +150,14 @@ def rearrange(
 
 
 def _pick_order(
-    problem: Problem, dec: CaratheodoryDecomposition, t0: float, x0: float, step: float
+    problem: Problem, weights: list[float], points: list[float], t0: float, x0: float, step: float
 ) -> tuple[int, int]:
     def midpoint_cost(order: tuple[int, int]) -> float:
         cost = 0.0
         t_cursor, x_cursor = t0, x0
         for j in order:
-            dt = step * float(dec.weights[j])
-            q = float(dec.points[j])
+            dt = step * weights[j]
+            q = points[j]
             cost += dt * float(problem.g.value(t_cursor + dt / 2.0, x_cursor + q * dt / 2.0))
             t_cursor += dt
             x_cursor += q * dt

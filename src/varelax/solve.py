@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classify import HypothesisReport
-from .convex import evaluate_envelope_many
 from .discretize import Discretization, nearest_index
 from .errors import CertificateError, InfeasibleError
 from .problem import DPConfig, Problem, SweepReport, Trajectory
@@ -47,8 +46,8 @@ class _Tables:
 
 def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     disc = Discretization.of(problem, cfg)
-    pairs, _ = disc.envelopes(disc.times[:-1])
-    f_costs = np.array([evaluate_envelope_many(env, disc.grid.points) for _, env in pairs])
+    table, _ = disc.envelope_table(disc.times[:-1])
+    f_costs = table.at(np.arange(len(table.values))[:, None], disc.grid.points)
     g_times = disc.times[:1] if problem.g.autonomous else disc.times[:-1]
     g_costs = np.array([problem.g.value(t, disc.xs) for t in g_times])
     return _Tables(disc, disc.step, f_costs, g_costs, *disc.endpoints)

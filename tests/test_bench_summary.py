@@ -59,9 +59,9 @@ def test_summary_of_synthetic_runs(tmp_path):
         [
             record("fine-grid", 1, 5.0, 51.0),  # superseded by the later record
             record("fine-grid", 1, 0.5, 49.0, failed=1),
-            record("fine-grid", 2, 2.5, 49.0),
-            record("fine-grid", 3, 2.0, 51.0),
-            record("fine-grid", 4, 3.0, 50.0),
+            record("fine-grid", 2, 2.5, 49.0, attempted=12),
+            record("fine-grid", 3, 2.0, 51.0, attempted=14),
+            record("fine-grid", 4, 3.0, 50.0, attempted=16),
         ],
     )
     bench = tmp_path / "BENCHMARK.json"
@@ -79,7 +79,12 @@ def test_summary_of_synthetic_runs(tmp_path):
     fine = summary["workloads"]["fine-grid"]
     assert fine["pairs"] == 4 and fine["seeds"] == [1, 2, 3, 4]
     assert (fine["parent_attempted"], fine["parent_failed"]) == (40, 0)
-    assert (fine["change_attempted"], fine["change_failed"]) == (40, 1)
+    assert (fine["change_attempted"], fine["change_failed"]) == (52, 1)
+    # operations per run, beside peak_rss_mb: inclusive quartiles of 10, 12, 14, 16
+    assert fine["attempted_per_run"] == {
+        "parent": {"q1": 10, "median": 10, "q3": 10},
+        "change": {"q1": 11.5, "median": 13, "q3": 14.5},
+    }
     pass_s = fine["metrics"]["pass_s"]
     # inclusive quartiles of 1, 2, 3, 4 and of 0.5, 2, 2.5, 3
     assert pass_s["parent"] == {"q1": 1.75, "median": 2.5, "q3": 3.25}

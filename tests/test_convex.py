@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from varelax.convex import (
     ConvexEnvelope,
+    _hull_vertices,
     Grid1D,
     SampledFunction,
     caratheodory_decompose,
@@ -19,8 +20,8 @@ from varelax.convex import (
     evaluate_envelope_many,
     lower_convex_hull,
     subdifferential,
-    subgradient_midpoints,
 )
+from varelax.discretize import EnvelopeTable
 from varelax.errors import DegenerateInputError, OutOfDomainError
 
 
@@ -100,6 +101,63 @@ class TestLowerConvexHull:
             hit = np.isin(xs, env.breakpoints)
             np.testing.assert_array_equal(vals[hit], samples.values[hit])
             assert np.all(np.diff(env.edge_slopes) >= -1e-12)
+
+
+def numpy_scalar_hull(xs, ys):
+    """The monotone chain on numpy float64 scalars, one numpy operation per
+    float operation: the reference for the Python-float kernel."""
+    keep = []
+    for i in range(xs.size):
+        while len(keep) >= 2:
+            a, b = keep[-2], keep[-1]
+            cross = (xs[b] - xs[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (xs[i] - xs[a])
+            if cross <= 0.0:
+                keep.pop()
+            else:
+                break
+        keep.append(i)
+    return keep
+
+
+def chord_oracle(xs, ys):
+    """Lower hull vertices of integer points: both ends, and each point
+    strictly below the chord of every pair of points around it."""
+    n = len(xs)
+
+    def below(j, a, b):
+        return (xs[j] - xs[a]) * (ys[b] - ys[a]) - (ys[j] - ys[a]) * (xs[b] - xs[a]) > 0
+
+    return [
+        j for j in range(n)
+        if j in (0, n - 1) or all(below(j, a, b) for a in range(j) for b in range(j + 1, n))
+    ]
+
+
+class TestHullKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-30, 30), min_size=2, max_size=12, unique=True),
+        st.data(),
+    )
+    def test_integer_points_match_the_chord_oracle(self, xs, data):
+        xs = sorted(xs)
+        ys = data.draw(st.lists(st.integers(-30, 30), min_size=len(xs), max_size=len(xs)))
+        assert _hull_vertices([float(x) for x in xs], [float(y) for y in ys]) == chord_oracle(xs, ys)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 65, 257, 513])
+    def test_random_floats_match_the_numpy_scalar_loop(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            xs = np.unique(rng.uniform(-4.0, 4.0, n))
+            shapes = [
+                rng.normal(size=xs.size),
+                (xs * xs - 1.0) ** 2,  # the double well: flat hull edges
+                rng.uniform(-1, 1) * xs + rng.uniform(-1, 1),  # collinear up to rounding
+                xs * xs + 1e-15 * rng.normal(size=xs.size),  # nearly collinear triples
+                np.abs(xs) * 1e300,
+            ]
+            for ys in shapes:
+                assert _hull_vertices(xs.tolist(), ys.tolist()) == numpy_scalar_hull(xs, ys)
 
 
 class TestConvexEnvelopeValidation:
@@ -317,7 +375,8 @@ def envelope_and_points(draw):
 
 
 class TestVectorizedAgainstScalar:
-    """The vectorized envelope and midpoint evaluations give the scalar bits."""
+    """The vectorized envelope and midpoint evaluations give the scalar bits;
+    the vectorized midpoints are the envelope table's."""
 
     @settings(max_examples=200, deadline=None)
     @given(envelope_and_points())
@@ -325,6 +384,13 @@ class TestVectorizedAgainstScalar:
         env, points = case
         scalar = [evaluate_envelope(env, float(xi)) for xi in points]
         assert bits(evaluate_envelope_many(env, np.array(points))) == bits(scalar)
+
+    @staticmethod
+    def midpoints(env, points):
+        """The envelope table's midpoints on one row: the envelope's vertices,
+        whose hull is the envelope again."""
+        table = EnvelopeTable.of(env.breakpoints, env.hull_values[None])
+        return table.midpoints(np.zeros(len(points), dtype=np.intp), np.array(points))
 
     @settings(max_examples=200, deadline=None)
     @given(envelope_and_points())
@@ -334,11 +400,11 @@ class TestVectorizedAgainstScalar:
             scalar = [subdifferential(env, float(xi)).midpoint for xi in points]
         except DegenerateInputError:
             with pytest.raises(DegenerateInputError):
-                subgradient_midpoints(env, np.array(points))
+                self.midpoints(env, points)
             return
-        assert bits(subgradient_midpoints(env, np.array(points))) == bits(scalar)
+        assert bits(self.midpoints(env, points)) == bits(scalar)
 
     def test_out_of_domain_rejected(self):
         env = lower_convex_hull(PARABOLA)
         with pytest.raises(OutOfDomainError):
-            subgradient_midpoints(env, np.array([0.0, 2.5]))
+            self.midpoints(env, [0.0, 2.5])

@@ -1,10 +1,12 @@
 """Shared costing of trajectories and the transition table's memory.
 
-Envelopes of f are built once per distinct time, and once in total for an
-autonomous f; ``Discretization.path_costs`` must give the bits of the per-interval scalar
-evaluation it replaces, and the hull counts below pin the sharing.
+f is sampled once per distinct time, and once in total for an autonomous
+f, into one envelope table; its costs, midpoint subgradients and
+splittings must give the bits of the per-envelope routines they replace,
+and the hull counts below pin the sharing.
 """
 
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -17,15 +19,24 @@ from hypothesis import strategies as st
 import varelax.discretize as discretize
 from varelax.classify import hypothesis_check
 from varelax.conditions import dubois_reymond_residual
-from varelax.convex import evaluate_envelope, subdifferential
-from varelax.catalog import state_function, velocity_function
+from varelax.convex import (
+    ConvexEnvelope,
+    Grid1D,
+    SampledFunction,
+    caratheodory_decompose,
+    evaluate_envelope,
+    evaluate_envelope_many,
+    lower_convex_hull,
+    subdifferential,
+)
+from varelax.catalog import state_function, time_factor, velocity_function
 from varelax.discretize import (
     Discretization,
-    f_envelope,
+    EnvelopeTable,
     merge_close_velocities,
     state_grid,
 )
-from varelax.errors import DegenerateInputError, InfeasibleError
+from varelax.errors import DegenerateInputError, InfeasibleError, OutOfDomainError
 from varelax.families import IntegrandFamily
 from varelax.io import emit_trajectory, parse_problem, read_trajectory
 from varelax.problem import DPConfig, Problem
@@ -40,17 +51,24 @@ def load(name):
     return loaded.problem, loaded.config
 
 
+def f_envelope(problem, grid, t):
+    """The (samples, envelope) pair of f at one time: the per-time path
+    that the envelope table replaced."""
+    samples = problem.f.sample(t, grid)
+    return samples, lower_convex_hull(samples)
+
+
 @pytest.fixture
 def hulls(monkeypatch):
-    """List that grows by one entry per envelope built through discretize."""
+    """List that grows by one entry per hull built through discretize."""
     calls = []
-    build = discretize.lower_convex_hull
+    build = discretize._hull_vertices
 
-    def counting(samples):
-        calls.append(samples)
-        return build(samples)
+    def counting(xs, ys):
+        calls.append(ys)
+        return build(xs, ys)
 
-    monkeypatch.setattr(discretize, "lower_convex_hull", counting)
+    monkeypatch.setattr(discretize, "_hull_vertices", counting)
     return calls
 
 
@@ -110,17 +128,41 @@ def scalar_costs(disc, times, states, velocities):
     return values, midpoints, g
 
 
+def collinear_problem():
+    """A time-varying f that is affine on each side of 0 at every time, so
+    its samples come in collinear runs."""
+    problem, _ = load("quadratic")
+    f = IntegrandFamily(
+        base=velocity_function("abs"),
+        modulation=velocity_function("affine", {"slope": 0.5, "offset": 0.25}),
+        factor=time_factor("affine_t", {"slope": 1.0, "offset": 0.0}),
+    )
+    return replace(problem, f=f)
+
+
 @st.composite
 def costing_cases(draw):
+    """A discretization, possibly extended by off-grid velocities (some
+    merge into a grid point, others are inserted), with intervals over a
+    few repeated times.  Velocities are drawn at the grid points, between
+    them, among the extra velocities, inside the domain tolerance and at
+    -0.0, whose splitting target is the grid's 0.0."""
     name = draw(
         st.sampled_from(
-            ["doublewell", "doublewell_timevarying", "linear_minus_sqrt", "quadratic"]
+            ["doublewell", "doublewell_timevarying", "linear_minus_sqrt", "quadratic", "collinear"]
         )
     )
-    problem, cfg = load(name)
+    problem, cfg = load("quadratic" if name == "collinear" else name)
+    if name == "collinear":
+        problem = collinear_problem()
     n_x = draw(st.integers(5, 33))
     cfg = replace(cfg, n_t=draw(st.integers(2, n_x - 1)), n_x=n_x)
     disc = Discretization.of(problem, cfg)
+    cap = problem.velocity_cap
+    nudged = st.sampled_from(list(disc.grid.points)).map(lambda v: v * (1.0 + 3e-13) + 1e-14)
+    extra = np.clip(draw(st.lists(st.one_of(nudged, st.floats(-cap, cap)), max_size=4)), -cap, cap)
+    if extra.size:
+        disc = disc.extended(extra)
     grid = disc.grid
     n = draw(st.integers(1, 24))
     # few distinct times, so that some envelopes serve several intervals
@@ -130,9 +172,12 @@ def costing_cases(draw):
     states = np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
     at_nodes = st.sampled_from(list(grid.points))
     between = st.floats(float(grid.points[0]), float(grid.points[-1]))
-    velocities = np.array(
-        draw(st.lists(st.one_of(at_nodes, between), min_size=n, max_size=n))
-    )
+    first, last = float(grid.points[0]), float(grid.points[-1])
+    tol = 1e-12 * max(1.0, abs(first), abs(last))
+    ends = st.sampled_from([first - 0.5 * tol, last + 0.5 * tol])
+    kinds = [at_nodes, between, ends, st.just(-0.0)]
+    kinds += [st.sampled_from(list(extra))] if extra.size else []
+    velocities = np.array(draw(st.lists(st.one_of(*kinds), min_size=n, max_size=n)))
     return disc, times, states, velocities
 
 
@@ -141,8 +186,15 @@ class TestPathCosts:
     @given(costing_cases())
     def test_matches_scalar_loop_bit_for_bit(self, case):
         disc, times, states, velocities = case
+        try:
+            want = scalar_costs(disc, times, states, velocities)
+        except DegenerateInputError as exc:
+            # a hull vertex kept between nearly collinear samples can have
+            # slopes that fall by an ulp; both paths reject its subgradient
+            with pytest.raises(DegenerateInputError, match=re.escape(str(exc))):
+                disc.path_costs(times, states, velocities)
+            return
         got = disc.path_costs(times, states, velocities)
-        want = scalar_costs(disc, times, states, velocities)
         for a, b in zip(got, want):
             assert a.tobytes() == np.array(b, dtype=float).tobytes()
 
@@ -152,6 +204,118 @@ class TestPathCosts:
         times = np.array([0.5, 0.0, 0.5, 0.25, 0.0])
         disc.path_costs(times, np.zeros(5), np.zeros(5))
         assert len(hulls) == 3
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def sampled_tables(draw):
+    """One to three random rows over a random grid, some affine on a run of
+    samples, and query points: random ones, every sample and both ends
+    inside the domain tolerance."""
+    coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+    xs = np.sort(np.array(draw(st.lists(coord, min_size=2, max_size=16, unique=True))))
+    assume(np.all(np.diff(xs) > 1e-9))
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        ys = np.array(draw(st.lists(value, min_size=xs.size, max_size=xs.size)))
+        a, b = sorted(draw(st.lists(st.integers(0, xs.size), min_size=2, max_size=2)))
+        ys[a:b] = draw(value) * 1e-2 * xs[a:b] + draw(value)
+        rows.append(ys)
+    lo, hi = float(xs[0]), float(xs[-1])
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    inner = draw(st.lists(st.floats(lo, hi), max_size=12))
+    points = np.concatenate([inner, xs, [lo, hi, lo - 0.5 * tol, hi + 0.5 * tol]])
+    return xs, np.array(rows), points
+
+
+class TestEnvelopeTable:
+    """The table's queries against the per-envelope routines on each row,
+    bit for bit, with the same exceptions."""
+
+    @staticmethod
+    def assert_row_matches(table, r, samples, points):
+        rows = np.full(points.size, r)
+        env = lower_convex_hull(samples)
+        assert bits(table.at(rows, points)) == bits(evaluate_envelope_many(env, points))
+        try:
+            want = [subdifferential(env, xi).midpoint for xi in points.tolist()]
+        except DegenerateInputError as exc:
+            with pytest.raises(DegenerateInputError, match=re.escape(str(exc))):
+                table.midpoints(rows, points)
+        else:
+            assert bits(table.midpoints(rows, points)) == bits(want)
+        weights, pts, values, support, targets, got_values = table.split(rows, points)
+        for i, xi in enumerate(points.tolist()):
+            dec = caratheodory_decompose(samples, env, xi)
+            k = support[i]
+            got = weights[i, :k], pts[i, :k], values[i, :k], [targets[i]], [got_values[i]]
+            want = dec.weights, dec.points, dec.point_values, [dec.target], [dec.envelope_value]
+            assert [bits(a) for a in got] == [bits(b) for b in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(sampled_tables())
+    def test_random_rows(self, case):
+        xs, ys, points = case
+        grid = Grid1D(xs)
+        try:
+            table = EnvelopeTable.of(xs, ys)
+        except DegenerateInputError as exc:
+            with pytest.raises(DegenerateInputError, match=re.escape(str(exc))):
+                for row in ys:
+                    lower_convex_hull(SampledFunction(grid, row))
+            return
+        for r, row in enumerate(ys):
+            self.assert_row_matches(table, r, SampledFunction(grid, row), points)
+
+    @settings(max_examples=80, deadline=None)
+    @given(costing_cases())
+    def test_costing_cases(self, case):
+        disc, times, _, velocities = case
+        table, rows = disc.envelope_table(times)
+        for r in np.unique(rows):
+            samples, _ = f_envelope(disc.problem, disc.grid, float(times[rows == r][0]))
+            self.assert_row_matches(table, r, samples, velocities[rows == r])
+
+    def test_checks_match_the_envelope_checks(self, monkeypatch):
+        xs = np.array([0.0, 1.0, 2.0])
+        for ys in ([0.0, np.inf, 1.0], [1.5e308, -1.5e308, 1.5e308]):
+            with pytest.raises(DegenerateInputError) as want, np.errstate(over="ignore"):
+                lower_convex_hull(SampledFunction(Grid1D(xs), np.array(ys)))
+            with pytest.raises(DegenerateInputError, match=re.escape(str(want.value))):
+                with np.errstate(over="ignore"):  # the rise of an edge overflows
+                    EnvelopeTable.of(xs, np.array([ys]))
+        # a kernel that kept every sample of a concave row: its slopes fall
+        monkeypatch.setattr(discretize, "_hull_vertices", lambda xs, ys: list(range(len(xs))))
+        concave = -(xs**2)
+        with pytest.raises(DegenerateInputError) as want:
+            ConvexEnvelope(xs, concave, np.diff(concave) / np.diff(xs))
+        with pytest.raises(DegenerateInputError, match=re.escape(str(want.value))):
+            EnvelopeTable.of(xs, np.array([-(xs**2) + 1.0, concave]))
+
+    def test_one_row_per_distinct_time(self):
+        problem, cfg = load("doublewell_timevarying")
+        disc = Discretization.of(problem, cfg)
+        table, rows = disc.envelope_table(np.array([0.5, 0.0, 0.5, 0.25, 0.0]))
+        assert table.values.shape == (3, disc.grid.points.size)
+        assert rows.tolist() == [2, 0, 2, 1, 0]
+        autonomous, _ = load("doublewell")
+        table, rows = replace(disc, problem=autonomous).envelope_table(np.linspace(0, 1, 4))
+        assert table.values.shape[0] == 1 and rows.tolist() == [0, 0, 0, 0]
+
+    def test_out_of_domain_message_names_the_velocity(self):
+        problem, cfg = load("quadratic")
+        disc = Discretization.of(problem, cfg)
+        table, rows = disc.envelope_table(np.zeros(3))
+        samples, env = f_envelope(problem, disc.grid, 0.0)
+        with pytest.raises(OutOfDomainError) as want:
+            caratheodory_decompose(samples, env, 9.5)
+        for query in (table.at, table.midpoints, table.split):
+            with pytest.raises(OutOfDomainError, match=re.escape(str(want.value))):
+                query(rows, np.array([0.0, 9.5, -9.5]))
 
 
 class TestTransitionTableMemory:

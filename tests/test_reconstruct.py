@@ -8,8 +8,10 @@ all have closed forms.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from varelax.catalog import state_function, velocity_function
+from varelax.convex import CaratheodoryDecomposition
 from varelax.families import IntegrandFamily
 from varelax.problem import DPConfig, Problem, Trajectory
 from varelax.reconstruct import compare_costs, decompose_velocities, rearrange
@@ -82,6 +84,22 @@ class TestDecomposeVelocities:
             traj = solve_relaxed(CLIPPED_CONCAVE, cfg)
             radii.append(decompose_velocities(CLIPPED_CONCAVE, traj, cfg).support_radius)
         assert radii[0] == radii[1] == 1.0
+
+
+    def test_library_path_builds_no_decomposition_objects(self, monkeypatch):
+        cfg = DPConfig(n_t=64, n_x=33)
+        traj = solve_relaxed(CLIPPED_CONCAVE, cfg)
+
+        def forbidden(self):
+            raise AssertionError("a CaratheodoryDecomposition was built")
+
+        monkeypatch.setattr(CaratheodoryDecomposition, "__post_init__", forbidden)
+        track = decompose_velocities(CLIPPED_CONCAVE, traj, cfg)
+        rec = rearrange(CLIPPED_CONCAVE, traj, track)
+        assert 0 < track.split_count < traj.velocities.size
+        assert track.support_radius == 1.0 and rec.f_cost >= 0.0
+        with pytest.raises(AssertionError, match="was built"):
+            track.decompositions
 
 
 class TestRearrange:

@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 
 from varelax.catalog import nagumo_function, state_function, time_factor, velocity_function
 from varelax.classify import hypothesis_check
+from varelax.conditions import dubois_reymond_residual
 from varelax.convex import Grid1D, evaluate_envelope, evaluate_envelope_many, lower_convex_hull
 from varelax.discretize import merge_close_velocities, nearest_index, state_grid
 from varelax.errors import CertificateError, InfeasibleError
 from varelax.families import IntegrandFamily
 from varelax.io import parse_problem
 from varelax.problem import DPConfig, Problem, Trajectory
+from varelax.reconstruct import decompose_velocities, rearrange
 from varelax import solve
 from varelax.solve import (
     _dp,
@@ -644,6 +646,60 @@ class TestKernelOnBandRuns:
         traj = solve_relaxed(loaded.problem, replace(loaded.config, n_t=n_t, n_x=n_x))
         assert traj.value.hex() == value.hex()
         assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
+
+
+class TestStagesAfterTheDP:
+    """DR and the reconstruction on the fine-grid benchmark ops keep their
+    bits, recorded before the stages read one envelope table per time set:
+    sha256 of DR's energy, drift and residual and of the reconstructed
+    times, states and velocities; then f_cost, g_cost and split_count."""
+
+    PINS = {
+        "doublewell": (
+            256, 512,
+            "7b6f7c0e76734ed4836e232b194886796629aff5bec3d7f137224e33b8112b7d",
+            "e5a00aa9991ac8a5ee3109844d84a55583bd20572ad3ffcd42792f3c36b183ad",
+            "28630efb5c6fc29332d1aad6c3712d9ec21ec17261683df2f6dd81a20b4139a1",
+            "68af266e4d5226f598e7ecad3db3bf9eea5b355153be39c12c1ef1c2374123a7",
+            "3ae6effecf1d3eac780d3be327dc0e54159cd447b7780c08c5cba68352b779ce",
+            "c28b129002e815a32beb7fdfe6d02c226a35cc6bbb7d0290194a5d8bed2b9019",
+            "0x1.0181916118c81p-16", "0x0.0p+0", 24,
+        ),
+        "doublewell_timevarying": (
+            384, 385,
+            "bbf220b960fb1bc0518d529162087c3da7fead69e39841152687fbbba7bc4340",
+            "4da3da660ffff3086e646f0e1ee2d23f95c26cd54565017b159198432ebe22b1",
+            "bb4993c2cc1c63f7fea8784196d7e458a7495be5d8cfa31bc224e0c827ab9ffe",
+            "a42ab5bf762659abb0fc4402b08edb366d41b5c7561b096dc08275b8927ab400",
+            "382176f52a0628c1c2afba4f71c9586bb838d5950d59532dc3dcea26bea76f14",
+            "4203da604f1912348278d6cc08cd9290a12c2fd03e444e7f47de8ee77e0494cd",
+            "0x1.d59bb3bedb2eap-3", "0x0.0p+0", 2,
+        ),
+        "doublewell_concave": (
+            512, 257,
+            "7811d9d75a8c3790c1a74780a98900aa9eb5cdb0ec90073f0181ff1715372656",
+            "ad7facb2586fc6e966c004d7d1d16b024f5805ff7cb47c7a85dabd8b48892ca7",
+            "85045ef8d209c9a3819ae508363c0afe53bd97aeb375fd45a4d7c70aefabb5d9",
+            "cec5942258b0e244d92be94fb7aca2562a089fad89ba7ec18d5e3e4e5b481c24",
+            "58b4294a7453191ea11acee3028be1e4d8813d24389721d4ad5d00dca171786c",
+            "b01b74bfcf005cfc8f01b6b06ecb75796670c660986d5af6e79a3d997eaa9ff4",
+            "0x0.0p+0", "-0x1.5656800000000p-7", 256,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_fine_grid_stages_keep_their_bits(self, name):
+        n_t, n_x, *digests, f_cost, g_cost, splits = self.PINS[name]
+        loaded = parse_problem(PROBLEMS / f"{name}.json")
+        problem, cfg = loaded.problem, replace(loaded.config, n_t=n_t, n_x=n_x)
+        traj = solve_relaxed(problem, cfg)
+        dr = dubois_reymond_residual(problem, traj, cfg)
+        track = decompose_velocities(problem, traj, cfg)
+        rec = rearrange(problem, traj, track)
+        arrays = (dr.energy, dr.drift, dr.residual, rec.times, rec.states, rec.velocities)
+        assert [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] == digests
+        assert (float(rec.f_cost).hex(), float(rec.g_cost).hex()) == (f_cost, g_cost)
+        assert track.split_count == splits
 
 
 @st.composite

@@ -10,7 +10,8 @@ the same (workload, seed); when a file holds a key twice, its later record
 wins.  For each end-to-end metric that ``BENCHMARK.json`` declares, the
 summary gives each side's quartiles over its paired runs, how many pairs
 the change won in the metric's better direction, and the ratio of the
-medians.  The JSON goes to ``--out``, or to standard output.
+medians; each workload also gives each side's operations attempted per
+run, as quartiles, since ``peak_rss_mb`` grows with them.  The JSON goes to ``--out``, or to standard output.
 """
 
 from __future__ import annotations
@@ -66,6 +67,12 @@ def summarise(parent: dict, change: dict, benchmark: dict, parent_commit: str) -
         for side, runs in sides.items():
             entry[f"{side}_attempted"] = sum(r["result"]["attempted"] for r in runs)
             entry[f"{side}_failed"] = sum(r["result"]["failed"] for r in runs)
+        # a worker keeps every pass's outputs, so peak_rss_mb grows with
+        # the operations a run fits into its seconds: show them side by side
+        entry["attempted_per_run"] = {
+            side: quartiles([r["result"]["attempted"] for r in runs])
+            for side, runs in sides.items()
+        }
         metrics = {}
         for metric in benchmark["end_to_end"]:
             values = {

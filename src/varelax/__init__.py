@@ -29,19 +29,7 @@ from .classify import (
     sci_certificate,
 )
 from .conditions import DRReport, dubois_reymond_residual, energy_constancy
-from .convex import (
-    CaratheodoryDecomposition,
-    ConvexEnvelope,
-    EpigraphCloud2D,
-    Grid1D,
-    SampledFunction,
-    SubgradientInterval,
-    caratheodory_decompose,
-    decompose_2d,
-    evaluate_envelope,
-    lower_convex_hull,
-    subdifferential,
-)
+from .convex import CaratheodoryDecomposition, EpigraphCloud2D, Grid1D, decompose_2d
 from .errors import (
     CertificateError,
     DegenerateInputError,

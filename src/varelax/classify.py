@@ -12,18 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .convex import (
-    LP_PIVOTS_PER_ROW,
-    ConvexEnvelope,
-    Grid1D,
-    SampledFunction,
-    evaluate_envelope_many,
-    lower_convex_hull,
-    _lp_vertex,
-    slope_bounds,
-    subdifferential,
-)
-from .discretize import EnvelopeTable
+from .convex import LP_PIVOTS_PER_ROW, EnvelopeTable, Grid1D, _lp_vertex
 from .errors import CertificateError, OutOfDomainError
 from .families import IntegrandFamily
 
@@ -62,13 +51,6 @@ def _radii(radius_schedule: np.ndarray | None) -> np.ndarray:
     return radii
 
 
-def _erdmann_sup_on_grid(env: ConvexEnvelope, pts: np.ndarray) -> np.ndarray:
-    """max over subgradient selections of envelope(xi) - p*xi, per point."""
-    vals = evaluate_envelope_many(env, pts)
-    lo, hi = slope_bounds(env, pts)
-    return vals - np.minimum(lo * pts, hi * pts)
-
-
 @dataclass(frozen=True, eq=False)
 class ClassECertificate:
     radii: np.ndarray
@@ -90,29 +72,28 @@ def class_e_certificate(
 ) -> ClassECertificate:
     """Probe whether the worst-case linearization defect diverges.
 
-    For each radius R the probe rebuilds the envelope on the expanding box
-    [-CLASS_E_MARGIN*R, CLASS_E_MARGIN*R] and takes chi(R) = sup over sampled times and
-    grid points beyond R of the envelope value minus its steepest
-    supporting linearization; an autonomous family is sampled at the first
-    time only, since every time gives the same envelope.  chi must come
-    out nonincreasing; a rise beyond tolerance signals an envelope bug
-    rather than a property of the integrand.
+    For each radius R the probe tabulates the envelope on the expanding box
+    [-CLASS_E_MARGIN*R, CLASS_E_MARGIN*R], one table row per sampled time,
+    and takes chi(R) = sup over the rows and the grid points beyond R of
+    the envelope value minus its steepest supporting linearization; an
+    autonomous family is sampled at the first time only, since every time
+    gives the same envelope.  chi must come out nonincreasing; a rise
+    beyond tolerance signals an envelope bug rather than a property of the
+    integrand.
     """
     radii = _radii(radius_schedule)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if family.autonomous:
         t_grid = t_grid[:1]
+    rows = np.arange(t_grid.size)[:, None]
     chi = np.empty(radii.size)
     for k, radius in enumerate(radii):
         box = CLASS_E_MARGIN * radius
-        grid = Grid1D(np.linspace(-box, box, CERTIFICATE_GRID_POINTS))
-        beyond = np.abs(grid.points) > radius
-        best = -np.inf
-        for t in t_grid:
-            env = lower_convex_hull(family.sample(t, grid))
-            values = _erdmann_sup_on_grid(env, grid.points[beyond])
-            best = max(best, float(values.max()))
-        chi[k] = best
+        grid = np.linspace(-box, box, CERTIFICATE_GRID_POINTS)
+        table = EnvelopeTable.of(grid, family.table(t_grid, grid))
+        beyond = grid[np.abs(grid) > radius]
+        lo, hi = table.subgradients(rows, beyond)
+        chi[k] = (table.at(rows, beyond) - np.minimum(lo * beyond, hi * beyond)).max()
     diffs = np.diff(chi)
     tol = 1e-9 * np.maximum(1.0, np.abs(chi[:-1]))
     if np.any(diffs > tol):
@@ -158,19 +139,18 @@ def sci_certificate(
     radii = _radii(radius_schedule)
     box = float(radii[-1])
     inner = float(radii[-3])
-    grid = Grid1D(np.linspace(-box, box, CERTIFICATE_GRID_POINTS))
-    env = lower_convex_hull(family.sample(t, grid))
+    grid = np.linspace(-box, box, CERTIFICATE_GRID_POINTS)
+    table = EnvelopeTable.of(grid, family.table(np.array([t]), grid))
     probes = []
     for direction in SCI_DIRECTIONS:
-        p_in = direction * inner
-        p_out = direction * box
-        sub_in = subdifferential(env, p_in)
-        sub_out = subdifferential(env, p_out)
+        # the subgradient ends at the inner radius [0] and the outer one [1]
+        ends = table.subgradients(0, direction * np.array([inner, box]))
+        lo, hi = (end.tolist() for end in ends)
         if direction > 0:
-            inner_slope, outer_slope = sub_in.hi, sub_out.lo
+            inner_slope, outer_slope = hi[0], lo[1]
             increase = outer_slope - inner_slope
         else:
-            inner_slope, outer_slope = sub_in.lo, sub_out.hi
+            inner_slope, outer_slope = lo[0], hi[1]
             increase = -(outer_slope - inner_slope)
         tol = 1e-9 * max(1.0, abs(inner_slope), abs(outer_slope))
         probes.append(
@@ -199,14 +179,11 @@ class ProbeBox:
     def fstar(self) -> np.ndarray:
         """f** on the probe velocities at each probe time: (times, velocities);
         when ``f`` is the same at every probe time, one envelope serves all."""
-        grid = Grid1D(self.velocities)
         same = np.all(self.f_values == self.f_values[0])
-        tables = self.f_values[:1] if same else self.f_values
-        rows = [
-            evaluate_envelope_many(lower_convex_hull(SampledFunction(grid, v)), self.velocities)
-            for v in tables
-        ]
-        return np.repeat(rows, self.times.size // len(rows), axis=0)
+        samples = self.f_values[:1] if same else self.f_values
+        table = EnvelopeTable.of(self.velocities, samples)
+        rows = table.at(np.arange(len(samples))[:, None], self.velocities)
+        return np.repeat(rows, self.times.size // len(samples), axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,8 +254,8 @@ def _pooled_radial_profile(radii, values):
 
 
 def _hull_edge_slopes(r, vmin):
-    env = lower_convex_hull(SampledFunction(Grid1D(r), vmin))
-    return env.edge_slopes
+    table = EnvelopeTable.of(r, vmin[None])
+    return table.slopes[0, : table.counts[0] - 1]
 
 
 def _fit_lines(problem, probe: ProbeBox) -> tuple[float, ...]:
@@ -396,25 +373,24 @@ def _fit_drift_bound(problem, probe: ProbeBox):
 
 def _drift_samples(problem, probe: ProbeBox):
     """|phi|, |x| and the central-difference |d phi/dt| at every probe point,
-    where phi = g + f** on the (time, state, velocity) probe grid; only the
-    envelopes at t +- delta inside the horizon are built here, the clamped
-    ends read the probe table."""
+    where phi = g + f** on the (time, state, velocity) probe grid; one table
+    holds f** at the distinct times t +- delta inside the horizon, and the
+    ends clamped to the horizon read the probe table."""
     ts, xs, xis = probe.times, probe.states, probe.velocities
-    grid = Grid1D(xis)
     span = float(ts[-1] - ts[0])
     step = span / (4.0 * (ts.size - 1))
+    ends = [(max(t - step, float(ts[0])), min(t + step, float(ts[-1]))) for t in ts]
+    keys = np.unique([e for k, pair in enumerate(ends) for e in pair if e != ts[k]])
+    fstar = EnvelopeTable.of(xis, problem.f.table(keys, xis)).at(
+        np.arange(keys.size)[:, None], xis
+    )
 
     def phi(t, k):
         if t == ts[k]:  # clamped to the horizon: the k-th probe time itself
             return probe.g_values[k][:, None] + probe.fstar[k][None, :]
-        env = lower_convex_hull(problem.f.sample(t, grid))
-        return problem.g.value(t, xs)[:, None] + evaluate_envelope_many(env, xis)[None, :]
+        return problem.g.value(t, xs)[:, None] + fstar[np.searchsorted(keys, t)][None, :]
 
-    vels = []
-    for k, t in enumerate(ts):
-        t_lo = max(t - step, float(ts[0]))
-        t_hi = min(t + step, float(ts[-1]))
-        vels.append((phi(t_hi, k) - phi(t_lo, k)) / (t_hi - t_lo))
+    vels = [(phi(t_hi, k) - phi(t_lo, k)) / (t_hi - t_lo) for k, (t_lo, t_hi) in enumerate(ends)]
     abs_phi = np.abs(probe.g_values[:, :, None] + probe.fstar[:, None, :]).ravel()
     abs_v = np.abs(np.stack(vels)).ravel()
     abs_x = np.abs(np.broadcast_to(xs[None, :, None], (ts.size, xs.size, xis.size))).ravel()

@@ -2,17 +2,18 @@
 
 The central representation is the piecewise-linear lower convex hull of a
 sampled graph.  Because everything is finite, each operation (envelope
-evaluation, subdifferentials, convex-combination splittings)
-is exact on the sample data and can be cross-checked by enumeration.
+evaluation, subgradients, convex-combination splittings) is exact on the
+sample data and can be cross-checked by enumeration.
 
-One-dimensional velocity grids are the workhorse.  A planar velocity
-cloud is split at one target by a small linear program, solved by the
-dense simplex that the drift fit of the certify stage also uses.
-"""
+One-dimensional velocity grids are the workhorse: one ``EnvelopeTable``
+holds the hulls of many sampled rows over one grid, built by Andrew's
+monotone chain, and answers f**, subgradient and splitting queries for
+(row, velocity) pairs by array gathers.  A planar velocity cloud is split
+at one target by a small linear program, solved by the dense simplex that
+the drift fit of the certify stage also uses."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,69 +53,6 @@ class Grid1D:
 
     def __len__(self) -> int:
         return self.points.size
-
-
-@dataclass(frozen=True, eq=False)
-class SampledFunction:
-    """A function slice tabulated on a velocity grid."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _as_array(self.values, "sample values")
-        if vals.shape != (len(self.grid),):
-            raise DegenerateInputError("values length must match grid length")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexEnvelope:
-    """Lower convex hull of a sampled graph, stored by its vertices."""
-
-    breakpoints: np.ndarray
-    hull_values: np.ndarray
-    edge_slopes: np.ndarray
-
-    def __post_init__(self):
-        bp = _as_array(self.breakpoints, "breakpoints")
-        hv = _as_array(self.hull_values, "hull values")
-        es = _as_array(self.edge_slopes, "edge slopes")
-        if bp.size < 2 or hv.shape != bp.shape or es.shape != (bp.size - 1,):
-            raise DegenerateInputError("inconsistent envelope arrays")
-        if not (bp[1:] > bp[:-1]).all():
-            raise DegenerateInputError("breakpoints must be strictly increasing")
-        if (es[1:] - es[:-1] < -1e-12 * np.maximum(1.0, np.abs(es[:-1]))).any():
-            raise DegenerateInputError("edge slopes must be nondecreasing")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "hull_values", hv)
-        object.__setattr__(self, "edge_slopes", es)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.breakpoints[0]), float(self.breakpoints[-1])
-
-
-@dataclass(frozen=True)
-class SubgradientInterval:
-    """Closed slope interval [lo, hi] of a convex PWL function at a point."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DegenerateInputError("subgradient bounds must be finite")
-        if self.lo > self.hi:
-            raise DegenerateInputError("subgradient interval must satisfy lo <= hi")
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.lo == self.hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,151 +120,112 @@ def _hull_vertices(xs: list[float], ys: list[float]) -> list[int]:
     return keep
 
 
-def lower_convex_hull(samples: SampledFunction) -> ConvexEnvelope:
-    """Lower boundary of the convex hull of the sampled graph.
-
-    Collinear interior samples are dropped: they never change the vertex
-    set needed for a decomposition, and keeping the vertex set minimal
-    makes subdifferential intervals unambiguous.
+@dataclass(frozen=True, eq=False)
+class EnvelopeTable:
+    """A function sampled on a velocity grid, one row per time key, with each
+    row's lower convex hull: its vertices are the grid indices
+    ``vertices[r, :counts[r]]``, padded with the last, ``rank[r, p]`` counts
+    those below grid index p, and ``slopes[r, :counts[r] - 1]`` are its edge
+    slopes; collinear interior samples are not vertices.  The queries take
+    (row, velocity) pairs, broadcast together; a velocity within 1e-12 of
+    the domain scale outside the grid is clamped to the domain end, one
+    farther out raises ``OutOfDomainError``.
     """
-    xs = samples.grid.points
-    ys = samples.values
-    if xs.size < 2:
-        raise DegenerateInputError("need at least 2 samples")
-    idx = np.array(_hull_vertices(xs.tolist(), ys.tolist()), dtype=int)
-    bp = xs[idx]
-    hv = ys[idx]
-    slopes = np.diff(hv) / np.diff(bp)
-    return ConvexEnvelope(bp, hv, slopes)
 
+    grid: np.ndarray
+    values: np.ndarray
+    vertices: np.ndarray
+    counts: np.ndarray
+    rank: np.ndarray
+    slopes: np.ndarray
 
-def _locate(env: ConvexEnvelope, xi: float) -> tuple[int, bool]:
-    """Index of the breakpoint at or right of ``xi``; flag marks exact hit."""
-    bp = env.breakpoints
-    lo, hi = env.domain
-    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if xi < lo - tol or xi > hi + tol:
-        raise OutOfDomainError(
-            f"velocity {xi!r} outside envelope domain [{lo!r}, {hi!r}]"
-        )
-    xi = min(max(xi, lo), hi)
-    i = int(bp.searchsorted(xi))
-    if i < bp.size and bp[i] == xi:
-        return i, True
-    return i, False
+    @classmethod
+    def of(cls, grid: np.ndarray, values: np.ndarray) -> EnvelopeTable:
+        """The hulls of the rows of ``values`` over ``grid``, increasing with at
+        least two points.  The samples and the edge slopes must be finite, and
+        the slopes may fall only by rounding, 1e-12 of their size."""
+        if not np.isfinite(values).all():
+            raise DegenerateInputError("sample values must contain finite values only")
+        if values.shape[1:] != grid.shape:
+            raise DegenerateInputError("values length must match grid length")
+        xs = grid.tolist()
+        hulls = [_hull_vertices(xs, row) for row in values.tolist()]
+        counts = np.array([len(h) for h in hulls])
+        vertices = np.array([h + h[-1:] * (counts.max() - len(h)) for h in hulls])
+        rows = np.arange(len(hulls))[:, None]
+        is_vertex = np.zeros(values.shape, dtype=np.intp)
+        is_vertex[rows, vertices] = 1
+        rank = np.zeros((len(hulls), grid.size + 1), dtype=np.intp)
+        np.cumsum(is_vertex, axis=1, out=rank[:, 1:])
+        rises = np.diff(values[rows, vertices])
+        edges = np.arange(rises.shape[1]) < counts[:, None] - 1
+        slopes = np.divide(rises, np.diff(grid[vertices]), out=np.zeros_like(rises), where=edges)
+        if not np.isfinite(slopes).all():
+            raise DegenerateInputError("edge slopes must contain finite values only")
+        drop = slopes[:, 1:] - slopes[:, :-1] < -1e-12 * np.maximum(1.0, np.abs(slopes[:, :-1]))
+        if (drop & edges[:, 1:]).any():
+            raise DegenerateInputError("edge slopes must be nondecreasing")
+        return cls(grid, values, vertices, counts, rank, slopes)
 
+    def _locate(self, rows, xis):
+        """The velocities after the domain check, clipped to the domain; the
+        grid index p of each and whether it is a vertex there; and the edge
+        (jl, jr) to interpolate on, with the weight lam of jl."""
+        xis = np.asarray(xis, dtype=float)
+        lo, hi = float(self.grid[0]), float(self.grid[-1])
+        tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+        outside = np.flatnonzero((xis < lo - tol) | (xis > hi + tol))
+        if outside.size:
+            xi = float(xis.flat[outside[0]])
+            raise OutOfDomainError(f"velocity {xi!r} outside envelope domain [{lo!r}, {hi!r}]")
+        clipped = np.clip(xis, lo, hi)
+        p = np.searchsorted(self.grid, clipped)
+        exact = (self.grid[p] == clipped) & (self.rank[rows, p + 1] > self.rank[rows, p])
+        idx = np.maximum(self.rank[rows, p], 1)  # the last vertex is at or right of p
+        jl, jr = self.vertices[rows, idx - 1], self.vertices[rows, idx]
+        lam = (self.grid[jr] - clipped) / (self.grid[jr] - self.grid[jl])
+        return clipped, p, exact, jl, jr, lam
 
-def evaluate_envelope(env: ConvexEnvelope, xi: float) -> float:
-    """Envelope value at ``xi``: exact at breakpoints, linear in between."""
-    i, exact = _locate(env, xi)
-    if exact:
-        return float(env.hull_values[i])
-    xl, xr = env.breakpoints[i - 1], env.breakpoints[i]
-    lam = (xr - xi) / (xr - xl)
-    return float(lam * env.hull_values[i - 1] + (1.0 - lam) * env.hull_values[i])
+    def at(self, rows, xis) -> np.ndarray:
+        """f** of row ``rows`` at ``xis``: exact at a vertex, linear in between."""
+        _, p, exact, jl, jr, lam = self._locate(rows, xis)
+        out = lam * self.values[rows, jl] + (1.0 - lam) * self.values[rows, jr]
+        return np.where(exact, self.values[rows, p], out)
 
+    def subgradients(self, rows, xis) -> tuple[np.ndarray, np.ndarray]:
+        """Ends (lo, hi) of row ``rows``' subgradient interval at ``xis``:
+        both the slope of the edge at an interior point, the slopes of the
+        two edges at a vertex; the missing outward slope at a domain end is
+        the extreme edge's."""
+        _, p, exact, _, _, _ = self._locate(rows, xis)
+        idx = self.rank[rows, p]  # the vertex at or right of p
+        lo = self.slopes[rows, np.maximum(idx - 1, 0)]
+        hi = self.slopes[rows, np.minimum(idx, self.counts[rows] - 2)]
+        return lo, np.where(exact, hi, lo)
 
-def _check_domain(env: ConvexEnvelope, xis: np.ndarray) -> None:
-    lo, hi = env.domain
-    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if np.any(xis < lo - tol) or np.any(xis > hi + tol):
-        raise OutOfDomainError("velocity outside envelope domain")
+    def midpoints(self, rows, xis) -> np.ndarray:
+        """Midpoint of row ``rows``' subgradient interval at ``xis``; its ends
+        may cross by the rounding that ``of`` allows the slopes."""
+        lo, hi = self.subgradients(rows, xis)
+        if np.any(hi - lo < -1e-12 * np.maximum(1.0, np.abs(lo))):
+            raise DegenerateInputError("subgradient interval must satisfy lo <= hi")
+        return 0.5 * (lo + hi)
 
-
-def evaluate_envelope_many(env: ConvexEnvelope, xis: np.ndarray) -> np.ndarray:
-    """Vectorized ``evaluate_envelope`` with the same breakpoint exactness."""
-    bp, hv = env.breakpoints, env.hull_values
-    xis = np.asarray(xis, dtype=float)
-    _check_domain(env, xis)
-    clipped = np.clip(xis, *env.domain)
-    idx = np.searchsorted(bp, clipped)
-    idx = np.clip(idx, 1, bp.size - 1)
-    xl, xr = bp[idx - 1], bp[idx]
-    lam = (xr - clipped) / (xr - xl)
-    out = lam * hv[idx - 1] + (1.0 - lam) * hv[idx]
-    exact = np.isin(clipped, bp)
-    if np.any(exact):
-        pos = np.searchsorted(bp, clipped[exact])
-        out[exact] = hv[pos]
-    return out
-
-
-def subdifferential(env: ConvexEnvelope, xi: float) -> SubgradientInterval:
-    """Slope interval of the envelope at ``xi``.
-
-    At the domain endpoints the missing outward slope is clamped to the
-    extreme edge slope, which keeps the interval finite and matches the
-    generalized gradient of the PWL extension by its last edge.
-    """
-    i, exact = _locate(env, xi)
-    slopes = env.edge_slopes
-    if exact:
-        left = slopes[i - 1] if i > 0 else slopes[0]
-        right = slopes[i] if i < slopes.size else slopes[-1]
-        return SubgradientInterval(float(left), float(right))
-    s = float(slopes[i - 1])
-    return SubgradientInterval(s, s)
-
-
-def slope_bounds(env: ConvexEnvelope, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``subdifferential`` endpoints at in-domain points.
-
-    Points within the domain tolerance outside the domain get the clamped
-    extreme edge slope, as ``subdifferential`` gives them.
-    """
-    bp, slopes = env.breakpoints, env.edge_slopes
-    pts = np.asarray(pts, dtype=float)
-    idx = np.searchsorted(bp, pts)
-    idx = np.clip(idx, 0, bp.size - 1)
-    exact = bp[idx] == pts
-    # the edge left of each point; at a breakpoint the edge right of it
-    # closes the interval
-    lo = slopes[np.clip(idx - 1, 0, slopes.size - 1)]
-    hi = lo.copy()
-    hi[exact] = slopes[np.clip(idx[exact], 0, slopes.size - 1)]
-    return lo, hi
-
-
-def _sample_index(grid: np.ndarray, breakpoint: float) -> int:
-    j = int(np.searchsorted(grid, breakpoint))
-    if j >= grid.size or grid[j] != breakpoint:
-        raise DegenerateInputError("envelope breakpoints are not sample points")
-    return j
-
-
-def caratheodory_decompose(
-    samples: SampledFunction, env: ConvexEnvelope, xi: float
-) -> CaratheodoryDecomposition:
-    """Split ``xi`` across the hull-edge vertices that realize f**(xi).
-
-    A hull vertex decomposes trivially; an edge-interior point splits over
-    the two vertices of its edge.  Support values are sampled values, not
-    envelope values, so the combination certifies the envelope from above.
-    """
-    i, exact = _locate(env, xi)
-    grid = samples.grid.points
-    if exact:
-        j = _sample_index(grid, env.breakpoints[i])
-        value = float(samples.values[j])
-        return CaratheodoryDecomposition(
-            weights=np.array([1.0]),
-            points=np.array([grid[j]]),
-            point_values=np.array([value]),
-            target=float(env.breakpoints[i]),
-            envelope_value=value,
-        )
-    xl, xr = env.breakpoints[i - 1], env.breakpoints[i]
-    jl = _sample_index(grid, xl)
-    jr = _sample_index(grid, xr)
-    vl, vr = float(samples.values[jl]), float(samples.values[jr])
-    lam = (xr - xi) / (xr - xl)
-    return CaratheodoryDecomposition(
-        weights=np.array([lam, 1.0 - lam]),
-        points=np.array([grid[jl], grid[jr]]),
-        point_values=np.array([vl, vr]),
-        target=float(xi),
-        envelope_value=lam * vl + (1.0 - lam) * vr,
-    )
+    def split(self, rows: np.ndarray, xis) -> tuple[np.ndarray, ...]:
+        """Each velocity's splitting on its row: weights, points and point
+        values of shape (n, 2), then the support count, the target and the
+        envelope value.  A hull vertex splits trivially, its second column
+        a copy with weight 0; any other point over its edge's vertices."""
+        clipped, p, exact, jl, jr, lam = self._locate(rows, xis)
+        trivial = exact[:, None]
+        weights = np.where(trivial, [1.0, 0.0], np.stack([lam, 1.0 - lam], axis=1))
+        index = np.where(trivial, p[:, None], np.stack([jl, jr], axis=1))
+        points, values = self.grid[index], self.values[rows[:, None], index]
+        # lam * vl + (1 - lam) * vr, and exactly the vertex value when trivial
+        envelope = weights[:, 0] * values[:, 0] + weights[:, 1] * values[:, 1]
+        targets = np.where(exact, points[:, 0], clipped)
+        _check_splits(weights, points, values, targets, envelope)
+        return weights, points, values, np.where(exact, 1, 2), targets, envelope
 
 
 # ---------------------------------------------------------------------------

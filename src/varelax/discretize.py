@@ -5,7 +5,7 @@ The per-step velocity set is the set of state-grid difference quotients
 clipped at the velocity cap, and envelopes are built on exactly that set.
 Costs, decompositions, and necessary-condition checks therefore all see
 the same discrete relaxation.  Each stage samples f once per distinct
-time into one ``EnvelopeTable`` and reads costs, subgradients and
+time into one ``convex.EnvelopeTable`` and reads costs, subgradients and
 splittings from it by array gathers; a trajectory is costed through one
 routine, ``path_costs``.
 """
@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .convex import Grid1D, _check_splits, _hull_vertices
-from .errors import DegenerateInputError, InfeasibleError, OutOfDomainError
+from .convex import EnvelopeTable, Grid1D
+from .errors import InfeasibleError, OutOfDomainError
 from .problem import DPConfig, Problem
 
 
@@ -141,107 +141,6 @@ def transition_table(walk: OffsetWalk, points: np.ndarray) -> tuple[tuple[Run, .
         if any(k.start < prev.stop for prev, k in zip(targets, targets[1:])):
             raise InfeasibleError("two state nodes are closer than one step's quotients resolve")
     return tuple(map(tuple, runs))
-
-
-@dataclass(frozen=True, eq=False)
-class EnvelopeTable:
-    """f sampled on a velocity grid, one row per time key, with each row's
-    lower convex hull: its vertices are the grid indices
-    ``vertices[r, :counts[r]]``, padded with the last, and ``rank[r, p]``
-    counts those below grid index p.  The queries take (row, velocity)
-    pairs and repeat, element by element, the arithmetic and the checks of
-    ``convex.evaluate_envelope_many``, ``subdifferential`` (its midpoint)
-    and ``caratheodory_decompose`` on the row's envelope.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    vertices: np.ndarray
-    counts: np.ndarray
-    rank: np.ndarray
-    slopes: np.ndarray
-
-    @classmethod
-    def of(cls, grid: np.ndarray, values: np.ndarray) -> EnvelopeTable:
-        """The hulls of the rows of ``values``, checked as ``SampledFunction``
-        and ``ConvexEnvelope`` check each."""
-        if not np.isfinite(values).all():
-            raise DegenerateInputError("sample values must contain finite values only")
-        if values.shape[1:] != grid.shape:
-            raise DegenerateInputError("values length must match grid length")
-        xs = grid.tolist()
-        hulls = [_hull_vertices(xs, row) for row in values.tolist()]
-        counts = np.array([len(h) for h in hulls])
-        vertices = np.array([h + h[-1:] * (counts.max() - len(h)) for h in hulls])
-        rows = np.arange(len(hulls))[:, None]
-        is_vertex = np.zeros(values.shape, dtype=np.intp)
-        is_vertex[rows, vertices] = 1
-        rank = np.zeros((len(hulls), grid.size + 1), dtype=np.intp)
-        np.cumsum(is_vertex, axis=1, out=rank[:, 1:])
-        rises = np.diff(values[rows, vertices])
-        edges = np.arange(rises.shape[1]) < counts[:, None] - 1
-        slopes = np.divide(rises, np.diff(grid[vertices]), out=np.zeros_like(rises), where=edges)
-        if not np.isfinite(slopes).all():
-            raise DegenerateInputError("edge slopes must contain finite values only")
-        drop = slopes[:, 1:] - slopes[:, :-1] < -1e-12 * np.maximum(1.0, np.abs(slopes[:, :-1]))
-        if (drop & edges[:, 1:]).any():
-            raise DegenerateInputError("edge slopes must be nondecreasing")
-        return cls(grid, values, vertices, counts, rank, slopes)
-
-    def _locate(self, rows, xis):
-        """The velocities, after the domain check; clipped to the domain;
-        the grid index p of each clipped one and whether it is a vertex
-        there; and the edge (jl, jr) that ``evaluate_envelope_many``
-        interpolates on, with the weight lam of jl."""
-        xis = np.asarray(xis, dtype=float)
-        lo, hi = float(self.grid[0]), float(self.grid[-1])
-        tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-        outside = np.flatnonzero((xis < lo - tol) | (xis > hi + tol))
-        if outside.size:
-            xi = float(xis.flat[outside[0]])
-            raise OutOfDomainError(f"velocity {xi!r} outside envelope domain [{lo!r}, {hi!r}]")
-        clipped = np.clip(xis, lo, hi)
-        p = np.searchsorted(self.grid, clipped)
-        exact = (self.grid[p] == clipped) & (self.rank[rows, p + 1] > self.rank[rows, p])
-        idx = np.maximum(self.rank[rows, p], 1)  # the last vertex is at or right of p
-        jl, jr = self.vertices[rows, idx - 1], self.vertices[rows, idx]
-        lam = (self.grid[jr] - clipped) / (self.grid[jr] - self.grid[jl])
-        return xis, clipped, p, exact, jl, jr, lam
-
-    def at(self, rows, xis) -> np.ndarray:
-        """f** of row ``rows`` at ``xis``, broadcast together."""
-        _, _, p, exact, jl, jr, lam = self._locate(rows, xis)
-        out = lam * self.values[rows, jl] + (1.0 - lam) * self.values[rows, jr]
-        return np.where(exact, self.values[rows, p], out)
-
-    def midpoints(self, rows, xis) -> np.ndarray:
-        """Midpoint of row ``rows``' subdifferential at ``xis``; the missing
-        outward slope at a domain end is the extreme edge's."""
-        xis = self._locate(rows, xis)[0]
-        last = self.counts[rows] - 1
-        idx = np.minimum(self.rank[rows, np.searchsorted(self.grid, xis)], last)
-        lo = self.slopes[rows, np.maximum(idx - 1, 0)]
-        exact = self.grid[self.vertices[rows, idx]] == xis
-        hi = np.where(exact, self.slopes[rows, np.minimum(idx, last - 1)], lo)
-        if np.any(lo > hi):
-            raise DegenerateInputError("subgradient interval must satisfy lo <= hi")
-        return 0.5 * (lo + hi)
-
-    def split(self, rows: np.ndarray, xis) -> tuple[np.ndarray, ...]:
-        """Each velocity's splitting on its row: weights, points and point
-        values of shape (n, 2), then the support count, the target and the
-        envelope value.  A hull vertex splits trivially, its second column
-        a copy with weight 0; any other point over its edge's vertices."""
-        _, clipped, p, exact, jl, jr, lam = self._locate(rows, xis)
-        trivial = exact[:, None]
-        weights = np.where(trivial, [1.0, 0.0], np.stack([lam, 1.0 - lam], axis=1))
-        index = np.where(trivial, p[:, None], np.stack([jl, jr], axis=1))
-        points, values = self.grid[index], self.values[rows[:, None], index]
-        # lam * vl + (1 - lam) * vr, and exactly the vertex value when trivial
-        envelope = weights[:, 0] * values[:, 0] + weights[:, 1] * values[:, 1]
-        targets = np.where(exact, points[:, 0], clipped)
-        _check_splits(weights, points, values, targets, envelope)
-        return weights, points, values, np.where(exact, 1, 2), targets, envelope
 
 
 @dataclass(frozen=True, eq=False)

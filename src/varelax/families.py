@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ShapeFunction, TimeFactor, time_factor
-from .convex import Grid1D, SampledFunction
 from .errors import SchemaError
 
 
@@ -43,6 +42,3 @@ class IntegrandFamily:
             return np.tile(out, (times.size, 1))
         factors = np.array([float(self.factor(t)) for t in times])
         return out + factors[:, None] * self.modulation(y)
-
-    def sample(self, t: float, grid: Grid1D) -> SampledFunction:
-        return SampledFunction(grid, self.value(t, grid.points))

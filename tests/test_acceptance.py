@@ -18,14 +18,7 @@ from varelax.classify import (
     sci_certificate,
 )
 from varelax.conditions import energy_constancy
-from varelax.convex import (
-    EpigraphCloud2D,
-    Grid1D,
-    SampledFunction,
-    caratheodory_decompose,
-    decompose_2d,
-    lower_convex_hull,
-)
+from varelax.convex import EnvelopeTable, EpigraphCloud2D, decompose_2d
 from varelax.families import IntegrandFamily
 from varelax.problem import DPConfig, Problem
 from varelax.reconstruct import compare_costs, decompose_velocities, rearrange
@@ -74,11 +67,11 @@ def test_criterion_1_decomposition_oracle():
         xs = np.unique(rng.uniform(-4.0, 4.0, size=n))
         if xs.size < 4:
             xs = np.linspace(-1.0, 1.0, 4)
-        samples = SampledFunction(Grid1D(xs), rng.uniform(0.0, 2.0, size=xs.size))
-        env = lower_convex_hull(samples)
+        ys = rng.uniform(0.0, 2.0, size=xs.size)
+        table = EnvelopeTable.of(xs, ys[None])
         target = float(rng.uniform(xs[0], xs[-1]))
-        dec = caratheodory_decompose(samples, env, target)
-        worst = max(worst, abs(dec.envelope_value - pair_minimum_oracle(samples, target)))
+        envelope = table.split(np.zeros(1, dtype=np.intp), [target])[-1][0]
+        worst = max(worst, abs(envelope - pair_minimum_oracle(xs, ys, target)))
     worst2d = 0.0
     for seed in range(10):
         sub = np.random.default_rng(seed)
@@ -105,18 +98,16 @@ def test_criterion_2_double_well_analytics():
         np.linspace(-2.0, 2.0, 17),
         np.array([-2.0, -1.3, -1.0, -0.4, 0.0, 0.7, 1.0, 1.8, 2.0]),
     ):
-        samples = SampledFunction(Grid1D(xs), (xs**2 - 1.0) ** 2)
-        env = lower_convex_hull(samples)
+        table = EnvelopeTable.of(xs, ((xs**2 - 1.0) ** 2)[None])
         inside = xs[(xs >= -1.0) & (xs <= 1.0)]
-        from varelax.convex import evaluate_envelope_many
-
-        values = evaluate_envelope_many(env, inside)
+        values = table.at(0, inside)
         ok &= bool(np.max(np.abs(values)) <= 1e-12)
-        dec = caratheodory_decompose(samples, env, 0.0)
+        weights, points, _, support, _, envelope = table.split(np.zeros(1, dtype=np.intp), [0.0])
+        k = support[0]
         exact = (
-            dec.weights.tolist() == [0.5, 0.5]
-            and dec.points.tolist() == [-1.0, 1.0]
-            and dec.envelope_value == 0.0
+            weights[0, :k].tolist() == [0.5, 0.5]
+            and points[0, :k].tolist() == [-1.0, 1.0]
+            and envelope[0] == 0.0
         )
         ok &= exact
         details.append(f"max|f**| {np.max(np.abs(values)):.1e}")

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varelax import classify
+import envelope_reference as ref
+from varelax import classify, convex
 from varelax.catalog import state_function, time_factor, velocity_function
+from varelax.cli import main
 from varelax.classify import (
     PROBE_STATES,
     PROBE_TIMES,
@@ -37,7 +39,6 @@ from varelax.classify import (
     linear_bounds,
     sci_certificate,
 )
-from varelax.convex import Grid1D, evaluate_envelope_many, lower_convex_hull
 from varelax.errors import CertificateError
 from varelax.families import IntegrandFamily
 from varelax.io import parse_problem
@@ -508,8 +509,9 @@ def per_probe_reference(problem):
     )
 
     def fstar(t):
-        env = lower_convex_hull(problem.f.sample(t, Grid1D(xis)))
-        return evaluate_envelope_many(env, xis)
+        ys = problem.f.value(t, xis)
+        keep = ref.hull(xis, ys)
+        return np.array([ref.value(xis, ys, keep, xi) for xi in xis])
 
     def phi(t):
         return problem.g.value(t, xs)[:, None] + fstar(t)[None, :]
@@ -532,20 +534,19 @@ def per_probe_reference(problem):
     ):
         fields[name] = value
 
-    concave, convex = [], []
+    concave, f_convex = [], []
     for t in ts:
         vals = problem.g.value(t, xs)
         xi, xj = np.meshgrid(xs, xs)
         vi, vj = np.meshgrid(vals, vals)
         mids = problem.g.value(t, (xi + xj) / 2.0)
         concave.append(bool(np.all(mids >= (vi + vj) / 2.0 - 1e-9)))
-        f_samples = problem.f.sample(t, Grid1D(xis))
-        env = lower_convex_hull(f_samples)
-        gap = f_samples.values - evaluate_envelope_many(env, xis)
-        scale = 1.0 + float(np.max(np.abs(f_samples.values)))
-        convex.append(bool(np.max(gap) <= 1e-9 * scale))
+        f_values = problem.f.value(t, xis)
+        gap = f_values - fstar(t)
+        scale = 1.0 + float(np.max(np.abs(f_values)))
+        f_convex.append(bool(np.max(gap) <= 1e-9 * scale))
     fields["g_concave_per_t"] = np.array(concave)
-    fields["f_convex_per_t"] = np.array(convex)
+    fields["f_convex_per_t"] = np.array(f_convex)
     return fields, samples
 
 
@@ -572,22 +573,29 @@ class TestProbeTable:
 
     @staticmethod
     def costs(monkeypatch, name):
-        """(hulls built, points at which f is evaluated) by one hypothesis_check."""
+        """(rows the hull kernel runs on, points at which f is evaluated) by
+        one hypothesis_check."""
         problem = parse_problem(PROBLEMS / name).problem
         hulls, points = [], []
-        build, value = classify.lower_convex_hull, IntegrandFamily.value
+        build, value, table = convex._hull_vertices, IntegrandFamily.value, IntegrandFamily.table
 
-        def counted_build(samples):
+        def counted_build(xs, ys):
             hulls.append(1)
-            return build(samples)
+            return build(xs, ys)
 
         def counted_value(family, t, y):
             if family is problem.f:
                 points.append(np.size(y))
             return value(family, t, y)
 
-        monkeypatch.setattr(classify, "lower_convex_hull", counted_build)
+        def counted_table(family, times, y):
+            if family is problem.f:
+                points.append(np.size(times) * np.size(y))
+            return table(family, times, y)
+
+        monkeypatch.setattr(convex, "_hull_vertices", counted_build)
         monkeypatch.setattr(IntegrandFamily, "value", counted_value)
+        monkeypatch.setattr(IntegrandFamily, "table", counted_table)
         hypothesis_check(problem)
         return len(hulls), sum(points)
 
@@ -600,6 +608,30 @@ class TestProbeTable:
     def test_autonomous_problem_tabulates_f_once(self, monkeypatch):
         # hulls: one envelope for every probe time and 2 for the line fits
         assert self.costs(monkeypatch, "doublewell.json") == (3, 585)
+
+
+class TestClassifyHullRows:
+    """One ``classify`` runs the hull kernel on a fixed number of rows, as
+    recorded before the certificates moved onto envelope tables: one per
+    radius and sampled time for class-E (20 radii), one per probe time for
+    SCI, and hypothesis_check's (``TestProbeTable``); an autonomous f is
+    sampled at one time."""
+
+    @pytest.mark.parametrize(
+        "name, rows", [("doublewell", 20 + 1 + 3), ("doublewell_timevarying", 20 * 9 + 9 + 27)]
+    )
+    def test_rows_per_classify(self, monkeypatch, tmp_path, name, rows):
+        calls = []
+        build = convex._hull_vertices
+
+        def counting(xs, ys):
+            calls.append(1)
+            return build(xs, ys)
+
+        monkeypatch.setattr(convex, "_hull_vertices", counting)
+        out = tmp_path / "certificates.json"
+        assert main(["classify", str(PROBLEMS / f"{name}.json"), "--out", str(out)]) == 0
+        assert len(calls) == rows
 
 
 class TestAutonomousClassE:

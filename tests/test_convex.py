@@ -1,8 +1,11 @@
-"""Envelope, subdifferential, conjugate, and splitting checks in 1-d.
+"""Envelope, subgradient, conjugate, and splitting checks in 1-d, on
+one-row envelope tables.
 
 Expected values come from three independent sources: closed-form
 envelopes (parabola, double well, affine), chord-slope arithmetic done by
-hand, and a brute-force enumeration oracle over all support pairs.
+hand, and a brute-force enumeration oracle over all support pairs; bit
+for bit, the table also matches the per-envelope reference of
+``envelope_reference``.
 """
 
 import numpy as np
@@ -10,35 +13,32 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from varelax.convex import (
-    ConvexEnvelope,
-    _hull_vertices,
-    Grid1D,
-    SampledFunction,
-    caratheodory_decompose,
-    evaluate_envelope,
-    evaluate_envelope_many,
-    lower_convex_hull,
-    subdifferential,
-)
-from varelax.discretize import EnvelopeTable
+import envelope_reference as ref
+from varelax import convex
+from varelax.convex import EnvelopeTable, Grid1D, _hull_vertices
 from varelax.errors import DegenerateInputError, OutOfDomainError
 
 
-def legendre_conjugate(samples, p):
+def legendre_conjugate(xs, ys, p):
     """sup over the grid of ``p*xi - f(xi)``; conjugation kills non-convexity."""
-    return float(np.max(p * samples.grid.points - samples.values))
+    return float(np.max(p * xs - ys))
 
 
 def sampled(points, fn):
-    grid = Grid1D(np.asarray(points, dtype=float))
-    return SampledFunction(grid, fn(grid.points))
+    xs = Grid1D(np.asarray(points, dtype=float)).points
+    return xs, fn(xs)
 
 
-def pair_minimum_oracle(samples, target):
+def one_row(xs, ys):
+    return EnvelopeTable.of(xs, ys[None])
+
+
+def vertex_indices(table):
+    return table.vertices[0, : table.counts[0]]
+
+
+def pair_minimum_oracle(xs, ys, target):
     """Exhaustive minimum over all support pairs and admissible weights."""
-    xs = samples.grid.points
-    ys = samples.values
     best = np.inf
     for i in range(xs.size):
         if xs[i] == target:
@@ -58,29 +58,26 @@ DOUBLE_WELL = sampled(
 
 class TestLowerConvexHull:
     def test_convex_input_is_its_own_envelope(self):
-        env = lower_convex_hull(PARABOLA)
-        np.testing.assert_array_equal(env.breakpoints, PARABOLA.grid.points)
-        np.testing.assert_array_equal(env.hull_values, PARABOLA.values)
+        table = one_row(*PARABOLA)
+        assert vertex_indices(table).tolist() == list(range(PARABOLA[0].size))
 
     def test_double_well_flat_edge(self):
-        env = lower_convex_hull(DOUBLE_WELL)
-        assert -1.0 in env.breakpoints and 1.0 in env.breakpoints
-        k = int(np.searchsorted(env.breakpoints, -1.0))
-        assert env.breakpoints[k + 1] == 1.0
-        assert env.edge_slopes[k] == 0.0
-        for xi in (-1.0, -0.25, 0.0, 0.75, 1.0):
-            assert evaluate_envelope(env, xi) == 0.0
+        table = one_row(*DOUBLE_WELL)
+        breakpoints = table.grid[vertex_indices(table)]
+        assert -1.0 in breakpoints and 1.0 in breakpoints
+        k = int(np.searchsorted(breakpoints, -1.0))
+        assert breakpoints[k + 1] == 1.0
+        assert table.slopes[0, k] == 0.0
+        assert table.at(0, np.array([-1.0, -0.25, 0.0, 0.75, 1.0])).tolist() == [0.0] * 5
 
     def test_affine_input(self):
-        samples = sampled([0, 1], lambda x: -x)
-        env = lower_convex_hull(samples)
-        np.testing.assert_array_equal(env.hull_values, [0.0, -1.0])
-        assert env.edge_slopes.tolist() == [-1.0]
+        table = one_row(*sampled([0, 1], lambda x: -x))
+        np.testing.assert_array_equal(table.values[0, vertex_indices(table)], [0.0, -1.0])
+        assert table.slopes[0, : table.counts[0] - 1].tolist() == [-1.0]
 
     def test_collinear_interior_points_dropped(self):
-        samples = sampled([0, 1, 2, 3], lambda x: 2.0 * x + 1.0)
-        env = lower_convex_hull(samples)
-        np.testing.assert_array_equal(env.breakpoints, [0.0, 3.0])
+        table = one_row(*sampled([0, 1, 2, 3], lambda x: 2.0 * x + 1.0))
+        np.testing.assert_array_equal(table.grid[vertex_indices(table)], [0.0, 3.0])
 
     def test_rejects_single_sample(self):
         with pytest.raises(DegenerateInputError):
@@ -94,29 +91,13 @@ class TestLowerConvexHull:
             xs = np.unique(xs)
             if xs.size < 2:
                 continue
-            samples = SampledFunction(Grid1D(xs), rng.uniform(0, 2, size=xs.size))
-            env = lower_convex_hull(samples)
-            vals = evaluate_envelope_many(env, xs)
-            assert np.all(vals <= samples.values + 1e-12)
-            hit = np.isin(xs, env.breakpoints)
-            np.testing.assert_array_equal(vals[hit], samples.values[hit])
-            assert np.all(np.diff(env.edge_slopes) >= -1e-12)
-
-
-def numpy_scalar_hull(xs, ys):
-    """The monotone chain on numpy float64 scalars, one numpy operation per
-    float operation: the reference for the Python-float kernel."""
-    keep = []
-    for i in range(xs.size):
-        while len(keep) >= 2:
-            a, b = keep[-2], keep[-1]
-            cross = (xs[b] - xs[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (xs[i] - xs[a])
-            if cross <= 0.0:
-                keep.pop()
-            else:
-                break
-        keep.append(i)
-    return keep
+            ys = rng.uniform(0, 2, size=xs.size)
+            table = one_row(xs, ys)
+            vals = table.at(0, xs)
+            assert np.all(vals <= ys + 1e-12)
+            hit = vertex_indices(table)
+            np.testing.assert_array_equal(vals[hit], ys[hit])
+            assert np.all(np.diff(table.slopes[0, : table.counts[0] - 1]) >= -1e-12)
 
 
 def chord_oracle(xs, ys):
@@ -157,129 +138,134 @@ class TestHullKernel:
                 np.abs(xs) * 1e300,
             ]
             for ys in shapes:
-                assert _hull_vertices(xs.tolist(), ys.tolist()) == numpy_scalar_hull(xs, ys)
+                assert _hull_vertices(xs.tolist(), ys.tolist()) == ref.hull(xs, ys)
 
 
 class TestConvexEnvelopeValidation:
-    """``ConvexEnvelope`` rejects each kind of malformed vertex list with
-    its own message."""
+    """The envelope table rejects each kind of malformed input with its own
+    message: its grid through ``Grid1D``, its rows and the edge slopes it
+    derives from them in ``EnvelopeTable.of``."""
 
     BREAKPOINTS = [-1.0, 0.0, 2.0]
     VALUES = [1.0, 0.0, 2.0]
     SLOPES = [-1.0, 1.0]
 
+    @staticmethod
+    def table(breakpoints, values):
+        return EnvelopeTable.of(Grid1D(np.array(breakpoints)).points, np.array([values]))
+
     def test_accepts_a_convex_vertex_list(self):
-        arrays = map(np.array, (self.BREAKPOINTS, self.VALUES, self.SLOPES))
-        assert ConvexEnvelope(*arrays).domain == (-1.0, 2.0)
+        table = self.table(self.BREAKPOINTS, self.VALUES)
+        assert (table.grid[0], table.grid[-1]) == (-1.0, 2.0)
+        assert table.vertices.tolist() == [[0, 1, 2]]
+        assert table.slopes.tolist() == [self.SLOPES]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, bad):
-        for field in range(3):
-            arrays = [list(self.BREAKPOINTS), list(self.VALUES), list(self.SLOPES)]
+        for field in range(2):
+            arrays = [list(self.BREAKPOINTS), list(self.VALUES)]
             arrays[field][1] = bad
             with pytest.raises(DegenerateInputError, match="must contain finite values only"):
-                ConvexEnvelope(*map(np.array, arrays))
+                self.table(*arrays)
 
     @pytest.mark.parametrize(
-        "breakpoints, values, slopes",
+        "breakpoints, values, message",
         [
-            ([0.0], [0.0], []),
-            ([-1.0, 0.0, 2.0], [1.0, 0.0], [-1.0, 1.0]),
-            ([-1.0, 0.0, 2.0], [1.0, 0.0, 2.0], [-1.0]),
-            ([[-1.0, 0.0, 2.0]], [[1.0, 0.0, 2.0]], [[-1.0, 1.0]]),
+            ([0.0], [0.0], "grid needs at least 2 points"),
+            ([-1.0, 0.0, 2.0], [1.0, 0.0], "values length must match grid length"),
+            ([-1.0, 0.0, 2.0], [1.0, 0.0, 2.0, 3.0], "values length must match grid length"),
+            ([[-1.0, 0.0, 2.0]], [[1.0, 0.0, 2.0]], "grid needs at least 2 points"),
         ],
     )
-    def test_rejects_inconsistent_shapes(self, breakpoints, values, slopes):
-        with pytest.raises(DegenerateInputError, match="inconsistent envelope arrays"):
-            ConvexEnvelope(np.array(breakpoints), np.array(values), np.array(slopes))
+    def test_rejects_inconsistent_shapes(self, breakpoints, values, message):
+        with pytest.raises(DegenerateInputError, match=message):
+            self.table(breakpoints, values)
 
     @pytest.mark.parametrize("breakpoints", [[-1.0, -1.0, 2.0], [-1.0, 2.0, 0.0]])
     def test_rejects_breakpoints_that_do_not_increase(self, breakpoints):
-        values, slopes = np.array(self.VALUES), np.array(self.SLOPES)
         with pytest.raises(DegenerateInputError, match="strictly increasing"):
-            ConvexEnvelope(np.array(breakpoints), values, slopes)
+            self.table(breakpoints, self.VALUES)
 
-    def test_rejects_decreasing_slopes(self):
-        values, slopes = np.array(self.VALUES), np.array([1.0, -1.0])
+    def test_rejects_decreasing_slopes(self, monkeypatch):
+        # a kernel that keeps every sample: its slopes follow the samples
+        monkeypatch.setattr(convex, "_hull_vertices", lambda xs, ys: list(range(len(xs))))
         with pytest.raises(DegenerateInputError, match="edge slopes must be nondecreasing"):
-            ConvexEnvelope(np.array(self.BREAKPOINTS), values, slopes)
+            self.table(self.BREAKPOINTS, [0.0, 1.0, -1.0])  # slopes 1, -1
         # a drop within the relative 1e-12 rounding allowance is accepted
-        ConvexEnvelope(np.array(self.BREAKPOINTS), values, np.array([1.0, 1.0 - 1e-13]))
+        table = self.table(self.BREAKPOINTS, [0.0, 1.0, 3.0 - 2e-13])
+        assert 0.0 < table.slopes[0, 0] - table.slopes[0, 1] < 1e-12
 
 
 class TestEvaluateEnvelope:
     def test_double_well_origin(self):
-        env = lower_convex_hull(DOUBLE_WELL)
-        assert evaluate_envelope(env, 0.0) == 0.0
+        assert one_row(*DOUBLE_WELL).at(0, 0.0) == 0.0
 
     def test_parabola_interpolates_chord(self):
-        env = lower_convex_hull(PARABOLA)
-        assert evaluate_envelope(env, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert one_row(*PARABOLA).at(0, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_breakpoints_exact(self):
-        env = lower_convex_hull(DOUBLE_WELL)
-        for bp, hv in zip(env.breakpoints, env.hull_values):
-            assert evaluate_envelope(env, bp) == hv
+        table = one_row(*DOUBLE_WELL)
+        for j in vertex_indices(table):
+            assert table.at(0, table.grid[j]) == table.values[0, j]
 
     def test_out_of_domain(self):
-        env = lower_convex_hull(PARABOLA)
+        table = one_row(*PARABOLA)
         with pytest.raises(OutOfDomainError):
-            evaluate_envelope(env, 2.5)
+            table.at(0, 2.5)
         with pytest.raises(OutOfDomainError):
-            evaluate_envelope_many(env, np.array([0.0, -2.01]))
+            table.at(0, np.array([0.0, -2.01]))
 
 
 class TestSubdifferential:
     def test_parabola_kink_at_origin(self):
-        env = lower_convex_hull(PARABOLA)
-        sub = subdifferential(env, 0.0)
-        assert (sub.lo, sub.hi) == (-1.0, 1.0)
+        lo, hi = one_row(*PARABOLA).subgradients(0, 0.0)
+        assert (lo, hi) == (-1.0, 1.0)
 
     def test_flat_edge_interior(self):
-        env = lower_convex_hull(DOUBLE_WELL)
-        sub = subdifferential(env, 0.0)
-        assert (sub.lo, sub.hi) == (0.0, 0.0)
-        assert sub.degenerate
+        lo, hi = one_row(*DOUBLE_WELL).subgradients(0, 0.0)
+        assert (lo, hi) == (0.0, 0.0)
 
     def test_affine_everywhere(self):
-        env = lower_convex_hull(sampled([0, 0.5, 1], lambda x: 3.0 * x - 1.0))
-        for xi in (0.0, 0.3, 1.0):
-            sub = subdifferential(env, xi)
-            assert (sub.lo, sub.hi) == (3.0, 3.0)
+        table = one_row(*sampled([0, 0.5, 1], lambda x: 3.0 * x - 1.0))
+        lo, hi = table.subgradients(0, np.array([0.0, 0.3, 1.0]))
+        assert lo.tolist() == hi.tolist() == [3.0, 3.0, 3.0]
 
     def test_boundary_clamped(self):
-        env = lower_convex_hull(PARABOLA)
-        left = subdifferential(env, -2.0)
-        right = subdifferential(env, 2.0)
-        assert left.lo == left.hi == -3.0
-        assert right.lo == right.hi == 3.0
+        lo, hi = one_row(*PARABOLA).subgradients(0, np.array([-2.0, 2.0]))
+        assert lo.tolist() == hi.tolist() == [-3.0, 3.0]
 
     def test_nested_monotone(self):
         rng = np.random.default_rng(11)
         xs = np.sort(rng.uniform(-2, 2, size=25))
         xs = np.unique(xs)
-        samples = SampledFunction(Grid1D(xs), rng.uniform(0, 1, size=xs.size))
-        env = lower_convex_hull(samples)
+        table = one_row(xs, rng.uniform(0, 1, size=xs.size))
         probes = np.sort(rng.uniform(xs[0], xs[-1], size=40))
-        subs = [subdifferential(env, x) for x in probes]
-        for a, b in zip(subs, subs[1:]):
-            assert a.hi <= b.lo + 1e-12
+        lo, hi = table.subgradients(0, probes)
+        assert np.all(hi[:-1] <= lo[1:] + 1e-12)
 
 
 class TestCaratheodoryDecompose:
+    @staticmethod
+    def split(samples, xi):
+        """The weights, points and point values of one splitting, cut to its
+        support, then its envelope value."""
+        weights, points, values, support, _, envelope = one_row(*samples).split(
+            np.zeros(1, dtype=np.intp), [xi]
+        )
+        k = support[0]
+        return weights[0, :k], points[0, :k], values[0, :k], envelope[0]
+
     def test_double_well_origin_splits_half_half(self):
-        env = lower_convex_hull(DOUBLE_WELL)
-        dec = caratheodory_decompose(DOUBLE_WELL, env, 0.0)
-        np.testing.assert_array_equal(dec.weights, [0.5, 0.5])
-        np.testing.assert_array_equal(dec.points, [-1.0, 1.0])
-        assert dec.envelope_value == 0.0
+        weights, points, _, envelope = self.split(DOUBLE_WELL, 0.0)
+        np.testing.assert_array_equal(weights, [0.5, 0.5])
+        np.testing.assert_array_equal(points, [-1.0, 1.0])
+        assert envelope == 0.0
 
     def test_hull_vertex_is_trivial(self):
-        env = lower_convex_hull(PARABOLA)
-        dec = caratheodory_decompose(PARABOLA, env, -2.0)
-        assert dec.trivial
-        assert dec.points.tolist() == [-2.0]
-        assert dec.envelope_value == 4.0
+        weights, points, _, envelope = self.split(PARABOLA, -2.0)
+        assert weights.tolist() == [1.0]
+        assert points.tolist() == [-2.0]
+        assert envelope == 4.0
 
     def test_matches_pair_oracle_on_random_data(self):
         rng = np.random.default_rng(23)
@@ -288,35 +274,33 @@ class TestCaratheodoryDecompose:
             xs = np.unique(rng.uniform(-4, 4, size=n))
             if xs.size < 4:
                 continue
-            samples = SampledFunction(Grid1D(xs), rng.uniform(0, 2, size=xs.size))
-            env = lower_convex_hull(samples)
+            ys = rng.uniform(0, 2, size=xs.size)
             for target in rng.uniform(xs[0], xs[-1], size=5):
-                dec = caratheodory_decompose(samples, env, float(target))
-                assert dec.envelope_value == pytest.approx(
-                    pair_minimum_oracle(samples, float(target)), abs=1e-12
+                envelope = self.split((xs, ys), float(target))[-1]
+                assert envelope == pytest.approx(
+                    pair_minimum_oracle(xs, ys, float(target)), abs=1e-12
                 )
 
     def test_decomposition_invariants(self):
-        env = lower_convex_hull(DOUBLE_WELL)
-        dec = caratheodory_decompose(DOUBLE_WELL, env, 0.37)
-        assert abs(dec.weights.sum() - 1.0) <= 1e-12
-        assert abs(float(dec.weights @ dec.points) - 0.37) <= 1e-9 * 1.37
-        assert abs(float(dec.weights @ dec.point_values) - dec.envelope_value) <= 1e-9
+        weights, points, values, envelope = self.split(DOUBLE_WELL, 0.37)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        assert abs(float(weights @ points) - 0.37) <= 1e-9 * 1.37
+        assert abs(float(weights @ values) - envelope) <= 1e-9
 
 
 class TestLegendreConjugate:
     def test_parabola_fine_grid(self):
         fine = sampled(np.linspace(-4, 4, 801), lambda x: x * x)
         # true conjugate of x^2 is p^2/4; grid pitch bounds the error
-        assert legendre_conjugate(fine, 2.0) == pytest.approx(1.0, abs=1e-4)
+        assert legendre_conjugate(*fine, 2.0) == pytest.approx(1.0, abs=1e-4)
 
     def test_affine_at_its_slope(self):
         samples = sampled([-1, 0, 1, 2], lambda x: 3.0 * x + 2.0)
-        assert legendre_conjugate(samples, 3.0) == -2.0
+        assert legendre_conjugate(*samples, 3.0) == -2.0
 
     def test_abs_inside_unit_slope(self):
         samples = sampled(np.linspace(-3, 3, 13), np.abs)
-        assert legendre_conjugate(samples, 0.5) == 0.0
+        assert legendre_conjugate(*samples, 0.5) == 0.0
 
     def test_conjugate_consistency_with_envelope(self):
         rng = np.random.default_rng(5)
@@ -324,13 +308,10 @@ class TestLegendreConjugate:
             xs = np.unique(rng.uniform(-3, 3, size=20))
             if xs.size < 3:
                 continue
-            samples = SampledFunction(Grid1D(xs), rng.uniform(0, 2, size=xs.size))
-            env = lower_convex_hull(samples)
-            env_samples = SampledFunction(Grid1D(env.breakpoints), env.hull_values)
+            ys = rng.uniform(0, 2, size=xs.size)
+            hull = vertex_indices(one_row(xs, ys))
             for p in rng.uniform(-5, 5, size=7):
-                assert legendre_conjugate(samples, p) == legendre_conjugate(
-                    env_samples, p
-                )
+                assert legendre_conjugate(xs, ys, p) == legendre_conjugate(xs[hull], ys[hull], p)
 
     def test_fenchel_young_on_grid(self):
         rng = np.random.default_rng(13)
@@ -338,14 +319,12 @@ class TestLegendreConjugate:
             xs = np.unique(rng.uniform(-3, 3, size=24))
             if xs.size < 3:
                 continue
-            samples = SampledFunction(Grid1D(xs), rng.uniform(0, 2, size=xs.size))
-            env = lower_convex_hull(samples)
-            for xi in xs:
-                sub = subdifferential(env, float(xi))
-                for p in (sub.lo, sub.hi, sub.midpoint):
-                    lhs = evaluate_envelope(env, float(xi)) + legendre_conjugate(
-                        samples, p
-                    )
+            ys = rng.uniform(0, 2, size=xs.size)
+            table = one_row(xs, ys)
+            los, his = table.subgradients(0, xs)
+            for xi, value, lo, hi in zip(xs, table.at(0, xs), los, his):
+                for p in (lo, hi, 0.5 * (lo + hi)):
+                    lhs = value + legendre_conjugate(xs, ys, p)
                     assert lhs == pytest.approx(p * xi, abs=1e-9)
 
 
@@ -355,56 +334,46 @@ def bits(values) -> bytes:
 
 @st.composite
 def envelope_and_points(draw):
-    """A random sampled graph's envelope, with random in-domain points, every
-    breakpoint, both domain ends and points inside the domain tolerance."""
+    """A random sampled graph with its one-row table, and random in-domain
+    points, every sample, both domain ends and points inside the domain
+    tolerance."""
     coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
     xs = np.sort(np.array(draw(st.lists(coord, min_size=2, max_size=24, unique=True))))
     assume(np.all(np.diff(xs) > 1e-9))
     value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     ys = np.array(draw(st.lists(value, min_size=xs.size, max_size=xs.size)))
     try:
-        env = lower_convex_hull(SampledFunction(Grid1D(xs), ys))
+        table = one_row(xs, ys)
     except DegenerateInputError:
         assume(False)
-    lo, hi = env.domain
+    lo, hi = float(xs[0]), float(xs[-1])
     tol = 1e-12 * max(1.0, abs(lo), abs(hi))
     inner = draw(st.lists(st.floats(lo, hi), max_size=24))
     ends = [lo, hi, lo - 0.5 * tol, hi + 0.5 * tol]
-    points = np.concatenate([np.array(inner, dtype=float), xs, env.breakpoints, ends])
-    return env, draw(st.permutations(list(points)))
+    points = np.concatenate([np.array(inner, dtype=float), xs, ends])
+    return xs, ys, table, np.array(draw(st.permutations(list(points))))
 
 
 class TestVectorizedAgainstScalar:
-    """The vectorized envelope and midpoint evaluations give the scalar bits;
-    the vectorized midpoints are the envelope table's."""
+    """The table's values and midpoints give the per-point reference's bits."""
 
     @settings(max_examples=200, deadline=None)
     @given(envelope_and_points())
     def test_evaluate_envelope_many(self, case):
-        env, points = case
-        scalar = [evaluate_envelope(env, float(xi)) for xi in points]
-        assert bits(evaluate_envelope_many(env, np.array(points))) == bits(scalar)
-
-    @staticmethod
-    def midpoints(env, points):
-        """The envelope table's midpoints on one row: the envelope's vertices,
-        whose hull is the envelope again."""
-        table = EnvelopeTable.of(env.breakpoints, env.hull_values[None])
-        return table.midpoints(np.zeros(len(points), dtype=np.intp), np.array(points))
+        xs, ys, table, points = case
+        keep = ref.hull(xs, ys)
+        scalar = [ref.value(xs, ys, keep, xi) for xi in points]
+        assert bits(table.at(0, points)) == bits(scalar)
 
     @settings(max_examples=200, deadline=None)
     @given(envelope_and_points())
     def test_subgradient_midpoints(self, case):
-        env, points = case
-        try:
-            scalar = [subdifferential(env, float(xi)).midpoint for xi in points]
-        except DegenerateInputError:
-            with pytest.raises(DegenerateInputError):
-                self.midpoints(env, points)
-            return
-        assert bits(self.midpoints(env, points)) == bits(scalar)
+        xs, ys, table, points = case
+        keep = ref.hull(xs, ys)
+        ends = [ref.subgradients(xs, ys, keep, xi) for xi in points]
+        scalar = [0.5 * (lo + hi) for lo, hi in ends]
+        assert bits(table.midpoints(0, points)) == bits(scalar)
 
     def test_out_of_domain_rejected(self):
-        env = lower_convex_hull(PARABOLA)
         with pytest.raises(OutOfDomainError):
-            self.midpoints(env, [0.0, 2.5])
+            one_row(*PARABOLA).midpoints(0, [0.0, 2.5])

@@ -1,9 +1,9 @@
 """Shared costing of trajectories and the transition table's memory.
 
 f is sampled once per distinct time, and once in total for an autonomous
-f, into one envelope table; its costs, midpoint subgradients and
-splittings must give the bits of the per-envelope routines they replace,
-and the hull counts below pin the sharing.
+f, into one envelope table; its costs, subgradients and splittings must
+give the bits of the per-envelope reference (``envelope_reference``), and
+the hull counts below pin the sharing.
 """
 
 import re
@@ -16,26 +16,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import envelope_reference as ref
+import varelax.convex as convex
 import varelax.discretize as discretize
 from varelax.classify import hypothesis_check
 from varelax.conditions import dubois_reymond_residual
-from varelax.convex import (
-    ConvexEnvelope,
-    Grid1D,
-    SampledFunction,
-    caratheodory_decompose,
-    evaluate_envelope,
-    evaluate_envelope_many,
-    lower_convex_hull,
-    subdifferential,
-)
+from varelax.convex import EnvelopeTable
 from varelax.catalog import state_function, time_factor, velocity_function
-from varelax.discretize import (
-    Discretization,
-    EnvelopeTable,
-    merge_close_velocities,
-    state_grid,
-)
+from varelax.discretize import Discretization, merge_close_velocities, state_grid
 from varelax.errors import DegenerateInputError, InfeasibleError, OutOfDomainError
 from varelax.families import IntegrandFamily
 from varelax.io import emit_trajectory, parse_problem, read_trajectory
@@ -51,24 +39,17 @@ def load(name):
     return loaded.problem, loaded.config
 
 
-def f_envelope(problem, grid, t):
-    """The (samples, envelope) pair of f at one time: the per-time path
-    that the envelope table replaced."""
-    samples = problem.f.sample(t, grid)
-    return samples, lower_convex_hull(samples)
-
-
 @pytest.fixture
 def hulls(monkeypatch):
-    """List that grows by one entry per hull built through discretize."""
+    """List that grows by one entry per row the hull kernel runs on."""
     calls = []
-    build = discretize._hull_vertices
+    build = convex._hull_vertices
 
     def counting(xs, ys):
         calls.append(ys)
         return build(xs, ys)
 
-    monkeypatch.setattr(discretize, "_hull_vertices", counting)
+    monkeypatch.setattr(convex, "_hull_vertices", counting)
     return calls
 
 
@@ -118,12 +99,15 @@ class TestHullCounts:
 
 
 def scalar_costs(disc, times, states, velocities):
-    """The per-interval loop ``path_costs`` replaces."""
+    """``path_costs`` interval by interval, on the per-envelope reference."""
+    xs = disc.grid.points
     values, midpoints, g = [], [], []
     for t, x, xi in zip(times, states, velocities):
-        _, env = f_envelope(disc.problem, disc.grid, float(t))
-        values.append(evaluate_envelope(env, float(xi)))
-        midpoints.append(subdifferential(env, float(xi)).midpoint)
+        ys = disc.problem.f.value(float(t), xs)
+        keep = ref.hull(xs, ys)
+        lo, hi = ref.subgradients(xs, ys, keep, float(xi))
+        values.append(ref.value(xs, ys, keep, float(xi)))
+        midpoints.append(0.5 * (lo + hi))
         g.append(float(disc.problem.g.value(float(t), x)))
     return values, midpoints, g
 
@@ -186,17 +170,25 @@ class TestPathCosts:
     @given(costing_cases())
     def test_matches_scalar_loop_bit_for_bit(self, case):
         disc, times, states, velocities = case
-        try:
-            want = scalar_costs(disc, times, states, velocities)
-        except DegenerateInputError as exc:
-            # a hull vertex kept between nearly collinear samples can have
-            # slopes that fall by an ulp; both paths reject its subgradient
-            with pytest.raises(DegenerateInputError, match=re.escape(str(exc))):
-                disc.path_costs(times, states, velocities)
-            return
+        want = scalar_costs(disc, times, states, velocities)
         got = disc.path_costs(times, states, velocities)
         for a, b in zip(got, want):
             assert a.tobytes() == np.array(b, dtype=float).tobytes()
+
+    def test_slopes_that_fall_by_an_ulp_are_costed(self):
+        # f is affine up to rounding on a run of quotients: the chain keeps
+        # a vertex whose two edge slopes fall by an ulp, within the table's
+        # rounding allowance; its subgradient interval used to be rejected
+        xi = -0.4516129032258076
+        disc = Discretization.of(collinear_problem(), DPConfig(n_t=4, n_x=10))
+        assert disc.grid.points.size == 9
+        disc = disc.extended(np.array([xi]))
+        times, states, velocities = np.array([0.6289871980268343]), np.array([0.5]), np.array([xi])
+        lo, hi = disc.envelope_table(times)[0].subgradients(0, xi)
+        assert 0.0 < lo - hi <= 1e-12 * max(1.0, abs(lo))
+        got = disc.path_costs(times, states, velocities)
+        want = scalar_costs(disc, times, states, velocities)
+        assert [a.tobytes() for a in got] == [np.array(b).tobytes() for b in want]
 
     def test_envelopes_once_per_distinct_time(self, hulls):
         problem, cfg = load("doublewell_timevarying")
@@ -233,43 +225,46 @@ def sampled_tables(draw):
 
 
 class TestEnvelopeTable:
-    """The table's queries against the per-envelope routines on each row,
-    bit for bit, with the same exceptions."""
+    """The table's queries against the per-envelope reference on each row,
+    bit for bit."""
 
     @staticmethod
-    def assert_row_matches(table, r, samples, points):
+    def assert_row_matches(table, r, ys, points):
         rows = np.full(points.size, r)
-        env = lower_convex_hull(samples)
-        assert bits(table.at(rows, points)) == bits(evaluate_envelope_many(env, points))
-        try:
-            want = [subdifferential(env, xi).midpoint for xi in points.tolist()]
-        except DegenerateInputError as exc:
-            with pytest.raises(DegenerateInputError, match=re.escape(str(exc))):
-                table.midpoints(rows, points)
-        else:
-            assert bits(table.midpoints(rows, points)) == bits(want)
+        xs = table.grid
+        keep = ref.hull(xs, ys)
+        assert bits(table.at(rows, points)) == bits([ref.value(xs, ys, keep, xi) for xi in points])
+        lo, hi = np.array([ref.subgradients(xs, ys, keep, xi) for xi in points]).T
+        assert [bits(a) for a in table.subgradients(rows, points)] == [bits(lo), bits(hi)]
+        assert bits(table.midpoints(rows, points)) == bits(0.5 * (lo + hi))
         weights, pts, values, support, targets, got_values = table.split(rows, points)
         for i, xi in enumerate(points.tolist()):
-            dec = caratheodory_decompose(samples, env, xi)
             k = support[i]
             got = weights[i, :k], pts[i, :k], values[i, :k], [targets[i]], [got_values[i]]
-            want = dec.weights, dec.points, dec.point_values, [dec.target], [dec.envelope_value]
+            want_weights, want_pts, want_values, target, value = ref.split(xs, ys, keep, xi)
+            want = want_weights, want_pts, want_values, [target], [value]
             assert [bits(a) for a in got] == [bits(b) for b in want]
 
     @settings(max_examples=150, deadline=None)
     @given(sampled_tables())
     def test_random_rows(self, case):
         xs, ys, points = case
-        grid = Grid1D(xs)
         try:
             table = EnvelopeTable.of(xs, ys)
         except DegenerateInputError as exc:
-            with pytest.raises(DegenerateInputError, match=re.escape(str(exc))):
-                for row in ys:
-                    lower_convex_hull(SampledFunction(grid, row))
+            # rounding on steep edges: the reference hull's slopes fall by
+            # more than the allowance
+            assert str(exc) == "edge slopes must be nondecreasing"
+
+            def falls(row):
+                keep = ref.hull(xs, row)
+                s = np.diff(row[keep]) / np.diff(xs[keep])
+                return np.any(s[1:] - s[:-1] < -1e-12 * np.maximum(1.0, np.abs(s[:-1])))
+
+            assert any(falls(row) for row in ys)
             return
         for r, row in enumerate(ys):
-            self.assert_row_matches(table, r, SampledFunction(grid, row), points)
+            self.assert_row_matches(table, r, row, points)
 
     @settings(max_examples=80, deadline=None)
     @given(costing_cases())
@@ -277,24 +272,22 @@ class TestEnvelopeTable:
         disc, times, _, velocities = case
         table, rows = disc.envelope_table(times)
         for r in np.unique(rows):
-            samples, _ = f_envelope(disc.problem, disc.grid, float(times[rows == r][0]))
-            self.assert_row_matches(table, r, samples, velocities[rows == r])
+            ys = disc.problem.f.value(float(times[rows == r][0]), disc.grid.points)
+            self.assert_row_matches(table, r, ys, velocities[rows == r])
 
     def test_checks_match_the_envelope_checks(self, monkeypatch):
         xs = np.array([0.0, 1.0, 2.0])
-        for ys in ([0.0, np.inf, 1.0], [1.5e308, -1.5e308, 1.5e308]):
-            with pytest.raises(DegenerateInputError) as want, np.errstate(over="ignore"):
-                lower_convex_hull(SampledFunction(Grid1D(xs), np.array(ys)))
-            with pytest.raises(DegenerateInputError, match=re.escape(str(want.value))):
+        for ys, message in (
+            ([0.0, np.inf, 1.0], "sample values must contain finite values only"),
+            ([1.5e308, -1.5e308, 1.5e308], "edge slopes must contain finite values only"),
+        ):
+            with pytest.raises(DegenerateInputError, match=message):
                 with np.errstate(over="ignore"):  # the rise of an edge overflows
                     EnvelopeTable.of(xs, np.array([ys]))
         # a kernel that kept every sample of a concave row: its slopes fall
-        monkeypatch.setattr(discretize, "_hull_vertices", lambda xs, ys: list(range(len(xs))))
-        concave = -(xs**2)
-        with pytest.raises(DegenerateInputError) as want:
-            ConvexEnvelope(xs, concave, np.diff(concave) / np.diff(xs))
-        with pytest.raises(DegenerateInputError, match=re.escape(str(want.value))):
-            EnvelopeTable.of(xs, np.array([-(xs**2) + 1.0, concave]))
+        monkeypatch.setattr(convex, "_hull_vertices", lambda xs, ys: list(range(len(xs))))
+        with pytest.raises(DegenerateInputError, match="edge slopes must be nondecreasing"):
+            EnvelopeTable.of(xs, np.array([-(xs**2) + 1.0, -(xs**2)]))
 
     def test_one_row_per_distinct_time(self):
         problem, cfg = load("doublewell_timevarying")
@@ -310,11 +303,10 @@ class TestEnvelopeTable:
         problem, cfg = load("quadratic")
         disc = Discretization.of(problem, cfg)
         table, rows = disc.envelope_table(np.zeros(3))
-        samples, env = f_envelope(problem, disc.grid, 0.0)
-        with pytest.raises(OutOfDomainError) as want:
-            caratheodory_decompose(samples, env, 9.5)
-        for query in (table.at, table.midpoints, table.split):
-            with pytest.raises(OutOfDomainError, match=re.escape(str(want.value))):
+        lo, hi = disc.grid.points[[0, -1]].tolist()
+        want = f"velocity 9.5 outside envelope domain [{lo!r}, {hi!r}]"
+        for query in (table.at, table.subgradients, table.midpoints, table.split):
+            with pytest.raises(OutOfDomainError, match=re.escape(want)):
                 query(rows, np.array([0.0, 9.5, -9.5]))
 
 

@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import envelope_reference as ref
 from varelax.catalog import nagumo_function, state_function, time_factor, velocity_function
 from varelax.classify import hypothesis_check
 from varelax.conditions import dubois_reymond_residual
-from varelax.convex import Grid1D, evaluate_envelope, evaluate_envelope_many, lower_convex_hull
 from varelax.discretize import merge_close_velocities, nearest_index, state_grid
 from varelax.errors import CertificateError, InfeasibleError
 from varelax.families import IntegrandFamily
@@ -67,8 +67,8 @@ def enumeration_oracle(problem, cfg):
     times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
     quotients = np.unique((xs[None, :] - xs[:, None]) / step)
     quotients = quotients[np.abs(quotients) <= problem.velocity_cap * (1 + 1e-12)]
-    grid = Grid1D(quotients)
-    envs = [lower_convex_hull(problem.f.sample(t, grid)) for t in times[:-1]]
+    samples = [problem.f.value(t, quotients) for t in times[:-1]]
+    hulls = [ref.hull(quotients, ys) for ys in samples]
     i_a = int(np.flatnonzero(xs == problem.start)[0])
     i_b = int(np.flatnonzero(xs == problem.end)[0])
     best = np.inf
@@ -82,7 +82,7 @@ def enumeration_oracle(problem, cfg):
                 ok = False
                 break
             cost += step * (
-                evaluate_envelope(envs[i], q)
+                float(ref.value(quotients, samples[i], hulls[i], q))
                 + float(problem.g.value(times[i], xs[idx[i]]))
             )
         if ok:
@@ -397,7 +397,9 @@ def dense_setup(problem, cfg):
         return None
     costs = []
     for t in times[:-1]:
-        fq = evaluate_envelope_many(lower_convex_hull(problem.f.sample(t, Grid1D(reps))), reps)
+        ys = problem.f.value(t, reps)
+        keep = ref.hull(reps, ys)
+        fq = np.array([ref.value(reps, ys, keep, q) for q in reps])
         if cfg.penalty > 0.0:
             fq = fq + cfg.penalty * cfg.theta(reps)
         costs.append((fq, problem.g.value(t, xs)))

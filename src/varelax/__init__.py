@@ -29,7 +29,7 @@ from .classify import (
     sci_certificate,
 )
 from .conditions import DRReport, dubois_reymond_residual, energy_constancy
-from .convex import CaratheodoryDecomposition, EpigraphCloud2D, Grid1D, decompose_2d
+from .convex import CaratheodoryDecomposition, EpigraphCloud2D, decompose_2d
 from .errors import (
     CertificateError,
     DegenerateInputError,

@@ -39,11 +39,11 @@ class ShapeFunction:
 
 @dataclass(frozen=True, eq=False)
 class TimeFactor:
-    """Scalar factor of time with a reported Lipschitz constant."""
+    """Scalar factor of time and its derivative ``rate``, both on float arrays."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
+    rate: Callable[[np.ndarray], np.ndarray]
     constant: bool = False
 
     def __call__(self, t) -> np.ndarray:
@@ -165,16 +165,20 @@ def time_factor(name: str, params: dict | None = None) -> TimeFactor:
     if name == "const":
         ps = _require_params(name, params, ("value",))
         v = float(ps["value"])
-        return TimeFactor("const", lambda t: np.full_like(t, v), lipschitz=0.0, constant=True)
+        return TimeFactor(
+            "const", lambda t: np.full_like(t, v), lambda t: np.zeros_like(t), constant=True
+        )
     if name == "affine_t":
         ps = _require_params(name, params, ("slope", "offset"))
         c, d = float(ps["slope"]), float(ps["offset"])
-        return TimeFactor("affine_t", lambda t: c * t + d, lipschitz=abs(c))
+        return TimeFactor("affine_t", lambda t: c * t + d, lambda t: np.full_like(t, c))
     if name == "sine":
         ps = _require_params(name, params, ("amplitude", "frequency"))
         kappa, omega = float(ps["amplitude"]), float(ps["frequency"])
         return TimeFactor(
-            "sine", lambda t: kappa * np.sin(omega * t), lipschitz=abs(kappa * omega)
+            "sine",
+            lambda t: kappa * np.sin(omega * t),
+            lambda t: kappa * omega * np.cos(omega * t),
         )
     raise SchemaError(f"unknown time factor '{name}'")
 

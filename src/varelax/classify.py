@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .convex import LP_PIVOTS_PER_ROW, EnvelopeTable, Grid1D, _lp_vertex
+from .convex import LP_PIVOTS_PER_ROW, EnvelopeTable, _lp_vertex
 from .errors import CertificateError, OutOfDomainError
 from .families import IntegrandFamily
 
@@ -167,7 +167,8 @@ def sci_certificate(
 @dataclass(frozen=True, eq=False)
 class ProbeBox:
     """The probe grid of the certify stage, with ``f`` and ``g`` tabulated
-    on it once; ``f**`` is built on first use."""
+    on it once; the envelope table of ``f`` and ``f**`` are built on first
+    use."""
 
     times: np.ndarray
     states: np.ndarray
@@ -176,14 +177,19 @@ class ProbeBox:
     g_values: np.ndarray  # (times, states)
 
     @cached_property
+    def envelope(self) -> tuple[EnvelopeTable, np.ndarray]:
+        """f's envelope table on the probe velocities and each probe time's
+        row; when ``f`` is the same at every probe time, one row serves all."""
+        if np.all(self.f_values == self.f_values[0]):
+            rows = np.zeros(self.times.size, dtype=np.intp)
+            return EnvelopeTable.of(self.velocities, self.f_values[:1]), rows
+        return EnvelopeTable.of(self.velocities, self.f_values), np.arange(self.times.size)
+
+    @cached_property
     def fstar(self) -> np.ndarray:
-        """f** on the probe velocities at each probe time: (times, velocities);
-        when ``f`` is the same at every probe time, one envelope serves all."""
-        same = np.all(self.f_values == self.f_values[0])
-        samples = self.f_values[:1] if same else self.f_values
-        table = EnvelopeTable.of(self.velocities, samples)
-        rows = table.at(np.arange(len(samples))[:, None], self.velocities)
-        return np.repeat(rows, self.times.size // len(samples), axis=0)
+        """f** on the probe velocities at each probe time: (times, velocities)."""
+        table, rows = self.envelope
+        return table.at(rows[:, None], self.velocities)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,27 +378,18 @@ def _fit_drift_bound(problem, probe: ProbeBox):
 
 
 def _drift_samples(problem, probe: ProbeBox):
-    """|phi|, |x| and the central-difference |d phi/dt| at every probe point,
-    where phi = g + f** on the (time, state, velocity) probe grid; one table
-    holds f** at the distinct times t +- delta inside the horizon, and the
-    ends clamped to the horizon read the probe table."""
+    """|phi|, |x| and |d phi/dt| at every probe point, where phi = g + f**
+    on the (time, state, velocity) probe grid; by the envelope theorem f**'s
+    time derivative is sum_i lam_i * d/dt f(t, xi_i) over the splitting of
+    each velocity on the probe table."""
     ts, xs, xis = probe.times, probe.states, probe.velocities
-    span = float(ts[-1] - ts[0])
-    step = span / (4.0 * (ts.size - 1))
-    ends = [(max(t - step, float(ts[0])), min(t + step, float(ts[-1]))) for t in ts]
-    keys = np.unique([e for k, pair in enumerate(ends) for e in pair if e != ts[k]])
-    fstar = EnvelopeTable.of(xis, problem.f.table(keys, xis)).at(
-        np.arange(keys.size)[:, None], xis
-    )
-
-    def phi(t, k):
-        if t == ts[k]:  # clamped to the horizon: the k-th probe time itself
-            return probe.g_values[k][:, None] + probe.fstar[k][None, :]
-        return problem.g.value(t, xs)[:, None] + fstar[np.searchsorted(keys, t)][None, :]
-
-    vels = [(phi(t_hi, k) - phi(t_lo, k)) / (t_hi - t_lo) for k, (t_lo, t_hi) in enumerate(ends)]
+    table, rows = probe.envelope
+    weights, points = table.split(np.repeat(rows, xis.size), np.tile(xis, ts.size))[:2]
+    at = np.repeat(ts, xis.size)[:, None]
+    f_rates = np.sum(weights * problem.f.time_rate(at, points), axis=1).reshape(ts.size, xis.size)
+    rates = problem.g.time_rate(ts[:, None], xs)[:, :, None] + f_rates[:, None, :]
     abs_phi = np.abs(probe.g_values[:, :, None] + probe.fstar[:, None, :]).ravel()
-    abs_v = np.abs(np.stack(vels)).ravel()
+    abs_v = np.abs(rates).ravel()
     abs_x = np.abs(np.broadcast_to(xs[None, :, None], (ts.size, xs.size, xis.size))).ravel()
     return abs_phi, abs_x, abs_v
 
@@ -505,9 +502,9 @@ def fstar_lipschitz_check(
     if t_grid.size < 2:
         raise CertificateError("need at least two probe times")
     probe_radius = 4.0 * (1.0 + float(np.max(np.abs(xi_probe))))
-    grid = Grid1D(np.linspace(-probe_radius, probe_radius, FSTAR_GRID_POINTS))
+    grid = np.linspace(-probe_radius, probe_radius, FSTAR_GRID_POINTS)
     pitch = 2.0 * probe_radius / (FSTAR_GRID_POINTS - 1)
-    table = EnvelopeTable.of(grid.points, family.table(t_grid, grid.points))
+    table = EnvelopeTable.of(grid, family.table(t_grid, grid))
     values = table.values  # (nt, nxi_grid)
     rows = np.arange(t_grid.size)
     dt = np.diff(t_grid)
@@ -519,7 +516,7 @@ def fstar_lipschitz_check(
         conclusive = radius < probe_radius - pitch
         env_at = table.at(rows, at)
         envelope_rate = float(np.max(np.abs(np.diff(env_at)) / dt))
-        mask = np.abs(grid.points) <= radius * (1.0 + 1e-12)
+        mask = np.abs(grid) <= radius * (1.0 + 1e-12)
         ball_diffs = np.abs(np.diff(values[:, mask], axis=0)) / dt[:, None]
         integrand_rate = float(ball_diffs.max()) if mask.any() else 0.0
         passed = envelope_rate <= (1.0 + 1e-6) * integrand_rate + 1e-15

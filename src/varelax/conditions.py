@@ -2,8 +2,9 @@
 
 Along a minimizer the linearization defect of the velocity cost plus the
 state cost equals a constant plus the integral of a time-derivative
-selection.  For autonomous problems that reduces to constancy of the
-defect.  The check is a diagnostic and never constrains the solver.
+selection, read from the support points of the envelope's splittings.
+For autonomous problems that reduces to constancy of the defect.  The
+check is a diagnostic and never constrains the solver.
 """
 
 from __future__ import annotations
@@ -37,30 +38,23 @@ class DRReport:
 def dubois_reymond_residual(
     problem: Problem, trajectory: Trajectory, cfg: DPConfig
 ) -> DRReport:
-    """Residual of the energy identity with a finite-difference drift.
+    """Residual of the energy identity with the envelope's time derivative.
 
-    The subgradient selection is the interval midpoint at each velocity;
-    the time derivative is estimated by central differences of the
-    envelope-plus-state cost (one-sided at the horizon ends).  The
-    interval times and both difference times are costed in one call, so
-    an autonomous f needs a single envelope.
+    The subgradient selection is the interval midpoint at each velocity.
+    The time-derivative selection is d/dt(f** + g) at each interval's start
+    by the envelope theorem: f**'s is sum_i lam_i * d/dt f(t, xi_i) over
+    the splitting of the velocity on the table row that costs f**.  The
+    interval times are costed in one call, so an autonomous f needs a
+    single envelope; on an autonomous problem the drift is exactly zero.
     """
     disc = Discretization.of(problem, cfg).extended(trajectory.velocities)
-    n = trajectory.velocities.size
-    horizon = problem.horizon
-    delta = horizon / (4.0 * n)
-    t = trajectory.times[:-1]
-    lo = np.maximum(t - delta, 0.0)
-    hi = np.minimum(t + delta, horizon)
-    xi = trajectory.velocities
-    values, midpoints, g = disc.path_costs(
-        np.concatenate([t, lo, hi]), np.tile(trajectory.states[:-1], 3), np.tile(xi, 3)
-    )
+    t, x, xi = trajectory.times[:-1], trajectory.states[:-1], trajectory.velocities
+    table, rows, values, g = disc.path_costs(t, x, xi)
     # the linearization defect f**(xi) - p*xi + g per interval
-    energies = values[:n] - midpoints[:n] * xi + g[:n]
-    phi_lo = values[n : 2 * n] + g[n : 2 * n]
-    phi_hi = values[2 * n :] + g[2 * n :]
-    rates = (phi_hi - phi_lo) / (hi - lo)
+    energies = values - table.midpoints(rows, xi) * xi + g
+    weights, points = table.split(rows, xi)[:2]
+    f_rates = np.sum(weights * problem.f.time_rate(t[:, None], points), axis=1)
+    rates = f_rates + problem.g.time_rate(t, x)
     step = trajectory.step
     drift = np.concatenate([[0.0], np.cumsum(rates[:-1]) * step])
     corrected = energies - drift

@@ -38,24 +38,6 @@ def _as_array(values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Grid1D:
-    """Strictly increasing finite velocity grid."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = _as_array(self.points, "grid points")
-        if pts.ndim != 1 or pts.size < 2:
-            raise DegenerateInputError("grid needs at least 2 points")
-        if not np.all(np.diff(pts) > 0):
-            raise DegenerateInputError("grid points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.size
-
-
-@dataclass(frozen=True, eq=False)
 class CaratheodoryDecomposition:
     """Convex combination of sample points realizing an envelope value.
 
@@ -141,9 +123,15 @@ class EnvelopeTable:
 
     @classmethod
     def of(cls, grid: np.ndarray, values: np.ndarray) -> EnvelopeTable:
-        """The hulls of the rows of ``values`` over ``grid``, increasing with at
-        least two points.  The samples and the edge slopes must be finite, and
-        the slopes may fall only by rounding, 1e-12 of their size."""
+        """The hulls of the rows of ``values`` over ``grid``, finite, 1-d and
+        strictly increasing with at least two points.  The samples and the
+        edge slopes must be finite, and the slopes may fall only by rounding,
+        1e-12 of their size."""
+        grid = _as_array(grid, "grid points")
+        if grid.ndim != 1 or grid.size < 2:
+            raise DegenerateInputError("grid needs at least 2 points")
+        if not np.all(np.diff(grid) > 0):
+            raise DegenerateInputError("grid points must be strictly increasing")
         if not np.isfinite(values).all():
             raise DegenerateInputError("sample values must contain finite values only")
         if values.shape[1:] != grid.shape:
@@ -205,10 +193,9 @@ class EnvelopeTable:
 
     def midpoints(self, rows, xis) -> np.ndarray:
         """Midpoint of row ``rows``' subgradient interval at ``xis``; its ends
-        may cross by the rounding that ``of`` allows the slopes."""
+        are two adjacent edge slopes, so they cross at most by the rounding
+        that ``of`` allows the slopes."""
         lo, hi = self.subgradients(rows, xis)
-        if np.any(hi - lo < -1e-12 * np.maximum(1.0, np.abs(lo))):
-            raise DegenerateInputError("subgradient interval must satisfy lo <= hi")
         return 0.5 * (lo + hi)
 
     def split(self, rows: np.ndarray, xis) -> tuple[np.ndarray, ...]:

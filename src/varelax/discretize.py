@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .convex import EnvelopeTable, Grid1D
+from .convex import EnvelopeTable
 from .errors import InfeasibleError, OutOfDomainError
 from .problem import DPConfig, Problem
 
@@ -157,7 +157,7 @@ class Discretization:
     xs: np.ndarray
     times: np.ndarray
     step: float
-    grid: Grid1D
+    grid: np.ndarray
     walk: OffsetWalk
 
     @classmethod
@@ -165,14 +165,14 @@ class Discretization:
         xs = state_grid(problem, cfg.n_x)
         step = problem.horizon / cfg.n_t
         walk = _offset_walk(xs, step, problem.velocity_cap)
-        grid = Grid1D(merge_close_velocities(_distinct_quotients(walk)))
+        grid = merge_close_velocities(_distinct_quotients(walk))
         times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
         return cls(problem, xs, times, step, grid, walk)
 
     @cached_property
     def band(self) -> tuple[tuple[Run, ...], ...]:
         """Per grid point, the (predecessor, target) runs realizing it."""
-        return transition_table(self.walk, self.grid.points)
+        return transition_table(self.walk, self.grid)
 
     @cached_property
     def endpoints(self) -> tuple[int, int]:
@@ -192,8 +192,8 @@ class Discretization:
             raise OutOfDomainError(
                 "trajectory velocity exceeds the cap; outside the envelope domain"
             )
-        points = np.unique(np.concatenate([self.grid.points, extra]))
-        return replace(self, grid=Grid1D(merge_close_velocities(points)))
+        points = np.unique(np.concatenate([self.grid, extra]))
+        return replace(self, grid=merge_close_velocities(points))
 
     def envelope_table(self, times: np.ndarray) -> tuple[EnvelopeTable, np.ndarray]:
         """f's envelope table on the quotient grid with one row per distinct
@@ -203,22 +203,20 @@ class Discretization:
             keys, rows = times[:1], np.zeros(times.size, dtype=np.intp)
         else:
             keys, rows = np.unique(times, return_inverse=True)
-        points = self.grid.points
-        return EnvelopeTable.of(points, self.problem.f.table(keys, points)), rows
+        return EnvelopeTable.of(self.grid, self.problem.f.table(keys, self.grid)), rows
 
     def path_costs(
         self, times: np.ndarray, states: np.ndarray, velocities: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-interval f**(velocity), midpoint subgradient of f** there, and g.
+    ) -> tuple[EnvelopeTable, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-interval envelope table and row, f**(velocity) and g.
 
         Row i is the interval starting at (times[i], states[i]) with
         constant velocities[i]; all intervals are costed from one envelope
-        table.  g takes one scalar call per interval, so its bits do not
-        depend on how a state cost vectorizes.
+        table, which answers further queries on the same rows.  g takes one
+        scalar call per interval, so its bits do not depend on how a state
+        cost vectorizes.
         """
         table, rows = self.envelope_table(times)
-        values = table.at(rows, velocities)
-        midpoints = table.midpoints(rows, velocities)
         problem = self.problem
         g = np.array([float(problem.g.value(float(t), x)) for t, x in zip(times, states)])
-        return values, midpoints, g
+        return table, rows, table.at(rows, velocities), g

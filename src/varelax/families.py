@@ -34,6 +34,13 @@ class IntegrandFamily:
             out = out + float(self.factor(t)) * self.modulation(y)
         return out
 
+    def time_rate(self, t, y) -> np.ndarray:
+        """The time derivative of ``value``, ``factor.rate(t) * modulation(y)``,
+        broadcast over t and y; exactly 0.0 when the family is autonomous."""
+        if self.autonomous:
+            return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(y)))
+        return self.factor.rate(np.asarray(t, dtype=float)) * self.modulation(y)
+
     def table(self, times: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``value(t, y)`` for each of ``times``, one row each, with the same
         bits: base and modulation are evaluated once, the factor per time."""

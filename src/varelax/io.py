@@ -261,7 +261,7 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
         raise SchemaError(f"{path}: endpoint states do not match the problem")
     step = times[1] - times[0]
     disc = Discretization.of(problem, cfg).extended(vels)
-    f_values, _, g_values = disc.path_costs(times[:-1], states[:-1], vels)
+    _, _, f_values, g_values = disc.path_costs(times[:-1], states[:-1], vels)
     f_cost = 0.0
     g_cost = 0.0
     for f, g in zip(f_values.tolist(), g_values.tolist()):

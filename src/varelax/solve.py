@@ -47,7 +47,7 @@ class _Tables:
 def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     disc = Discretization.of(problem, cfg)
     table, _ = disc.envelope_table(disc.times[:-1])
-    f_costs = table.at(np.arange(len(table.values))[:, None], disc.grid.points)
+    f_costs = table.at(np.arange(len(table.values))[:, None], disc.grid)
     g_times = disc.times[:1] if problem.g.autonomous else disc.times[:-1]
     g_costs = np.array([problem.g.value(t, disc.xs) for t in g_times])
     return _Tables(disc, disc.step, f_costs, g_costs, *disc.endpoints)
@@ -61,7 +61,7 @@ def _units(tab: _Tables, cfg: DPConfig, budget: float) -> np.ndarray:
     """Budget units of each quotient: h*theta(q) rounded up to whole quanta
     of budget/levels.  They do not increase as the budget grows."""
     quantum = budget / cfg.budget_levels
-    units = np.ceil(tab.step * cfg.theta(tab.disc.grid.points) / quantum)
+    units = np.ceil(tab.step * cfg.theta(tab.disc.grid) / quantum)
     # counts above the levels are all inadmissible; clip them before the cast
     return np.clip(units, 0, cfg.budget_levels + 1).astype(np.int64)
 
@@ -99,7 +99,7 @@ def _dp(
     ``rates`` it returns a list of such triples, one per rate.
     """
     per_rate = rates is not None
-    reps, band = tab.disc.grid.points, tab.disc.band
+    reps, band = tab.disc.grid, tab.disc.band
     columns = [
         tab.f_costs + rate * cfg.theta(reps) if rate > 0.0 else tab.f_costs
         for rate in (map(float, rates) if per_rate else [cfg.penalty])
@@ -170,7 +170,7 @@ def _assemble(
 ) -> tuple[Trajectory, float]:
     xs, step = tab.disc.xs, tab.step
     states = xs[idx]
-    q = tab.disc.grid.points[qidx]
+    q = tab.disc.grid[qidx]
     f_cost = 0.0
     g_cost = 0.0
     for i in range(q.size):
@@ -437,7 +437,7 @@ def coercivity_bound_check(
     q = np.diff(snapped) / step
     if np.any(np.abs(q) > problem.velocity_cap * (1.0 + 1e-12)):
         raise InfeasibleError("reference path violates the velocity cap")
-    f_values, _, g_values = disc.path_costs(times[:-1], snapped[:-1], q)
+    _, _, f_values, g_values = disc.path_costs(times[:-1], snapped[:-1], q)
     ref_value = 0.0
     for f, g in zip(f_values.tolist(), g_values.tolist()):
         ref_value += step * (f + g)

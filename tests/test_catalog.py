@@ -59,12 +59,17 @@ class TestStateAndTimeFunctions:
         with pytest.raises(SchemaError):
             state_function("concave_quadratic", {"kappa": -1.0})
 
-    def test_time_factors_report_lipschitz(self):
-        assert time_factor("const", {"value": 3.0}).lipschitz == 0.0
-        assert time_factor("affine_t", {"slope": -2.0, "offset": 1.0}).lipschitz == 2.0
-        assert (
-            time_factor("sine", {"amplitude": 0.5, "frequency": 4.0}).lipschitz == 2.0
-        )
+    def test_time_factor_rates_match_a_central_difference(self):
+        t, h = np.linspace(0.0, 2.0, 17), 1e-5
+        for name, params in [
+            ("const", {"value": 3.0}),
+            ("affine_t", {"slope": -2.0, "offset": 1.0}),
+            ("sine", {"amplitude": 0.5, "frequency": 4.0}),
+        ]:
+            factor = time_factor(name, params)
+            difference = (factor(t + h) - factor(t - h)) / (2.0 * h)
+            # the sine's difference is off by kappa * omega**3 * h**2 / 6 at most
+            np.testing.assert_allclose(factor.rate(t), difference, rtol=0.0, atol=1e-9)
 
     def test_const_is_constant(self):
         c = time_factor("const", {"value": 3.0})
@@ -105,6 +110,30 @@ class TestIntegrandFamily:
         )
         assert float(fam.value(0.9, 2.0)) == 6.0
         assert fam.autonomous
+
+    def test_time_rate_is_exactly_zero_when_autonomous(self):
+        xi = np.array([-2.0, -0.5, 0.0, 1.5])
+        families = [
+            IntegrandFamily(base=velocity_function("double_well")),
+            IntegrandFamily(
+                base=velocity_function("abs"),
+                modulation=velocity_function("affine", {"slope": -1.0, "offset": -1.0}),
+                factor=time_factor("const", {"value": 2.0}),
+            ),
+        ]
+        for fam in families:
+            assert fam.autonomous
+            rate = fam.time_rate(np.array([[0.0], [0.7]]), xi)
+            assert rate.shape == (2, 4)
+            assert rate.tobytes() == np.zeros((2, 4)).tobytes()  # no -0.0
+
+    def test_time_rate_is_factor_rate_times_modulation(self):
+        fam = IntegrandFamily(
+            base=velocity_function("double_well"),
+            modulation=velocity_function("power_p", {"p": 2.0}),
+            factor=time_factor("sine", {"amplitude": 0.5, "frequency": 1.0}),
+        )
+        assert float(fam.time_rate(0.3, 1.5)) == pytest.approx(0.5 * np.cos(0.3) * 2.25, rel=1e-15)
 
     def test_factor_without_modulation_rejected(self):
         with pytest.raises(SchemaError):

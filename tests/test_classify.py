@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import envelope_reference as ref
+import finite_difference_reference as fd
 from varelax import classify, convex
 from varelax.catalog import state_function, time_factor, velocity_function
 from varelax.cli import main
@@ -436,7 +437,19 @@ class TestDriftLP:
             report.drift_state_coeff,
             report.drift_const,
             report.drift_slack,
-        ) == (0.0868328128248428, 0.0, 1.2181791796372594, 1.0390865110629233)
+        ) == (0.0847836130252216, 0.0, 1.2369474827730056, 1.0620812889595301)
+
+    def test_samples_match_the_central_difference(self):
+        problem = parse_problem(PROBLEMS / "doublewell_timevarying.json").problem
+        probe = default_probe(problem)
+        abs_v = _drift_samples(problem, probe)[2].reshape(
+            PROBE_TIMES, PROBE_STATES, PROBE_VELOCITIES
+        )
+        gaps = np.max(np.abs(abs_v - np.abs(fd.probe_rates(problem, probe))), axis=(1, 2))
+        # at t = 0.25 the times t +- delta straddle a change of the hull, and
+        # at T the difference is one-sided
+        smooth = (probe.times != 0.25) & (probe.times != problem.horizon)
+        assert np.all(gaps[smooth] <= 1e-3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples_raise(self, bad):
@@ -476,8 +489,8 @@ class TestLinearBounds:
 def per_probe_reference(problem):
     """``hypothesis_check``'s fields and drift samples by per-probe formulas:
     each probe evaluates f, g and f** at the probe points itself, and the
-    drift probe builds the envelope at every probe time as well as at
-    t +- delta.  The line fits and the LP are the library's own."""
+    drift probe differentiates f along each velocity's splitting.  The line
+    fits and the LP are the library's own."""
     lo, hi = problem.state_box
     ts = np.linspace(0.0, problem.horizon, PROBE_TIMES)
     xs = np.linspace(lo, hi, PROBE_STATES)
@@ -513,16 +526,17 @@ def per_probe_reference(problem):
         keep = ref.hull(xis, ys)
         return np.array([ref.value(xis, ys, keep, xi) for xi in xis])
 
-    def phi(t):
-        return problem.g.value(t, xs)[:, None] + fstar(t)[None, :]
+    def rate(t):
+        ys = problem.f.value(t, xis)
+        keep = ref.hull(xis, ys)
+        f_rates = []
+        for xi in xis:
+            weights, points = ref.split(xis, ys, keep, xi)[:2]
+            f_rates.append(sum(w * problem.f.time_rate(t, p) for w, p in zip(weights, points)))
+        return problem.g.time_rate(t, xs)[:, None] + np.array(f_rates)[None, :]
 
-    step = float(ts[-1] - ts[0]) / (4.0 * (ts.size - 1))
-    phis, rates = [], []
-    for t in ts:
-        t_lo = max(t - step, float(ts[0]))
-        t_hi = min(t + step, float(ts[-1]))
-        phis.append(phi(t))
-        rates.append((phi(t_hi) - phi(t_lo)) / (t_hi - t_lo))
+    phis = [problem.g.value(t, xs)[:, None] + fstar(t)[None, :] for t in ts]
+    rates = [rate(t) for t in ts]
     samples = (
         np.abs(np.stack(phis)).ravel(),
         np.abs(np.broadcast_to(xs[None, :, None], (ts.size, xs.size, xis.size))).ravel(),
@@ -600,10 +614,10 @@ class TestProbeTable:
         return len(hulls), sum(points)
 
     def test_time_varying_problem_tabulates_f_once(self, monkeypatch):
-        # f: the 9 x 65 table, then 65 velocities at each of the 16 times
-        # t +- delta inside the horizon (the clamped ends 0 and T read the
-        # table); hulls: 9 of the table, 16 at t +- delta and 2 for the line fits
-        assert self.costs(monkeypatch, "doublewell_timevarying.json") == (27, 1625)
+        # f: the 9 x 65 table; hulls: one per probe time and 2 for the line
+        # fits, since the drift samples differentiate f along the splittings
+        # of the same table
+        assert self.costs(monkeypatch, "doublewell_timevarying.json") == (11, 585)
 
     def test_autonomous_problem_tabulates_f_once(self, monkeypatch):
         # hulls: one envelope for every probe time and 2 for the line fits
@@ -615,10 +629,11 @@ class TestClassifyHullRows:
     recorded before the certificates moved onto envelope tables: one per
     radius and sampled time for class-E (20 radii), one per probe time for
     SCI, and hypothesis_check's (``TestProbeTable``); an autonomous f is
-    sampled at one time."""
+    sampled at one time.  The time-varying count fell by the 16 rows at
+    t +- delta when the drift samples moved onto the probe table."""
 
     @pytest.mark.parametrize(
-        "name, rows", [("doublewell", 20 + 1 + 3), ("doublewell_timevarying", 20 * 9 + 9 + 27)]
+        "name, rows", [("doublewell", 20 + 1 + 3), ("doublewell_timevarying", 20 * 9 + 9 + 11)]
     )
     def test_rows_per_classify(self, monkeypatch, tmp_path, name, rows):
         calls = []

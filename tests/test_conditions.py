@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import finite_difference_reference as fd
 from varelax.catalog import state_function, time_factor, velocity_function
 from varelax.conditions import dubois_reymond_residual, energy_constancy
 from varelax.discretize import Discretization
@@ -164,14 +165,38 @@ class TestDuboisReymondResidual:
         assert report.max_residual <= 1e-12
 
 
+class TestDriftAgainstCentralDifference:
+    """The envelope theorem's time rates against the central differences at
+    t +- delta, delta = T/(4n), that DR once used, on the shipped
+    time-varying problem: the rates agree within delta^2, the energies keep
+    their bits, and the maximum residual, which the midpoint subgradient
+    selection dominates, moves by less than 1e-6 from its recorded value."""
+
+    MAX_RESIDUAL = {128: 0.3572267539, 256: 0.3584005597, 384: 4.8552749842}
+
+    @pytest.mark.parametrize("n", sorted(MAX_RESIDUAL))
+    def test_rates_match_the_central_difference(self, n):
+        loaded = parse_problem(PROBLEMS / "doublewell_timevarying.json")
+        problem, cfg = loaded.problem, replace(loaded.config, n_t=n, n_x=n + 1)
+        traj = solve_relaxed(problem, cfg)
+        report = dubois_reymond_residual(problem, traj, cfg)
+        energies, rates, max_residual, delta = fd.dr_rates(problem, traj, cfg)
+        assert report.energy.tobytes() == energies.tobytes()
+        # the drift sums the rates of every interval but the last
+        closed_form = np.diff(report.drift) / traj.step
+        assert np.max(np.abs(closed_form - rates[:-1])) <= delta**2
+        assert max_residual == pytest.approx(self.MAX_RESIDUAL[n], abs=1e-10)
+        assert report.max_residual == pytest.approx(self.MAX_RESIDUAL[n], abs=1e-6)
+
+
 def median_deviation(problem, trajectory, cfg):
     """The energy-constancy formula before it became the residual's
     maximum: the interval energies' largest deviation from their median."""
     disc = Discretization.of(problem, cfg).extended(trajectory.velocities)
     xi = trajectory.velocities
     t, x = trajectory.times[:-1], trajectory.states[:-1]
-    values, midpoints, g = disc.path_costs(t, x, xi)
-    energies = values - midpoints * xi + g
+    table, rows, values, g = disc.path_costs(t, x, xi)
+    energies = values - table.midpoints(rows, xi) * xi + g
     return float(np.max(np.abs(energies - np.median(energies))))
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import envelope_reference as ref
 from varelax import convex
-from varelax.convex import EnvelopeTable, Grid1D, _hull_vertices
+from varelax.convex import EnvelopeTable, _hull_vertices
 from varelax.errors import DegenerateInputError, OutOfDomainError
 
 
@@ -25,7 +25,7 @@ def legendre_conjugate(xs, ys, p):
 
 
 def sampled(points, fn):
-    xs = Grid1D(np.asarray(points, dtype=float)).points
+    xs = np.asarray(points, dtype=float)
     return xs, fn(xs)
 
 
@@ -80,8 +80,14 @@ class TestLowerConvexHull:
         np.testing.assert_array_equal(table.grid[vertex_indices(table)], [0.0, 3.0])
 
     def test_rejects_single_sample(self):
+        # such a grid once built a table whose queries raised IndexError
         with pytest.raises(DegenerateInputError):
-            Grid1D(np.array([1.0]))
+            EnvelopeTable.of(np.array([1.0]), np.array([[0.0]]))
+
+    def test_rejects_a_decreasing_grid(self):
+        # such a grid once gave the reversed domain [1.0, 0.0]
+        with pytest.raises(DegenerateInputError):
+            EnvelopeTable.of(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]))
 
     def test_envelope_dominance_random(self):
         rng = np.random.default_rng(7)
@@ -143,8 +149,8 @@ class TestHullKernel:
 
 class TestConvexEnvelopeValidation:
     """The envelope table rejects each kind of malformed input with its own
-    message: its grid through ``Grid1D``, its rows and the edge slopes it
-    derives from them in ``EnvelopeTable.of``."""
+    message in ``EnvelopeTable.of``: its grid, its rows and the edge slopes
+    it derives from them."""
 
     BREAKPOINTS = [-1.0, 0.0, 2.0]
     VALUES = [1.0, 0.0, 2.0]
@@ -152,7 +158,7 @@ class TestConvexEnvelopeValidation:
 
     @staticmethod
     def table(breakpoints, values):
-        return EnvelopeTable.of(Grid1D(np.array(breakpoints)).points, np.array([values]))
+        return EnvelopeTable.of(np.array(breakpoints), np.array([values]))
 
     def test_accepts_a_convex_vertex_list(self):
         table = self.table(self.BREAKPOINTS, self.VALUES)
@@ -377,3 +383,34 @@ class TestVectorizedAgainstScalar:
     def test_out_of_domain_rejected(self):
         with pytest.raises(OutOfDomainError):
             one_row(*PARABOLA).midpoints(0, [0.0, 2.5])
+
+
+@st.composite
+def tables_and_points(draw):
+    """``envelope_and_points``' table, or a table of rows that are affine up
+    to rounding on a uniform grid, where the chain keeps vertices whose
+    edge slopes fall by an ulp; with points all over the domain."""
+    if draw(st.booleans()):
+        _, _, table, points = draw(envelope_and_points())
+        return table, points
+    n = draw(st.integers(3, 65))
+    xs = np.linspace(-draw(st.floats(0.5, 8.0)), draw(st.floats(0.5, 8.0)), n)
+    coeff = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    rows = [a * xs + b for a, b in draw(st.lists(st.tuples(coeff, coeff), min_size=1, max_size=4))]
+    table = EnvelopeTable.of(xs, np.array(rows))
+    inner = draw(st.lists(st.floats(float(xs[0]), float(xs[-1])), max_size=24))
+    return table, np.concatenate([np.array(inner, dtype=float), xs])
+
+
+class TestSubgradientOrder:
+    """The ends of a subgradient interval are two adjacent edge slopes of
+    one row, so they cross at most by the fall that ``of`` allows the
+    slopes; ``midpoints`` therefore needs no order check of its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables_and_points())
+    def test_ends_cross_only_within_the_slope_allowance(self, case):
+        table, points = case
+        rows = np.arange(table.values.shape[0])[:, None]
+        lo, hi = table.subgradients(rows, points)
+        assert np.all(hi - lo >= -1e-12 * np.maximum(1.0, np.abs(lo)))

@@ -79,9 +79,9 @@ class TestHullCounts:
         traj = solve_relaxed(problem, cfg)
         hulls.clear()
         dubois_reymond_residual(problem, traj, cfg)
-        # the interval times and t -+ delta; t = 0 and its clipped lower
-        # difference time share one envelope
-        assert len(hulls) == 3 * cfg.n_t - 1
+        # the interval times only: the drift reads the time derivative from
+        # their splittings, where t -+ delta once added 2 * n_t - 1 rows
+        assert len(hulls) == cfg.n_t
 
     def test_coercivity_builds_no_transition_band(self, hulls, monkeypatch):
         problem, cfg = load("quadratic")
@@ -99,8 +99,9 @@ class TestHullCounts:
 
 
 def scalar_costs(disc, times, states, velocities):
-    """``path_costs`` interval by interval, on the per-envelope reference."""
-    xs = disc.grid.points
+    """``path_costs``' f** and g with the midpoint subgradients of its
+    table, interval by interval, on the per-envelope reference."""
+    xs = disc.grid
     values, midpoints, g = [], [], []
     for t, x, xi in zip(times, states, velocities):
         ys = disc.problem.f.value(float(t), xs)
@@ -143,7 +144,7 @@ def costing_cases(draw):
     cfg = replace(cfg, n_t=draw(st.integers(2, n_x - 1)), n_x=n_x)
     disc = Discretization.of(problem, cfg)
     cap = problem.velocity_cap
-    nudged = st.sampled_from(list(disc.grid.points)).map(lambda v: v * (1.0 + 3e-13) + 1e-14)
+    nudged = st.sampled_from(list(disc.grid)).map(lambda v: v * (1.0 + 3e-13) + 1e-14)
     extra = np.clip(draw(st.lists(st.one_of(nudged, st.floats(-cap, cap)), max_size=4)), -cap, cap)
     if extra.size:
         disc = disc.extended(extra)
@@ -154,9 +155,9 @@ def costing_cases(draw):
     times = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
     lo, hi = problem.state_box
     states = np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
-    at_nodes = st.sampled_from(list(grid.points))
-    between = st.floats(float(grid.points[0]), float(grid.points[-1]))
-    first, last = float(grid.points[0]), float(grid.points[-1])
+    at_nodes = st.sampled_from(list(grid))
+    between = st.floats(float(grid[0]), float(grid[-1]))
+    first, last = float(grid[0]), float(grid[-1])
     tol = 1e-12 * max(1.0, abs(first), abs(last))
     ends = st.sampled_from([first - 0.5 * tol, last + 0.5 * tol])
     kinds = [at_nodes, between, ends, st.just(-0.0)]
@@ -171,7 +172,8 @@ class TestPathCosts:
     def test_matches_scalar_loop_bit_for_bit(self, case):
         disc, times, states, velocities = case
         want = scalar_costs(disc, times, states, velocities)
-        got = disc.path_costs(times, states, velocities)
+        table, rows, values, g = disc.path_costs(times, states, velocities)
+        got = values, table.midpoints(rows, velocities), g
         for a, b in zip(got, want):
             assert a.tobytes() == np.array(b, dtype=float).tobytes()
 
@@ -181,12 +183,13 @@ class TestPathCosts:
         # rounding allowance; its subgradient interval used to be rejected
         xi = -0.4516129032258076
         disc = Discretization.of(collinear_problem(), DPConfig(n_t=4, n_x=10))
-        assert disc.grid.points.size == 9
+        assert disc.grid.size == 9
         disc = disc.extended(np.array([xi]))
         times, states, velocities = np.array([0.6289871980268343]), np.array([0.5]), np.array([xi])
         lo, hi = disc.envelope_table(times)[0].subgradients(0, xi)
         assert 0.0 < lo - hi <= 1e-12 * max(1.0, abs(lo))
-        got = disc.path_costs(times, states, velocities)
+        table, rows, values, g = disc.path_costs(times, states, velocities)
+        got = values, table.midpoints(rows, velocities), g
         want = scalar_costs(disc, times, states, velocities)
         assert [a.tobytes() for a in got] == [np.array(b).tobytes() for b in want]
 
@@ -272,7 +275,7 @@ class TestEnvelopeTable:
         disc, times, _, velocities = case
         table, rows = disc.envelope_table(times)
         for r in np.unique(rows):
-            ys = disc.problem.f.value(float(times[rows == r][0]), disc.grid.points)
+            ys = disc.problem.f.value(float(times[rows == r][0]), disc.grid)
             self.assert_row_matches(table, r, ys, velocities[rows == r])
 
     def test_checks_match_the_envelope_checks(self, monkeypatch):
@@ -293,7 +296,7 @@ class TestEnvelopeTable:
         problem, cfg = load("doublewell_timevarying")
         disc = Discretization.of(problem, cfg)
         table, rows = disc.envelope_table(np.array([0.5, 0.0, 0.5, 0.25, 0.0]))
-        assert table.values.shape == (3, disc.grid.points.size)
+        assert table.values.shape == (3, disc.grid.size)
         assert rows.tolist() == [2, 0, 2, 1, 0]
         autonomous, _ = load("doublewell")
         table, rows = replace(disc, problem=autonomous).envelope_table(np.linspace(0, 1, 4))
@@ -303,7 +306,7 @@ class TestEnvelopeTable:
         problem, cfg = load("quadratic")
         disc = Discretization.of(problem, cfg)
         table, rows = disc.envelope_table(np.zeros(3))
-        lo, hi = disc.grid.points[[0, -1]].tolist()
+        lo, hi = disc.grid[[0, -1]].tolist()
         want = f"velocity 9.5 outside envelope domain [{lo!r}, {hi!r}]"
         for query in (table.at, table.subgradients, table.midpoints, table.split):
             with pytest.raises(OutOfDomainError, match=re.escape(want)):
@@ -409,7 +412,7 @@ class TestDiscretizationOwnsTheGrid:
                 Discretization.of(problem, cfg)
             return
         disc = Discretization.of(problem, cfg)
-        assert same_bits(disc.grid.points, points)
+        assert same_bits(disc.grid, points)
         assert same_bits(disc.xs, xs)
         assert disc.step == step
         assert same_bits(disc.times, np.linspace(0.0, problem.horizon, cfg.n_t + 1))
@@ -435,7 +438,7 @@ class TestDiscretizationOwnsTheGrid:
             band = disc.band
         except (InfeasibleError, DegenerateInputError):
             assume(False)
-        want = brute_force_band(problem, cfg, disc.grid.points)
+        want = brute_force_band(problem, cfg, disc.grid)
         for entry, (want_j, want_k) in zip(band, want):
             j, k = run_pairs(entry)
             assert np.array_equal(j, want_j) and np.array_equal(k, want_k)
@@ -461,19 +464,19 @@ class TestDiscretizationOwnsTheGrid:
             relaxed = np.array([])
         brute = brute_force_grid(problem, cfg)
         # a relaxed path's velocities are grid points: they merge back
-        assert same_bits(disc.extended(relaxed).grid.points, disc.grid.points)
+        assert same_bits(disc.extended(relaxed).grid, disc.grid)
         assert same_bits(
-            disc.grid.points, merge_close_velocities(np.unique(np.concatenate([brute, relaxed])))
+            disc.grid, merge_close_velocities(np.unique(np.concatenate([brute, relaxed])))
         )
         # perturbed velocities, some within the merge tolerance of a point
-        points = list(disc.grid.points)
+        points = list(disc.grid)
         nudged = st.sampled_from(points).map(lambda v: v * (1.0 + 3e-13) + 1e-14)
         free = st.floats(-cap, cap)
         extra = np.clip(
             data.draw(st.lists(st.one_of(free, nudged), min_size=1, max_size=12)), -cap, cap
         )
         want = merge_close_velocities(np.unique(np.concatenate([brute, extra])))
-        assert same_bits(disc.extended(extra).grid.points, want)
+        assert same_bits(disc.extended(extra).grid, want)
 
 
 class TestStateGridKeepsBothEndpoints:

@@ -654,7 +654,10 @@ class TestStagesAfterTheDP:
     """DR and the reconstruction on the fine-grid benchmark ops keep their
     bits, recorded before the stages read one envelope table per time set:
     sha256 of DR's energy, drift and residual and of the reconstructed
-    times, states and velocities; then f_cost, g_cost and split_count."""
+    times, states and velocities; then f_cost, g_cost and split_count.
+    ``doublewell_timevarying``'s drift and residual were re-recorded when
+    the drift moved from central differences to the envelope's support
+    points (``test_conditions.TestDriftAgainstCentralDifference``)."""
 
     PINS = {
         "doublewell": (
@@ -670,8 +673,8 @@ class TestStagesAfterTheDP:
         "doublewell_timevarying": (
             384, 385,
             "bbf220b960fb1bc0518d529162087c3da7fead69e39841152687fbbba7bc4340",
-            "4da3da660ffff3086e646f0e1ee2d23f95c26cd54565017b159198432ebe22b1",
-            "bb4993c2cc1c63f7fea8784196d7e458a7495be5d8cfa31bc224e0c827ab9ffe",
+            "bff74e6af4f1906da24627dd9ddad893898b2165de49e8fc6c20c2ff12693a7b",
+            "49d8ff6278109b0a0b2482b04089983a7001f7121301e5744f438699962f6d2b",
             "a42ab5bf762659abb0fc4402b08edb366d41b5c7561b096dc08275b8927ab400",
             "382176f52a0628c1c2afba4f71c9586bb838d5950d59532dc3dcea26bea76f14",
             "4203da604f1912348278d6cc08cd9290a12c2fd03e444e7f47de8ee77e0494cd",

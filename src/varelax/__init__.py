@@ -45,7 +45,6 @@ from .problem import DPConfig, Problem, SweepReport, Trajectory
 from .reconstruct import (
     CostComparison,
     ReconstructedTrajectory,
-    VelocityDecompositionTrack,
     compare_costs,
     decompose_velocities,
     rearrange,

@@ -384,9 +384,10 @@ def _drift_samples(problem, probe: ProbeBox):
     each velocity on the probe table."""
     ts, xs, xis = probe.times, probe.states, probe.velocities
     table, rows = probe.envelope
-    weights, points = table.split(np.repeat(rows, xis.size), np.tile(xis, ts.size))[:2]
+    split = table.split(np.repeat(rows, xis.size), np.tile(xis, ts.size))
     at = np.repeat(ts, xis.size)[:, None]
-    f_rates = np.sum(weights * problem.f.time_rate(at, points), axis=1).reshape(ts.size, xis.size)
+    f_rates = np.sum(split.weights * problem.f.time_rate(at, split.points), axis=1)
+    f_rates = f_rates.reshape(ts.size, xis.size)
     rates = problem.g.time_rate(ts[:, None], xs)[:, :, None] + f_rates[:, None, :]
     abs_phi = np.abs(probe.g_values[:, :, None] + probe.fstar[:, None, :]).ravel()
     abs_v = np.abs(rates).ravel()
@@ -512,7 +513,7 @@ def fstar_lipschitz_check(
     entries = []
     for xi in xi_probe:
         at = np.full(t_grid.size, xi)
-        radius = float(np.max(np.abs(table.split(rows, at)[1])))
+        radius = table.split(rows, at).support_radius
         conclusive = radius < probe_radius - pitch
         env_at = table.at(rows, at)
         envelope_rate = float(np.max(np.abs(np.diff(env_at)) / dt))

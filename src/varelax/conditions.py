@@ -52,8 +52,8 @@ def dubois_reymond_residual(
     table, rows, values, g = disc.path_costs(t, x, xi)
     # the linearization defect f**(xi) - p*xi + g per interval
     energies = values - table.midpoints(rows, xi) * xi + g
-    weights, points = table.split(rows, xi)[:2]
-    f_rates = np.sum(weights * problem.f.time_rate(t[:, None], points), axis=1)
+    split = table.split(rows, xi)
+    f_rates = np.sum(split.weights * problem.f.time_rate(t[:, None], split.points), axis=1)
     rates = f_rates + problem.g.time_rate(t, x)
     step = trajectory.step
     drift = np.concatenate([[0.0], np.cumsum(rates[:-1]) * step])

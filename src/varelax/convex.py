@@ -10,7 +10,9 @@ holds the hulls of many sampled rows over one grid, built by Andrew's
 monotone chain, and answers f**, subgradient and splitting queries for
 (row, velocity) pairs by array gathers.  A planar velocity cloud is split
 at one target by a small linear program, solved by the dense simplex that
-the drift fit of the certify stage also uses."""
+the drift fit of the certify stage also uses.  Either way a splitting is
+a ``CaratheodoryDecomposition``, a batch of rows checked as a whole when
+it is built."""
 
 from __future__ import annotations
 
@@ -39,51 +41,81 @@ def _as_array(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CaratheodoryDecomposition:
-    """Convex combination of sample points realizing an envelope value.
-
-    ``points`` has shape (k,) in 1-d or (k, 2) in 2-d, with k at most one
-    more than the ambient dimension.
+    """Convex combinations of sample points realizing envelope values, one
+    row per target: row i splits ``targets[i]`` over the first
+    ``support[i]`` of ``points[i]`` with ``weights[i]``, reproducing
+    ``envelope_values[i]`` from ``point_values[i]``; any later column has
+    weight 0.  ``points`` has shape (n, k) in 1-d or (n, k, 2) in 2-d,
+    with k at most one more than the ambient dimension.
     """
 
     weights: np.ndarray
     points: np.ndarray
     point_values: np.ndarray
-    target: float | np.ndarray
-    envelope_value: float
+    support: np.ndarray
+    targets: np.ndarray
+    envelope_values: np.ndarray
 
     def __post_init__(self):
         w = _as_array(self.weights, "weights")
         pts = _as_array(self.points, "support points")
         vals = _as_array(self.point_values, "support values")
-        target = np.asarray(self.target, dtype=float)
-        if w.ndim != 1 or vals.shape != w.shape or pts.shape[0] != w.size:
+        targets = np.asarray(self.targets, dtype=float)
+        envelope = np.asarray(self.envelope_values, dtype=float)
+        rows = w.shape[:1]
+        shapes = vals.shape, pts.shape[:2], targets.shape, envelope.shape, np.shape(self.support)
+        if w.ndim != 2 or shapes != (w.shape, w.shape, rows + pts.shape[2:], rows, rows):
             raise DegenerateInputError("inconsistent decomposition arrays")
-        _check_splits(w[None], pts[None], vals[None], target[None], np.array([self.envelope_value]))
+        if np.any(w < -WEIGHT_TOL):
+            raise DegenerateInputError("weights must be nonnegative")
+        if np.any(np.abs(w.sum(axis=1) - 1.0) > WEIGHT_TOL):
+            raise DegenerateInputError("weights must sum to one")
+        flat = targets.reshape(len(w), -1)
+        mean = np.einsum("nk,nk...->n...", w, pts).reshape(flat.shape)
+        scale = 1.0 + np.abs(flat).max(axis=1, initial=0.0)
+        if np.any(np.abs(mean - flat).max(axis=1, initial=0.0) > RECONSTRUCTION_TOL * scale):
+            raise DegenerateInputError("support points do not average to the target")
+        recon = np.einsum("nk,nk->n", w, vals)
+        if np.any(np.abs(recon - envelope) > RECONSTRUCTION_TOL * (1.0 + np.abs(envelope))):
+            raise DegenerateInputError("support values do not reproduce the envelope value")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "point_values", vals)
+        object.__setattr__(self, "support", np.asarray(self.support))
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "envelope_values", envelope)
 
     @property
-    def trivial(self) -> bool:
-        return self.weights.size == 1
+    def split_count(self) -> int:
+        """Rows split over more than one point."""
+        return int(np.count_nonzero(self.support > 1))
 
+    @property
+    def support_radius(self) -> float:
+        """Radius, in the max norm, of the velocity ball that holds every
+        support point."""
+        return float(np.max(np.abs(self.points)))
 
-def _check_splits(weights, points, values, targets, envelope_values) -> None:
-    """``CaratheodoryDecomposition``'s checks on a batch: row i splits
-    ``targets[i]`` over ``points[i]`` ((k,) or (k, d)) with ``weights[i]``,
-    reproducing ``envelope_values[i]`` from ``values[i]``."""
-    if np.any(weights < -WEIGHT_TOL):
-        raise DegenerateInputError("weights must be nonnegative")
-    if np.any(np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_TOL):
-        raise DegenerateInputError("weights must sum to one")
-    targets = targets.reshape(targets.shape[0], -1)
-    mean = np.einsum("nk,nk...->n...", weights, points).reshape(targets.shape)
-    scale = 1.0 + np.abs(targets).max(axis=1, initial=0.0)
-    if np.any(np.abs(mean - targets).max(axis=1, initial=0.0) > RECONSTRUCTION_TOL * scale):
-        raise DegenerateInputError("support points do not average to the target")
-    recon = np.einsum("nk,nk->n", weights, values)
-    if np.any(np.abs(recon - envelope_values) > RECONSTRUCTION_TOL * (1.0 + np.abs(envelope_values))):
-        raise DegenerateInputError("support values do not reproduce the envelope value")
+    def report(self) -> dict:
+        """The splittings as the CLI reports them, one JSON row per target
+        with its arrays cut to its support."""
+        rows = zip(
+            *(a.tolist() for a in (self.weights, self.points, self.point_values)),
+            self.support.tolist(), self.targets.tolist(), self.envelope_values.tolist(),
+        )
+        note = (
+            "discrete time grid: the selection behind the splittings is "
+            "piecewise constant, one decomposition per interval"
+        )
+        return {
+            "decompositions": [
+                {"weights": w[:k], "points": p[:k], "point_values": v[:k],
+                 "target": t, "envelope_value": e}
+                for w, p, v, k, t, e in rows
+            ],
+            "selection_note": note,
+            "support_radius": self.support_radius,
+        }
 
 
 def _hull_vertices(xs: list[float], ys: list[float]) -> list[int]:
@@ -198,21 +230,22 @@ class EnvelopeTable:
         lo, hi = self.subgradients(rows, xis)
         return 0.5 * (lo + hi)
 
-    def split(self, rows: np.ndarray, xis) -> tuple[np.ndarray, ...]:
-        """Each velocity's splitting on its row: weights, points and point
-        values of shape (n, 2), then the support count, the target and the
-        envelope value.  A hull vertex splits trivially, its second column
-        a copy with weight 0; any other point over its edge's vertices."""
+    def split(self, rows: np.ndarray, xis) -> CaratheodoryDecomposition:
+        """Each velocity's splitting on its row, with weights, points and
+        point values of shape (n, 2).  A hull vertex splits over itself
+        alone, its second column a copy with weight 0; any other point over
+        its edge's vertices."""
         clipped, p, exact, jl, jr, lam = self._locate(rows, xis)
-        trivial = exact[:, None]
-        weights = np.where(trivial, [1.0, 0.0], np.stack([lam, 1.0 - lam], axis=1))
-        index = np.where(trivial, p[:, None], np.stack([jl, jr], axis=1))
+        at_vertex = exact[:, None]
+        weights = np.where(at_vertex, [1.0, 0.0], np.stack([lam, 1.0 - lam], axis=1))
+        index = np.where(at_vertex, p[:, None], np.stack([jl, jr], axis=1))
         points, values = self.grid[index], self.values[rows[:, None], index]
-        # lam * vl + (1 - lam) * vr, and exactly the vertex value when trivial
+        # lam * vl + (1 - lam) * vr, and exactly the vertex value at a vertex
         envelope = weights[:, 0] * values[:, 0] + weights[:, 1] * values[:, 1]
         targets = np.where(exact, points[:, 0], clipped)
-        _check_splits(weights, points, values, targets, envelope)
-        return weights, points, values, np.where(exact, 1, 2), targets, envelope
+        return CaratheodoryDecomposition(
+            weights, points, values, np.where(exact, 1, 2), targets, envelope
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +275,8 @@ class EpigraphCloud2D:
 
 
 def decompose_2d(cloud: EpigraphCloud2D, xi) -> CaratheodoryDecomposition:
-    """Split ``xi`` over at most 3 cloud points that realize f**(xi).
+    """Split ``xi`` over at most 3 cloud points that realize f**(xi), as a
+    batch of one row.
 
     At one target, f**(xi) is the LP min sum lam_i v_i subject to
     sum lam_i p_i = xi, sum lam_i = 1 and lam >= 0, with each equality
@@ -270,11 +304,12 @@ def decompose_2d(cloud: EpigraphCloud2D, xi) -> CaratheodoryDecomposition:
     keep = lam > WEIGHT_TOL
     lam = lam[keep] / lam[keep].sum()
     return CaratheodoryDecomposition(
-        weights=lam,
-        points=pts[keep],
-        point_values=vals[keep],
-        target=xi,
-        envelope_value=float(lam @ vals[keep]),
+        weights=lam[None],
+        points=pts[keep][None],
+        point_values=vals[keep][None],
+        support=np.array([lam.size]),
+        targets=xi[None],
+        envelope_values=np.array([lam @ vals[keep]]),
     )
 
 

@@ -1,8 +1,9 @@
 """Turn a relaxed minimizer into a trajectory of the original problem.
 
 Each interval's velocity is split across the hull-edge support points
-that realize the relaxed cost, read as arrays from one envelope table of
-the trajectory's times; the two resulting sub-intervals are then
+that realize the relaxed cost: one ``CaratheodoryDecomposition`` batch,
+a row per interval, from one envelope table of the trajectory's times,
+checked once as a whole.  The two resulting sub-intervals are then
 ordered to favor the cheaper state cost.  Contiguous sub-intervals are a
 valid bang-bang realization as the step vanishes, and the ordering is the
 only degree of freedom that affects cost.
@@ -11,7 +12,6 @@ only degree of freedom that affects cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -25,60 +25,18 @@ ORDER_TIE_TOL = 1e-12
 LIPSCHITZ_TIMES, LIPSCHITZ_STATES = 9, 129
 
 
-@dataclass(eq=False)
-class VelocityDecompositionTrack:
-    """Per-interval velocity splittings of a relaxed trajectory, as arrays:
-    row i splits ``targets[i]`` over ``points[i]`` with ``weights[i]``, and
-    ``support[i]`` is 2, or 1 where the second column is a copy of weight 0."""
-
-    weights: np.ndarray
-    points: np.ndarray
-    point_values: np.ndarray
-    support: np.ndarray
-    targets: np.ndarray
-    envelope_values: np.ndarray
-    support_radius: float
-
-    @property
-    def split_count(self) -> int:
-        return int(np.count_nonzero(self.support == 2))
-
-    @cached_property
-    def decompositions(self) -> tuple[CaratheodoryDecomposition, ...]:
-        """One ``CaratheodoryDecomposition`` per interval, built on first use."""
-        return tuple(
-            CaratheodoryDecomposition(
-                self.weights[i, :k], self.points[i, :k], self.point_values[i, :k],
-                float(self.targets[i]), self.envelope_values[i],
-            )
-            for i, k in enumerate(self.support.tolist())
-        )
-
-    def report(self) -> dict:
-        """The track as the CLI reports it."""
-        note = (
-            "discrete time grid: the selection behind the splittings is "
-            "piecewise constant, one decomposition per interval"
-        )
-        return {
-            "decompositions": self.decompositions,
-            "selection_note": note,
-            "support_radius": self.support_radius,
-        }
-
-
 def decompose_velocities(
     problem: Problem, trajectory: Trajectory, cfg: DPConfig
-) -> VelocityDecompositionTrack:
-    """Split every interval velocity over its hull-edge support points.
+) -> CaratheodoryDecomposition:
+    """Split every interval velocity over its hull-edge support points, one
+    row per interval.
 
     The support points stay inside one velocity ball whose radius is
     reported; it is a property of the problem, not of the grid.
     """
     disc = Discretization.of(problem, cfg).extended(trajectory.velocities)
     table, rows = disc.envelope_table(trajectory.times[:-1])
-    split = table.split(rows, trajectory.velocities)
-    return VelocityDecompositionTrack(*split, float(np.max(np.abs(split[1]))))
+    return table.split(rows, trajectory.velocities)
 
 
 @dataclass(eq=False)
@@ -102,7 +60,7 @@ class ReconstructedTrajectory:
 
 
 def rearrange(
-    problem: Problem, trajectory: Trajectory, track: VelocityDecompositionTrack
+    problem: Problem, trajectory: Trajectory, track: CaratheodoryDecomposition
 ) -> ReconstructedTrajectory:
     """Realize each splitting by two contiguous sub-intervals.
 
@@ -123,7 +81,7 @@ def rearrange(
         t0 = float(trajectory.times[i])
         x0 = float(trajectory.states[i])
         x1 = float(trajectory.states[i + 1])
-        # a trivial splitting has weight exactly 1.0: one sub-interval of length step
+        # a splitting of support 1 has weight exactly 1.0: one sub-interval of length step
         order = (0,) if support == 1 else _pick_order(problem, weights, points, t0, x0, step)
         durations = [step * weights[j] for j in order]
         t_cursor, x_cursor = t0, x0

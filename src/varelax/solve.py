@@ -29,7 +29,7 @@ MULTIPLIERS = np.concatenate([[0.0], 2.0 ** np.arange(-6.0, 7.0)])
 
 @dataclass(frozen=True, eq=False)
 class _Tables:
-    """Cost rows of one discretization, the DP's step factor and endpoints.
+    """Cost rows of one discretization and the DP's step factor.
 
     ``f_costs`` holds the envelope of f at the quotients and ``g_costs``
     holds g on the state grid; each has one row when its integrand is
@@ -40,8 +40,6 @@ class _Tables:
     step: float
     f_costs: np.ndarray
     g_costs: np.ndarray
-    i_start: int
-    i_end: int
 
 
 def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
@@ -50,7 +48,7 @@ def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     f_costs = table.at(np.arange(len(table.values))[:, None], disc.grid)
     g_times = disc.times[:1] if problem.g.autonomous else disc.times[:-1]
     g_costs = np.array([problem.g.value(t, disc.xs) for t in g_times])
-    return _Tables(disc, disc.step, f_costs, g_costs, *disc.endpoints)
+    return _Tables(disc, disc.step, f_costs, g_costs)
 
 
 def _row(rows, i: int):
@@ -114,8 +112,9 @@ def _dp(
         n_cols, start = cfg.budget_levels + 1, 1
     admissible = units[units < n_cols]
     u_max = int(admissible.max()) if admissible.size else 0
+    i_start, i_end = tab.disc.endpoints
     value = np.full((tab.disc.xs.size, n_cols), np.inf)
-    value[tab.i_start, :start] = 0.0
+    value[i_start, :start] = 0.0
     nxt = np.empty_like(value)
     # backpointers: a quotient index, or -1 where no candidate arrived
     back_type = np.min_scalar_type(-n_q)
@@ -138,7 +137,7 @@ def _dp(
                 if want_path:
                     np.copyto(back[i, ks, u : u + width], q, where=better)
         value, nxt = nxt, value
-    column = value[tab.i_end]
+    column = value[i_end]
     ends = range(n_cols) if per_rate else [int(np.argmin(column))]
     results = [_backtrack(tab, cfg, column, back, units, end) for end in ends]
     return results if per_rate else results[0]
@@ -154,7 +153,7 @@ def _backtrack(tab, cfg, column, back, units, level):
     band = tab.disc.band
     idx = np.empty(cfg.n_t + 1, dtype=np.int64)
     qidx = np.empty(cfg.n_t, dtype=np.int64)
-    idx[-1] = tab.i_end
+    idx[-1] = tab.disc.endpoints[1]
     for i in range(cfg.n_t - 1, -1, -1):
         k = int(idx[i + 1])
         q = int(back[i, k, level])

@@ -70,7 +70,7 @@ def test_criterion_1_decomposition_oracle():
         ys = rng.uniform(0.0, 2.0, size=xs.size)
         table = EnvelopeTable.of(xs, ys[None])
         target = float(rng.uniform(xs[0], xs[-1]))
-        envelope = table.split(np.zeros(1, dtype=np.intp), [target])[-1][0]
+        envelope = table.split(np.zeros(1, dtype=np.intp), [target]).envelope_values[0]
         worst = max(worst, abs(envelope - pair_minimum_oracle(xs, ys, target)))
     worst2d = 0.0
     for seed in range(10):
@@ -81,7 +81,7 @@ def test_criterion_1_decomposition_oracle():
         lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
         target = lo + (hi - lo) * sub.uniform(0.3, 0.7, size=2)
         dec = decompose_2d(cloud, target)
-        worst2d = max(worst2d, abs(dec.envelope_value - triple_minimum_oracle(cloud, target)))
+        worst2d = max(worst2d, abs(dec.envelope_values[0] - triple_minimum_oracle(cloud, target)))
     elapsed = time.perf_counter() - start
     report(
         "1 decomposition-oracle",
@@ -102,12 +102,12 @@ def test_criterion_2_double_well_analytics():
         inside = xs[(xs >= -1.0) & (xs <= 1.0)]
         values = table.at(0, inside)
         ok &= bool(np.max(np.abs(values)) <= 1e-12)
-        weights, points, _, support, _, envelope = table.split(np.zeros(1, dtype=np.intp), [0.0])
-        k = support[0]
+        dec = table.split(np.zeros(1, dtype=np.intp), [0.0])
+        k = dec.support[0]
         exact = (
-            weights[0, :k].tolist() == [0.5, 0.5]
-            and points[0, :k].tolist() == [-1.0, 1.0]
-            and envelope[0] == 0.0
+            dec.weights[0, :k].tolist() == [0.5, 0.5]
+            and dec.points[0, :k].tolist() == [-1.0, 1.0]
+            and dec.envelope_values[0] == 0.0
         )
         ok &= exact
         details.append(f"max|f**| {np.max(np.abs(values)):.1e}")

@@ -255,11 +255,10 @@ class TestCaratheodoryDecompose:
     def split(samples, xi):
         """The weights, points and point values of one splitting, cut to its
         support, then its envelope value."""
-        weights, points, values, support, _, envelope = one_row(*samples).split(
-            np.zeros(1, dtype=np.intp), [xi]
-        )
-        k = support[0]
-        return weights[0, :k], points[0, :k], values[0, :k], envelope[0]
+        dec = one_row(*samples).split(np.zeros(1, dtype=np.intp), [xi])
+        k = dec.support[0]
+        cut = dec.weights[0, :k], dec.points[0, :k], dec.point_values[0, :k]
+        return (*cut, dec.envelope_values[0])
 
     def test_double_well_origin_splits_half_half(self):
         weights, points, _, envelope = self.split(DOUBLE_WELL, 0.0)
@@ -292,6 +291,79 @@ class TestCaratheodoryDecompose:
         assert abs(weights.sum() - 1.0) <= 1e-12
         assert abs(float(weights @ points) - 0.37) <= 1e-9 * 1.37
         assert abs(float(weights @ values) - envelope) <= 1e-9
+
+
+def batch_fields(**changes):
+    """A valid 1-d batch of two rows, the origin split over the double
+    well's wells and the vertex 2 over itself, with ``changes`` applied."""
+    fields = dict(
+        weights=[[0.5, 0.5], [1.0, 0.0]],
+        points=[[-1.0, 1.0], [2.0, 2.0]],
+        point_values=[[0.0, 0.0], [9.0, 9.0]],
+        support=[2, 1],
+        targets=[0.0, 2.0],
+        envelope_values=[0.0, 9.0],
+    )
+    fields.update(changes)
+    return {k: np.array(v) for k, v in fields.items()}
+
+
+def planar_fields(**changes):
+    """A valid 2-d batch of one row: (0.25, 0.25) over three corners of the
+    unit square, with ``changes`` applied."""
+    fields = dict(
+        weights=[[0.5, 0.25, 0.25]],
+        points=[[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]],
+        point_values=[[0.0, 1.0, 3.0]],
+        support=[3],
+        targets=[[0.25, 0.25]],
+        envelope_values=[1.0],
+    )
+    fields.update(changes)
+    return {k: np.array(v) for k, v in fields.items()}
+
+
+class TestCaratheodoryBatch:
+    """One constructor checks every row of a batch, 1-d or 2-d."""
+
+    def test_valid_batches(self):
+        line = convex.CaratheodoryDecomposition(**batch_fields())
+        assert line.split_count == 1 and line.support_radius == 2.0
+        plane = convex.CaratheodoryDecomposition(**planar_fields())
+        assert plane.split_count == 1 and plane.support_radius == 1.0
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (batch_fields(weights=[[0.5, 0.5], [1.5, -0.5]]), "weights must be nonnegative"),
+            (batch_fields(weights=[[0.5, 0.4], [1.0, 0.0]]), "weights must sum to one"),
+            (batch_fields(targets=[0.0, 2.1]), "support points do not average to the target"),
+            (
+                batch_fields(envelope_values=[0.1, 9.0]),
+                "support values do not reproduce the envelope value",
+            ),
+            (batch_fields(weights=[[0.5, np.nan], [1.0, 0.0]]), "weights must contain finite"),
+            (batch_fields(points=[[-1.0, np.inf], [2.0, 2.0]]), "support points must contain"),
+            (batch_fields(point_values=[[0.0, 0.0], [np.nan, 9.0]]), "support values must contain"),
+            (batch_fields(weights=[0.5, 0.5]), "inconsistent decomposition arrays"),
+            (batch_fields(support=[2]), "inconsistent decomposition arrays"),
+            (batch_fields(targets=[0.0]), "inconsistent decomposition arrays"),
+            (batch_fields(point_values=[[0.0], [9.0]]), "inconsistent decomposition arrays"),
+            (batch_fields(envelope_values=[[0.0], [9.0]]), "inconsistent decomposition arrays"),
+            (planar_fields(weights=[[0.75, 0.5, -0.25]]), "weights must be nonnegative"),
+            (planar_fields(targets=[[0.25, 0.3]]), "support points do not average to the target"),
+            (
+                planar_fields(envelope_values=[1.5]),
+                "support values do not reproduce the envelope value",
+            ),
+            (planar_fields(points=[[[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]]]), "support points"),
+            (planar_fields(targets=[0.25]), "inconsistent decomposition arrays"),
+            (planar_fields(points=[[0.0, 1.0, 0.0]]), "inconsistent decomposition arrays"),
+        ],
+    )
+    def test_malformed_batch_rejected(self, fields, message):
+        with pytest.raises(DegenerateInputError, match=message):
+            convex.CaratheodoryDecomposition(**fields)
 
 
 class TestLegendreConjugate:

@@ -64,7 +64,7 @@ class TestLowerHull2D:
         cloud = grid_cloud(np.linspace(-1, 1, 4), lambda p: 2 * p[:, 0] - p[:, 1] + 1)
         dec = decompose_2d(cloud, np.array([0.1, -0.2]))
         expected = 2 * 0.1 - (-0.2) + 1
-        assert dec.envelope_value == pytest.approx(expected, abs=1e-12)
+        assert dec.envelope_values[0] == pytest.approx(expected, abs=1e-12)
 
     def test_duplicate_points_keep_minimum(self):
         pts = np.array([[0, 0], [1, 0], [0, 1], [0, 0]], dtype=float)
@@ -78,8 +78,8 @@ class TestDecompose2D:
     def test_sample_vertex_is_trivial(self):
         cloud = grid_cloud(np.linspace(-1, 1, 9), lambda p: (p**2).sum(axis=1))
         dec = decompose_2d(cloud, np.array([0.0, 0.0]))
-        assert dec.trivial
-        assert dec.envelope_value == 0.0
+        assert dec.support[0] == 1
+        assert dec.envelope_values[0] == 0.0
 
     def test_ring_well_flat_at_origin(self):
         # zeros on the unit-circle axis points force a zero envelope inside
@@ -89,7 +89,7 @@ class TestDecompose2D:
         dec = decompose_2d(cloud, np.array([0.0, 0.0]))
         assert dec.weights.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(dec.point_values, 0.0, atol=1e-12)
-        assert dec.envelope_value == pytest.approx(0.0, abs=1e-12)
+        assert dec.envelope_values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_outside_hull_rejected(self):
         cloud = grid_cloud(np.linspace(-1, 1, 4), lambda p: (p**2).sum(axis=1))
@@ -106,7 +106,7 @@ class TestDecompose2D:
             hi = cloud.points.max(axis=0)
             target = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=2)
             dec = decompose_2d(cloud, target)
-            assert dec.envelope_value == pytest.approx(
+            assert dec.envelope_values[0] == pytest.approx(
                 triple_minimum_oracle(cloud, target), abs=1e-9
             )
 
@@ -128,5 +128,5 @@ class TestDecompose2D:
         dec = decompose_2d(cloud, target)
         assert dec.weights.size <= 3
         assert abs(dec.weights.sum() - 1.0) <= 1e-12
-        mean = dec.weights @ dec.points
+        mean = dec.weights[0] @ dec.points[0]
         np.testing.assert_allclose(mean, target, atol=1e-9 * (1 + np.abs(target).max()))

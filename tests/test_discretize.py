@@ -240,10 +240,13 @@ class TestEnvelopeTable:
         lo, hi = np.array([ref.subgradients(xs, ys, keep, xi) for xi in points]).T
         assert [bits(a) for a in table.subgradients(rows, points)] == [bits(lo), bits(hi)]
         assert bits(table.midpoints(rows, points)) == bits(0.5 * (lo + hi))
-        weights, pts, values, support, targets, got_values = table.split(rows, points)
+        dec = table.split(rows, points)
         for i, xi in enumerate(points.tolist()):
-            k = support[i]
-            got = weights[i, :k], pts[i, :k], values[i, :k], [targets[i]], [got_values[i]]
+            k = dec.support[i]
+            got = (
+                dec.weights[i, :k], dec.points[i, :k], dec.point_values[i, :k],
+                [dec.targets[i]], [dec.envelope_values[i]],
+            )
             want_weights, want_pts, want_values, target, value = ref.split(xs, ys, keep, xi)
             want = want_weights, want_pts, want_values, [target], [value]
             assert [bits(a) for a in got] == [bits(b) for b in want]

@@ -6,10 +6,11 @@ all have closed forms.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
-import pytest
 
+from varelax import cli
 from varelax.catalog import state_function, velocity_function
 from varelax.convex import CaratheodoryDecomposition
 from varelax.families import IntegrandFamily
@@ -28,6 +29,7 @@ def make_problem(f_name, f_params=None, g_name="zero", g_params=None, **kw):
     )
 
 
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 DOUBLE_WELL = make_problem("double_well")
 CLIPPED_CONCAVE = make_problem(
     "double_well",
@@ -38,6 +40,19 @@ CLIPPED_CONCAVE = make_problem(
 QUADRATIC = make_problem(
     "power_p", {"p": 2.0}, start=0.0, end=1.0, state_box=(0.0, 1.0)
 )
+
+
+def count_batches(monkeypatch):
+    """The row count of each ``CaratheodoryDecomposition`` built from now on."""
+    built = []
+    check = CaratheodoryDecomposition.__post_init__
+
+    def counted(self):
+        check(self)
+        built.append(self.support.size)
+
+    monkeypatch.setattr(CaratheodoryDecomposition, "__post_init__", counted)
+    return built
 
 
 def resting_trajectory(n):
@@ -58,9 +73,9 @@ class TestDecomposeVelocities:
         cfg = DPConfig(n_t=16, n_x=17)
         track = decompose_velocities(DOUBLE_WELL, resting_trajectory(16), cfg)
         assert track.split_count == 16
-        for dec in track.decompositions:
-            np.testing.assert_array_equal(dec.weights, [0.5, 0.5])
-            np.testing.assert_array_equal(dec.points, [-1.0, 1.0])
+        for weights, points, k in zip(track.weights, track.points, track.support):
+            np.testing.assert_array_equal(weights[:k], [0.5, 0.5])
+            np.testing.assert_array_equal(points[:k], [-1.0, 1.0])
         assert track.support_radius == 1.0
 
     def test_strictly_convex_all_trivial(self):
@@ -73,9 +88,9 @@ class TestDecomposeVelocities:
         cfg = DPConfig(n_t=64, n_x=33)
         traj = solve_relaxed(CLIPPED_CONCAVE, cfg)
         track = decompose_velocities(CLIPPED_CONCAVE, traj, cfg)
-        trivial = sum(1 for d in track.decompositions if d.trivial)
-        assert 0 < trivial < len(track.decompositions)
-        assert 0 < track.split_count < len(track.decompositions)
+        trivial = int(np.count_nonzero(track.support == 1))
+        assert 0 < trivial < track.support.size
+        assert 0 < track.split_count < track.support.size
 
     def test_support_radius_grid_independent(self):
         radii = []
@@ -86,20 +101,25 @@ class TestDecomposeVelocities:
         assert radii[0] == radii[1] == 1.0
 
 
-    def test_library_path_builds_no_decomposition_objects(self, monkeypatch):
+    def test_library_path_builds_one_batch(self, monkeypatch):
         cfg = DPConfig(n_t=64, n_x=33)
         traj = solve_relaxed(CLIPPED_CONCAVE, cfg)
-
-        def forbidden(self):
-            raise AssertionError("a CaratheodoryDecomposition was built")
-
-        monkeypatch.setattr(CaratheodoryDecomposition, "__post_init__", forbidden)
+        built = count_batches(monkeypatch)
         track = decompose_velocities(CLIPPED_CONCAVE, traj, cfg)
         rec = rearrange(CLIPPED_CONCAVE, traj, track)
+        assert built == [traj.velocities.size]
         assert 0 < track.split_count < traj.velocities.size
         assert track.support_radius == 1.0 and rec.f_cost >= 0.0
-        with pytest.raises(AssertionError, match="was built"):
-            track.decompositions
+
+    def test_decompose_command_builds_one_batch(self, monkeypatch, tmp_path):
+        built = count_batches(monkeypatch)
+        traj = tmp_path / "traj.csv"
+        assert cli.main(["relax", str(PROBLEMS / "doublewell.json"), "--out", str(traj)]) == 0
+        built.clear()
+        out = tmp_path / "decomposition.json"
+        argv = ["decompose", str(PROBLEMS / "doublewell.json"), "--traj", str(traj)]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert built == [128]
 
 
 class TestRearrange:
@@ -152,9 +172,9 @@ class TestRearrange:
         assert rec.g_cost <= traj.g_cost
         starts = {}
         cursor = 0
-        for i, dec in enumerate(track.decompositions):
-            n_pieces = 1 if dec.trivial else 2
-            if not dec.trivial:
+        for i, support in enumerate(track.support):
+            n_pieces = 1 if support == 1 else 2
+            if support != 1:
                 x_here = traj.states[i]
                 first_q = rec.velocities[cursor]
                 # moving away from zero first grows |x| on both plateaus

@@ -330,7 +330,10 @@ def _lp_vertex(
     except right after a degenerate pivot, where Bland's lowest-index rule
     picks it; ties for leaving go to the lowest basic index.  A cycle holds
     only degenerate pivots, so it would run under Bland's rule alone, which
-    cannot cycle.  The vertex is then recomputed from the final basis: the
+    cannot cycle.  A row leaves only on a pivot entry 1e3 times the
+    optimality tolerance or more: pivoting on an entry of rounding size
+    scales the tableau by its inverse and can end the run at a vertex that
+    is not optimal.  The vertex is then recomputed from the final basis: the
     rows whose multipliers are basic hold with equality, the columns whose
     dual slacks are basic are +0.0, and the other columns solve that square
     system (``_solve_in_column_order``).
@@ -353,7 +356,7 @@ def _lp_vertex(
         if pivot == cap:
             raise CertificateError(f"the simplex took more than {cap} pivots")
         j = int(entering[0]) if degenerate else int(np.argmin(reduced))
-        rising = np.flatnonzero(tab[:, j] > tol)
+        rising = np.flatnonzero(tab[:, j] > 1e3 * tol)
         if rising.size == 0:
             raise OutOfDomainError("the LP is infeasible")
         ratios = tab[rising, -1] / tab[rising, j]

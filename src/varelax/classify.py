@@ -73,34 +73,33 @@ def class_e_certificate(
     """Probe whether the worst-case linearization defect diverges.
 
     For each radius R the probe tabulates the envelope on the expanding box
-    [-CLASS_E_MARGIN*R, CLASS_E_MARGIN*R], one table row per sampled time,
-    and takes chi(R) = sup over the rows and the grid points beyond R of
-    the envelope value minus its steepest supporting linearization; an
-    autonomous family is sampled at the first time only, since every time
-    gives the same envelope.  chi must come out nonincreasing; a rise
-    beyond tolerance signals an envelope bug rather than a property of the
-    integrand.
+    [-CLASS_E_MARGIN*R, CLASS_E_MARGIN*R] with the rows of ``family.table``
+    at the sampled times, and takes chi(R) = sup over the rows and the grid
+    points beyond R of the envelope value minus its steepest supporting
+    linearization.  chi must come out nonincreasing; a rise beyond
+    tolerance signals an envelope bug rather than a property of the
+    integrand, and a slope fit that fails raises ``CertificateError``.
     """
     radii = _radii(radius_schedule)
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if family.autonomous:
-        t_grid = t_grid[:1]
-    rows = np.arange(t_grid.size)[:, None]
     chi = np.empty(radii.size)
     for k, radius in enumerate(radii):
         box = CLASS_E_MARGIN * radius
         grid = np.linspace(-box, box, CERTIFICATE_GRID_POINTS)
-        table = EnvelopeTable.of(grid, family.table(t_grid, grid))
+        values, rows = family.table(t_grid, grid)
+        table = EnvelopeTable.of(grid, values)
         beyond = grid[np.abs(grid) > radius]
-        lo, hi = table.subgradients(rows, beyond)
-        chi[k] = (table.at(rows, beyond) - np.minimum(lo * beyond, hi * beyond)).max()
+        lo, hi = table.subgradients(rows[:, None], beyond)
+        chi[k] = (table.at(rows[:, None], beyond) - np.minimum(lo * beyond, hi * beyond)).max()
     diffs = np.diff(chi)
     tol = 1e-9 * np.maximum(1.0, np.abs(chi[:-1]))
     if np.any(diffs > tol):
         raise CertificateError("chi sequence increased along the radius schedule")
     half = radii.size // 2
-    fit = np.polyfit(radii[half:], chi[half:], 1)
-    slope = float(fit[0])
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            slope = float(np.polyfit(radii[half:], chi[half:], 1)[0])
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise CertificateError(f"class-E slope fit failed: {exc}") from None
     if np.all(diffs < 0) and chi[-1] < -threshold:
         verdict = "diverges"
     elif abs(chi[-1] - chi[-2]) <= STABILIZE_TOL and chi[-1] >= -threshold:
@@ -127,10 +126,12 @@ class SciCertificate:
 
 def sci_certificate(
     family: IntegrandFamily,
-    t: float,
+    t_grid: np.ndarray,
     radius_schedule: np.ndarray | None = None,
-) -> SciCertificate:
-    """Check that the envelope's directional slope keeps increasing.
+) -> tuple[SciCertificate, ...]:
+    """Check that the envelope's directional slope keeps increasing, with
+    one certificate per time of ``t_grid``, all read from one envelope
+    table with the rows of ``family.table``.
 
     A direction fails when the slope shows no strict increase across the
     last two radius shells: a terminal flat run is the discrete signature
@@ -140,23 +141,25 @@ def sci_certificate(
     box = float(radii[-1])
     inner = float(radii[-3])
     grid = np.linspace(-box, box, CERTIFICATE_GRID_POINTS)
-    table = EnvelopeTable.of(grid, family.table(np.array([t]), grid))
-    probes = []
-    for direction in SCI_DIRECTIONS:
-        # the subgradient ends at the inner radius [0] and the outer one [1]
-        ends = table.subgradients(0, direction * np.array([inner, box]))
-        lo, hi = (end.tolist() for end in ends)
-        if direction > 0:
-            inner_slope, outer_slope = hi[0], lo[1]
-            increase = outer_slope - inner_slope
-        else:
-            inner_slope, outer_slope = lo[0], hi[1]
-            increase = -(outer_slope - inner_slope)
-        tol = 1e-9 * max(1.0, abs(inner_slope), abs(outer_slope))
-        probes.append(
-            SciProbe(direction, inner_slope, outer_slope, increase, increase > tol)
-        )
-    return SciCertificate(tuple(probes), all(p.passed for p in probes))
+    values, rows = family.table(t_grid, grid)
+    table = EnvelopeTable.of(grid, values)
+    certificates = []
+    for row in range(len(values)):
+        probes = []
+        for direction in SCI_DIRECTIONS:
+            # the subgradient ends at the inner radius [0] and the outer one [1]
+            ends = table.subgradients(row, direction * np.array([inner, box]))
+            lo, hi = (end.tolist() for end in ends)
+            if direction > 0:
+                inner_slope, outer_slope = hi[0], lo[1]
+                increase = outer_slope - inner_slope
+            else:
+                inner_slope, outer_slope = lo[0], hi[1]
+                increase = -(outer_slope - inner_slope)
+            tol = 1e-9 * max(1.0, abs(inner_slope), abs(outer_slope))
+            probes.append(SciProbe(direction, inner_slope, outer_slope, increase, increase > tol))
+        certificates.append(SciCertificate(tuple(probes), all(p.passed for p in probes)))
+    return tuple(certificates[row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +176,20 @@ class ProbeBox:
     times: np.ndarray
     states: np.ndarray
     velocities: np.ndarray
-    f_values: np.ndarray  # (times, velocities)
+    f_table: np.ndarray  # f.table's rows on the velocities
+    f_rows: np.ndarray  # each probe time's row of f_table
     g_values: np.ndarray  # (times, states)
+
+    @cached_property
+    def f_values(self) -> np.ndarray:
+        """f on the probe velocities at each probe time: (times, velocities)."""
+        return self.f_table[self.f_rows]
 
     @cached_property
     def envelope(self) -> tuple[EnvelopeTable, np.ndarray]:
         """f's envelope table on the probe velocities and each probe time's
-        row; when ``f`` is the same at every probe time, one row serves all."""
-        if np.all(self.f_values == self.f_values[0]):
-            rows = np.zeros(self.times.size, dtype=np.intp)
-            return EnvelopeTable.of(self.velocities, self.f_values[:1]), rows
-        return EnvelopeTable.of(self.velocities, self.f_values), np.arange(self.times.size)
+        row."""
+        return EnvelopeTable.of(self.velocities, self.f_table), self.f_rows
 
     @cached_property
     def fstar(self) -> np.ndarray:
@@ -346,13 +352,8 @@ def default_probe(problem) -> ProbeBox:
     times = np.linspace(0.0, problem.horizon, PROBE_TIMES)
     states = np.linspace(lo, hi, PROBE_STATES)
     velocities = np.linspace(-problem.velocity_cap, problem.velocity_cap, PROBE_VELOCITIES)
-    return ProbeBox(
-        times=times,
-        states=states,
-        velocities=velocities,
-        f_values=np.stack([problem.f.value(t, velocities) for t in times]),
-        g_values=np.stack([problem.g.value(t, states) for t in times]),
-    )
+    g_values = np.stack([problem.g.value(t, states) for t in times])
+    return ProbeBox(times, states, velocities, *problem.f.table(times, velocities), g_values)
 
 
 def _midpoint_concave(problem, probe: ProbeBox) -> np.ndarray:
@@ -505,9 +506,9 @@ def fstar_lipschitz_check(
     probe_radius = 4.0 * (1.0 + float(np.max(np.abs(xi_probe))))
     grid = np.linspace(-probe_radius, probe_radius, FSTAR_GRID_POINTS)
     pitch = 2.0 * probe_radius / (FSTAR_GRID_POINTS - 1)
-    table = EnvelopeTable.of(grid, family.table(t_grid, grid))
-    values = table.values  # (nt, nxi_grid)
-    rows = np.arange(t_grid.size)
+    f_table, rows = family.table(t_grid, grid)
+    table = EnvelopeTable.of(grid, f_table)
+    values = f_table[rows]  # (nt, nxi_grid)
     dt = np.diff(t_grid)
 
     entries = []

@@ -132,6 +132,8 @@ def main(argv=None) -> int:
 def _load(args) -> tuple[str, Problem, DPConfig, np.ndarray | None]:
     loaded = vio.parse_problem(args.problem)
     problem, cfg = loaded.problem, loaded.config
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise SchemaError(f"--tol must be finite and >= 0, got {args.tol!r}")
     if args.xi_max is not None:
         problem = replace(problem, velocity_cap=args.xi_max)
     if args.n_t is not None or args.n_x is not None:
@@ -152,10 +154,7 @@ def _out_base(args, default_name: str, default_suffix: str) -> Path:
 def _classification(problem: Problem, schedule: np.ndarray | None) -> dict:
     t_grid = np.linspace(0.0, problem.horizon, PROBE_TIMES)
     class_e = class_e_certificate(problem.f, t_grid, schedule)
-    if problem.f.autonomous:
-        sci = [sci_certificate(problem.f, 0.0, schedule)] * t_grid.size
-    else:
-        sci = [sci_certificate(problem.f, float(t), schedule) for t in t_grid]
+    sci = sci_certificate(problem.f, t_grid, schedule)
     hyp = hypothesis_check(problem)
     required = {
         "class_e_diverges": class_e.diverges,

@@ -4,10 +4,10 @@ and the reconstruction stage.
 The per-step velocity set is the set of state-grid difference quotients
 clipped at the velocity cap, and envelopes are built on exactly that set.
 Costs, decompositions, and necessary-condition checks therefore all see
-the same discrete relaxation.  Each stage samples f once per distinct
-time into one ``convex.EnvelopeTable`` and reads costs, subgradients and
-splittings from it by array gathers; a trajectory is costed through one
-routine, ``path_costs``.
+the same discrete relaxation.  Each stage samples f on the rows of
+``f.table`` into one ``convex.EnvelopeTable`` and reads costs,
+subgradients and splittings from it by array gathers; a trajectory is
+costed through one routine, ``path_costs``.
 """
 
 from __future__ import annotations
@@ -196,14 +196,10 @@ class Discretization:
         return replace(self, grid=merge_close_velocities(points))
 
     def envelope_table(self, times: np.ndarray) -> tuple[EnvelopeTable, np.ndarray]:
-        """f's envelope table on the quotient grid with one row per distinct
-        time, and each time's row.  An autonomous f gets a single row."""
-        times = np.asarray(times, dtype=float)
-        if self.problem.f.autonomous:
-            keys, rows = times[:1], np.zeros(times.size, dtype=np.intp)
-        else:
-            keys, rows = np.unique(times, return_inverse=True)
-        return EnvelopeTable.of(self.grid, self.problem.f.table(keys, self.grid)), rows
+        """f's envelope table on the quotient grid with the rows of
+        ``f.table``, and each time's row."""
+        values, rows = self.problem.f.table(times, self.grid)
+        return EnvelopeTable.of(self.grid, values), rows
 
     def path_costs(
         self, times: np.ndarray, states: np.ndarray, velocities: np.ndarray

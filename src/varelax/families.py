@@ -41,11 +41,18 @@ class IntegrandFamily:
             return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(y)))
         return self.factor.rate(np.asarray(t, dtype=float)) * self.modulation(y)
 
-    def table(self, times: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``value(t, y)`` for each of ``times``, one row each, with the same
-        bits: base and modulation are evaluated once, the factor per time."""
+    def table(self, times: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``value(t, y)`` with one row per distinct time of ``times``, or a
+        single row when the family is autonomous, and each time's row.  The
+        rows keep ``value``'s bits: base and modulation are evaluated once,
+        the factor per row."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if self.autonomous:
+            keys, rows = times[:1], np.zeros(times.size, dtype=np.intp)
+        else:
+            keys, rows = np.unique(times, return_inverse=True)
         out = self.base(y)
         if self.modulation is None:
-            return np.tile(out, (times.size, 1))
-        factors = np.array([float(self.factor(t)) for t in times])
-        return out + factors[:, None] * self.modulation(y)
+            return np.tile(out, (keys.size, 1)), rows
+        factors = np.array([float(self.factor(t)) for t in keys])
+        return out + factors[:, None] * self.modulation(y), rows

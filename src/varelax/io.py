@@ -161,6 +161,8 @@ def parse_problem(path: str | Path) -> LoadedProblem:
         schedule = np.array([_finite(v, "numerics.radius_schedule") for v in raw])
         if not np.all(np.diff(schedule) > 0):
             raise SchemaError("numerics.radius_schedule: radii must be increasing")
+        if schedule[0] <= 0.0:
+            raise SchemaError("numerics.radius_schedule: radii must be positive")
 
     try:
         problem = Problem(

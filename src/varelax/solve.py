@@ -32,8 +32,8 @@ class _Tables:
     """Cost rows of one discretization and the DP's step factor.
 
     ``f_costs`` holds the envelope of f at the quotients and ``g_costs``
-    holds g on the state grid; each has one row when its integrand is
-    autonomous and one row per time step otherwise.
+    holds g on the state grid, on the rows of each integrand's ``table``:
+    one when it is autonomous and one per time step otherwise.
     """
 
     disc: Discretization
@@ -46,8 +46,7 @@ def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     disc = Discretization.of(problem, cfg)
     table, _ = disc.envelope_table(disc.times[:-1])
     f_costs = table.at(np.arange(len(table.values))[:, None], disc.grid)
-    g_times = disc.times[:1] if problem.g.autonomous else disc.times[:-1]
-    g_costs = np.array([problem.g.value(t, disc.xs) for t in g_times])
+    g_costs, _ = problem.g.table(disc.times[:-1], disc.xs)
     return _Tables(disc, disc.step, f_costs, g_costs)
 
 
@@ -305,6 +304,17 @@ def _budget_values(
     return values
 
 
+def _budget_schedule(budget_schedule: np.ndarray) -> np.ndarray:
+    """The schedule of either sweep, checked: at least 2 entries,
+    increasing and positive."""
+    budgets = np.asarray(budget_schedule, dtype=float)
+    if budgets.size < 2 or not np.all(np.diff(budgets) > 0):
+        raise CertificateError("budget schedule must be increasing with >= 2 entries")
+    if budgets[0] <= 0.0:
+        raise CertificateError("budget schedule entries must be positive")
+    return budgets
+
+
 def value_sweep(
     problem: Problem, cfg: DPConfig, budget_schedule: np.ndarray
 ) -> SweepReport:
@@ -320,11 +330,7 @@ def value_sweep(
     """
     if cfg.theta is None:
         raise CertificateError("value sweep requires a Nagumo entry")
-    budgets = np.asarray(budget_schedule, dtype=float)
-    if budgets.size < 2 or not np.all(np.diff(budgets) > 0):
-        raise CertificateError("budget schedule must be increasing with >= 2 entries")
-    if budgets[0] <= 0.0:
-        raise CertificateError("budget schedule entries must be positive")
+    budgets = _budget_schedule(budget_schedule)
     values = _budget_values(_tables(problem, cfg), cfg, budgets)
     feasible = [(i, v) for i, v in enumerate(values) if v is not None]
     for (_, v1), (_, v2) in zip(feasible, feasible[1:]):
@@ -351,9 +357,7 @@ def lagrangian_sweep(
     """
     if cfg.theta is None:
         raise CertificateError("Lagrangian sweep requires a Nagumo entry")
-    budgets = np.asarray(budget_schedule, dtype=float)
-    if budgets.size < 2 or not np.all(np.diff(budgets) > 0):
-        raise CertificateError("budget schedule must be increasing with >= 2 entries")
+    budgets = _budget_schedule(budget_schedule)
     tab = _tables(problem, cfg)
     penalized_minima = []
     for rate, (value, idx, qidx) in zip(

@@ -44,7 +44,7 @@ def probe_rates(problem, probe):
     delta = float(ts[-1] - ts[0]) / (4.0 * (ts.size - 1))
 
     def phi(t):
-        fstar = EnvelopeTable.of(xis, problem.f.table(np.array([t]), xis)).at(0, xis)
+        fstar = EnvelopeTable.of(xis, problem.f.table(np.array([t]), xis)[0]).at(0, xis)
         return problem.g.value(t, xs)[:, None] + fstar[None, :]
 
     rates = []

@@ -133,8 +133,8 @@ def test_criterion_3_classifier_verdicts():
         checks.append(v1 == expected and v2 == expected)
     fam_abs = IntegrandFamily(base=velocity_function("abs"))
     start = time.perf_counter()
-    s1 = sci_certificate(fam_abs, 0.0, base).passed
-    s2 = sci_certificate(fam_abs, 0.0, doubled).passed
+    s1 = sci_certificate(fam_abs, [0.0], base)[0].passed
+    s2 = sci_certificate(fam_abs, [0.0], doubled)[0].passed
     timings.append(time.perf_counter() - start)
     checks.append(not s1 and not s2)
     report(

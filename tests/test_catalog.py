@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varelax.catalog import (
     nagumo_function,
@@ -91,7 +93,66 @@ class TestNagumoFunctions:
             nagumo_function("power_p", {"p": 0.5})
 
 
+# Catalog compositions for ``IntegrandFamily.table``, one shape kind per
+# family.  "const" is flagged autonomous; the zero-slope "affine_t" is
+# constant in value but not flagged.
+SHAPES = {
+    velocity_function: (
+        ("power_p", {"p": 2.0}),
+        ("double_well", None),
+        ("abs", None),
+        ("affine", {"slope": 0.5, "offset": -1.0}),
+    ),
+    state_function: (
+        ("zero", None),
+        ("concave_quadratic", {"kappa": 0.5}),
+        ("affine", {"slope": -0.7, "offset": 0.1}),
+    ),
+}
+FACTORS = (
+    ("const", {"value": 0.3}),
+    ("affine_t", {"slope": 0.0, "offset": 0.3}),
+    ("affine_t", {"slope": 2.0, "offset": -0.5}),
+    ("sine", {"amplitude": 0.5, "frequency": 3.0}),
+)
+
+
+@st.composite
+def families(draw):
+    kind = draw(st.sampled_from(list(SHAPES)))
+    base = kind(*draw(st.sampled_from(SHAPES[kind])))
+    if not draw(st.booleans()):
+        return IntegrandFamily(base=base)
+    return IntegrandFamily(
+        base=base,
+        modulation=kind(*draw(st.sampled_from(SHAPES[kind]))),
+        factor=time_factor(*draw(st.sampled_from(FACTORS))),
+    )
+
+
+# a few shared times make repeats likely
+TIMES = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 2.0)), min_size=1, max_size=8
+)
+
+
 class TestIntegrandFamily:
+    @settings(max_examples=60, deadline=None)
+    @given(families(), TIMES)
+    def test_table_rows_are_the_values_of_their_times(self, fam, times):
+        y = np.linspace(-2.0, 2.0, 17)
+        values, rows = fam.table(np.array(times), y)
+        assert rows.shape == (len(times),)
+        assert sorted(set(rows.tolist())) == list(range(len(values)))
+        if fam.autonomous:
+            assert len(values) == 1
+        else:  # one row per distinct time
+            for t, row in zip(times, rows):
+                assert all((row == other) == (t == s) for s, other in zip(times, rows))
+        for t, row in zip(times, rows):
+            want = fam.value(t, y)
+            assert values[row].dtype == want.dtype and values[row].tobytes() == want.tobytes()
+
     def test_composition(self):
         fam = IntegrandFamily(
             base=velocity_function("double_well"),

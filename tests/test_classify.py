@@ -98,16 +98,16 @@ class TestClassECertificate:
 
 class TestSciCertificate:
     def test_strictly_convex_passes(self):
-        assert sci_certificate(family("power_p", {"p": 2.0}), 0.0, SHORT_SCHEDULE).passed
+        assert sci_certificate(family("power_p", {"p": 2.0}), [0.0], SHORT_SCHEDULE)[0].passed
 
     def test_affine_fails(self):
-        cert = sci_certificate(
-            family("affine", {"slope": -1.0, "offset": 0.0}), 0.0, SHORT_SCHEDULE
+        (cert,) = sci_certificate(
+            family("affine", {"slope": -1.0, "offset": 0.0}), [0.0], SHORT_SCHEDULE
         )
         assert not cert.passed
 
     def test_abs_fails_both_rays(self):
-        cert = sci_certificate(family("abs"), 0.0, SHORT_SCHEDULE)
+        (cert,) = sci_certificate(family("abs"), [0.0], SHORT_SCHEDULE)
         assert not cert.passed
         assert all(not p.passed for p in cert.probes)
 
@@ -121,8 +121,8 @@ class TestSciCertificate:
             fam = family(name, params)
             cert = class_e_certificate(fam, T_GRID, schedule, threshold=1.0)
             assert cert.verdict == "diverges"
-            for t in T_GRID:
-                assert sci_certificate(fam, float(t), schedule).passed
+            for cert in sci_certificate(fam, T_GRID, schedule):
+                assert cert.passed
 
 
 def make_problem(f_fam, g_fam, horizon=1.0, box=(-1.0, 1.0), cap=4.0, ends=(0.0, 0.0)):
@@ -664,3 +664,23 @@ class TestAutonomousClassE:
         b = class_e_certificate(unflagged, t_grid)
         np.testing.assert_array_equal(a.chi_values, b.chi_values)
         assert (a.verdict, a.divergence_slope) == (b.verdict, b.divergence_slope)
+
+    def test_unflagged_constant_factor_gives_the_same_reports(self):
+        # the unflagged family gets one probe-envelope row per probe time and
+        # a drift LP, the flagged one a single row and the zero shortcut
+        kwargs = dict(modulation="power_p", mod_params={"p": 2.0})
+        flagged = family("double_well", factor="const", f_params={"value": 0.3}, **kwargs)
+        unflagged = family(
+            "double_well", factor="affine_t", f_params={"slope": 0.0, "offset": 0.3}, **kwargs
+        )
+        g = IntegrandFamily(base=state_function("concave_quadratic", {"kappa": 0.5}))
+        t_grid = np.linspace(0.0, 1.0, PROBE_TIMES)
+        a, b = (sci_certificate(f, t_grid, SHORT_SCHEDULE) for f in (flagged, unflagged))
+        assert repr([dataclasses.astuple(c) for c in a]) == repr(
+            [dataclasses.astuple(c) for c in b]
+        )
+        problems = [make_problem(f, g) for f in (flagged, unflagged)]
+        for check in (hypothesis_check, linear_bounds):
+            a, b = (check(problem) for problem in problems)
+            for f in dataclasses.fields(a):
+                assert same_bits(getattr(a, f.name), getattr(b, f.name)), f.name

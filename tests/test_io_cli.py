@@ -1,6 +1,9 @@
 """Problem-file schema, serialization contracts, and CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,8 @@ from varelax.io import emit_trajectory, parse_problem, read_trajectory
 from varelax.problem import DPConfig
 from varelax.solve import solve_relaxed
 
-PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+ROOT = Path(__file__).resolve().parents[1]
+PROBLEMS = ROOT / "problems"
 
 
 def write_problem(tmp_path, doc, name="case.json"):
@@ -486,3 +490,38 @@ class TestRelaxBudgetUnderPenalty:
         assert self.relax(tmp_path, capsys, theta) == want
         assert self.relax(tmp_path, capsys, dict(theta, penalty=0.5)) == want
         assert not (tmp_path / "traj.csv").exists()
+
+
+# (command, extra flags, numerics.radius_schedule or None, documented exit code)
+BAD_INPUTS = [
+    *[(cmd, ["--tol", tol], None, 2) for cmd in ("sweep", "solve") for tol in ("nan", "-1", "inf")],
+    ("classify", [], [-4, 1, 2, 3], 2),
+    ("classify", [], [0, 1, 2, 3], 2),
+    ("classify", [], [1e-300, 2e-300, 3e-300, 4e-300], 4),
+]
+
+
+@pytest.mark.parametrize("command, flags, radii, code", BAD_INPUTS)
+def test_bad_input_ends_with_one_error_line(tmp_path, command, flags, radii, code):
+    """A bad input ends with its documented exit code and exactly one
+    ``error:`` line on stderr, never a traceback, from a fresh process."""
+    doc = json.loads((PROBLEMS / "quadratic.json").read_text())
+    if radii is not None:
+        doc["numerics"]["radius_schedule"] = radii
+    argv = [command, str(write_problem(tmp_path, doc)), "--out", str(tmp_path / "out"), *flags]
+    if command == "sweep":
+        argv += ["--l-schedule", "0.5:4:4"]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "varelax.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    lines = run.stderr.splitlines()
+    assert run.returncode == code, run.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: "), run.stderr
+    if radii is not None and code == 2:
+        assert "numerics.radius_schedule" in lines[0]
+    assert "Traceback" not in run.stderr

@@ -216,6 +216,20 @@ class TestValueSweep:
         # at large budgets the dual is tight on the unconstrained value
         assert dual.values[-1] == pytest.approx(exact.values[-1], abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ([1.0], "increasing with >= 2 entries"),
+            ([2.0, 1.0], "increasing with >= 2 entries"),
+            ([-1.0, 0.0, 1.0], "entries must be positive"),
+        ],
+    )
+    def test_both_sweeps_reject_the_same_schedules(self, schedule, message):
+        cfg = DPConfig(n_t=8, n_x=9, theta=nagumo_function("power_p", {"p": 2.0}))
+        for sweep in (value_sweep, lagrangian_sweep):
+            with pytest.raises(CertificateError, match=message):
+                sweep(QUADRATIC, cfg, np.array(schedule))
+
 
 class TestPenalizedSolve:
     def test_zero_penalty_identical(self):

@@ -48,6 +48,8 @@ def _radii(radius_schedule: np.ndarray | None) -> np.ndarray:
     )
     if radii.size < 4 or not np.all(np.diff(radii) > 0):
         raise CertificateError("radius schedule must be increasing with at least 4 entries")
+    if radii[0] <= 0.0:
+        raise CertificateError("radius schedule entries must be positive")
     return radii
 
 
@@ -503,6 +505,8 @@ def fstar_lipschitz_check(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2:
         raise CertificateError("need at least two probe times")
+    if not np.all(np.diff(t_grid) > 0):
+        raise CertificateError("probe times must be strictly increasing")
     probe_radius = 4.0 * (1.0 + float(np.max(np.abs(xi_probe))))
     grid = np.linspace(-probe_radius, probe_radius, FSTAR_GRID_POINTS)
     pitch = 2.0 * probe_radius / (FSTAR_GRID_POINTS - 1)

@@ -6,8 +6,8 @@ clipped at the velocity cap, and envelopes are built on exactly that set.
 Costs, decompositions, and necessary-condition checks therefore all see
 the same discrete relaxation.  Each stage samples f on the rows of
 ``f.table`` into one ``convex.EnvelopeTable`` and reads costs,
-subgradients and splittings from it by array gathers; a trajectory is
-costed through one routine, ``path_costs``.
+subgradients and splittings from it by array gathers; ``path_costs``
+gives a trajectory's interval costs, which ``Trajectory.costed`` sums.
 """
 
 from __future__ import annotations

@@ -261,27 +261,10 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
         raise SchemaError(f"{path}: states leave the state box [{lo!r}, {hi!r}]")
     if states[0] != problem.start or states[-1] != problem.end:
         raise SchemaError(f"{path}: endpoint states do not match the problem")
-    step = times[1] - times[0]
     disc = Discretization.of(problem, cfg).extended(vels)
     _, _, f_values, g_values = disc.path_costs(times[:-1], states[:-1], vels)
-    f_cost = 0.0
-    g_cost = 0.0
-    for f, g in zip(f_values.tolist(), g_values.tolist()):
-        f_cost += step * f
-        g_cost += step * g
-    theta_value = None
-    if cfg.theta is not None:
-        theta_value = float(step * np.sum(cfg.theta(vels)))
     try:
-        return Trajectory(
-            times=times,
-            states=states,
-            velocities=vels,
-            value=float(f_cost + g_cost),
-            f_cost=float(f_cost),
-            g_cost=float(g_cost),
-            theta_value=theta_value,
-        )
+        return Trajectory.costed(times, states, vels, f_values, g_values, theta=cfg.theta)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 

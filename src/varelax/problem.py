@@ -110,6 +110,22 @@ class Trajectory:
         self.states = states
         self.velocities = vels
 
+    @classmethod
+    def costed(cls, times, states, velocities, f_values, g_values, theta=None, warnings=()):
+        """The path with interval costs ``f_values`` and ``g_values``, by the
+        one rule for a path's cost: h*f and h*g summed left to right, with
+        h = times[1] - times[0], and ``theta_value`` h*sum(theta(velocities))
+        when a ``theta`` is given."""
+        h = float(times[1] - times[0])
+        f_cost = g_cost = 0.0
+        for f, g in zip(np.multiply(h, f_values).tolist(), np.multiply(h, g_values).tolist()):
+            f_cost += f
+            g_cost += g
+        theta_value = None if theta is None else float(h * np.sum(theta(velocities)))
+        return cls(
+            times, states, velocities, f_cost + g_cost, f_cost, g_cost, theta_value, warnings
+        )
+
     @property
     def step(self) -> float:
         return float(self.times[1] - self.times[0])

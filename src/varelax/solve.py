@@ -32,26 +32,24 @@ class _Tables:
     """Cost rows of one discretization and the DP's step factor.
 
     ``f_costs`` holds the envelope of f at the quotients and ``g_costs``
-    holds g on the state grid, on the rows of each integrand's ``table``:
-    one when it is autonomous and one per time step otherwise.
+    holds g on the state grid, each on the rows its integrand's ``table``
+    returns; time step i reads rows ``f_rows[i]`` and ``g_rows[i]``.
     """
 
     disc: Discretization
     step: float
     f_costs: np.ndarray
     g_costs: np.ndarray
+    f_rows: np.ndarray
+    g_rows: np.ndarray
 
 
 def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     disc = Discretization.of(problem, cfg)
-    table, _ = disc.envelope_table(disc.times[:-1])
+    table, f_rows = disc.envelope_table(disc.times[:-1])
     f_costs = table.at(np.arange(len(table.values))[:, None], disc.grid)
-    g_costs, _ = problem.g.table(disc.times[:-1], disc.xs)
-    return _Tables(disc, disc.step, f_costs, g_costs)
-
-
-def _row(rows, i: int):
-    return rows[i if len(rows) > 1 else 0]
+    g_costs, g_rows = problem.g.table(disc.times[:-1], disc.xs)
+    return _Tables(disc, disc.step, f_costs, g_costs, f_rows, g_rows)
 
 
 def _units(tab: _Tables, cfg: DPConfig, budget: float) -> np.ndarray:
@@ -120,8 +118,8 @@ def _dp(
     back = np.full((cfg.n_t,) + value.shape, -1, back_type) if want_path else None
     for i in range(cfg.n_t):
         reach = min(n_cols, start + i * u_max)  # later columns are all infinite
-        fq = _row(costs, i)
-        gx = _row(tab.g_costs, i)
+        fq = costs[tab.f_rows[i]]
+        gx = tab.g_costs[tab.g_rows[i]]
         nxt.fill(np.inf)
         for q in range(n_q - 1, -1, -1):
             u = int(units[q])
@@ -163,40 +161,6 @@ def _backtrack(tab, cfg, column, back, units, level):
     return best, idx, qidx
 
 
-def _assemble(
-    problem: Problem, cfg: DPConfig, tab: _Tables, idx: np.ndarray, qidx: np.ndarray
-) -> tuple[Trajectory, float]:
-    xs, step = tab.disc.xs, tab.step
-    states = xs[idx]
-    q = tab.disc.grid[qidx]
-    f_cost = 0.0
-    g_cost = 0.0
-    for i in range(q.size):
-        f_cost += step * float(_row(tab.f_costs, i)[qidx[i]])
-        g_cost += step * float(_row(tab.g_costs, i)[idx[i]])
-    penalty_cost = 0.0
-    theta_value = None
-    if cfg.theta is not None:
-        theta_value = float(step * np.sum(cfg.theta(q)))
-        penalty_cost = cfg.penalty * theta_value
-    warnings = []
-    interior = states[1:-1]
-    if interior.size and (np.any(interior == xs[0]) or np.any(interior == xs[-1])):
-        warnings.append("boundary-contact")
-    if np.any(np.abs(q) >= problem.velocity_cap * (1.0 - 1e-12)):
-        warnings.append("cap-saturation")
-    return Trajectory(
-        times=tab.disc.times,
-        states=states,
-        velocities=q,
-        value=f_cost + g_cost,
-        f_cost=f_cost,
-        g_cost=g_cost,
-        theta_value=theta_value,
-        warnings=tuple(warnings),
-    ), penalty_cost
-
-
 def _solve(problem: Problem, cfg: DPConfig, tab: _Tables) -> Trajectory:
     """The minimizer of the DP under ``cfg``, its speed budget included."""
     value, idx, qidx = _dp(tab, cfg, cfg.theta_budget, want_path=True)
@@ -212,8 +176,21 @@ def _checked(
 ) -> Trajectory:
     """The trajectory of a DP path, whose recomputed cost must reproduce
     the DP value."""
-    traj, penalty_cost = _assemble(problem, cfg, tab, idx, qidx)
-    total = traj.value + penalty_cost
+    xs = tab.disc.xs
+    states = xs[idx]
+    q = tab.disc.grid[qidx]
+    warnings = []
+    interior = states[1:-1]
+    if interior.size and (np.any(interior == xs[0]) or np.any(interior == xs[-1])):
+        warnings.append("boundary-contact")
+    if np.any(np.abs(q) >= problem.velocity_cap * (1.0 - 1e-12)):
+        warnings.append("cap-saturation")
+    f_values = tab.f_costs[tab.f_rows, qidx]
+    g_values = tab.g_costs[tab.g_rows, idx[:-1]]
+    traj = Trajectory.costed(
+        tab.disc.times, states, q, f_values, g_values, cfg.theta, tuple(warnings)
+    )
+    total = traj.value if cfg.theta is None else traj.value + cfg.penalty * traj.theta_value
     if abs(total - value) > 1e-9 * (1.0 + abs(total)):
         raise CertificateError("trajectory cost does not reproduce the DP value")
     return traj
@@ -254,6 +231,8 @@ def _fewest_units(tab: _Tables, cfg: DPConfig, units: np.ndarray) -> float:
         step=1.0,
         f_costs=units[None, :].astype(float),
         g_costs=np.zeros((1, tab.disc.xs.size)),
+        f_rows=np.zeros(cfg.n_t, dtype=np.intp),
+        g_rows=np.zeros(cfg.n_t, dtype=np.intp),
     )
     value = _dp(counts, replace(cfg, penalty=0.0), None, want_path=False)[0]
     return np.inf if value is None else value
@@ -441,9 +420,7 @@ def coercivity_bound_check(
     if np.any(np.abs(q) > problem.velocity_cap * (1.0 + 1e-12)):
         raise InfeasibleError("reference path violates the velocity cap")
     _, _, f_values, g_values = disc.path_costs(times[:-1], snapped[:-1], q)
-    ref_value = 0.0
-    for f, g in zip(f_values.tolist(), g_values.tolist()):
-        ref_value += step * (f + g)
+    ref_value = Trajectory.costed(times, snapped, q, f_values, g_values).value
 
     a_const = hypotheses.f_bound_offset
     alpha = hypotheses.g_bound_offset

@@ -9,6 +9,7 @@ Closed-form linearization defects used below (all hand-differentiated):
 
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,12 @@ class TestClassECertificate:
     def test_short_schedule_rejected(self):
         with pytest.raises(CertificateError):
             class_e_certificate(family("abs"), T_GRID, np.array([1.0, 2.0]))
+
+    def test_nonpositive_radius_rejected(self):
+        for certificate in (class_e_certificate, sci_certificate):
+            for schedule in ([0.0, 1.0, 2.0, 3.0], [-4.0, 1.0, 2.0, 3.0]):
+                with pytest.raises(CertificateError, match="radius schedule"):
+                    certificate(family("abs"), T_GRID, np.array(schedule))
 
 
 class TestSciCertificate:
@@ -243,6 +250,20 @@ class TestFstarLipschitz:
         report = fstar_lipschitz_check(fam, np.array([0.0]), np.linspace(0, 1, 5))
         assert report.passed
         assert report.entries[0].envelope_rate == 0.0
+
+    def test_unordered_probe_times_rejected(self):
+        fam = family(
+            "double_well",
+            modulation="power_p",
+            mod_params={"p": 2.0},
+            factor="sine",
+            f_params={"amplitude": 0.5, "frequency": 1.0},
+        )
+        for t_grid in ([0.0, 0.0, 1.0], [1.0, 0.5, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(CertificateError, match="probe times"):
+                    fstar_lipschitz_check(fam, np.array([0.0]), np.array(t_grid))
 
     def test_escaping_supports_are_inconclusive(self):
         # an affine slice decomposes over the probe-box corners

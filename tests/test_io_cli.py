@@ -86,15 +86,20 @@ class TestParseProblem:
 
 class TestTrajectoryRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
-        loaded = parse_problem(PROBLEMS / "quadratic.json")
-        cfg = DPConfig(n_t=16, n_x=17)
-        traj = solve_relaxed(loaded.problem, cfg)
-        path = tmp_path / "traj.csv"
-        emit_trajectory(traj, path)
-        back = read_trajectory(path, loaded.problem, cfg)
-        np.testing.assert_array_equal(back.times, traj.times)
-        np.testing.assert_array_equal(back.states, traj.states)
-        np.testing.assert_array_equal(back.velocities, traj.velocities)
+        # every shipped file at its own numerics: the arrays and the costs
+        # read back from the CSV equal the solver's bit for bit
+        for problem_path in sorted(PROBLEMS.glob("*.json")):
+            loaded = parse_problem(problem_path)
+            cfg = loaded.config
+            traj = solve_relaxed(loaded.problem, cfg)
+            path = tmp_path / f"{problem_path.stem}.csv"
+            emit_trajectory(traj, path)
+            back = read_trajectory(path, loaded.problem, cfg)
+            np.testing.assert_array_equal(back.times, traj.times)
+            np.testing.assert_array_equal(back.states, traj.states)
+            np.testing.assert_array_equal(back.velocities, traj.velocities)
+            for cost in ("value", "f_cost", "g_cost", "theta_value"):
+                assert getattr(back, cost) == getattr(traj, cost), (problem_path.name, cost)
 
     def test_row_count_and_header(self, tmp_path):
         loaded = parse_problem(PROBLEMS / "quadratic.json")

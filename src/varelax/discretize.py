@@ -8,6 +8,9 @@ the same discrete relaxation.  Each stage samples f on the rows of
 ``f.table`` into one ``convex.EnvelopeTable`` and reads costs,
 subgradients and splittings from it by array gathers; ``path_costs``
 gives a trajectory's interval costs, which ``Trajectory.costed`` sums.
+The DP reads its transitions from ``Discretization.transitions``: per state
+offset and target node, the quotient of the admissible pair, in
+O(n_offsets * n_x) small integers.
 """
 
 from __future__ import annotations
@@ -70,8 +73,6 @@ def merge_close_velocities(values: np.ndarray) -> np.ndarray:
 # Per state offset d with an admissible pair: d, the admissibility of each
 # pair (j, j + d) for j = max(0, -d), ..., and the pairs' difference quotients.
 OffsetWalk = tuple[tuple[int, np.ndarray, np.ndarray], ...]
-# A contiguous run of (predecessor, target) pairs: both indices rise by one.
-Run = tuple[slice, slice]
 
 
 def _offset_walk(xs: np.ndarray, step: float, cap: float) -> OffsetWalk:
@@ -113,34 +114,31 @@ def nearest_index(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.where(pick_left, left, right)
 
 
-def transition_table(walk: OffsetWalk, points: np.ndarray) -> tuple[tuple[Run, ...], ...]:
-    """The band of state pairs behind the quotient grid ``points``.
+def offset_table(walk: OffsetWalk, points: np.ndarray) -> tuple[int, np.ndarray]:
+    """The admissible state pairs behind the quotient grid ``points``, by
+    state offset.
 
-    Per grid point, the admissible (predecessor, target) pairs whose
-    quotient lies nearest it, as maximal runs of (predecessor slice,
-    target slice) ordered by target: a run is cut wherever either index
-    stops rising by one.  Within one offset both indices rise together, so
-    each run is a stretch of one offset's pairs with one nearest point,
-    and pairs of different offsets never join a run.  A target appears at
-    most once per grid point, since the DP keeps one predecessor per
-    (target, quotient); two nodes close enough for their quotients to
-    merge raise ``InfeasibleError``.  Per-pair temporaries live for one
-    offset at a time.
+    Returns the largest offset d_hi and a table whose row r holds offset
+    d_hi - r, so the rows run d_hi, d_hi - 1, ..., d_lo: entry [r, k] is
+    the index of the grid point nearest the quotient of the pair
+    (k - d_hi + r, k), and ``points.size`` where that pair is not
+    admissible.  The DP keeps one predecessor per (target, quotient), so
+    two admissible offsets that give one target the same point raise
+    ``InfeasibleError``: their state nodes are too close to tell apart.
     """
-    runs: list[list[Run]] = [[] for _ in range(points.size)]
+    offsets = [d for d, _, _ in walk]
+    top, sentinel = max(offsets), points.size
+    n = walk[0][1].size  # the walk starts at offset 0, which pairs every node
+    table = np.full((top - min(offsets) + 1, n), sentinel, np.min_scalar_type(sentinel))
     for d, ok, raw in walk:
-        group = np.where(ok, nearest_index(points, raw), -1)
-        edges = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), group.size]
         lo = max(0, -d)
-        for a, b in zip(edges[:-1], edges[1:]):
-            if group[a] >= 0:
-                runs[group[a]].append((slice(lo + a, lo + b), slice(lo + a + d, lo + b + d)))
-    for entry in runs:
-        entry.sort(key=lambda run: run[1].start)
-        targets = [k for _, k in entry]
-        if any(k.start < prev.stop for prev, k in zip(targets, targets[1:])):
-            raise InfeasibleError("two state nodes are closer than one step's quotients resolve")
-    return tuple(map(tuple, runs))
+        table[top - d, lo + d : lo + d + ok.size] = np.where(
+            ok, nearest_index(points, raw), sentinel
+        )
+    ordered = np.sort(table, axis=0)
+    if np.any((ordered[1:] == ordered[:-1]) & (ordered[1:] < sentinel)):
+        raise InfeasibleError("two state nodes are closer than one step's quotients resolve")
+    return top, table
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +146,9 @@ class Discretization:
     """State nodes, time nodes, step and quotient grid of one (problem, grid).
 
     ``of`` is the one place that decides them, with one walk over the state
-    offsets for the merged quotients; the band is cut from that same walk.
-    The transition band and the endpoint indices are built on first use,
-    so only the DP pays for them.
+    offsets for the merged quotients; the offset table of the admissible
+    pairs is cut from that same walk.  The offset table and the endpoint
+    indices are built on first use, so only the DP pays for them.
     """
 
     problem: Problem
@@ -170,9 +168,10 @@ class Discretization:
         return cls(problem, xs, times, step, grid, walk)
 
     @cached_property
-    def band(self) -> tuple[tuple[Run, ...], ...]:
-        """Per grid point, the (predecessor, target) runs realizing it."""
-        return transition_table(self.walk, self.grid)
+    def transitions(self) -> tuple[int, np.ndarray]:
+        """The largest state offset and the quotient index of every
+        admissible pair by (offset, target): see ``offset_table``."""
+        return offset_table(self.walk, self.grid)
 
     @cached_property
     def endpoints(self) -> tuple[int, int]:

@@ -5,9 +5,11 @@ The DP is exact on its grid: transitions run between state-grid nodes
 with per-interval constant velocities, time-dependent costs are sampled
 at the left endpoint of each interval, and ties are broken toward the
 smallest predecessor index so results are schedule-independent.  The grid
-and the transition band come from ``discretize.Discretization``; the DP
-adds only its cost rows, and steps over the band's contiguous runs of
-(predecessor, target) pairs with slices, never with index arrays.
+and the offset table of admissible (predecessor, target) pairs come from
+``discretize.Discretization``; the DP adds only its cost rows.  A time
+step is a few whole-array operations on one (offsets x columns x states)
+block of strided windows into the padded value buffer; index arrays
+appear only where a cost row is gathered through the offset table.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classify import HypothesisReport
 from .discretize import Discretization, nearest_index
-from .errors import CertificateError, InfeasibleError
+from .errors import CertificateError, DegenerateInputError, InfeasibleError
 from .problem import DPConfig, Problem, SweepReport, Trajectory
 
 SETTLE_TOL = 1e-9
@@ -49,6 +52,8 @@ def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     table, f_rows = disc.envelope_table(disc.times[:-1])
     f_costs = table.at(np.arange(len(table.values))[:, None], disc.grid)
     g_costs, g_rows = problem.g.table(disc.times[:-1], disc.xs)
+    if not np.isfinite(g_costs).all():
+        raise DegenerateInputError("state cost g must be finite on the state grid")
     return _Tables(disc, disc.step, f_costs, g_costs, f_rows, g_rows)
 
 
@@ -71,7 +76,7 @@ def _dp(
     """Minimum of the (penalized) path cost, optionally under a speed budget
     or for several penalty rates in one pass.
 
-    The state is (grid node, column).  With a budget the columns are used
+    The state is (column, grid node).  With a budget the columns are used
     budget units: a path starts in column 0 and each step moves it up by
     the step's units, h*theta(q) rounded up to the quantum budget/levels,
     so any accepted path satisfies the true budget and feasibility can
@@ -80,84 +85,150 @@ def _dp(
     those columns.  Without a budget every step costs zero units and the
     columns are the penalty rates: one for ``cfg.penalty``, or one per
     entry of ``rates``, each with cost rows f** + rate*theta.
-    Quotients are visited in descending order, which is ascending
-    predecessor index for each target, and only a strict improvement
-    replaces a candidate: ties go to the smallest predecessor.  Each band
-    entry is a tuple of runs, a predecessor slice and a target slice of
-    one length; a step reads the values and g at the predecessor slice and
-    updates the target slice of the next value buffer, and its
-    backpointer row, in place where the candidate is strictly better.
-    Two value buffers are swapped between steps.
+
+    Transitions are indexed by state offset (``Discretization.transitions``):
+    the value buffer is padded with inf by the largest offsets on the state
+    axis and by the largest admissible unit count on the column axis, so
+    every offset's predecessor values are one strided window of it.  A
+    step adds h*(g + f**) of each (offset, target) pair, inf where the
+    pair is not admissible, to those windows in one (offsets x columns x
+    states) block, with one add per (offset, unit count) segment when the
+    unit counts differ; the next value is the minimum over offsets, and
+    the backpointer the first offset that attains it, or -1 where no
+    candidate is finite.  Offsets run from the largest, so ties go to the
+    smallest predecessor.  The step's cost block is rebuilt only when its
+    f or g row changes.  Two value buffers are swapped between steps.
 
     Returns (value, node path, quotient path), or Nones when the end node
     is unreachable; the paths are None unless ``want_path``.  With
     ``rates`` it returns a list of such triples, one per rate.
     """
     per_rate = rates is not None
-    reps, band = tab.disc.grid, tab.disc.band
+    disc = tab.disc
+    top, table = disc.transitions
+    reps = disc.grid
+    n_offsets, n_x = table.shape
+    n_q = reps.size
     columns = [
         tab.f_costs + rate * cfg.theta(reps) if rate > 0.0 else tab.f_costs
         for rate in (map(float, rates) if per_rate else [cfg.penalty])
     ]
-    costs = np.stack(columns, axis=-1)
-    n_q = reps.size
+    # [f row, cost column, quotient], with inf at the sentinel quotient n_q
+    costs = np.pad(np.stack(columns, axis=1), ((0, 0), (0, 0), (0, 1)), constant_values=np.inf)
     if budget is None:
-        units = np.zeros(n_q, dtype=np.int64)
-        n_cols = start = costs.shape[-1]
+        units = np.zeros(n_q + 1, dtype=np.int64)
+        n_cols = start = costs.shape[1]
     else:
-        units = _units(tab, cfg, budget)
+        units = np.append(_units(tab, cfg, budget), 0)
         n_cols, start = cfg.budget_levels + 1, 1
-    admissible = units[units < n_cols]
-    u_max = int(admissible.max()) if admissible.size else 0
-    i_start, i_end = tab.disc.endpoints
-    value = np.full((tab.disc.xs.size, n_cols), np.inf)
-    value[i_start, :start] = 0.0
-    nxt = np.empty_like(value)
-    # backpointers: a quotient index, or -1 where no candidate arrived
-    back_type = np.min_scalar_type(-n_q)
-    back = np.full((cfg.n_t,) + value.shape, -1, back_type) if want_path else None
+    # A padded state row holds node j at top + j, with inf on either side
+    # wide enough for every offset; the table gets the same padding, as
+    # inadmissible pairs.
+    width = n_x + n_offsets - 1
+    pairs = np.pad(table.astype(np.intp), ((0, 0), (top, width - n_x - top)), constant_values=n_q)
+    # a quotient whose units exceed the levels is never admissible
+    pairs[units[pairs] >= n_cols] = n_q
+    pair_units = units[pairs]
+    u_max = int(pair_units.max())
+    segments = _segments(pairs < n_q, pair_units)
+    # A value buffer is flat: padded rows of width entries, column c in row
+    # 1 + u_max + c, below it u_max + 1 rows of inf and above it one.  So
+    # windows[base - u * width + r, c, top + k] reads node k - (top - r) in
+    # column c - u, and a step's adds and minimum run over whole rows.
+    rows = u_max + n_cols + 2
+    base = (1 + u_max) * width - top
+    buffers = [np.full(rows * width, np.inf) for _ in range(2)]
+    buffers[0].reshape(rows, width)[1 + u_max : 1 + u_max + start, top + disc.endpoints[0]] = 0.0
+    windows = [
+        sliding_window_view(b, n_cols * width).reshape(-1, n_cols, width) for b in buffers
+    ]
+    g_ext = np.full(width + n_offsets - 1, np.inf)
+    step_cost = np.empty((n_offsets, n_cols, width))
+    cand = np.empty_like(step_cost)
+    # backpointers: an offset row, or -1 where no candidate is finite
+    back_type = np.min_scalar_type(-n_offsets)
+    back = np.full((cfg.n_t, n_cols, width), -1, back_type) if want_path else None
+    # the first offset row that attains the minimum has the largest weight
+    weights = np.arange(n_offsets - 1, -1, -1, dtype=back_type)[:, None, None]
+    hits = np.empty(cand.shape, dtype=bool)
+    ranks = np.empty(cand.shape, dtype=back_type)
+    first = np.empty((n_cols, width), dtype=back_type)
+    unreached = np.empty((n_cols, width), dtype=bool)
+    key = None  # the (f row, g row) of step_cost
     for i in range(cfg.n_t):
-        reach = min(n_cols, start + i * u_max)  # later columns are all infinite
-        fq = costs[tab.f_rows[i]]
-        gx = tab.g_costs[tab.g_rows[i]]
-        nxt.fill(np.inf)
-        for q in range(n_q - 1, -1, -1):
-            u = int(units[q])
-            width = min(reach, n_cols - u)
-            if width <= 0:
-                continue
-            for js, ks in band[q]:
-                cand = value[js, :width] + tab.step * (gx[js][:, None] + fq[q])
-                block = nxt[ks, u : u + width]
-                better = cand < block
-                np.copyto(block, cand, where=better)
-                if want_path:
-                    np.copyto(back[i, ks, u : u + width], q, where=better)
-        value, nxt = nxt, value
-    column = value[i_end]
+        if key != (tab.f_rows[i], tab.g_rows[i]):
+            if key is None or key[0] != tab.f_rows[i]:
+                fq = np.take(costs[tab.f_rows[i]], pairs, axis=1).transpose(1, 0, 2)
+            key = (tab.f_rows[i], tab.g_rows[i])
+            # g of the predecessor: node k - (top - r) sits at r + top + k
+            g_ext[2 * top : 2 * top + n_x] = tab.g_costs[key[1]]
+            np.add(sliding_window_view(g_ext, width)[:, None, :], fq, out=step_cost)
+            np.multiply(step_cost, tab.step, out=step_cost)
+        reach = min(n_cols, start + (i + 1) * u_max)  # later columns are all infinite
+        block = cand[:, :reach]
+        for r0, r1, targets, u in segments:
+            at = base - u * width
+            np.add(
+                windows[i % 2][at + r0 : at + r1, :reach, targets],
+                step_cost[r0:r1, :reach, targets],
+                out=block[r0:r1, :, targets],
+            )
+        best = buffers[1 - i % 2][(1 + u_max) * width : (1 + u_max + reach) * width]
+        best = best.reshape(reach, width)
+        np.minimum.reduce(block, axis=0, out=best)
+        if want_path:
+            np.equal(block, best, out=hits[:, :reach])
+            np.multiply(hits[:, :reach].view(np.int8), weights, out=ranks[:, :reach])
+            np.maximum.reduce(ranks[:, :reach], axis=0, out=first[:reach])
+            np.subtract(weights[0], first[:reach], out=back[i, :reach])
+            np.equal(best, np.inf, out=unreached[:reach])
+            np.copyto(back[i, :reach], -1, where=unreached[:reach])
+    values = buffers[cfg.n_t % 2].reshape(rows, width)
+    column = values[1 + u_max : 1 + u_max + n_cols, top + disc.endpoints[1]]
     ends = range(n_cols) if per_rate else [int(np.argmin(column))]
-    results = [_backtrack(tab, cfg, column, back, units, end) for end in ends]
+    path = (top, pairs, units)
+    results = [_backtrack(tab, cfg, column, back, path, end) for end in ends]
     return results if per_rate else results[0]
 
 
-def _backtrack(tab, cfg, column, back, units, level):
+def _segments(admissible: np.ndarray, pair_units: np.ndarray) -> list:
+    """(first offset row, stop row, targets, units) blocks that cover the
+    padded offset table, each with one unit count for its admissible
+    pairs: the whole table when all admissible pairs have the same units,
+    else each row cut where the units of its admissible pairs change.
+    Inadmissible pairs cost inf, so they may join any block."""
+    n_offsets = admissible.shape[0]
+    found = np.unique(pair_units[admissible])
+    if found.size <= 1:
+        return [(0, n_offsets, slice(None), int(found.max(initial=0)))]
+    segments = []
+    for r in range(n_offsets):
+        at = np.flatnonzero(admissible[r])
+        units = pair_units[r, at]
+        starts = np.flatnonzero(np.diff(units, prepend=-1))
+        cuts = [0, *at[starts[1:]].tolist(), None]
+        for lo, hi, u in zip(cuts, cuts[1:], units[starts].tolist() or [0]):
+            segments.append((r, r + 1, slice(lo, hi), u))
+    return segments
+
+
+def _backtrack(tab, cfg, column, back, path, level):
     """(value, node path, quotient path) of the DP ending in column ``level``."""
     if not np.isfinite(column[level]):
         return None, None, None
     best = float(column[level])
     if back is None:
         return best, None, None
-    band = tab.disc.band
+    top, pairs, units = path
     idx = np.empty(cfg.n_t + 1, dtype=np.int64)
     qidx = np.empty(cfg.n_t, dtype=np.int64)
     idx[-1] = tab.disc.endpoints[1]
     for i in range(cfg.n_t - 1, -1, -1):
         k = int(idx[i + 1])
-        q = int(back[i, k, level])
-        # the run of entry q that holds target k, and its predecessor there
-        idx[i] = next(js.start + k - ks.start for js, ks in band[q] if ks.start <= k < ks.stop)
-        qidx[i] = q
-        level -= int(units[q])
+        r = int(back[i, level, top + k])
+        idx[i] = k - (top - r)
+        qidx[i] = pairs[r, top + k]
+        level -= int(units[qidx[i]])
     return best, idx, qidx
 
 

@@ -1,5 +1,6 @@
 """The BENCH summariser pairs untraced runs by (workload, seed) and reports
-quartiles, pair wins and median ratios per end-to-end metric."""
+quartiles, pair wins and median ratios per end-to-end metric, and applies
+the acceptance rules to them."""
 
 import importlib.util
 import json
@@ -92,9 +93,16 @@ def test_summary_of_synthetic_runs(tmp_path):
     assert pass_s["change_better_in_pairs"] == 3
     assert pass_s["median_ratio"] == 0.9
     assert pass_s["unit"] == "s"
+    # a gain of 0.25 inside the parent's IQR of 1.5, 3 wins in 4 pairs
+    assert pass_s["parent_iqr"] == 1.5
+    assert pass_s["median_gain_exceeds_parent_iqr"] is False
+    assert pass_s["change_won_9_of_10_pairs"] is False
+    assert (pass_s["bound"], pass_s["within_bound"]) == (0.24, True)
     rss = fine["metrics"]["peak_rss_mb"]
     assert rss["change_better_in_pairs"] == 2  # a tie is no win
     assert rss["median_ratio"] == 0.99  # 49.5 / 50
+    assert rss["parent_iqr"] == 0.0
+    assert rss["median_gain_exceeds_parent_iqr"] is True
 
 
 def test_no_shared_pair_is_an_error(tmp_path, capsys):
@@ -102,3 +110,61 @@ def test_no_shared_pair_is_an_error(tmp_path, capsys):
     change = write(tmp_path / "change.jsonl", [record("fine-grid", 2, 1.0, 50.0)])
     assert bench_summary.main([str(parent), str(change), "--parent-commit", "abc"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def summary_of(tmp_path, benchmark, parent_values, change_values):
+    """The fine-grid metrics of ten pairs whose runs report only the given
+    metric values, one dict per run."""
+    def runs(values):
+        out = []
+        for seed, metrics in enumerate(values, 1):
+            rec = record("fine-grid", seed, 1.0, 1.0)
+            rec["result"]["metrics"] = {
+                name: {"value": v, "unit": "s"} for name, v in metrics.items()
+            }
+            out.append(rec)
+        return out
+
+    parent = write(tmp_path / "parent.jsonl", runs(parent_values))
+    change = write(tmp_path / "change.jsonl", runs(change_values))
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(benchmark), encoding="utf-8")
+    out = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--parent-commit", "abc", "--benchmark", str(bench)]
+    assert bench_summary.main(argv + ["--out", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))["workloads"]["fine-grid"]["metrics"]
+
+
+def test_acceptance_rules(tmp_path):
+    benchmark = {
+        "workloads": [{"name": "fine-grid"}],
+        "end_to_end": [
+            {"name": "fast", "unit": "s", "better": "lower", "bound": 0.1},
+            {"name": "slower", "unit": "s", "better": "lower", "bound": 0.1},
+            {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1},
+        ],
+    }
+    parent = [10.0, 10.5, 11.0, 11.5, 12.0, 12.5, 13.0, 13.5, 14.0, 14.5]
+    # fast: nine pairs won, median 8.25 against 12.25, IQR 2.25
+    fast = [v - 4.0 for v in parent[:9]] + [15.0]
+    # slower: every pair lost, median 10% + 0.01 above the parent's
+    slower = [v * 1.1 + 0.01 for v in parent]
+    # rate: higher is better; a 9% drop stays within its 10% bound
+    rate = [v * 0.91 for v in parent]
+    metrics = summary_of(
+        tmp_path,
+        benchmark,
+        [{"fast": p, "slower": p, "rate": p} for p in parent],
+        [{"fast": f, "slower": s, "rate": r} for f, s, r in zip(fast, slower, rate)],
+    )
+    assert metrics["fast"]["parent_iqr"] == 2.25
+    assert metrics["fast"]["change_better_in_pairs"] == 9
+    assert metrics["fast"]["median_gain_exceeds_parent_iqr"] is True
+    assert metrics["fast"]["change_won_9_of_10_pairs"] is True
+    assert metrics["fast"]["within_bound"] is True
+    assert metrics["slower"]["change_better_in_pairs"] == 0
+    assert metrics["slower"]["median_gain_exceeds_parent_iqr"] is False
+    assert metrics["slower"]["change_won_9_of_10_pairs"] is False
+    assert metrics["slower"]["within_bound"] is False
+    assert metrics["rate"]["median_gain_exceeds_parent_iqr"] is False
+    assert metrics["rate"]["within_bound"] is True

@@ -89,9 +89,9 @@ class TestHullCounts:
         hypotheses = hypothesis_check(problem)
 
         def forbidden(*args):
-            raise AssertionError("coercivity rebuilt the transition band")
+            raise AssertionError("coercivity rebuilt the offset table")
 
-        monkeypatch.setattr(discretize, "transition_table", forbidden)
+        monkeypatch.setattr(discretize, "offset_table", forbidden)
         hulls.clear()
         report = coercivity_bound_check(problem, traj, hypotheses, cfg)
         assert len(hulls) == 1
@@ -318,14 +318,15 @@ class TestEnvelopeTable:
 
 class TestTransitionTableMemory:
     def test_peak_stays_near_the_band(self):
-        # the double well's 2049-node grid at n_t = 64 has 129 quotients; the
-        # band as index arrays held 4.2 MB, and keeping every per-offset piece
-        # and per-pair temporary of it peaked at 25 MB.  The walk, the grid
-        # and the band are traced together: the band is cut from the walk.
+        # the double well's 2049-node grid at n_t = 64 has 129 quotients and
+        # 129 offsets; the band as index arrays held 4.2 MB, and keeping every
+        # per-offset piece and per-pair temporary of it peaked at 25 MB.  The
+        # walk, the grid and the offset table are traced together: the table
+        # is cut from the walk.
         problem, _ = load("doublewell")
         tracemalloc.start()
         try:
-            Discretization.of(problem, DPConfig(n_t=64, n_x=2049)).band
+            Discretization.of(problem, DPConfig(n_t=64, n_x=2049)).transitions
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -381,11 +382,11 @@ def brute_force_band(problem, cfg, points):
     return want
 
 
-def run_pairs(entry):
-    """The (predecessor, target) arrays of a band entry's runs, concatenated."""
-    j = np.concatenate([np.arange(js.start, js.stop) for js, _ in entry])
-    k = np.concatenate([np.arange(ks.start, ks.stop) for _, ks in entry])
-    return j, k
+def table_pairs(top, table, q):
+    """The (predecessor, target) arrays of the offset table's entries equal
+    to ``q``, ordered by target: row r holds offset top - r."""
+    k, r = np.nonzero(table.T == q)
+    return k - (top - r), k
 
 
 def same_bits(a, b):
@@ -393,9 +394,10 @@ def same_bits(a, b):
 
 
 class TestDiscretizationOwnsTheGrid:
-    """``_dp`` indexes band entries by grid position, and verification costs
-    trajectories on the grid extended by their velocities; both must see
-    the quotients the offset walk and the band were built from."""
+    """``_dp`` reads quotient positions from the offset table, and
+    verification costs trajectories on the grid extended by their
+    velocities; both must see the quotients the offset walk and the table
+    were built from."""
 
     @settings(max_examples=150, deadline=None)
     @given(discretization_cases())
@@ -419,16 +421,18 @@ class TestDiscretizationOwnsTheGrid:
         assert same_bits(disc.xs, xs)
         assert disc.step == step
         assert same_bits(disc.times, np.linspace(0.0, problem.horizon, cfg.n_t + 1))
-        # every admissible pair belongs to its nearest grid point (the lower
-        # one on a tie), and an entry lists its pairs by target
+        # every admissible pair appears once, at its nearest grid point (the
+        # lower one on a tie); every other entry is the sentinel
         want = brute_force_band(problem, cfg, points)
         if any(np.unique(k).size < k.size for _, k in want):
             with pytest.raises(InfeasibleError):
-                disc.band
+                disc.transitions
             return
-        assert len(disc.band) == points.size
-        for entry, (want_j, want_k) in zip(disc.band, want):
-            j, k = run_pairs(entry)
+        top, table = disc.transitions
+        assert np.count_nonzero(table != points.size) == sum(k.size for _, k in want)
+        assert table.max() <= points.size
+        for q, (want_j, want_k) in enumerate(want):
+            j, k = table_pairs(top, table, q)
             assert np.array_equal(j, want_j)
             assert np.array_equal(k, want_k)
 
@@ -438,19 +442,19 @@ class TestDiscretizationOwnsTheGrid:
         problem, cfg = case
         try:
             disc = Discretization.of(problem, cfg)
-            band = disc.band
+            top, table = disc.transitions
         except (InfeasibleError, DegenerateInputError):
             assume(False)
         want = brute_force_band(problem, cfg, disc.grid)
-        for entry, (want_j, want_k) in zip(band, want):
-            j, k = run_pairs(entry)
+        # one row per admissible offset, from the largest down, one column per
+        # target node, in the narrowest type that holds the sentinel
+        offsets = np.concatenate([k - j for j, k in want])
+        assert top == offsets.max()
+        assert table.shape == (top - offsets.min() + 1, disc.xs.size)
+        assert table.dtype == np.min_scalar_type(disc.grid.size)
+        for q, (want_j, want_k) in enumerate(want):
+            j, k = table_pairs(top, table, q)
             assert np.array_equal(j, want_j) and np.array_equal(k, want_k)
-            for js, ks in entry:
-                assert js.step is None and ks.step is None
-                assert 0 < js.stop - js.start == ks.stop - ks.start
-            # a run ends only where an index stops rising by one
-            for (j0, k0), (j1, k1) in zip(entry, entry[1:]):
-                assert (j1.start, k1.start) != (j0.stop, k0.stop)
 
     @settings(max_examples=150, deadline=None)
     @given(discretization_cases(), st.data())

@@ -23,7 +23,7 @@ from varelax.catalog import nagumo_function, state_function, time_factor, veloci
 from varelax.classify import hypothesis_check
 from varelax.conditions import dubois_reymond_residual
 from varelax.discretize import merge_close_velocities, nearest_index, state_grid
-from varelax.errors import CertificateError, InfeasibleError
+from varelax.errors import CertificateError, DegenerateInputError, InfeasibleError
 from varelax.families import IntegrandFamily
 from varelax.io import parse_problem
 from varelax.problem import DPConfig, Problem, Trajectory
@@ -372,6 +372,20 @@ class TestReferenceSnap:
         assert peak < 4e6
 
 
+class TestStateCostChecked:
+    def test_nonfinite_state_cost_is_an_input_error(self):
+        # -1e308 * x^2 overflows to -inf at the box edges; the fault is the
+        # state cost, not a missing path
+        problem = make_problem(
+            "double_well", g_name="concave_quadratic", g_params={"kappa": 1e308},
+            state_box=(-2.0, 2.0), velocity_cap=8.0,
+        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow", RuntimeWarning)
+            with pytest.raises(DegenerateInputError, match="state cost g"):
+                solve_relaxed(problem, DPConfig(n_t=8, n_x=9))
+
+
 class TestBudgetUnitOverflow:
     def test_tiny_budget_is_infeasible_without_a_cast_warning(self):
         # h*theta(q)/quantum is about 1e20 units here; cast before clipping,
@@ -624,19 +638,53 @@ class TestBandedKernelAgainstDenseOracle:
         np.testing.assert_array_equal(traj.states, np.linspace(0.0, 1.0, 129))
 
 
+class TestPerRateKernelAgainstDenseOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(dp_cases())
+    def test_every_rate_column_matches_the_dense_oracle(self, case):
+        # lagrangian_sweep's one DP pass with a column per multiplier
+        problem, cfg, _, _ = case
+        references = [
+            dense_reference_dp(problem, replace(cfg, penalty=float(rate)))
+            for rate in solve.MULTIPLIERS
+        ]
+        if references[0] is None:
+            with pytest.raises(InfeasibleError):
+                solve_relaxed(problem, cfg)
+            return
+        columns = _dp(_tables(problem, cfg), cfg, None, want_path=True, rates=solve.MULTIPLIERS)
+        assert len(columns) == len(references)
+        xs = state_grid(problem, cfg.n_x)
+        for (value, idx, _), (ref_value, ref_states) in zip(columns, references):
+            assert value == ref_value
+            np.testing.assert_array_equal(xs[idx], ref_states)
+
+
 class TestKernelOnBandRuns:
-    """The DP steps over contiguous runs of each band entry; an endpoint
-    inserted off the uniform grid splits entries into several runs."""
+    """The DP steps over the offset table, one row per state offset; an
+    endpoint inserted off the uniform grid puts some quotients' pairs at
+    two offsets, and spreads an offset's pairs over several quotients."""
 
     def test_split_entries_match_the_dense_oracle(self):
         # 0 is not a node of the 64-point grid on (-0.5, 0.5): it is inserted
         loaded = parse_problem(PROBLEMS / "doublewell.json")
         cfg = replace(loaded.config, n_t=24, n_x=64)
-        assert max(len(entry) for entry in _tables(loaded.problem, cfg).disc.band) >= 2
+        disc = _tables(loaded.problem, cfg).disc
+        _, table = disc.transitions
+        offsets_per_quotient = [np.any(table == q, axis=1).sum() for q in range(disc.grid.size)]
+        assert max(offsets_per_quotient) >= 2
         assert_kernel_matches(
             loaded.problem, cfg, None, dense_reference_dp(loaded.problem, cfg),
             lambda: solve_relaxed(loaded.problem, cfg),
         )
+
+    def test_inserted_endpoint_adds_no_offset_row(self):
+        # fine-grid's doublewell: 513 nodes and 15 quotients, whose band
+        # split into 33 runs per step; the offset table has one row per offset
+        loaded = parse_problem(PROBLEMS / "doublewell.json")
+        disc = _tables(loaded.problem, replace(loaded.config, n_t=256, n_x=512)).disc
+        top, table = disc.transitions
+        assert (disc.grid.size, top, table.shape) == (15, 4, (9, 513))
 
     # solve_relaxed on the fine-grid benchmark ops, recorded before the DP
     # stepped over runs of slices: (n_t, n_x, value, sha256 of the states)

@@ -11,7 +11,12 @@ wins.  For each end-to-end metric that ``BENCHMARK.json`` declares, the
 summary gives each side's quartiles over its paired runs, how many pairs
 the change won in the metric's better direction, and the ratio of the
 medians; each workload also gives each side's operations attempted per
-run, as quartiles, since ``peak_rss_mb`` grows with them.  The JSON goes to ``--out``, or to standard output.
+run, as quartiles, since ``peak_rss_mb`` grows with them.  Each metric
+also applies the acceptance rules: whether the medians differ in the
+better direction by more than the parent's interquartile range, whether
+the change won at least nine pairs in ten, and whether the change's
+median is within the metric's relative ``bound`` of the parent's.  The
+JSON goes to ``--out``, or to standard output.
 """
 
 from __future__ import annotations
@@ -41,12 +46,21 @@ def untraced_records(path: Path) -> dict[tuple[str, int], dict]:
     return records
 
 
-def quartiles(values: list[float]) -> dict[str, float]:
+def quartile_cuts(values: list[float]) -> list[float]:
+    """Inclusive (q1, median, q3) of the values."""
     if len(values) > 1:
-        cuts = statistics.quantiles(values, n=4, method="inclusive")
-    else:
-        cuts = values * 3
-    return {name: round(v, 4) for name, v in zip(("q1", "median", "q3"), cuts)}
+        return statistics.quantiles(values, n=4, method="inclusive")
+    return values * 3
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    return {name: round(v, 4) for name, v in zip(("q1", "median", "q3"), quartile_cuts(values))}
+
+
+def iqr(values: list[float]) -> float:
+    """Distance between the inclusive quartiles; 0 for a single value."""
+    q1, _, q3 = quartile_cuts(values)
+    return q3 - q1
 
 
 def summarise(parent: dict, change: dict, benchmark: dict, parent_commit: str) -> dict:
@@ -84,12 +98,26 @@ def summarise(parent: dict, change: dict, benchmark: dict, parent_commit: str) -
                 sign * c < sign * p for p, c in zip(values["parent"], values["change"])
             )
             medians = {side: statistics.median(v) for side, v in values.items()}
+            parent_iqr = iqr(values["parent"])
             metrics[metric["name"]] = {
                 "unit": metric["unit"],
                 "parent": quartiles(values["parent"]),
                 "change": quartiles(values["change"]),
                 "change_better_in_pairs": wins,
                 "median_ratio": round(medians["change"] / medians["parent"], 4),
+                "parent_iqr": round(parent_iqr, 4),
+                # the acceptance rules: a claimed gain must beat the parent's
+                # spread and win nine pairs in ten; no metric may get worse
+                # than its relative bound
+                "median_gain_exceeds_parent_iqr": (
+                    sign * (medians["parent"] - medians["change"]) > parent_iqr
+                ),
+                "change_won_9_of_10_pairs": 10 * wins >= 9 * len(seeds),
+                "bound": metric["bound"],
+                "within_bound": (
+                    sign * medians["change"]
+                    <= sign * medians["parent"] * (1.0 + sign * metric["bound"])
+                ),
             }
         entry["metrics"] = metrics
         workloads[name] = entry

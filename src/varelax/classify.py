@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .convex import LP_PIVOTS_PER_ROW, EnvelopeTable, _lp_vertex
-from .errors import CertificateError, OutOfDomainError
+from .errors import CertificateError, DegenerateInputError, OutOfDomainError
 from .families import IntegrandFamily
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e3
@@ -349,13 +349,19 @@ def hypothesis_check(problem) -> HypothesisReport:
 def default_probe(problem) -> ProbeBox:
     """``PROBE_TIMES`` times over the horizon, ``PROBE_STATES`` states over
     the box and ``PROBE_VELOCITIES`` velocities over the cap, with ``f`` and
-    ``g`` tabulated there."""
+    ``g`` tabulated there.  A sample that is not finite, an overflow
+    included, is an input error that names its integrand."""
     lo, hi = problem.state_box
     times = np.linspace(0.0, problem.horizon, PROBE_TIMES)
     states = np.linspace(lo, hi, PROBE_STATES)
     velocities = np.linspace(-problem.velocity_cap, problem.velocity_cap, PROBE_VELOCITIES)
-    g_values = np.stack([problem.g.value(t, states) for t in times])
-    return ProbeBox(times, states, velocities, *problem.f.table(times, velocities), g_values)
+    with np.errstate(all="ignore"):
+        f_table, f_rows = problem.f.table(times, velocities)
+        g_values = np.stack([problem.g.value(t, states) for t in times])
+    for name, values in (("velocity cost f", f_table), ("state cost g", g_values)):
+        if not np.isfinite(values).all():
+            raise DegenerateInputError(f"{name} must be finite on the probe box")
+    return ProbeBox(times, states, velocities, f_table, f_rows, g_values)
 
 
 def _midpoint_concave(problem, probe: ProbeBox) -> np.ndarray:

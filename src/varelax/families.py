@@ -28,10 +28,12 @@ class IntegrandFamily:
     def autonomous(self) -> bool:
         return self.modulation is None or self.factor.constant
 
-    def value(self, t: float, y) -> np.ndarray:
+    def value(self, t, y) -> np.ndarray:
+        """base(y) + factor(t) * modulation(y), broadcast over t and y; an
+        array of times gives each entry the bits of a call at its time alone."""
         out = self.base(y)
         if self.modulation is not None:
-            out = out + float(self.factor(t)) * self.modulation(y)
+            out = out + self.factor(t) * self.modulation(y)
         return out
 
     def time_rate(self, t, y) -> np.ndarray:

@@ -67,65 +67,56 @@ def rearrange(
     Sub-interval lengths are the decomposition weights times the step, so
     interval-endpoint states are unchanged.  The two orderings are scored
     by midpoint quadrature of the state cost and the cheaper one wins;
-    ties keep the decomposition's first support point first.
+    ties keep the decomposition's first support point first.  Every
+    interval is scored and laid out at once, and the costs are summed
+    left to right over the sub-intervals in time order.
     """
-    step = trajectory.step
-    times = [float(trajectory.times[0])]
-    states = [float(trajectory.states[0])]
-    velocities: list[float] = []
-    labels: list[int] = []
-    f_cost = 0.0
-    g_cost = 0.0
-    splits = (track.weights, track.points, track.point_values, track.support)
-    for i, (weights, points, values, support) in enumerate(zip(*(a.tolist() for a in splits))):
-        t0 = float(trajectory.times[i])
-        x0 = float(trajectory.states[i])
-        x1 = float(trajectory.states[i + 1])
-        # a splitting of support 1 has weight exactly 1.0: one sub-interval of length step
-        order = (0,) if support == 1 else _pick_order(problem, weights, points, t0, x0, step)
-        durations = [step * weights[j] for j in order]
-        t_cursor, x_cursor = t0, x0
-        for pos, j in enumerate(order):
-            q = points[j]
-            dt = durations[pos]
-            f_cost += dt * values[j]
-            g_cost += dt * float(problem.g.value(t_cursor, x_cursor))
-            t_cursor += dt
-            x_cursor += q * dt
-            last = pos == len(order) - 1
-            times.append(float(trajectory.times[i + 1]) if last else t_cursor)
-            states.append(x1 if last else x_cursor)
-            velocities.append(q)
-            labels.append(int(j))
+    t0, x0 = trajectory.times[:-1], trajectory.states[:-1]
+    durations = trajectory.step * track.weights
+    split = track.support == 2
+    swapped = _midpoint_cost(problem, t0, x0, durations[:, ::-1], track.points[:, ::-1])
+    forward = _midpoint_cost(problem, t0, x0, durations, track.points)
+    order = np.where((split & (swapped < forward - ORDER_TIE_TOL))[:, None], [1, 0], [0, 1])
+    durations, points, values = (
+        np.take_along_axis(a, order, axis=1)
+        for a in (durations, track.points, track.point_values)
+    )
+    # a splitting of support 1 has weight exactly 1.0: one sub-interval of length step
+    kept = np.stack([np.ones_like(split), split], axis=1)
+    mid_t, mid_x = t0 + durations[:, 0], x0 + points[:, 0] * durations[:, 0]
+    starts_t = np.stack([t0, mid_t], axis=1)[kept]
+    starts_x = np.stack([x0, mid_x], axis=1)[kept]
+    t1, x1 = trajectory.times[1:], trajectory.states[1:]
+    ends_t = np.stack([np.where(split, mid_t, t1), t1], axis=1)[kept]
+    ends_x = np.stack([np.where(split, mid_x, x1), x1], axis=1)[kept]
+    durations = durations[kept]
+    f_terms = durations * values[kept]
+    g_terms = durations * problem.g.value(starts_t, starts_x)
     return ReconstructedTrajectory(
-        times=np.array(times),
-        states=np.array(states),
-        velocities=np.array(velocities),
-        piece=np.array(labels, dtype=np.int64),
-        f_cost=f_cost,
-        g_cost=g_cost,
+        times=np.concatenate([trajectory.times[:1], ends_t]),
+        states=np.concatenate([trajectory.states[:1], ends_x]),
+        velocities=points[kept],
+        piece=order[kept].astype(np.int64),
+        f_cost=_running_sum(f_terms),
+        g_cost=_running_sum(g_terms),
     )
 
 
-def _pick_order(
-    problem: Problem, weights: list[float], points: list[float], t0: float, x0: float, step: float
-) -> tuple[int, int]:
-    def midpoint_cost(order: tuple[int, int]) -> float:
-        cost = 0.0
-        t_cursor, x_cursor = t0, x0
-        for j in order:
-            dt = step * weights[j]
-            q = points[j]
-            cost += dt * float(problem.g.value(t_cursor + dt / 2.0, x_cursor + q * dt / 2.0))
-            t_cursor += dt
-            x_cursor += q * dt
-        return cost
+def _midpoint_cost(problem, t0, x0, durations, points) -> np.ndarray:
+    """Midpoint quadrature of g over each interval's two sub-intervals, in
+    column order."""
+    cost = 0.0
+    t_cursor, x_cursor = t0, x0
+    for dt, q in zip(durations.T, points.T):
+        cost = cost + dt * problem.g.value(t_cursor + dt / 2.0, x_cursor + q * dt / 2.0)
+        t_cursor = t_cursor + dt
+        x_cursor = x_cursor + q * dt
+    return cost
 
-    forward = midpoint_cost((0, 1))
-    swapped = midpoint_cost((1, 0))
-    if swapped < forward - ORDER_TIE_TOL:
-        return (1, 0)
-    return (0, 1)
+
+def _running_sum(terms: np.ndarray) -> float:
+    """The sum of ``terms`` from 0.0, left to right, as a loop adds them."""
+    return float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
 
 
 @dataclass(eq=False)

@@ -9,7 +9,9 @@ and the offset table of admissible (predecessor, target) pairs come from
 ``discretize.Discretization``; the DP adds only its cost rows.  A time
 step is a few whole-array operations on one (offsets x columns x states)
 block of strided windows into the padded value buffer; index arrays
-appear only where a cost row is gathered through the offset table.
+appear only where a cost row is gathered through the offset table.  The
+steps' blocks are kept for a chunk of about ``CHUNK_ENTRIES`` candidates,
+and one pass over the chunk takes their backpointers.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .errors import CertificateError, DegenerateInputError, InfeasibleError
 from .problem import DPConfig, Problem, SweepReport, Trajectory
 
 SETTLE_TOL = 1e-9
+# Candidate entries a chunk of DP steps holds before it takes their
+# backpointers in one pass: (steps x offsets x columns x states) floats.
+CHUNK_ENTRIES = 2**15
 # The multipliers of ``lagrangian_sweep``: 0 and 2^-6 .. 2^6.
 MULTIPLIERS = np.concatenate([[0.0], 2.0 ** np.arange(-6.0, 7.0)])
 
@@ -97,7 +102,15 @@ def _dp(
     the backpointer the first offset that attains it, or -1 where no
     candidate is finite.  Offsets run from the largest, so ties go to the
     smallest predecessor.  The step's cost block is rebuilt only when its
-    f or g row changes.  Two value buffers are swapped between steps.
+    f or g row changes, and g's padded row only when the g row changes.
+
+    A step stores its candidate block and its value row in a chunk of
+    K = CHUNK_ENTRIES // (offsets x columns x states) steps, at least one
+    and at most n_t; after the chunk's last step one pass over the stored
+    blocks and rows takes all its backpointers by the rule above, and the
+    last value row becomes the first.  The chunk holds about CHUNK_ENTRIES
+    candidates whatever n_t is, so memory beyond it grows with n_t only
+    by the backpointers and the path.
 
     Returns (value, node path, quotient path), or Nones when the end node
     is unreachable; the paths are None unless ``want_path``.  With
@@ -131,20 +144,25 @@ def _dp(
     pair_units = units[pairs]
     u_max = int(pair_units.max())
     segments = _segments(pairs < n_q, pair_units)
-    # A value buffer is flat: padded rows of width entries, column c in row
-    # 1 + u_max + c, below it u_max + 1 rows of inf and above it one.  So
-    # windows[base - u * width + r, c, top + k] reads node k - (top - r) in
-    # column c - u, and a step's adds and minimum run over whole rows.
+    # A value row is one flat buffer: padded state rows of width entries,
+    # column c in row 1 + u_max + c, below it u_max + 1 rows of inf and
+    # above it one.  So windows[s, base - u * width + r, c, top + k] reads
+    # node k - (top - r) in column c - u of value row s, and a step's adds
+    # and minimum run over whole rows.  Step s of a chunk reads value row s
+    # and writes row s + 1; the chunk's last row then becomes row 0.
+    chunk = max(1, min(cfg.n_t, CHUNK_ENTRIES // (n_offsets * n_cols * width)))
     rows = u_max + n_cols + 2
     base = (1 + u_max) * width - top
-    buffers = [np.full(rows * width, np.inf) for _ in range(2)]
-    buffers[0].reshape(rows, width)[1 + u_max : 1 + u_max + start, top + disc.endpoints[0]] = 0.0
-    windows = [
-        sliding_window_view(b, n_cols * width).reshape(-1, n_cols, width) for b in buffers
-    ]
+    buffers = np.full((chunk + 1, rows * width), np.inf)
+    values = buffers.reshape(chunk + 1, rows, width)[:, 1 + u_max : 1 + u_max + n_cols]
+    values[0, :start, top + disc.endpoints[0]] = 0.0
+    windows = sliding_window_view(buffers, n_cols * width, axis=1)
+    windows = windows.reshape(chunk + 1, -1, n_cols, width)
     g_ext = np.full(width + n_offsets - 1, np.inf)
+    # g of the predecessor: node k - (top - r) sits at r + top + k
+    g_windows = sliding_window_view(g_ext, width)[:, None, :]
     step_cost = np.empty((n_offsets, n_cols, width))
-    cand = np.empty_like(step_cost)
+    cand = np.empty((chunk, *step_cost.shape))
     # backpointers: an offset row, or -1 where no candidate is finite
     back_type = np.min_scalar_type(-n_offsets)
     back = np.full((cfg.n_t, n_cols, width), -1, back_type) if want_path else None
@@ -152,39 +170,45 @@ def _dp(
     weights = np.arange(n_offsets - 1, -1, -1, dtype=back_type)[:, None, None]
     hits = np.empty(cand.shape, dtype=bool)
     ranks = np.empty(cand.shape, dtype=back_type)
-    first = np.empty((n_cols, width), dtype=back_type)
-    unreached = np.empty((n_cols, width), dtype=bool)
-    key = None  # the (f row, g row) of step_cost
-    for i in range(cfg.n_t):
-        if key != (tab.f_rows[i], tab.g_rows[i]):
-            if key is None or key[0] != tab.f_rows[i]:
-                fq = np.take(costs[tab.f_rows[i]], pairs, axis=1).transpose(1, 0, 2)
-            key = (tab.f_rows[i], tab.g_rows[i])
-            # g of the predecessor: node k - (top - r) sits at r + top + k
-            g_ext[2 * top : 2 * top + n_x] = tab.g_costs[key[1]]
-            np.add(sliding_window_view(g_ext, width)[:, None, :], fq, out=step_cost)
+    first = np.empty((chunk, n_cols, width), dtype=back_type)
+    key = (None, None)  # the (f row, g row) of step_cost
+    for i, step_rows in enumerate(zip(tab.f_rows.tolist(), tab.g_rows.tolist())):
+        if step_rows != key:
+            f_row, g_row = step_rows
+            if f_row != key[0]:
+                fq = np.take(costs[f_row], pairs, axis=1).transpose(1, 0, 2)
+            if g_row != key[1]:
+                g_ext[2 * top : 2 * top + n_x] = tab.g_costs[g_row]
+            key = step_rows
+            np.add(g_windows, fq, out=step_cost)
             np.multiply(step_cost, tab.step, out=step_cost)
+        s = i % chunk
         reach = min(n_cols, start + (i + 1) * u_max)  # later columns are all infinite
-        block = cand[:, :reach]
+        block = cand[s, :, :reach]
         for r0, r1, targets, u in segments:
             at = base - u * width
             np.add(
-                windows[i % 2][at + r0 : at + r1, :reach, targets],
+                windows[s, at + r0 : at + r1, :reach, targets],
                 step_cost[r0:r1, :reach, targets],
                 out=block[r0:r1, :, targets],
             )
-        best = buffers[1 - i % 2][(1 + u_max) * width : (1 + u_max + reach) * width]
-        best = best.reshape(reach, width)
-        np.minimum.reduce(block, axis=0, out=best)
+        np.minimum.reduce(block, axis=0, out=values[s + 1, :reach])
+        if s + 1 < chunk and i + 1 < cfg.n_t:
+            continue
+        # The chunk's backpointers.  Columns at or beyond an earlier step's
+        # reach hold stale candidates, but their values are inf, so their
+        # backpointers are -1.
         if want_path:
-            np.equal(block, best, out=hits[:, :reach])
-            np.multiply(hits[:, :reach].view(np.int8), weights, out=ranks[:, :reach])
-            np.maximum.reduce(ranks[:, :reach], axis=0, out=first[:reach])
-            np.subtract(weights[0], first[:reach], out=back[i, :reach])
-            np.equal(best, np.inf, out=unreached[:reach])
-            np.copyto(back[i, :reach], -1, where=unreached[:reach])
-    values = buffers[cfg.n_t % 2].reshape(rows, width)
-    column = values[1 + u_max : 1 + u_max + n_cols, top + disc.endpoints[1]]
+            m = s + 1
+            best = values[1 : m + 1, :reach]
+            np.equal(cand[:m, :, :reach], best[:, None], out=hits[:m, :, :reach])
+            np.multiply(hits[:m, :, :reach].view(np.int8), weights, out=ranks[:m, :, :reach])
+            np.maximum.reduce(ranks[:m, :, :reach], axis=1, out=first[:m, :reach])
+            steps = back[i + 1 - m : i + 1, :reach]
+            np.subtract(weights[0], first[:m, :reach], out=steps)
+            np.copyto(steps, -1, where=best == np.inf)
+        values[0, :reach] = values[s + 1, :reach]
+    column = values[0, :, top + disc.endpoints[1]]
     ends = range(n_cols) if per_rate else [int(np.argmin(column))]
     path = (top, pairs, units)
     results = [_backtrack(tab, cfg, column, back, path, end) for end in ends]

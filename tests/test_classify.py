@@ -398,6 +398,28 @@ class TestDriftLP:
 
     @settings(max_examples=6, deadline=None)
     @given(compositions(autonomous=False))
+    @example(
+        # six rows with gaps of 1.5e-10 .. 7.6e-10 at the phase-2 vertex: a
+        # tight set cut at the feasibility tolerance gave them multipliers
+        # whose sum u * gap was 5.9e-9
+        make_problem(
+            family(
+                "power_p",
+                {"p": 2.0},
+                modulation="affine",
+                mod_params={"slope": 0.5, "offset": -1.0},
+                factor="affine_t",
+                f_params={"slope": 2.0, "offset": -0.5},
+            ),
+            IntegrandFamily(
+                base=state_function("zero"),
+                modulation=state_function("affine", {"slope": -0.7, "offset": 0.1}),
+                factor=time_factor("affine_t", {"slope": 2.0, "offset": -0.5}),
+            ),
+            horizon=0.5,
+            box=(0.0, 2.0),
+        )
+    )
     def test_vertices_are_optimal(self, problem):
         from scipy.optimize import nnls
 
@@ -407,13 +429,16 @@ class TestDriftLP:
             c0, c1, c2, slack = _drift_lp(*samples)
         assert len(calls) == 2
         for cost, a_ub, b_ub, y in calls:
-            tol = 1e-9 * (1.0 + np.max(np.abs(b_ub)))
+            scale = 1.0 + np.max(np.abs(b_ub))
+            tol = 1e-9 * scale
             gap = b_ub - a_ub @ y
             assert np.all(y >= 0.0) and np.all(gap >= -tol)  # primal feasible
             # multipliers u >= 0 on the tight rows and mu >= 0 on the zero
             # columns with cost + a_ub.T u - mu = 0 (stationarity); complementary
-            # slackness holds by the choice of rows and columns
-            tight, zero = gap <= tol, y == 0.0
+            # slackness holds by the choice of rows and columns.  A row is
+            # tight when its gap is of rounding size: a row at the feasibility
+            # tolerance could take a multiplier whose u * gap exceeds 1e-9
+            tight, zero = gap <= 1e-12 * scale, y == 0.0
             system = np.hstack([a_ub[tight].T, -np.eye(y.size)[:, zero]])
             multipliers, residual = nnls(system, -cost)
             assert residual <= 1e-9

@@ -497,12 +497,24 @@ class TestRelaxBudgetUnderPenalty:
         assert not (tmp_path / "traj.csv").exists()
 
 
-# (command, extra flags, numerics.radius_schedule or None, documented exit code)
+# g = -1e308 x^2 overflows on the probe box [-2, 2]
+OVERFLOWING_G = {
+    "horizon": {"T": 1.0, "a": 0.0, "b": 0.0},
+    "f": {"base": {"name": "double_well"}},
+    "g": {"base": {"name": "concave_quadratic", "params": {"kappa": 1e308}}},
+    "numerics": {"n_t": 8, "n_x": 9, "state_box": [-2.0, 2.0], "velocity_cap": 8.0},
+}
+# (command, extra flags, numerics.radius_schedule or a whole problem
+# document or None, documented exit code)
 BAD_INPUTS = [
     *[(cmd, ["--tol", tol], None, 2) for cmd in ("sweep", "solve") for tol in ("nan", "-1", "inf")],
     ("classify", [], [-4, 1, 2, 3], 2),
     ("classify", [], [0, 1, 2, 3], 2),
     ("classify", [], [1e-300, 2e-300, 3e-300, 4e-300], 4),
+    *[
+        pytest.param(cmd, [], OVERFLOWING_G, 2, id=f"{cmd}-overflowing-g")
+        for cmd in ("relax", "classify")
+    ],
 ]
 
 
@@ -510,9 +522,12 @@ BAD_INPUTS = [
 def test_bad_input_ends_with_one_error_line(tmp_path, command, flags, radii, code):
     """A bad input ends with its documented exit code and exactly one
     ``error:`` line on stderr, never a traceback, from a fresh process."""
-    doc = json.loads((PROBLEMS / "quadratic.json").read_text())
-    if radii is not None:
-        doc["numerics"]["radius_schedule"] = radii
+    if isinstance(radii, dict):
+        doc = radii
+    else:
+        doc = json.loads((PROBLEMS / "quadratic.json").read_text())
+        if radii is not None:
+            doc["numerics"]["radius_schedule"] = radii
     argv = [command, str(write_problem(tmp_path, doc)), "--out", str(tmp_path / "out"), *flags]
     if command == "sweep":
         argv += ["--l-schedule", "0.5:4:4"]
@@ -527,6 +542,8 @@ def test_bad_input_ends_with_one_error_line(tmp_path, command, flags, radii, cod
     lines = run.stderr.splitlines()
     assert run.returncode == code, run.stderr
     assert len(lines) == 1 and lines[0].startswith("error: "), run.stderr
-    if radii is not None and code == 2:
+    if isinstance(radii, dict):
+        assert "state cost g" in lines[0]
+    elif radii is not None and code == 2:
         assert "numerics.radius_schedule" in lines[0]
     assert "Traceback" not in run.stderr

@@ -9,10 +9,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from varelax import cli
-from varelax.catalog import state_function, velocity_function
+from rearrange_reference import order_costs, rearrange_reference
+from varelax import cli, reconstruct
+from varelax.catalog import state_function, time_factor, velocity_function
 from varelax.convex import CaratheodoryDecomposition
+from varelax.errors import InfeasibleError, OutOfDomainError
 from varelax.families import IntegrandFamily
 from varelax.problem import DPConfig, Problem, Trajectory
 from varelax.reconstruct import compare_costs, decompose_velocities, rearrange
@@ -181,6 +186,109 @@ class TestRearrange:
                 assert np.sign(first_q) == np.sign(x_here) or x_here == 0.0
             cursor += n_pieces
         assert cursor == rec.velocities.size
+
+
+STATE_SHAPES = (
+    ("zero", None),
+    ("affine", {"slope": -0.7, "offset": 0.1}),
+    ("concave_quadratic", {"kappa": 0.5}),
+    ("table", {"grid": [-0.5, 0.0, 0.2, 0.5], "values": [0.3, -0.1, 0.05, -0.4]}),
+)
+TIME_FACTORS = (
+    ("const", {"value": -1.3}),
+    ("affine_t", {"slope": 2.0, "offset": -0.5}),
+    ("sine", {"amplitude": 0.5, "frequency": 3.0}),
+)
+
+
+@st.composite
+def state_families(draw):
+    """g = base(x) + factor(t) * modulation(x) over the catalog's state
+    shapes and time factors, time-varying unless the factor is const."""
+    base, modulation = (draw(st.sampled_from(STATE_SHAPES)) for _ in range(2))
+    return IntegrandFamily(
+        base=state_function(*base),
+        modulation=state_function(*modulation),
+        factor=time_factor(*draw(st.sampled_from(TIME_FACTORS))),
+    )
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestRearrangeAgainstTheLoop:
+    """``rearrange`` scores and lays out every interval at once; the
+    interval loop it replaced is the oracle, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=state_families(),
+        f=st.sampled_from([("double_well", None), ("linear_minus_sqrt", None)]),
+        ends=st.sampled_from([(0.0, 0.0), (-0.5, 0.5), (0.0, 0.25), (0.2, -0.3)]),
+        cap=st.sampled_from([1.5, 2.0, 4.0]),
+        n_t=st.integers(2, 16),
+        n_x=st.integers(3, 33),
+        tie=st.one_of(st.none(), st.tuples(st.integers(0, 1000), st.integers(-1, 1))),
+    )
+    def test_matches_the_interval_loop(self, g, f, ends, cap, n_t, n_x, tie):
+        problem = Problem(
+            horizon=1.0,
+            start=ends[0],
+            end=ends[1],
+            f=IntegrandFamily(base=velocity_function(*f)),
+            g=g,
+            state_box=(-0.5, 0.5),
+            velocity_cap=cap,
+        )
+        cfg = DPConfig(n_t=n_t, n_x=n_x)
+        try:
+            traj = solve_relaxed(problem, cfg)
+        except InfeasibleError:
+            assume(False)
+        track = decompose_velocities(problem, traj, cfg)
+        split = np.flatnonzero(track.support == 2)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            try:
+                if tie is not None and split.size:
+                    # the tolerance at one split interval's own cost gap, or
+                    # one ulp either side of it: that interval's order is a
+                    # near tie
+                    i = int(split[tie[0] % split.size])
+                    forward, swapped = order_costs(
+                        problem, *(a[i].tolist() for a in (track.weights, track.points)),
+                        float(traj.times[i]), float(traj.states[i]), traj.step,
+                    )
+                    tol = forward - swapped
+                    if tie[1]:
+                        tol = np.nextafter(tol, tie[1] * np.inf)
+                    monkeypatch.setattr(reconstruct, "ORDER_TIE_TOL", float(tol))
+                want = rearrange_reference(problem, traj, track)
+            except OutOfDomainError:
+                # a splitting at the box edge can leave the box, where a
+                # table g is not defined
+                with pytest.raises(OutOfDomainError):
+                    rearrange(problem, traj, track)
+                return
+            got = rearrange(problem, traj, track)
+        for name in ("times", "states", "velocities", "piece"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        assert same_bits(got.f_cost, want.f_cost) and same_bits(got.g_cost, want.g_cost)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=state_families(),
+        times=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=12),
+        xs=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=12),
+    )
+    def test_value_on_times_keeps_the_scalar_bits(self, g, times, xs):
+        times, xs = np.array(times), np.array(xs)
+        pairs = min(times.size, xs.size)
+        scalar = [float(g.value(float(t), float(x))) for t, x in zip(times, xs)]
+        assert same_bits(g.value(times[:pairs], xs[:pairs]), scalar[:pairs])
+        rows = np.stack([g.value(float(t), xs) for t in times])
+        assert same_bits(g.value(times[:, None], xs), rows)
 
 
 class TestCompareCosts:

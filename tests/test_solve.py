@@ -660,6 +660,107 @@ class TestPerRateKernelAgainstDenseOracle:
             np.testing.assert_array_equal(xs[idx], ref_states)
 
 
+def dense_path_indices(problem, cfg, states):
+    """Node and quotient indices of a dense reference path."""
+    xs, _, reps, qindex, *_ = dense_setup(problem, cfg)
+    idx = np.searchsorted(xs, states)
+    return reps, idx, qindex[idx[:-1], idx[1:]]
+
+
+def step_entries(tab, n_cols):
+    """Candidate entries of one DP step: offsets x columns x padded states."""
+    n_offsets, n_nodes = tab.disc.transitions[1].shape
+    return n_offsets * n_cols * (n_nodes + n_offsets - 1)
+
+
+class TestChunkedBackpointers:
+    """The DP takes its backpointers once per chunk of steps; the chunk's
+    length shows in no value or path."""
+
+    CASES = (
+        # speeds 0 and 0.875 share one envelope edge, so every path over
+        # them costs the same and most targets tie
+        (DOUBLE_WELL, DPConfig(n_t=7, n_x=9, theta=THETA, budget_levels=8)),
+        # f and g both change with time, so every step has its own costs
+        (
+            Problem(
+                horizon=1.0,
+                start=0.0,
+                end=0.25,
+                f=IntegrandFamily(
+                    base=velocity_function("double_well"),
+                    modulation=velocity_function("power_p", {"p": 2.0}),
+                    factor=time_factor("sine", {"amplitude": 0.5, "frequency": 3.0}),
+                ),
+                g=G_FAMILIES[2],
+                state_box=(-0.5, 0.5),
+                velocity_cap=2.0,
+            ),
+            DPConfig(n_t=9, n_x=17, theta=THETA, budget_levels=8),
+        ),
+    )
+
+    # steps per chunk: one, a non-divisor of the odd n_t, and all of them
+    @pytest.mark.parametrize("chunk", [1, 2, 100])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_every_layout_matches_the_dense_oracle(self, monkeypatch, case, chunk):
+        problem, cfg = self.CASES[case]
+        tab = _tables(problem, cfg)
+        budget = 1.0
+        layouts = (
+            # (columns, the DP's results, the references' (value, states))
+            (
+                1,
+                lambda path: [_dp(tab, cfg, None, path)],
+                [dense_reference_dp(problem, cfg)],
+            ),
+            (
+                solve.MULTIPLIERS.size,
+                lambda path: _dp(tab, cfg, None, path, rates=solve.MULTIPLIERS),
+                [
+                    dense_reference_dp(problem, replace(cfg, penalty=float(rate)))
+                    for rate in solve.MULTIPLIERS
+                ],
+            ),
+            (
+                cfg.budget_levels + 1,
+                lambda path: [_dp(tab, cfg, budget, path)],
+                [dense_reference_budget(problem, cfg, budget)],
+            ),
+        )
+        for n_cols, run, references in layouts:
+            monkeypatch.setattr(solve, "CHUNK_ENTRIES", chunk * step_entries(tab, n_cols))
+            for (value, idx, qidx), (bare, _, _), (ref_value, ref_states) in zip(
+                run(True), run(False), references
+            ):
+                reps, ref_idx, ref_qidx = dense_path_indices(problem, cfg, ref_states)
+                np.testing.assert_array_equal(tab.disc.grid, reps)
+                assert value.hex() == bare.hex() == float(ref_value).hex()
+                np.testing.assert_array_equal(idx, ref_idx)
+                np.testing.assert_array_equal(qidx, ref_qidx)
+
+    def test_peak_grows_only_by_the_backpointers(self):
+        # doublewell with its cap scaled to the grid, so both grids have the
+        # same five offsets and chunk length: only n_t differs
+        loaded = parse_problem(PROBLEMS / "doublewell.json")
+        peaks = {}
+        for n_t in (256, 2048):
+            cfg = replace(loaded.config, n_t=n_t, n_x=129)
+            tab = _tables(replace(loaded.problem, velocity_cap=2.5 * n_t / 128), cfg)
+            n_offsets, n_nodes = tab.disc.transitions[1].shape
+            tracemalloc.start()
+            try:
+                _dp(tab, cfg, None, want_path=True)
+                _, peaks[n_t] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert n_offsets == 5
+        # one int8 backpointer per (step, padded state), and per step the
+        # path's node and quotient indices and the two row lists, 8 bytes each
+        per_step = (n_nodes + n_offsets - 1) + 4 * 8
+        assert peaks[2048] - peaks[256] <= (2048 - 256) * per_step + 16 * 1024
+
+
 class TestKernelOnBandRuns:
     """The DP steps over the offset table, one row per state offset; an
     endpoint inserted off the uniform grid puts some quotients' pairs at

@@ -442,8 +442,13 @@ def _undominated(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(low, high): the distinct rows (|phi|, |x|, |v|) of ``samples`` that
     no other row dominates for the lower inequality, that is with
     phi' <= phi, x' <= x and v' >= v, and for the upper one, with the
-    reverse."""
-    rows = np.unique(samples, axis=0)
+    reverse.  The distinct rows are in lexicographic order, as
+    ``numpy.unique(samples, axis=0)`` gives them, from a lexsort and a mask
+    of changed rows, without the ``numpy.ma`` import that ``numpy.unique``
+    makes."""
+    ordered = samples[np.lexsort(samples.T[::-1])]
+    changed = np.any(ordered[1:] != ordered[:-1], axis=1)
+    rows = ordered[np.concatenate([[True], changed])]
     return rows[_skyline(rows)], rows[_skyline(-rows)]
 
 

@@ -45,11 +45,13 @@ def dubois_reymond_residual(
     by the envelope theorem: f**'s is sum_i lam_i * d/dt f(t, xi_i) over
     the splitting of the velocity on the table row that costs f**.  The
     interval times are costed in one call, so an autonomous f needs a
-    single envelope; on an autonomous problem the drift is exactly zero.
+    single envelope, and a trajectory that carries the table of this
+    (problem, grid) needs none; on an autonomous problem the drift is
+    exactly zero.
     """
     disc = Discretization.of(problem, cfg).extended(trajectory.velocities)
     t, x, xi = trajectory.times[:-1], trajectory.states[:-1], trajectory.velocities
-    table, rows, values, g = disc.path_costs(t, x, xi)
+    table, rows, values, g = disc.path_costs(t, x, xi, trajectory)
     # the linearization defect f**(xi) - p*xi + g per interval
     energies = values - table.midpoints(rows, xi) * xi + g
     split = table.split(rows, xi)
@@ -58,7 +60,7 @@ def dubois_reymond_residual(
     step = trajectory.step
     drift = np.concatenate([[0.0], np.cumsum(rates[:-1]) * step])
     corrected = energies - drift
-    constant = float(np.median(corrected))
+    constant = _median(corrected)
     residual = corrected - constant
     return DRReport(
         times=trajectory.times[:-1].copy(),
@@ -68,6 +70,17 @@ def dubois_reymond_residual(
         constant=constant,
         max_residual=float(np.max(np.abs(residual))),
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """``numpy.median`` of finite values, from a sort: the middle value, or
+    the mean of the middle two, without the ``numpy.ma`` import that
+    ``numpy.median`` makes."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
 def energy_constancy(problem: Problem, trajectory: Trajectory, cfg: DPConfig) -> float:

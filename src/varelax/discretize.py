@@ -4,10 +4,12 @@ and the reconstruction stage.
 The per-step velocity set is the set of state-grid difference quotients
 clipped at the velocity cap, and envelopes are built on exactly that set.
 Costs, decompositions, and necessary-condition checks therefore all see
-the same discrete relaxation.  Each stage samples f on the rows of
-``f.table`` into one ``convex.EnvelopeTable`` and reads costs,
-subgradients and splittings from it by array gathers; ``path_costs``
-gives a trajectory's interval costs, which ``Trajectory.costed`` sums.
+the same discrete relaxation.  f is sampled on the rows of ``f.table``
+into one ``convex.EnvelopeTable`` per solve, and costs, subgradients and
+splittings are read from it by array gathers: ``path_costs`` gives a
+path's interval costs, which ``Trajectory.costed`` sums, and the
+trajectory carries the table that costed it, so the stages after the DP
+or after a trajectory read reuse it (``envelope_table``).
 The DP reads its transitions from ``Discretization.transitions``: per state
 offset and target node, the quotient of the admissible pair, in
 O(n_offsets * n_x) small integers.
@@ -22,7 +24,7 @@ import numpy as np
 
 from .convex import EnvelopeTable
 from .errors import InfeasibleError, OutOfDomainError
-from .problem import DPConfig, Problem
+from .problem import DPConfig, Problem, Trajectory
 
 
 def state_grid(problem: Problem, n_x: int) -> np.ndarray:
@@ -98,8 +100,21 @@ def _offset_walk(xs: np.ndarray, step: float, cap: float) -> OffsetWalk:
     return tuple(walk)
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``numpy.unique(values)`` of finite values, from a sort and a mask of
+    changed values, without the ``numpy.ma`` import that ``numpy.unique``
+    makes.  Equal values then have equal bits, except 0.0 and -0.0: where
+    both occur, which ones ``numpy.unique`` keeps is up to its hash table,
+    so those arrays go to it."""
+    signs = np.signbit(values[values == 0.0])
+    if signs.any() and not signs.all():
+        return np.unique(values)
+    ordered = np.sort(values)
+    return ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
+
+
 def _distinct_quotients(walk: OffsetWalk) -> np.ndarray:
-    values = np.unique(np.concatenate([raw[ok] for _, ok, raw in walk]))
+    values = _sorted_distinct(np.concatenate([raw[ok] for _, ok, raw in walk]))
     if values.size < 2:
         raise InfeasibleError("velocity cap admits fewer than two difference quotients")
     return values
@@ -191,27 +206,40 @@ class Discretization:
             raise OutOfDomainError(
                 "trajectory velocity exceeds the cap; outside the envelope domain"
             )
-        points = np.unique(np.concatenate([self.grid, extra]))
+        points = _sorted_distinct(np.concatenate([self.grid, extra]))
         return replace(self, grid=merge_close_velocities(points))
 
-    def envelope_table(self, times: np.ndarray) -> tuple[EnvelopeTable, np.ndarray]:
+    def envelope_table(
+        self, times: np.ndarray, trajectory: Trajectory | None = None
+    ) -> tuple[EnvelopeTable, np.ndarray]:
         """f's envelope table on the quotient grid with the rows of
-        ``f.table``, and each time's row."""
+        ``f.table``, and each time's row: the table that ``trajectory``
+        carries when it was built for this f, exactly these times and
+        exactly this grid, else a new one."""
+        if trajectory is not None and trajectory.costing is not None:
+            f, built_for, table, rows = trajectory.costing
+            same_grid = _same_bits(table.grid, self.grid)
+            if f is self.problem.f and _same_bits(built_for, times) and same_grid:
+                return table, rows
         values, rows = self.problem.f.table(times, self.grid)
         return EnvelopeTable.of(self.grid, values), rows
 
     def path_costs(
-        self, times: np.ndarray, states: np.ndarray, velocities: np.ndarray
+        self, times: np.ndarray, states: np.ndarray, velocities: np.ndarray, trajectory=None
     ) -> tuple[EnvelopeTable, np.ndarray, np.ndarray, np.ndarray]:
         """Per-interval envelope table and row, f**(velocity) and g.
 
         Row i is the interval starting at (times[i], states[i]) with
         constant velocities[i]; all intervals are costed from one envelope
-        table, which answers further queries on the same rows.  g takes one
-        scalar call per interval, so its bits do not depend on how a state
-        cost vectorizes.
+        table, ``envelope_table(times, trajectory)``, which answers further
+        queries on the same rows.  g takes one call on the arrays, with the
+        bits of one scalar call per interval.
         """
-        table, rows = self.envelope_table(times)
-        problem = self.problem
-        g = np.array([float(problem.g.value(float(t), x)) for t, x in zip(times, states)])
+        table, rows = self.envelope_table(times, trajectory)
+        g = self.problem.g.value(times, states)
         return table, rows, table.at(rows, velocities), g
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -227,7 +227,8 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
     1e-9 T), the states must stay in the state box, endpoint states must
     match the problem exactly (17-digit CSV round-trips doubles
     bit-exactly), and velocities must respect the cap.  The costs are
-    recomputed on the configuration's envelope grid.
+    recomputed on the configuration's envelope grid, and the trajectory
+    carries the table that costed them.
     """
     path = Path(path)
     try:
@@ -262,9 +263,12 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
     if states[0] != problem.start or states[-1] != problem.end:
         raise SchemaError(f"{path}: endpoint states do not match the problem")
     disc = Discretization.of(problem, cfg).extended(vels)
-    _, _, f_values, g_values = disc.path_costs(times[:-1], states[:-1], vels)
+    table, rows, f_values, g_values = disc.path_costs(times[:-1], states[:-1], vels)
+    costing = (problem.f, times[:-1].copy(), table, rows)
     try:
-        return Trajectory.costed(times, states, vels, f_values, g_values, theta=cfg.theta)
+        return Trajectory.costed(
+            times, states, vels, f_values, g_values, theta=cfg.theta, costing=costing
+        )
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 

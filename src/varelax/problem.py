@@ -84,6 +84,11 @@ class Trajectory:
     g_cost: float
     theta_value: float | None = None
     warnings: tuple[str, ...] = ()
+    # The costing that gave f_cost, when a table did: (f, interval times,
+    # f's EnvelopeTable, each interval's row).  ``costed`` sets it; it is
+    # not a field, so reports, repr and equality never see it, and only
+    # ``Discretization.envelope_table`` reads it.
+    costing = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -111,20 +116,25 @@ class Trajectory:
         self.velocities = vels
 
     @classmethod
-    def costed(cls, times, states, velocities, f_values, g_values, theta=None, warnings=()):
+    def costed(
+        cls, times, states, velocities, f_values, g_values, theta=None, warnings=(), costing=None
+    ):
         """The path with interval costs ``f_values`` and ``g_values``, by the
         one rule for a path's cost: h*f and h*g summed left to right, with
         h = times[1] - times[0], and ``theta_value`` h*sum(theta(velocities))
-        when a ``theta`` is given."""
+        when a ``theta`` is given.  The path carries ``costing``, the
+        table that gave ``f_values``."""
         h = float(times[1] - times[0])
         f_cost = g_cost = 0.0
         for f, g in zip(np.multiply(h, f_values).tolist(), np.multiply(h, g_values).tolist()):
             f_cost += f
             g_cost += g
         theta_value = None if theta is None else float(h * np.sum(theta(velocities)))
-        return cls(
+        path = cls(
             times, states, velocities, f_cost + g_cost, f_cost, g_cost, theta_value, warnings
         )
+        path.costing = costing
+        return path
 
     @property
     def step(self) -> float:

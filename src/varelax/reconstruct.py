@@ -32,10 +32,12 @@ def decompose_velocities(
     row per interval.
 
     The support points stay inside one velocity ball whose radius is
-    reported; it is a property of the problem, not of the grid.
+    reported; it is a property of the problem, not of the grid.  The
+    table is the one the trajectory carries when it was built for this
+    (problem, grid).
     """
     disc = Discretization.of(problem, cfg).extended(trajectory.velocities)
-    table, rows = disc.envelope_table(trajectory.times[:-1])
+    table, rows = disc.envelope_table(trajectory.times[:-1], trajectory)
     return table.split(rows, trajectory.velocities)
 
 

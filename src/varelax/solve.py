@@ -23,6 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .classify import HypothesisReport
+from .convex import EnvelopeTable
 from .discretize import Discretization, nearest_index
 from .errors import CertificateError, DegenerateInputError, InfeasibleError
 from .problem import DPConfig, Problem, SweepReport, Trajectory
@@ -39,13 +40,15 @@ MULTIPLIERS = np.concatenate([[0.0], 2.0 ** np.arange(-6.0, 7.0)])
 class _Tables:
     """Cost rows of one discretization and the DP's step factor.
 
-    ``f_costs`` holds the envelope of f at the quotients and ``g_costs``
-    holds g on the state grid, each on the rows its integrand's ``table``
-    returns; time step i reads rows ``f_rows[i]`` and ``g_rows[i]``.
+    ``f_costs`` holds the envelope of f at the quotients, read from
+    ``f_table``, and ``g_costs`` holds g on the state grid, each on the
+    rows its integrand's ``table`` returns; time step i reads rows
+    ``f_rows[i]`` and ``g_rows[i]``.  A DP trajectory carries ``f_table``.
     """
 
     disc: Discretization
     step: float
+    f_table: EnvelopeTable
     f_costs: np.ndarray
     g_costs: np.ndarray
     f_rows: np.ndarray
@@ -59,7 +62,7 @@ def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     g_costs, g_rows = problem.g.table(disc.times[:-1], disc.xs)
     if not np.isfinite(g_costs).all():
         raise DegenerateInputError("state cost g must be finite on the state grid")
-    return _Tables(disc, disc.step, f_costs, g_costs, f_rows, g_rows)
+    return _Tables(disc, disc.step, table, f_costs, g_costs, f_rows, g_rows)
 
 
 def _units(tab: _Tables, cfg: DPConfig, budget: float) -> np.ndarray:
@@ -222,8 +225,8 @@ def _segments(admissible: np.ndarray, pair_units: np.ndarray) -> list:
     else each row cut where the units of its admissible pairs change.
     Inadmissible pairs cost inf, so they may join any block."""
     n_offsets = admissible.shape[0]
-    found = np.unique(pair_units[admissible])
-    if found.size <= 1:
+    found = pair_units[admissible]
+    if found.size == 0 or found.min() == found.max():
         return [(0, n_offsets, slice(None), int(found.max(initial=0)))]
     segments = []
     for r in range(n_offsets):
@@ -244,16 +247,16 @@ def _backtrack(tab, cfg, column, back, path, level):
     if back is None:
         return best, None, None
     top, pairs, units = path
-    idx = np.empty(cfg.n_t + 1, dtype=np.int64)
-    qidx = np.empty(cfg.n_t, dtype=np.int64)
-    idx[-1] = tab.disc.endpoints[1]
+    k = tab.disc.endpoints[1]
+    nodes, quotients = [k], []
     for i in range(cfg.n_t - 1, -1, -1):
-        k = int(idx[i + 1])
-        r = int(back[i, level, top + k])
-        idx[i] = k - (top - r)
-        qidx[i] = pairs[r, top + k]
-        level -= int(units[qidx[i]])
-    return best, idx, qidx
+        r = back.item(i, level, top + k)
+        q = pairs.item(r, top + k)
+        k -= top - r
+        nodes.append(k)
+        quotients.append(q)
+        level -= units.item(q)
+    return best, np.array(nodes[::-1], dtype=np.int64), np.array(quotients[::-1], dtype=np.int64)
 
 
 def _solve(problem: Problem, cfg: DPConfig, tab: _Tables) -> Trajectory:
@@ -282,8 +285,9 @@ def _checked(
         warnings.append("cap-saturation")
     f_values = tab.f_costs[tab.f_rows, qidx]
     g_values = tab.g_costs[tab.g_rows, idx[:-1]]
+    costing = (problem.f, tab.disc.times[:-1].copy(), tab.f_table, tab.f_rows)
     traj = Trajectory.costed(
-        tab.disc.times, states, q, f_values, g_values, cfg.theta, tuple(warnings)
+        tab.disc.times, states, q, f_values, g_values, cfg.theta, tuple(warnings), costing
     )
     total = traj.value if cfg.theta is None else traj.value + cfg.penalty * traj.theta_value
     if abs(total - value) > 1e-9 * (1.0 + abs(total)):
@@ -514,7 +518,7 @@ def coercivity_bound_check(
     q = np.diff(snapped) / step
     if np.any(np.abs(q) > problem.velocity_cap * (1.0 + 1e-12)):
         raise InfeasibleError("reference path violates the velocity cap")
-    _, _, f_values, g_values = disc.path_costs(times[:-1], snapped[:-1], q)
+    _, _, f_values, g_values = disc.path_costs(times[:-1], snapped[:-1], q, trajectory)
     ref_value = Trajectory.costed(times, snapped, q, f_values, g_values).value
 
     a_const = hypotheses.f_bound_offset

@@ -8,7 +8,7 @@ the hull counts below pin the sharing.
 
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import envelope_reference as ref
 import varelax.convex as convex
 import varelax.discretize as discretize
+from varelax import cli
 from varelax.classify import hypothesis_check
 from varelax.conditions import dubois_reymond_residual
 from varelax.convex import EnvelopeTable
@@ -26,8 +27,8 @@ from varelax.catalog import state_function, time_factor, velocity_function
 from varelax.discretize import Discretization, merge_close_velocities, state_grid
 from varelax.errors import DegenerateInputError, InfeasibleError, OutOfDomainError
 from varelax.families import IntegrandFamily
-from varelax.io import emit_trajectory, parse_problem, read_trajectory
-from varelax.problem import DPConfig, Problem
+from varelax.io import emit_trajectory, parse_problem, read_trajectory, to_jsonable
+from varelax.problem import DPConfig, Problem, Trajectory
 from varelax.reconstruct import decompose_velocities
 from varelax.solve import coercivity_bound_check, solve_relaxed
 
@@ -55,16 +56,18 @@ def hulls(monkeypatch):
 
 class TestHullCounts:
     def test_autonomous_verify_and_decompose_build_one_envelope(self, hulls):
-        # quadratic.json at its shipped 256 intervals: 768 and 256 envelopes
-        # were built per interval before the sharing
+        # quadratic.json at its shipped 256 intervals: the DP's one envelope
+        # serves DR and decompose, which built one each before the
+        # trajectory carried it, and 768 and 256 before the sharing
         problem, cfg = load("quadratic")
+        hulls.clear()
         traj = solve_relaxed(problem, cfg)
+        assert len(hulls) == 1
         hulls.clear()
         dubois_reymond_residual(problem, traj, cfg)
-        assert len(hulls) == 1
-        hulls.clear()
+        assert len(hulls) == 0
         decompose_velocities(problem, traj, cfg)
-        assert len(hulls) == 1
+        assert len(hulls) == 0
 
     def test_read_trajectory_builds_one_envelope_for_autonomous_f(self, hulls, tmp_path):
         problem, cfg = load("doublewell")
@@ -76,12 +79,15 @@ class TestHullCounts:
     def test_time_varying_dr_builds_one_envelope_per_distinct_time(self, hulls):
         problem, cfg = load("doublewell_timevarying")
         assert not problem.f.autonomous
+        hulls.clear()
         traj = solve_relaxed(problem, cfg)
+        # the DP's envelopes at the interval times only, which DR reads from
+        # the trajectory: it built them again, and t -+ delta once added
+        # 2 * n_t - 1 rows
+        assert len(hulls) == cfg.n_t
         hulls.clear()
         dubois_reymond_residual(problem, traj, cfg)
-        # the interval times only: the drift reads the time derivative from
-        # their splittings, where t -+ delta once added 2 * n_t - 1 rows
-        assert len(hulls) == cfg.n_t
+        assert len(hulls) == 0
 
     def test_coercivity_builds_no_transition_band(self, hulls, monkeypatch):
         problem, cfg = load("quadratic")
@@ -94,8 +100,142 @@ class TestHullCounts:
         monkeypatch.setattr(discretize, "offset_table", forbidden)
         hulls.clear()
         report = coercivity_bound_check(problem, traj, hypotheses, cfg)
-        assert len(hulls) == 1
+        # the reference path is costed from the DP's envelope, which it
+        # built again before the trajectory carried it
+        assert len(hulls) == 0
         assert report.reference_ok
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """List that grows by each ``EnvelopeTable.of`` call's row count."""
+    calls = []
+    build = EnvelopeTable.of.__func__
+
+    def counting(cls, grid, values):
+        calls.append(len(values))
+        return build(cls, grid, values)
+
+    monkeypatch.setattr(EnvelopeTable, "of", classmethod(counting))
+    return calls
+
+
+def bare(traj):
+    """``traj`` without the table that costed it."""
+    return Trajectory(
+        traj.times, traj.states, traj.velocities, traj.value, traj.f_cost, traj.g_cost,
+        traj.theta_value, traj.warnings,
+    )
+
+
+def stages(problem, traj, cfg):
+    """The arrays and numbers of DR, decompose and the coercivity check."""
+    dr = dubois_reymond_residual(problem, traj, cfg)
+    dec = decompose_velocities(problem, traj, cfg)
+    coercivity = coercivity_bound_check(problem, traj, hypothesis_check(problem), cfg)
+    return [to_jsonable(dr), dec.report(), to_jsonable(dec), to_jsonable(coercivity)]
+
+
+class TestCarriedTable:
+    """A trajectory carries the envelope table that costed it, and the
+    stages after it reuse that table only for the same f, interval times
+    and quotient grid."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        problem, cfg = load("doublewell_timevarying")
+        cfg = replace(cfg, n_t=24, n_x=25)
+        return problem, cfg, solve_relaxed(problem, cfg)
+
+    def test_reuse_gives_the_bits_of_a_fresh_build(self, solved, hulls):
+        problem, cfg, traj = solved
+        fresh = stages(problem, bare(traj), cfg)
+        hulls.clear()
+        assert stages(problem, traj, cfg) == fresh
+        # the certificates' own envelopes only
+        hulls.clear()
+        hypothesis_check(problem)
+        certificates = len(hulls)
+        hulls.clear()
+        stages(problem, traj, cfg)
+        assert len(hulls) == certificates
+
+    @pytest.mark.parametrize("change", ["n_x", "n_t", "f"])
+    def test_not_reused_for_another_grid_or_f(self, solved, hulls, change):
+        problem, cfg, traj = solved
+        if change == "f":
+            problem = replace(problem, f=replace(problem.f))  # equal, not the same
+        else:
+            cfg = replace(cfg, **{change: getattr(cfg, change) + 8})
+        fresh = stages(problem, bare(traj), cfg)
+        hulls.clear()
+        assert stages(problem, traj, cfg) == fresh
+        rebuilt = len(hulls)
+        hulls.clear()
+        stages(problem, bare(traj), cfg)
+        assert rebuilt == len(hulls)
+
+    def test_not_reused_for_other_times(self, solved, hulls, tmp_path):
+        # a resting path on 16 intervals, read under the 24 of cfg: its
+        # velocities are on cfg's grid, and the coercivity reference path
+        # runs on cfg's times, not on the path's
+        problem, cfg, _ = solved
+        times = np.linspace(0.0, problem.horizon, 17)
+        rest = Trajectory(times, np.zeros(17), np.zeros(16), 0.0, 0.0, 0.0)
+        emit_trajectory(rest, tmp_path / "rest.csv")
+        read = read_trajectory(tmp_path / "rest.csv", problem, cfg)
+        hypotheses = hypothesis_check(problem)
+        fresh = coercivity_bound_check(problem, bare(read), hypotheses, cfg)
+        hulls.clear()
+        got = coercivity_bound_check(problem, read, hypotheses, cfg)
+        assert len(hulls) == cfg.n_t
+        assert to_jsonable(got) == to_jsonable(fresh)
+
+    def test_reports_repr_and_equality_do_not_see_it(self, solved, tmp_path):
+        problem, cfg, traj = solved
+        emit_trajectory(traj, tmp_path / "traj.csv")
+        read = read_trajectory(tmp_path / "traj.csv", problem, cfg)
+        for path in (traj, read):
+            assert path.costing is not None
+            plain = bare(path)
+            assert to_jsonable(path) == to_jsonable(plain)
+            assert sorted(to_jsonable(path)) == sorted(f.name for f in fields(Trajectory))
+            assert repr(path) == repr(plain)
+            assert path != plain and path == path
+
+    def test_read_trajectory_carries_its_table(self, solved, tables, tmp_path):
+        problem, cfg, traj = solved
+        emit_trajectory(traj, tmp_path / "traj.csv")
+        tables.clear()
+        read = read_trajectory(tmp_path / "traj.csv", problem, cfg)
+        dubois_reymond_residual(problem, read, cfg)
+        decompose_velocities(problem, read, cfg)
+        assert tables == [cfg.n_t]
+
+
+class TestCliTableCounts:
+    """Envelope tables and hull rows of one CLI command on
+    doublewell_timevarying, certificates included."""
+
+    @pytest.mark.parametrize(
+        "command, count, rows",
+        [("solve", 25, 328), ("relax", 3, 130), ("verify", 1, 128), ("decompose", 1, 128)],
+    )
+    def test_counts(self, tables, hulls, tmp_path, command, count, rows):
+        # before the trajectory carried its table, 28 and 712, 4 and 258,
+        # 2 and 256, and 2 and 256
+        src = str(PROBLEMS / "doublewell_timevarying.json")
+        csv = str(tmp_path / "relaxed.csv")
+        assert cli.main(["relax", src, "--out", csv]) == 0
+        argv = [command, src, "--out", str(tmp_path / "out.json")]
+        if command == "relax":
+            argv[-1] = str(tmp_path / "again.csv")
+        if command in ("verify", "decompose"):
+            argv += ["--traj", csv]
+        tables.clear()
+        hulls.clear()
+        assert cli.main(argv) == 0
+        assert (len(tables), len(hulls)) == (count, rows)
 
 
 def scalar_costs(disc, times, states, velocities):

@@ -17,6 +17,7 @@ from rearrange_reference import order_costs, rearrange_reference
 from varelax import cli, reconstruct
 from varelax.catalog import state_function, time_factor, velocity_function
 from varelax.convex import CaratheodoryDecomposition
+from varelax.discretize import Discretization
 from varelax.errors import InfeasibleError, OutOfDomainError
 from varelax.families import IntegrandFamily
 from varelax.problem import DPConfig, Problem, Trajectory
@@ -289,6 +290,24 @@ class TestRearrangeAgainstTheLoop:
         assert same_bits(g.value(times[:pairs], xs[:pairs]), scalar[:pairs])
         rows = np.stack([g.value(float(t), xs) for t in times])
         assert same_bits(g.value(times[:, None], xs), rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=st.one_of(
+            state_families(),
+            st.sampled_from(STATE_SHAPES).map(lambda s: IntegrandFamily(state_function(*s))),
+        ),
+        times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+        xs=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=12),
+    )
+    def test_path_costs_take_g_with_the_scalar_bits(self, g, times, xs):
+        # path_costs takes g in one call on the interval arrays; its bits
+        # are those of one scalar call per interval
+        n = min(len(times), len(xs))
+        times, xs = np.array(times[:n]), np.array(xs[:n])
+        disc = Discretization.of(replace(DOUBLE_WELL, g=g), DPConfig(n_t=4, n_x=5))
+        g_values = disc.path_costs(times, xs, np.zeros(n))[3]
+        assert same_bits(g_values, [float(g.value(float(t), x)) for t, x in zip(times, xs)])
 
 
 class TestCompareCosts:

@@ -95,7 +95,12 @@ def _require_params(name: str, params: dict, required: tuple[str, ...]) -> dict:
     return params
 
 
-def _table_fn(name: str, params: dict) -> ShapeFunction:
+def _shared_shape(name: str, params: dict) -> ShapeFunction:
+    """``affine`` or ``table``, the shapes that are both velocity and state functions."""
+    if name == "affine":
+        ps = _require_params(name, params, ("slope", "offset"))
+        c, d = float(ps["slope"]), float(ps["offset"])
+        return ShapeFunction("affine", lambda y: c * y + d)
     params = _require_params(name, params, ("grid", "values"))
     grid = np.asarray(params["grid"], dtype=float)
     values = np.asarray(params["values"], dtype=float)
@@ -113,6 +118,8 @@ def _table_fn(name: str, params: dict) -> ShapeFunction:
 
 
 def velocity_function(name: str, params: dict | None = None) -> ShapeFunction:
+    if name in ("affine", "table"):
+        return _shared_shape(name, params)
     if name == "power_p":
         p = float(_require_params(name, params, ("p",))["p"])
         if p <= 1.0:
@@ -133,31 +140,21 @@ def velocity_function(name: str, params: dict | None = None) -> ShapeFunction:
     if name == "sqrt_one_plus":
         _require_params(name, params, ())
         return ShapeFunction("sqrt_one_plus", lambda y: np.sqrt(1.0 + y * y))
-    if name == "affine":
-        ps = _require_params(name, params, ("slope", "offset"))
-        c, d = float(ps["slope"]), float(ps["offset"])
-        return ShapeFunction("affine", lambda y: c * y + d)
-    if name == "table":
-        return _table_fn(name, params)
     raise SchemaError(f"unknown velocity function '{name}'")
 
 
 def state_function(name: str, params: dict | None = None) -> ShapeFunction:
+    if name in ("affine", "table"):
+        return _shared_shape(name, params)
     if name == "zero":
         _require_params(name, params, ())
         return ShapeFunction("zero", np.zeros_like)
-    if name == "affine":
-        ps = _require_params(name, params, ("slope", "offset"))
-        c, d = float(ps["slope"]), float(ps["offset"])
-        return ShapeFunction("affine", lambda y: c * y + d)
     if name == "concave_quadratic":
         ps = _require_params(name, params, ("kappa",))
         kappa = float(ps["kappa"])
         if kappa < 0.0:
             raise SchemaError("concave_quadratic requires kappa >= 0")
         return ShapeFunction("concave_quadratic", lambda y: -kappa * y * y)
-    if name == "table":
-        return _table_fn(name, params)
     raise SchemaError(f"unknown state function '{name}'")
 
 

@@ -357,7 +357,8 @@ def default_probe(problem) -> ProbeBox:
     velocities = np.linspace(-problem.velocity_cap, problem.velocity_cap, PROBE_VELOCITIES)
     with np.errstate(all="ignore"):
         f_table, f_rows = problem.f.table(times, velocities)
-        g_values = np.stack([problem.g.value(t, states) for t in times])
+        g_table, g_rows = problem.g.table(times, states)
+        g_values = g_table[g_rows]
     for name, values in (("velocity cost f", f_table), ("state cost g", g_values)):
         if not np.isfinite(values).all():
             raise DegenerateInputError(f"{name} must be finite on the probe box")
@@ -394,9 +395,7 @@ def _drift_samples(problem, probe: ProbeBox):
     ts, xs, xis = probe.times, probe.states, probe.velocities
     table, rows = probe.envelope
     split = table.split(np.repeat(rows, xis.size), np.tile(xis, ts.size))
-    at = np.repeat(ts, xis.size)[:, None]
-    f_rates = np.sum(split.weights * problem.f.time_rate(at, split.points), axis=1)
-    f_rates = f_rates.reshape(ts.size, xis.size)
+    f_rates = problem.f.envelope_rate(np.repeat(ts, xis.size), split).reshape(ts.size, xis.size)
     rates = problem.g.time_rate(ts[:, None], xs)[:, :, None] + f_rates[:, None, :]
     abs_phi = np.abs(probe.g_values[:, :, None] + probe.fstar[:, None, :]).ravel()
     abs_v = np.abs(rates).ravel()

@@ -25,15 +25,7 @@ from .classify import (
     sci_certificate,
 )
 from .conditions import dubois_reymond_residual
-from .errors import (
-    CertificateError,
-    DegenerateInputError,
-    InfeasibleError,
-    NotAutonomousError,
-    OutOfDomainError,
-    SchemaError,
-    VarelaxError,
-)
+from .errors import CertificateError, InfeasibleError, SchemaError, VarelaxError
 from .problem import DPConfig, Problem, SweepReport
 from .reconstruct import compare_costs, decompose_velocities, rearrange
 from .solve import (
@@ -51,6 +43,13 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_CERTIFICATE = 4
 EXIT_ACCEPTANCE = 5
+# The exit code of each library error class; a subclass takes its nearest
+# listed ancestor's, and every other input error is a parse error.
+EXIT_CODES = {
+    InfeasibleError: EXIT_INFEASIBLE,
+    CertificateError: EXIT_CERTIFICATE,
+    VarelaxError: EXIT_PARSE,
+}
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -115,18 +114,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (SchemaError, OutOfDomainError, DegenerateInputError, NotAutonomousError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
     except VarelaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 def _load(args) -> tuple[str, Problem, DPConfig, np.ndarray | None]:

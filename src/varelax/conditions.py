@@ -54,9 +54,7 @@ def dubois_reymond_residual(
     table, rows, values, g = disc.path_costs(t, x, xi, trajectory)
     # the linearization defect f**(xi) - p*xi + g per interval
     energies = values - table.midpoints(rows, xi) * xi + g
-    split = table.split(rows, xi)
-    f_rates = np.sum(split.weights * problem.f.time_rate(t[:, None], split.points), axis=1)
-    rates = f_rates + problem.g.time_rate(t, x)
+    rates = problem.f.envelope_rate(t, table.split(rows, xi)) + problem.g.time_rate(t, x)
     step = trajectory.step
     drift = np.concatenate([[0.0], np.cumsum(rates[:-1]) * step])
     corrected = energies - drift

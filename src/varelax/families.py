@@ -43,6 +43,13 @@ class IntegrandFamily:
             return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(y)))
         return self.factor.rate(np.asarray(t, dtype=float)) * self.modulation(y)
 
+    def envelope_rate(self, t, split) -> np.ndarray:
+        """The time derivative of the envelope at each row of ``split``, a
+        splitting at times ``t``: by the envelope theorem the weighted sum
+        of ``time_rate`` at the row's support points."""
+        rates = self.time_rate(np.asarray(t, dtype=float)[:, None], split.points)
+        return np.sum(split.weights * rates, axis=1)
+
     def table(self, times: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``value(t, y)`` with one row per distinct time of ``times``, or a
         single row when the family is autonomous, and each time's row.  The

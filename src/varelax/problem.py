@@ -72,6 +72,12 @@ class DPConfig:
             raise SchemaError("need at least 2 budget levels")
 
 
+def running_sum(terms) -> float:
+    """The sum of ``terms`` from 0.0, left to right, as a loop adds them: the
+    one rule by which every path's cost is summed."""
+    return float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Piecewise-linear path on a uniform time grid with per-interval velocities."""
@@ -125,10 +131,7 @@ class Trajectory:
         when a ``theta`` is given.  The path carries ``costing``, the
         table that gave ``f_values``."""
         h = float(times[1] - times[0])
-        f_cost = g_cost = 0.0
-        for f, g in zip(np.multiply(h, f_values).tolist(), np.multiply(h, g_values).tolist()):
-            f_cost += f
-            g_cost += g
+        f_cost, g_cost = (running_sum(np.multiply(h, v)) for v in (f_values, g_values))
         theta_value = None if theta is None else float(h * np.sum(theta(velocities)))
         path = cls(
             times, states, velocities, f_cost + g_cost, f_cost, g_cost, theta_value, warnings

@@ -17,7 +17,8 @@ import numpy as np
 
 from .convex import CaratheodoryDecomposition
 from .discretize import Discretization
-from .problem import DPConfig, Problem, Trajectory
+from .errors import InfeasibleError
+from .problem import DPConfig, Problem, Trajectory, running_sum
 
 ORDER_TIE_TOL = 1e-12
 # The probe grid of g's state Lipschitz constant in ``compare_costs``:
@@ -67,17 +68,27 @@ def rearrange(
     """Realize each splitting by two contiguous sub-intervals.
 
     Sub-interval lengths are the decomposition weights times the step, so
-    interval-endpoint states are unchanged.  The two orderings are scored
-    by midpoint quadrature of the state cost and the cheaper one wins;
-    ties keep the decomposition's first support point first.  Every
-    interval is scored and laid out at once, and the costs are summed
-    left to right over the sub-intervals in time order.
+    interval-endpoint states are unchanged.  An order is admissible when
+    its turning point lies in the state box; the admissible orders are
+    scored by midpoint quadrature of the state cost and the cheaper one
+    wins, ties keeping the decomposition's first support point first.
+    ``InfeasibleError`` when both orders leave, which needs support points
+    beyond the box width over the step: never on a grid path's own
+    velocity grid, whose quotients times the step are at most the width.
+    Every interval is scored and laid out at once, and the costs are
+    summed by the path-cost rule over the sub-intervals in time order.
     """
     t0, x0 = trajectory.times[:-1], trajectory.states[:-1]
     durations = trajectory.step * track.weights
     split = track.support == 2
-    swapped = _midpoint_cost(problem, t0, x0, durations[:, ::-1], track.points[:, ::-1])
     forward = _midpoint_cost(problem, t0, x0, durations, track.points)
+    swapped = _midpoint_cost(problem, t0, x0, durations[:, ::-1], track.points[:, ::-1])
+    stuck = np.flatnonzero(split & (forward == np.inf) & (swapped == np.inf))
+    if stuck.size:
+        raise InfeasibleError(
+            f"both orders of interval {int(stuck[0])}'s splitting leave the state box "
+            f"{list(problem.state_box)}; a smaller step keeps one inside"
+        )
     order = np.where((split & (swapped < forward - ORDER_TIE_TOL))[:, None], [1, 0], [0, 1])
     durations, points, values = (
         np.take_along_axis(a, order, axis=1)
@@ -99,26 +110,26 @@ def rearrange(
         states=np.concatenate([trajectory.states[:1], ends_x]),
         velocities=points[kept],
         piece=order[kept].astype(np.int64),
-        f_cost=_running_sum(f_terms),
-        g_cost=_running_sum(g_terms),
+        f_cost=running_sum(f_terms),
+        g_cost=running_sum(g_terms),
     )
 
 
 def _midpoint_cost(problem, t0, x0, durations, points) -> np.ndarray:
     """Midpoint quadrature of g over each interval's two sub-intervals, in
-    column order."""
+    column order, or inf where the turning point leaves the state box: g
+    is then read at x0, so it is never evaluated outside the box."""
+    lo, hi = problem.state_box
+    turns = x0 + points[:, 0] * durations[:, 0]
+    inside = (turns >= lo) & (turns <= hi)
+    points = np.where(inside[:, None], points, 0.0)
     cost = 0.0
     t_cursor, x_cursor = t0, x0
     for dt, q in zip(durations.T, points.T):
         cost = cost + dt * problem.g.value(t_cursor + dt / 2.0, x_cursor + q * dt / 2.0)
         t_cursor = t_cursor + dt
         x_cursor = x_cursor + q * dt
-    return cost
-
-
-def _running_sum(terms: np.ndarray) -> float:
-    """The sum of ``terms`` from 0.0, left to right, as a loop adds them."""
-    return float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
+    return np.where(inside, cost, np.inf)
 
 
 @dataclass(eq=False)
@@ -181,8 +192,5 @@ def compare_costs(
 def _state_lipschitz(problem: Problem) -> float:
     lo, hi = problem.state_box
     xs = np.linspace(lo, hi, LIPSCHITZ_STATES)
-    worst = 0.0
-    for t in np.linspace(0.0, problem.horizon, LIPSCHITZ_TIMES):
-        vals = problem.g.value(float(t), xs)
-        worst = max(worst, float(np.max(np.abs(np.diff(vals) / np.diff(xs)))))
-    return worst
+    values, _ = problem.g.table(np.linspace(0.0, problem.horizon, LIPSCHITZ_TIMES), xs)
+    return float(np.max(np.abs(np.diff(values, axis=1) / np.diff(xs))))

@@ -1,13 +1,15 @@
 """The reconstruction's interval loop, kept as the oracle of
 ``reconstruct.rearrange``: one interval at a time, each support-2
-splitting's two orders scored by scalar midpoint calls of g, and the
-costs summed in a running float from 0.0.  It reads
+splitting's orders that turn inside the state box scored by scalar
+midpoint calls of g, and the costs summed in a running float from 0.0.
+It raises ``InfeasibleError`` where both orders leave the box.  It reads
 ``reconstruct.ORDER_TIE_TOL`` at call time, so a test that patches the
 tolerance moves both."""
 
 import numpy as np
 
 from varelax import reconstruct
+from varelax.errors import InfeasibleError
 from varelax.reconstruct import ReconstructedTrajectory
 
 
@@ -51,9 +53,14 @@ def rearrange_reference(problem, trajectory, track):
 
 
 def order_costs(problem, weights, points, t0, x0, step):
-    """Midpoint costs of the orders (0, 1) and (1, 0) of one splitting."""
+    """Midpoint costs of the orders (0, 1) and (1, 0) of one splitting, inf
+    for an order whose turning point leaves the state box."""
+    lo, hi = problem.state_box
 
     def midpoint_cost(order):
+        first = order[0]
+        if not lo <= x0 + points[first] * (step * weights[first]) <= hi:
+            return np.inf
         cost = 0.0
         t_cursor, x_cursor = t0, x0
         for j in order:
@@ -69,6 +76,8 @@ def order_costs(problem, weights, points, t0, x0, step):
 
 def pick_order(problem, weights, points, t0, x0, step):
     forward, swapped = order_costs(problem, weights, points, t0, x0, step)
+    if forward == swapped == np.inf:
+        raise InfeasibleError("both orders leave the state box")
     if swapped < forward - reconstruct.ORDER_TIE_TOL:
         return (1, 0)
     return (0, 1)

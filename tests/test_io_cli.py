@@ -9,9 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varelax import classify
+from varelax import classify, cli
 from varelax.cli import main
-from varelax.errors import SchemaError
+from varelax.errors import (
+    CertificateError,
+    DegenerateInputError,
+    InfeasibleError,
+    NotAutonomousError,
+    OutOfDomainError,
+    SchemaError,
+    VarelaxError,
+)
 from varelax.io import emit_trajectory, parse_problem, read_trajectory
 from varelax.problem import DPConfig
 from varelax.solve import solve_relaxed
@@ -398,6 +406,37 @@ class TestCliExitCodes:
             assert code == 0
         for name in ("run.json", "run_relaxed.csv", "run_reconstructed.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+class TestExitCodeTable:
+    """``main`` turns every library error into one ``error:`` line and the
+    exit code of its class."""
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (SchemaError, 2),
+            (OutOfDomainError, 2),
+            (DegenerateInputError, 2),
+            (NotAutonomousError, 2),
+            (InfeasibleError, 3),
+            (CertificateError, 4),
+            (VarelaxError, 2),
+        ],
+    )
+    def test_each_error_class(self, error, code, monkeypatch, capsys):
+        def fail(path):
+            raise error("the message")
+
+        monkeypatch.setattr(cli.vio, "parse_problem", fail)
+        assert main(["classify", str(PROBLEMS / "quadratic.json")]) == code
+        assert capsys.readouterr().err.splitlines() == ["error: the message"]
+
+    def test_unwritable_out_is_a_bare_varelax_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "cert.json"
+        assert main(["classify", str(PROBLEMS / "quadratic.json"), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}")
 
 
 class TestDriftFitFailure:

@@ -35,6 +35,13 @@ and energy CSV.  Only the DR drift, residual, constant and maximum
 residual and the drift constants moved, checked field by field against
 the outputs before the change; the energies, the relaxed CSV and the
 decomposition kept their bytes, and every other problem's hashes stand.
+
+``doublewell_concave``'s ``solve`` report was re-recorded with the same
+Python and numpy when ``rearrange`` started choosing only orders whose
+turning point stays in the state box.  Its 128 split intervals sit on the
+lower edge, where the cheaper order had left the box, down to
+-0.251953125.  Only the reconstructed g cost and the total and g gaps
+moved; the gaps turned from -6.13e-05 to +6.08e-05, inside the tolerance.
 """
 
 import hashlib
@@ -99,7 +106,7 @@ CERTIFICATES = {
 SOLVE_WITH_EXIT = {
     "doublewell_concave": (
         0,
-        "59015ba0f41602696e01c73925d009bd8d894c23d6aa752bb21eca73084fd443",
+        "4f155fc9c78f35b42cc1a9e2ea4e7b097b7f4f3e3258f53b46f22b3ab7d4ff45",
     ),
     "doublewell_timevarying": (
         0,

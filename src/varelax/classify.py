@@ -240,31 +240,26 @@ class HypothesisReport(LinearBounds):
 
 
 def _fit_bound_line(r, vmin, vmax, candidate_slopes, tie_key):
-    """Deterministic line fit below pooled minima, minimizing maximum slack."""
-    best = None
-    for s in candidate_slopes:
-        b = float(np.min(vmin - s * r))
-        slack = float(np.max(vmax - s * r - b))
-        key = (slack,) + tie_key(s, b)
-        if best is None or key < best[0]:
-            best = (key, s, b, slack)
-    return best[1], best[2], best[3]
+    """Deterministic line fit below pooled minima, minimizing maximum slack;
+    ties go by ``tie_key(slopes, intercepts)``, then to the first candidate."""
+    s = np.asarray(candidate_slopes, dtype=float)
+    # a line too steep for a float overflows to an infinite slack, which
+    # ranks last, so it never displaces a line that fits
+    with np.errstate(over="ignore"):
+        b = np.min(vmin - s[:, None] * r, axis=1)
+        slack = np.max(vmax - s[:, None] * r - b[:, None], axis=1)
+    best = np.lexsort(tie_key(s, b)[::-1] + (slack,))[0]
+    return float(s[best]), float(b[best]), float(slack[best])
 
 
 def _pooled_radial_profile(radii, values):
     """Per unique radius: pooled min and max over the rows of a value stack."""
     r = np.abs(np.asarray(radii, dtype=float))
     order = np.argsort(r, kind="stable")
-    r_sorted = r[order]
-    v_sorted = values[:, order]
-    uniq, start = np.unique(r_sorted, return_index=True)
-    vmins, vmaxs = [], []
-    edges = list(start) + [r_sorted.size]
-    for i in range(uniq.size):
-        block = v_sorted[:, edges[i] : edges[i + 1]]
-        vmins.append(float(block.min()))
-        vmaxs.append(float(block.max()))
-    return uniq, np.array(vmins), np.array(vmaxs)
+    uniq, start = np.unique(r[order], return_index=True)
+    columns = values[:, order]
+    vmins = np.minimum.reduceat(columns.min(axis=0), start)
+    return uniq, vmins, np.maximum.reduceat(columns.max(axis=0), start)
 
 
 def _hull_edge_slopes(r, vmin):
@@ -281,27 +276,18 @@ def _fit_lines(problem, probe: ProbeBox) -> tuple[float, ...]:
     """
     # f lower bound: -A + B|xi|
     r_u, fmin_u, fmax_u = _pooled_radial_profile(probe.velocities, probe.f_values)
-    slopes_f = _hull_edge_slopes(r_u, fmin_u)
-    b_slope, b_intercept, _ = _fit_bound_line(
-        r_u, fmin_u, fmax_u, slopes_f, tie_key=lambda s, b: (s, -b)
+    f_slope, f_intercept, _ = _fit_bound_line(
+        r_u, fmin_u, fmax_u, _hull_edge_slopes(r_u, fmin_u), tie_key=lambda s, b: (s, -b)
     )
-    f_offset, f_slope = -b_intercept, b_slope
-
     # g lower bound: -alpha - beta|x|, beta >= 0
     rg_u, gmin_u, gmax_u = _pooled_radial_profile(probe.states, probe.g_values)
     slopes_g = [s for s in _hull_edge_slopes(rg_u, gmin_u) if s <= 0.0] + [0.0]
     gb_slope, gb_intercept, _ = _fit_bound_line(
         rg_u, gmin_u, gmax_u, slopes_g, tie_key=lambda s, b: (-s, -b)
     )
-    g_offset, g_slope = -gb_intercept, -gb_slope
-
-    return (
-        float(f_offset),
-        float(f_slope),
-        float(g_offset),
-        float(g_slope),
-        float(f_slope / problem.horizon - g_slope),
-    )
+    g_slope = -gb_slope
+    margin = float(f_slope / problem.horizon - g_slope)
+    return -f_intercept, f_slope, -gb_intercept, g_slope, margin
 
 
 def linear_bounds(problem) -> LinearBounds:
@@ -346,13 +332,18 @@ def hypothesis_check(problem) -> HypothesisReport:
     )
 
 
+def probe_times(problem) -> np.ndarray:
+    """The certify stage's ``PROBE_TIMES`` times over the horizon."""
+    return np.linspace(0.0, problem.horizon, PROBE_TIMES)
+
+
 def default_probe(problem) -> ProbeBox:
     """``PROBE_TIMES`` times over the horizon, ``PROBE_STATES`` states over
     the box and ``PROBE_VELOCITIES`` velocities over the cap, with ``f`` and
     ``g`` tabulated there.  A sample that is not finite, an overflow
     included, is an input error that names its integrand."""
     lo, hi = problem.state_box
-    times = np.linspace(0.0, problem.horizon, PROBE_TIMES)
+    times = probe_times(problem)
     states = np.linspace(lo, hi, PROBE_STATES)
     velocities = np.linspace(-problem.velocity_cap, problem.velocity_cap, PROBE_VELOCITIES)
     with np.errstate(all="ignore"):
@@ -366,14 +357,13 @@ def default_probe(problem) -> ProbeBox:
 
 
 def _midpoint_concave(problem, probe: ProbeBox) -> np.ndarray:
-    """Midpoint concavity of g over the probe states, per probe time."""
-    xi, xj = np.meshgrid(probe.states, probe.states)
-    concave = []
-    for t, vals in zip(probe.times, probe.g_values):
-        vi, vj = np.meshgrid(vals, vals)
-        mids = problem.g.value(t, (xi + xj) / 2.0)
-        concave.append(bool(np.all(mids >= (vi + vj) / 2.0 - 1e-9)))
-    return np.array(concave)
+    """Midpoint concavity of g over the probe states, per probe time, with g at
+    every midpoint from one ``g.table``.  Midpoints and chords are a/2 + b/2:
+    the bits of (a + b) / 2 where a + b does not overflow, finite where it does."""
+    half_x, half_g = probe.states / 2.0, probe.g_values / 2.0
+    table, rows = problem.g.table(probe.times, (half_x[:, None] + half_x).ravel())
+    chords = (half_g[:, :, None] + half_g[:, None, :]).reshape(rows.size, -1)
+    return np.all(table[rows] >= chords - 1e-9, axis=1)
 
 
 def _fit_drift_bound(problem, probe: ProbeBox):

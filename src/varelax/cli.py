@@ -18,10 +18,10 @@ import numpy as np
 
 from . import io as vio
 from .classify import (
-    PROBE_TIMES,
     class_e_certificate,
     hypothesis_check,
     linear_bounds,
+    probe_times,
     sci_certificate,
 )
 from .conditions import dubois_reymond_residual
@@ -142,7 +142,7 @@ def _out_base(args, default_name: str, default_suffix: str) -> Path:
 
 
 def _classification(problem: Problem, schedule: np.ndarray | None) -> dict:
-    t_grid = np.linspace(0.0, problem.horizon, PROBE_TIMES)
+    t_grid = probe_times(problem)
     class_e = class_e_certificate(problem.f, t_grid, schedule)
     sci = sci_certificate(problem.f, t_grid, schedule)
     hyp = hypothesis_check(problem)

@@ -8,6 +8,7 @@ shapes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,8 +69,9 @@ class NagumoFunction:
 
     def __post_init__(self):
         r = NAGUMO_PROBE
-        v = self.fn(r)
-        mid = self.fn((r[:-1] + r[1:]) / 2.0)
+        with np.errstate(all="ignore"):  # an overflow is reported below, once
+            v = self.fn(r)
+            mid = self.fn((r[:-1] + r[1:]) / 2.0)
         if not np.all(np.isfinite(v)):
             raise SchemaError(f"Nagumo entry '{self.name}' not finite on the probe schedule")
         if not np.all(np.diff(v) > 0):
@@ -84,6 +86,16 @@ class NagumoFunction:
         return self.fn(np.abs(np.asarray(r, dtype=float)))
 
 
+def finite_number(value, path: str) -> float:
+    """``value`` as a float: an int or a float, not a bool, and finite.  The
+    one rule for every number of a problem file and every catalog parameter."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: expected a number")
+    if not abs(value) <= sys.float_info.max:  # inf, nan, or an int beyond floats
+        raise SchemaError(f"{path}: must be finite")
+    return float(value)
+
+
 def _require_params(name: str, params: dict, required: tuple[str, ...]) -> dict:
     params = dict(params or {})
     unknown = set(params) - set(required)
@@ -95,25 +107,36 @@ def _require_params(name: str, params: dict, required: tuple[str, ...]) -> dict:
     return params
 
 
+def _numbers(name: str, params: dict, required: tuple[str, ...]) -> list[float]:
+    """The ``required`` params of entry ``name``, each a ``finite_number``."""
+    ps = _require_params(name, params, required)
+    return [finite_number(ps[k], f"catalog entry '{name}': {k}") for k in required]
+
+
+def _sequence(value, path: str) -> np.ndarray:
+    """A list, tuple or numpy array of ``finite_number``s as a float array."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{path}: expected a list of numbers")
+    return np.array([finite_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
+
+
 def _shared_shape(name: str, params: dict) -> ShapeFunction:
     """``affine`` or ``table``, the shapes that are both velocity and state functions."""
     if name == "affine":
-        ps = _require_params(name, params, ("slope", "offset"))
-        c, d = float(ps["slope"]), float(ps["offset"])
+        c, d = _numbers(name, params, ("slope", "offset"))
         return ShapeFunction("affine", lambda y: c * y + d)
-    params = _require_params(name, params, ("grid", "values"))
-    grid = np.asarray(params["grid"], dtype=float)
-    values = np.asarray(params["values"], dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
+    ps = _require_params(name, params, ("grid", "values"))
+    grid, values = (_sequence(ps[k], f"catalog entry '{name}': {k}") for k in ("grid", "values"))
+    if grid.size < 2 or values.shape != grid.shape:
         raise SchemaError(f"catalog entry '{name}': table needs matching grid/values")
     if not np.all(np.diff(grid) > 0):
         raise SchemaError(f"catalog entry '{name}': table grid must be increasing")
-    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-        raise SchemaError(f"catalog entry '{name}': table must be finite")
     return ShapeFunction(
         name="table",
         fn=lambda y: np.interp(y, grid, values),
-        domain=(float(grid[0]), float(grid[-1])),
+        domain=tuple(grid[[0, -1]].tolist()),
     )
 
 
@@ -121,7 +144,7 @@ def velocity_function(name: str, params: dict | None = None) -> ShapeFunction:
     if name in ("affine", "table"):
         return _shared_shape(name, params)
     if name == "power_p":
-        p = float(_require_params(name, params, ("p",))["p"])
+        (p,) = _numbers(name, params, ("p",))
         if p <= 1.0:
             raise SchemaError("power_p requires p > 1")
         return ShapeFunction("power_p", lambda y: np.abs(y) ** p)
@@ -150,8 +173,7 @@ def state_function(name: str, params: dict | None = None) -> ShapeFunction:
         _require_params(name, params, ())
         return ShapeFunction("zero", np.zeros_like)
     if name == "concave_quadratic":
-        ps = _require_params(name, params, ("kappa",))
-        kappa = float(ps["kappa"])
+        (kappa,) = _numbers(name, params, ("kappa",))
         if kappa < 0.0:
             raise SchemaError("concave_quadratic requires kappa >= 0")
         return ShapeFunction("concave_quadratic", lambda y: -kappa * y * y)
@@ -160,18 +182,15 @@ def state_function(name: str, params: dict | None = None) -> ShapeFunction:
 
 def time_factor(name: str, params: dict | None = None) -> TimeFactor:
     if name == "const":
-        ps = _require_params(name, params, ("value",))
-        v = float(ps["value"])
+        (v,) = _numbers(name, params, ("value",))
         return TimeFactor(
             "const", lambda t: np.full_like(t, v), lambda t: np.zeros_like(t), constant=True
         )
     if name == "affine_t":
-        ps = _require_params(name, params, ("slope", "offset"))
-        c, d = float(ps["slope"]), float(ps["offset"])
+        c, d = _numbers(name, params, ("slope", "offset"))
         return TimeFactor("affine_t", lambda t: c * t + d, lambda t: np.full_like(t, c))
     if name == "sine":
-        ps = _require_params(name, params, ("amplitude", "frequency"))
-        kappa, omega = float(ps["amplitude"]), float(ps["frequency"])
+        kappa, omega = _numbers(name, params, ("amplitude", "frequency"))
         return TimeFactor(
             "sine",
             lambda t: kappa * np.sin(omega * t),
@@ -182,7 +201,7 @@ def time_factor(name: str, params: dict | None = None) -> TimeFactor:
 
 def nagumo_function(name: str, params: dict | None = None) -> NagumoFunction:
     if name == "power_p":
-        p = float(_require_params(name, params, ("p",))["p"])
+        (p,) = _numbers(name, params, ("p",))
         if p <= 1.0:
             raise SchemaError("Nagumo power_p requires p > 1")
         return NagumoFunction("power_p", lambda r: r**p)

@@ -72,32 +72,29 @@ def merge_close_velocities(values: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-# Per state offset d with an admissible pair: d, the admissibility of each
-# pair (j, j + d) for j = max(0, -d), ..., and the pairs' difference quotients.
-OffsetWalk = tuple[tuple[int, np.ndarray, np.ndarray], ...]
-
-
-def _offset_walk(xs: np.ndarray, step: float, cap: float) -> OffsetWalk:
-    """The difference quotients of every state pair, offset by offset.
-
-    Walks the state offsets d = 0, +-1, +-2, ... until no pair at offset d
-    is within the cap; on an increasing grid the quotients grow with |d|,
-    so no farther pair is admissible either.
-    """
+def _pair_quotients(xs: np.ndarray, step: float, cap: float) -> np.ndarray:
+    """Every admissible state pair's difference quotient, by offset and
+    target: entry [r, k] is the quotient of the pair (k - top + r, k), so
+    the rows run offsets top, ..., -top, and inf where that pair is off
+    the grid or beyond the cap.  Offsets d = 0, 1, ... are walked until
+    none of d's pairs is within the cap; on an increasing grid the
+    quotients grow with |d|.  Offset -d's row is d's negated and shifted:
+    a - b is exactly -(b - a)."""
     limit = cap * (1.0 + 1e-12)
     n = xs.size
-    walk = []
-    for direction in (1, -1):
-        d = 0 if direction > 0 else -1
-        while abs(d) < n:
-            lo, hi = max(0, -d), min(n, n - d)
-            raw = (xs[lo + d : hi + d] - xs[lo:hi]) / step
-            ok = np.abs(raw) <= limit
-            if not ok.any():
-                break
-            walk.append((d, ok, raw))
-            d += direction
-    return tuple(walk)
+    spans = []
+    for d in range(n):
+        raw = (xs[d:] - xs[: n - d]) / step
+        ok = np.abs(raw) <= limit
+        if not ok.any():
+            break
+        spans.append((raw, ok))
+    top = len(spans) - 1
+    out = np.full((2 * top + 1, n), np.inf)
+    for d, (raw, ok) in enumerate(spans):
+        out[top + d, : n - d] = np.where(ok, -raw, np.inf)
+        out[top - d, d:] = np.where(ok, raw, np.inf)  # last, so offset 0 keeps +0.0
+    return out
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -113,8 +110,8 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
 
 
-def _distinct_quotients(walk: OffsetWalk) -> np.ndarray:
-    values = _sorted_distinct(np.concatenate([raw[ok] for _, ok, raw in walk]))
+def _distinct_quotients(quotients: np.ndarray) -> np.ndarray:
+    values = _sorted_distinct(quotients[np.isfinite(quotients)])
     if values.size < 2:
         raise InfeasibleError("velocity cap admits fewer than two difference quotients")
     return values
@@ -129,27 +126,18 @@ def nearest_index(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.where(pick_left, left, right)
 
 
-def offset_table(walk: OffsetWalk, points: np.ndarray) -> tuple[int, np.ndarray]:
-    """The admissible state pairs behind the quotient grid ``points``, by
-    state offset.
-
-    Returns the largest offset d_hi and a table whose row r holds offset
-    d_hi - r, so the rows run d_hi, d_hi - 1, ..., d_lo: entry [r, k] is
-    the index of the grid point nearest the quotient of the pair
-    (k - d_hi + r, k), and ``points.size`` where that pair is not
-    admissible.  The DP keeps one predecessor per (target, quotient), so
-    two admissible offsets that give one target the same point raise
-    ``InfeasibleError``: their state nodes are too close to tell apart.
-    """
-    offsets = [d for d, _, _ in walk]
-    top, sentinel = max(offsets), points.size
-    n = walk[0][1].size  # the walk starts at offset 0, which pairs every node
-    table = np.full((top - min(offsets) + 1, n), sentinel, np.min_scalar_type(sentinel))
-    for d, ok, raw in walk:
-        lo = max(0, -d)
-        table[top - d, lo + d : lo + d + ok.size] = np.where(
-            ok, nearest_index(points, raw), sentinel
-        )
+def offset_table(quotients: np.ndarray, points: np.ndarray) -> tuple[int, np.ndarray]:
+    """The largest offset d_hi and, in the row order of ``quotients`` (see
+    ``_pair_quotients``), the index of the point of ``points`` nearest each
+    admissible pair's quotient, and ``points.size`` elsewhere.  The DP
+    keeps one predecessor per (target, quotient), so two offsets that give
+    one target the same point raise ``InfeasibleError``: their state nodes
+    are too close to tell apart."""
+    top, sentinel = quotients.shape[0] // 2, points.size
+    table = np.full(quotients.shape, sentinel, np.min_scalar_type(sentinel))
+    for row, q in zip(table, quotients):  # row by row, to bound the temporaries
+        admissible = np.isfinite(q)
+        row[admissible] = nearest_index(points, q[admissible])
     ordered = np.sort(table, axis=0)
     if np.any((ordered[1:] == ordered[:-1]) & (ordered[1:] < sentinel)):
         raise InfeasibleError("two state nodes are closer than one step's quotients resolve")
@@ -160,10 +148,10 @@ def offset_table(walk: OffsetWalk, points: np.ndarray) -> tuple[int, np.ndarray]
 class Discretization:
     """State nodes, time nodes, step and quotient grid of one (problem, grid).
 
-    ``of`` is the one place that decides them, with one walk over the state
-    offsets for the merged quotients; the offset table of the admissible
-    pairs is cut from that same walk.  The offset table and the endpoint
-    indices are built on first use, so only the DP pays for them.
+    ``of`` decides them once: the grid is the merged distinct finite entries
+    of ``quotients``, the admissible pairs' quotients (``_pair_quotients``).
+    The offset table, which places those entries on the grid, and the
+    endpoint indices are built on first use, so only the DP pays for them.
     """
 
     problem: Problem
@@ -171,22 +159,22 @@ class Discretization:
     times: np.ndarray
     step: float
     grid: np.ndarray
-    walk: OffsetWalk
+    quotients: np.ndarray
 
     @classmethod
     def of(cls, problem: Problem, cfg: DPConfig) -> Discretization:
         xs = state_grid(problem, cfg.n_x)
         step = problem.horizon / cfg.n_t
-        walk = _offset_walk(xs, step, problem.velocity_cap)
-        grid = merge_close_velocities(_distinct_quotients(walk))
+        quotients = _pair_quotients(xs, step, problem.velocity_cap)
+        grid = merge_close_velocities(_distinct_quotients(quotients))
         times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
-        return cls(problem, xs, times, step, grid, walk)
+        return cls(problem, xs, times, step, grid, quotients)
 
     @cached_property
     def transitions(self) -> tuple[int, np.ndarray]:
         """The largest state offset and the quotient index of every
         admissible pair by (offset, target): see ``offset_table``."""
-        return offset_table(self.walk, self.grid)
+        return offset_table(self.quotients, self.grid)
 
     @cached_property
     def endpoints(self) -> tuple[int, int]:

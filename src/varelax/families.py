@@ -31,6 +31,10 @@ class IntegrandFamily:
     def value(self, t, y) -> np.ndarray:
         """base(y) + factor(t) * modulation(y), broadcast over t and y; an
         array of times gives each entry the bits of a call at its time alone."""
+        return self._formula(t, y)
+
+    def _formula(self, t, y) -> np.ndarray:
+        """The one formula behind ``value`` and ``table``."""
         out = self.base(y)
         if self.modulation is not None:
             out = out + self.factor(t) * self.modulation(y)
@@ -52,16 +56,10 @@ class IntegrandFamily:
 
     def table(self, times: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``value(t, y)`` with one row per distinct time of ``times``, or a
-        single row when the family is autonomous, and each time's row.  The
-        rows keep ``value``'s bits: base and modulation are evaluated once,
-        the factor per row."""
+        single row when the family is autonomous, and each time's row."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if self.autonomous:
             keys, rows = times[:1], np.zeros(times.size, dtype=np.intp)
         else:
             keys, rows = np.unique(times, return_inverse=True)
-        out = self.base(y)
-        if self.modulation is None:
-            return np.tile(out, (keys.size, 1)), rows
-        factors = np.array([float(self.factor(t)) for t in keys])
-        return out + factors[:, None] * self.modulation(y), rows
+        return self._formula(keys[:, None], y).reshape(keys.size, -1), rows

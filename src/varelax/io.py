@@ -30,13 +30,14 @@ import numpy as np
 
 from .catalog import (
     NagumoFunction,
+    finite_number,
     nagumo_function,
     state_function,
     time_factor,
     velocity_function,
 )
 from .discretize import Discretization
-from .errors import SchemaError, VarelaxError
+from .errors import OutOfDomainError, SchemaError, VarelaxError
 from .families import IntegrandFamily
 from .problem import DPConfig, Problem, Trajectory
 
@@ -61,19 +62,18 @@ def _section(doc: dict, path: str, required: tuple[str, ...], optional: tuple[st
     return doc
 
 
-def _finite(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number")
-    v = float(value)
-    if not np.isfinite(v):
-        raise SchemaError(f"{path}: must be finite")
-    return v
-
-
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{path}: expected an integer")
     return value
+
+
+def _read(path: Path, what: str) -> str:
+    """The UTF-8 text of the problem file or trajectory at ``path``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: cannot read {what}: {exc}") from exc
 
 
 def _entry(doc, path: str) -> tuple[str, dict]:
@@ -108,19 +108,15 @@ def parse_problem(path: str | Path) -> LoadedProblem:
     """Read and fully validate a problem file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot read problem file: {exc}") from exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads(_read(path, "problem file"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     doc = _section(doc, str(path), ("horizon", "f", "g", "numerics"))
 
     hor = _section(doc["horizon"], "horizon", ("T", "a", "b"))
-    horizon = _finite(hor["T"], "horizon.T")
-    start = _finite(hor["a"], "horizon.a")
-    end = _finite(hor["b"], "horizon.b")
+    horizon = finite_number(hor["T"], "horizon.T")
+    start = finite_number(hor["a"], "horizon.a")
+    end = finite_number(hor["b"], "horizon.b")
 
     f_family = _family(doc["f"], "f", velocity_function)
     g_family = _family(doc["g"], "g", state_function)
@@ -134,8 +130,8 @@ def parse_problem(path: str | Path) -> LoadedProblem:
     box = num["state_box"]
     if not (isinstance(box, list) and len(box) == 2):
         raise SchemaError("numerics.state_box: expected [lo, hi]")
-    state_box = (_finite(box[0], "numerics.state_box[0]"), _finite(box[1], "numerics.state_box[1]"))
-    cap = _finite(num["velocity_cap"], "numerics.velocity_cap")
+    state_box = tuple(finite_number(v, f"numerics.state_box[{i}]") for i, v in enumerate(box))
+    cap = finite_number(num["velocity_cap"], "numerics.velocity_cap")
     n_t = _integer(num.get("n_t", 128), "numerics.n_t")
     n_x = _integer(num.get("n_x", 129), "numerics.n_x")
 
@@ -147,9 +143,9 @@ def parse_problem(path: str | Path) -> LoadedProblem:
         tsec = _section(num["theta"], "numerics.theta", ("name",), ("params", "penalty", "budget", "levels"))
         theta_entry = nagumo_function(*_entry({k: tsec[k] for k in ("name", "params") if k in tsec}, "numerics.theta"))
         if "penalty" in tsec:
-            penalty = _finite(tsec["penalty"], "numerics.theta.penalty")
+            penalty = finite_number(tsec["penalty"], "numerics.theta.penalty")
         if "budget" in tsec and tsec["budget"] is not None:
-            budget = _finite(tsec["budget"], "numerics.theta.budget")
+            budget = finite_number(tsec["budget"], "numerics.theta.budget")
         if "levels" in tsec:
             levels = _integer(tsec["levels"], "numerics.theta.levels")
 
@@ -158,7 +154,7 @@ def parse_problem(path: str | Path) -> LoadedProblem:
         raw = num["radius_schedule"]
         if not (isinstance(raw, list) and len(raw) >= 4):
             raise SchemaError("numerics.radius_schedule: expected a list with >= 4 radii")
-        schedule = np.array([_finite(v, "numerics.radius_schedule") for v in raw])
+        schedule = np.array([finite_number(v, "numerics.radius_schedule") for v in raw])
         if not np.all(np.diff(schedule) > 0):
             raise SchemaError("numerics.radius_schedule: radii must be increasing")
         if schedule[0] <= 0.0:
@@ -231,10 +227,7 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
     carries the table that costed them.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot read trajectory: {exc}") from exc
+    lines = _read(path, "trajectory").splitlines()
     if not lines or lines[0].split(",")[:3] != ["t", "x", "xdot"]:
         raise SchemaError(f"{path}: expected a 't,x,xdot' header")
     rows = []
@@ -262,15 +255,15 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
         raise SchemaError(f"{path}: states leave the state box [{lo!r}, {hi!r}]")
     if states[0] != problem.start or states[-1] != problem.end:
         raise SchemaError(f"{path}: endpoint states do not match the problem")
-    disc = Discretization.of(problem, cfg).extended(vels)
-    table, rows, f_values, g_values = disc.path_costs(times[:-1], states[:-1], vels)
-    costing = (problem.f, times[:-1].copy(), table, rows)
     try:
+        disc = Discretization.of(problem, cfg).extended(vels)
+        table, rows, f_values, g_values = disc.path_costs(times[:-1], states[:-1], vels)
+        costing = (problem.f, times[:-1].copy(), table, rows)
         return Trajectory.costed(
             times, states, vels, f_values, g_values, theta=cfg.theta, costing=costing
         )
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    except (SchemaError, OutOfDomainError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ class Problem:
         if not (np.isfinite(self.horizon) and self.horizon > 0):
             raise SchemaError("horizon must be positive and finite")
         lo, hi = self.state_box
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        # a finite width implies finite ends; float() keeps numpy from warning
+        if not (lo < hi and np.isfinite(float(hi) - float(lo))):
             raise SchemaError("state box must be a nonempty finite interval")
         for name, v in (("start", self.start), ("end", self.end)):
             if not np.isfinite(v) or not (lo <= v <= hi):

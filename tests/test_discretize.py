@@ -461,8 +461,8 @@ class TestTransitionTableMemory:
         # the double well's 2049-node grid at n_t = 64 has 129 quotients and
         # 129 offsets; the band as index arrays held 4.2 MB, and keeping every
         # per-offset piece and per-pair temporary of it peaked at 25 MB.  The
-        # walk, the grid and the offset table are traced together: the table
-        # is cut from the walk.
+        # quotient array, the grid and the offset table are traced together:
+        # the table places the array's entries on the grid.
         problem, _ = load("doublewell")
         tracemalloc.start()
         try:
@@ -498,7 +498,7 @@ def discretization_cases(draw):
 
 def brute_force_grid(problem, cfg):
     """Merged quotients of every state pair within the cap, from the full
-    difference matrix rather than the offset walk."""
+    difference matrix rather than the array of pair quotients."""
     xs = state_grid(problem, cfg.n_x)
     diffs = (xs[None, :] - xs[:, None]) / (problem.horizon / cfg.n_t)
     within = np.abs(diffs) <= problem.velocity_cap * (1.0 + 1e-12)
@@ -536,8 +536,8 @@ def same_bits(a, b):
 class TestDiscretizationOwnsTheGrid:
     """``_dp`` reads quotient positions from the offset table, and
     verification costs trajectories on the grid extended by their
-    velocities; both must see the quotients the offset walk and the table
-    were built from."""
+    velocities; both must see the admissible pairs' quotients, from which
+    the grid and the table were built."""
 
     @settings(max_examples=150, deadline=None)
     @given(discretization_cases())

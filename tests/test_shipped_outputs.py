@@ -42,6 +42,18 @@ turning point stays in the state box.  Its 128 split intervals sit on the
 lower edge, where the cheaper order had left the box, down to
 -0.251953125.  Only the reconstructed g cost and the total and g gaps
 moved; the gaps turned from -6.13e-05 to +6.08e-05, inside the tolerance.
+
+``PLOT_DATA`` and ``SWEEP`` were recorded the same way at commit
+9e9b689deb57f064aa3e6402ce112fe531f6cb2f, before the integrand tables and
+the admissible pairs each moved to one implementation.  With the pins
+above they cover every file and exit code of ``classify``, ``relax`` and
+``solve`` with ``--plot-data``, of ``verify`` and ``decompose`` on
+``relax``'s CSV, and of ``sweep --n-t 32 --n-x 33 --l-schedule 0.5:4:4
+--plot-data``, on each shipped problem, and the stderr of all but
+``verify`` and ``decompose``.  ``solve``
+writes ``relax``'s trajectory CSV and energies and ``classify``'s chi
+values; on ``sqrt_one_plus`` it stops at the certificates and writes no
+CSV.  Only ``quadratic`` has the theta entry that ``sweep`` needs.
 """
 
 import hashlib
@@ -152,6 +164,58 @@ VERIFY_DECOMPOSE = {
     ),
 }
 
+# name: (the chi CSV of classify and solve, the energy CSV of relax and
+# solve, solve's reconstructed CSV or None where solve writes none)
+PLOT_DATA = {
+    "doublewell": (
+        "47e09cd2080bd84581213d33961213e648620d6695ad57bf017cf3fd2fbf7f46",
+        "d2744513170cbf0abbfb647077f50e814a7ce1dcfc75470ad8b43b07c86edea0",
+        "a975613257b3ecab425e310753616c588432b8ee6a51b8d68664686ec6a51544",
+    ),
+    "doublewell_concave": (
+        "47e09cd2080bd84581213d33961213e648620d6695ad57bf017cf3fd2fbf7f46",
+        "d23185c7d2defab9fc393b24497ea0cf1885b89918ee0a2db9bb11a7558cc1ce",
+        "a9f7c12f06d312f12498765f05a803b3a33fa3fc734a09ec30f8a5a6e39fc037",
+    ),
+    "doublewell_timevarying": (
+        "7332170999d66927ba84dca9a82aa4294a13ba1585253f0c92f9011179327780",
+        "a85e49906a653005e14f25b272b1d95325dab8685c5e78e1897d41072157284c",
+        "a975613257b3ecab425e310753616c588432b8ee6a51b8d68664686ec6a51544",
+    ),
+    "linear_minus_sqrt": (
+        "219cbf12f139b658de068179b2af92781ebc9c441128cc41b1b35aab9788fdc3",
+        "8e444071cf760c60eccb740ce82d0bc6320af51371842cb1e9a69f2fdf4355f9",
+        "89cdbc29fa1b94b057b9b71d099116c3104ba2b2e512bffd7907835517689ca0",
+    ),
+    "quadratic": (
+        "5e6c68309dfa19cead4840e41a5682e175bdc2002405937bd92625ef4c8f15cb",
+        "96f420e07a46e943bf26097c924664cc221348a8d569532a6e284dc9454e2a90",
+        "921a23f9a5b9962b2253938777affdc44fa047dd86d7f0135e7211da6580ab7c",
+    ),
+    "sqrt_one_plus": (
+        "26331d05ad49b29bc458c95fa5019188b9b2588051cb37263f73468f911cc145",
+        "d75fa5a08cd213cb317362470ae6c4e5c3626df6cf90894f6a1b611db2430079",
+        None,
+    ),
+}
+
+NO_THETA = (2, "error: sweep requires a theta entry in the problem's numerics\n", None, None)
+# name: (exit code, stderr, the report and the V(l) CSV or None where none
+# is written)
+SWEEP = {
+    "doublewell": NO_THETA,
+    "doublewell_concave": NO_THETA,
+    "doublewell_timevarying": NO_THETA,
+    "linear_minus_sqrt": NO_THETA,
+    "quadratic": (
+        0,
+        "",
+        "052c0d70c6dda89ac3452a3ad56ab50f444171ae1b77ed11e92044b85cc6295d",
+        "003fb388b8a9c83c8653f0ff5e113beb493e90d53b93bee41e2e796d073ec431",
+    ),
+    "sqrt_one_plus": NO_THETA,
+}
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -202,3 +266,44 @@ def test_verify_and_decompose_outputs_pinned(name, tmp_path):
     assert sha256(report) == report_hash
     assert sha256(tmp_path / f"{name}_verify_energy.csv") == energy_hash
     assert sha256(track) == track_hash
+
+
+def sha256_or_none(path: Path) -> str | None:
+    return sha256(path) if path.exists() else None
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_DATA))
+def test_plot_data_and_solve_csvs_pinned(name, tmp_path, capsys):
+    problem = str(PROBLEMS / f"{name}.json")
+    chi, energy, reconstructed = PLOT_DATA[name]
+    certificates = tmp_path / f"{name}_certificates.json"
+    code = main(["classify", problem, "--out", str(certificates), "--plot-data"])
+    assert code == CERTIFICATES[name][0]
+    assert sha256(tmp_path / f"{name}_certificates_chi.csv") == chi
+    traj = tmp_path / f"{name}_relaxed.csv"
+    assert main(["relax", problem, "--out", str(traj), "--plot-data"]) == 0
+    assert sha256(tmp_path / f"{name}_relaxed_energy.csv") == energy
+    assert capsys.readouterr() == ("", "")
+    solution = tmp_path / f"{name}_solution.json"
+    code = main(["solve", problem, "--out", str(solution), "--plot-data"])
+    written = [
+        sha256_or_none(tmp_path / f"{name}_solution_{part}.csv")
+        for part in ("relaxed", "reconstructed", "chi", "energy")
+    ]
+    if reconstructed is None:
+        assert code == 4 and capsys.readouterr() == ("", "certificate failure; see report\n")
+        assert written == [None] * 4
+    else:
+        assert code == 0 and capsys.readouterr() == ("", "")
+        assert written == [RELAX[name][0], reconstructed, chi, energy]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_sweep_outputs_pinned(name, tmp_path, capsys):
+    out = tmp_path / f"{name}_sweep.json"
+    argv = ["sweep", str(PROBLEMS / f"{name}.json"), "--out", str(out)]
+    argv += ["--n-t", "32", "--n-x", "33", "--l-schedule", "0.5:4:4", "--plot-data"]
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == SWEEP[name][:2]
+    assert sha256_or_none(out) == SWEEP[name][2]
+    assert sha256_or_none(tmp_path / f"{name}_sweep_vl.csv") == SWEEP[name][3]

@@ -87,7 +87,7 @@ def class_e_certificate(
     for k, radius in enumerate(radii):
         box = CLASS_E_MARGIN * radius
         grid = np.linspace(-box, box, CERTIFICATE_GRID_POINTS)
-        values, rows = family.table(t_grid, grid)
+        values, rows = _finite_table(family, t_grid, grid, "velocity cost f", "the class-E box")
         table = EnvelopeTable.of(grid, values)
         beyond = grid[np.abs(grid) > radius]
         lo, hi = table.subgradients(rows[:, None], beyond)
@@ -346,14 +346,20 @@ def default_probe(problem) -> ProbeBox:
     times = probe_times(problem)
     states = np.linspace(lo, hi, PROBE_STATES)
     velocities = np.linspace(-problem.velocity_cap, problem.velocity_cap, PROBE_VELOCITIES)
+    f_table, f_rows = _finite_table(problem.f, times, velocities, "velocity cost f", "the probe box")
+    g_table, g_rows = _finite_table(problem.g, times, states, "state cost g", "the probe box")
+    return ProbeBox(times, states, velocities, f_table, f_rows, g_table[g_rows])
+
+
+def _finite_table(family: IntegrandFamily, times, points, name: str, where: str):
+    """``family.table(times, points)``.  A sample that is not finite, an
+    overflow included, is an input error that names the integrand and
+    where it was sampled."""
     with np.errstate(all="ignore"):
-        f_table, f_rows = problem.f.table(times, velocities)
-        g_table, g_rows = problem.g.table(times, states)
-        g_values = g_table[g_rows]
-    for name, values in (("velocity cost f", f_table), ("state cost g", g_values)):
-        if not np.isfinite(values).all():
-            raise DegenerateInputError(f"{name} must be finite on the probe box")
-    return ProbeBox(times, states, velocities, f_table, f_rows, g_values)
+        values, rows = family.table(times, points)
+    if not np.isfinite(values).all():
+        raise DegenerateInputError(f"{name} must be finite on {where}")
+    return values, rows
 
 
 def _midpoint_concave(problem, probe: ProbeBox) -> np.ndarray:

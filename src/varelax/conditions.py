@@ -49,7 +49,7 @@ def dubois_reymond_residual(
     (problem, grid) needs none; on an autonomous problem the drift is
     exactly zero.
     """
-    disc = Discretization.of(problem, cfg).extended(trajectory.velocities)
+    disc = Discretization.of_path(problem, cfg, trajectory).extended(trajectory.velocities)
     t, x, xi = trajectory.times[:-1], trajectory.states[:-1], trajectory.velocities
     table, rows, values, g = disc.path_costs(t, x, xi, trajectory)
     # the linearization defect f**(xi) - p*xi + g per interval

@@ -171,7 +171,8 @@ class EnvelopeTable:
         xs = grid.tolist()
         hulls = [_hull_vertices(xs, row) for row in values.tolist()]
         counts = np.array([len(h) for h in hulls])
-        vertices = np.array([h + h[-1:] * (counts.max() - len(h)) for h in hulls])
+        most = int(counts.max())
+        vertices = np.array([h + h[-1:] * (most - len(h)) for h in hulls])
         rows = np.arange(len(hulls))[:, None]
         is_vertex = np.zeros(values.shape, dtype=np.intp)
         is_vertex[rows, vertices] = 1

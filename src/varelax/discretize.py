@@ -152,9 +152,12 @@ class Discretization:
     of ``quotients``, the admissible pairs' quotients (``_pair_quotients``).
     The offset table, which places those entries on the grid, and the
     endpoint indices are built on first use, so only the DP pays for them.
+    ``sizes`` is the (n_t, n_x) it was built for, and ``of_path`` reuses
+    the one that costed a trajectory.
     """
 
     problem: Problem
+    sizes: tuple[int, int]
     xs: np.ndarray
     times: np.ndarray
     step: float
@@ -168,7 +171,17 @@ class Discretization:
         quotients = _pair_quotients(xs, step, problem.velocity_cap)
         grid = merge_close_velocities(_distinct_quotients(quotients))
         times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
-        return cls(problem, xs, times, step, grid, quotients)
+        return cls(problem, (cfg.n_t, cfg.n_x), xs, times, step, grid, quotients)
+
+    @classmethod
+    def of_path(cls, problem: Problem, cfg: DPConfig, trajectory: Trajectory) -> Discretization:
+        """The discretization that costed ``trajectory`` when it was built
+        for this problem and this grid, else ``of(problem, cfg)``."""
+        if trajectory.costing is not None:
+            disc = trajectory.costing[0]
+            if disc.problem is problem and disc.sizes == (cfg.n_t, cfg.n_x):
+                return disc
+        return cls.of(problem, cfg)
 
     @cached_property
     def transitions(self) -> tuple[int, np.ndarray]:
@@ -205,9 +218,9 @@ class Discretization:
         carries when it was built for this f, exactly these times and
         exactly this grid, else a new one."""
         if trajectory is not None and trajectory.costing is not None:
-            f, built_for, table, rows = trajectory.costing
-            same_grid = _same_bits(table.grid, self.grid)
-            if f is self.problem.f and _same_bits(built_for, times) and same_grid:
+            disc, built_for, table, rows = trajectory.costing
+            same_f = disc.problem.f is self.problem.f
+            if same_f and _same_bits(built_for, times) and _same_bits(table.grid, self.grid):
                 return table, rows
         values, rows = self.problem.f.table(times, self.grid)
         return EnvelopeTable.of(self.grid, values), rows

@@ -141,7 +141,11 @@ def parse_problem(path: str | Path) -> LoadedProblem:
     levels = 64
     if "theta" in num:
         tsec = _section(num["theta"], "numerics.theta", ("name",), ("params", "penalty", "budget", "levels"))
-        theta_entry = nagumo_function(*_entry({k: tsec[k] for k in ("name", "params") if k in tsec}, "numerics.theta"))
+        entry = _entry({k: tsec[k] for k in ("name", "params") if k in tsec}, "numerics.theta")
+        try:
+            theta_entry = nagumo_function(*entry)
+        except SchemaError as exc:
+            raise SchemaError(f"numerics.theta: {exc}") from exc
         if "penalty" in tsec:
             penalty = finite_number(tsec["penalty"], "numerics.theta.penalty")
         if "budget" in tsec and tsec["budget"] is not None:
@@ -256,9 +260,11 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
     if states[0] != problem.start or states[-1] != problem.end:
         raise SchemaError(f"{path}: endpoint states do not match the problem")
     try:
-        disc = Discretization.of(problem, cfg).extended(vels)
-        table, rows, f_values, g_values = disc.path_costs(times[:-1], states[:-1], vels)
-        costing = (problem.f, times[:-1].copy(), table, rows)
+        disc = Discretization.of(problem, cfg)
+        table, rows, f_values, g_values = disc.extended(vels).path_costs(
+            times[:-1], states[:-1], vels
+        )
+        costing = (disc, times[:-1].copy(), table, rows)
         return Trajectory.costed(
             times, states, vels, f_values, g_values, theta=cfg.theta, costing=costing
         )

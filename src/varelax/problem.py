@@ -91,10 +91,10 @@ class Trajectory:
     g_cost: float
     theta_value: float | None = None
     warnings: tuple[str, ...] = ()
-    # The costing that gave f_cost, when a table did: (f, interval times,
-    # f's EnvelopeTable, each interval's row).  ``costed`` sets it; it is
-    # not a field, so reports, repr and equality never see it, and only
-    # ``Discretization.envelope_table`` reads it.
+    # The costing that gave f_cost, when a table did: (the Discretization
+    # of its problem and grid, interval times, f's EnvelopeTable, each
+    # interval's row).  ``costed`` sets it; it is not a field, so reports,
+    # repr and equality never see it, and only ``Discretization`` reads it.
     costing = None
 
     def __post_init__(self):

@@ -37,7 +37,7 @@ def decompose_velocities(
     table is the one the trajectory carries when it was built for this
     (problem, grid).
     """
-    disc = Discretization.of(problem, cfg).extended(trajectory.velocities)
+    disc = Discretization.of_path(problem, cfg, trajectory).extended(trajectory.velocities)
     table, rows = disc.envelope_table(trajectory.times[:-1], trajectory)
     return table.split(rows, trajectory.velocities)
 

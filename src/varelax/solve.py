@@ -6,12 +6,15 @@ with per-interval constant velocities, time-dependent costs are sampled
 at the left endpoint of each interval, and ties are broken toward the
 smallest predecessor index so results are schedule-independent.  The grid
 and the offset table of admissible (predecessor, target) pairs come from
-``discretize.Discretization``; the DP adds only its cost rows.  A time
-step is a few whole-array operations on one (offsets x columns x states)
-block of strided windows into the padded value buffer; index arrays
-appear only where a cost row is gathered through the offset table.  The
-steps' blocks are kept for a chunk of about ``CHUNK_ENTRIES`` candidates,
-and one pass over the chunk takes their backpointers.
+``discretize.Discretization``; the DP adds only its cost rows.  Steps
+run in chunks of about ``CHUNK_ENTRIES`` candidates.  A step is two calls
+on views built once per DP: an add of its cost block to strided windows
+of the padded value buffer, into its (offsets x columns x states)
+candidate block, and a minimum over offsets; a budget whose unit counts
+differ between offsets takes one add per segment of equal counts.  The
+cost blocks, h*(g + f**) gathered through the offset table, are built
+once per chunk when a row of f or g changes, else once per DP, and one
+pass over a chunk's candidate blocks takes their backpointers.
 """
 
 from __future__ import annotations
@@ -104,16 +107,25 @@ def _dp(
     unit counts differ; the next value is the minimum over offsets, and
     the backpointer the first offset that attains it, or -1 where no
     candidate is finite.  Offsets run from the largest, so ties go to the
-    smallest predecessor.  The step's cost block is rebuilt only when its
-    f or g row changes, and g's padded row only when the g row changes.
+    smallest predecessor.
 
-    A step stores its candidate block and its value row in a chunk of
-    K = CHUNK_ENTRIES // (offsets x columns x states) steps, at least one
-    and at most n_t; after the chunk's last step one pass over the stored
-    blocks and rows takes all its backpointers by the rule above, and the
-    last value row becomes the first.  The chunk holds about CHUNK_ENTRIES
-    candidates whatever n_t is, so memory beyond it grows with n_t only
-    by the backpointers and the path.
+    Steps are taken in chunks of K = CHUNK_ENTRIES // (offsets x columns x
+    states) steps, at least one and at most n_t.  Step s of a chunk adds
+    cost block s, block 0 when no row changes, to its windows into value
+    row s, into candidate block s, and writes their minimum to value row
+    s + 1.  The (window, cost, candidate) views of every segment are built
+    once per call: for the first K steps, after a budget DP's first steps,
+    which skip the higher columns that no path reaches yet; every later
+    step reuses those of the step a whole number of chunks before it.  So
+    a step is its adds and one minimum.  When a row of f or g changes
+    within the DP, the chunk's cost blocks are built before its steps, by
+    one gather of f** through the offset table, one add of g and one
+    multiply by h; else the one block is built once.  After the chunk's
+    last step one pass over the stored blocks and rows takes all its
+    backpointers by the rule above, and the last value row becomes the
+    first.  The chunk holds about CHUNK_ENTRIES candidates whatever n_t
+    is, and its cost blocks as many entries or fewer, so memory beyond
+    them grows with n_t only by the backpointers and the path.
 
     Returns (value, node path, quotient path), or Nones when the end node
     is unreachable; the paths are None unless ``want_path``.  With
@@ -151,8 +163,7 @@ def _dp(
     # column c in row 1 + u_max + c, below it u_max + 1 rows of inf and
     # above it one.  So windows[s, base - u * width + r, c, top + k] reads
     # node k - (top - r) in column c - u of value row s, and a step's adds
-    # and minimum run over whole rows.  Step s of a chunk reads value row s
-    # and writes row s + 1; the chunk's last row then becomes row 0.
+    # and minimum run over whole rows.
     chunk = max(1, min(cfg.n_t, CHUNK_ENTRIES // (n_offsets * n_cols * width)))
     rows = u_max + n_cols + 2
     base = (1 + u_max) * width - top
@@ -161,11 +172,55 @@ def _dp(
     values[0, :start, top + disc.endpoints[0]] = 0.0
     windows = sliding_window_view(buffers, n_cols * width, axis=1)
     windows = windows.reshape(chunk + 1, -1, n_cols, width)
-    g_ext = np.full(width + n_offsets - 1, np.inf)
-    # g of the predecessor: node k - (top - r) sits at r + top + k
-    g_windows = sliding_window_view(g_ext, width)[:, None, :]
-    step_cost = np.empty((n_offsets, n_cols, width))
-    cand = np.empty((chunk, *step_cost.shape))
+    cand = np.empty((chunk, n_offsets, n_cols, width))
+    # Cost blocks [slot, offset, cost column, padded target]: one per step
+    # of a chunk when a row changes, else one for all steps; the budget
+    # columns share one cost column.  An f row's flat entry c * (n_q + 1)
+    # + pairs[r, k] is its cost column c at the pair (r, k), and g of the
+    # predecessor, node k - (top - r), sits at r + top + k of g's padded row.
+    changing = bool(np.any(tab.f_rows != tab.f_rows[0]) or np.any(tab.g_rows != tab.g_rows[0]))
+    cost_cols = costs.shape[1]
+    step_costs = np.empty((chunk if changing else 1, n_offsets, cost_cols, width))
+    flat_pairs = pairs[:, None, :] + (n_q + 1) * np.arange(cost_cols)[:, None]
+    g_ext = np.full((len(step_costs), width + n_offsets - 1), np.inf)
+    g_windows = sliding_window_view(g_ext, width, axis=1)[:, :, None]
+
+    def build_costs(i, m):
+        """Cost blocks 0 .. m - 1, of steps i .. i + m - 1."""
+        out = step_costs[:m]
+        f_costs = costs[tab.f_rows[i : i + m]].reshape(m, -1)
+        # every index is in range; "clip" writes to out without a buffer
+        np.take(f_costs, flat_pairs, axis=1, out=out, mode="clip")
+        g_ext[:m, 2 * top : 2 * top + n_x] = tab.g_costs[tab.g_rows[i : i + m]]
+        np.add(out, g_windows[:m], out=out)
+        np.multiply(out, tab.step, out=out)
+
+    def views(s, cols):
+        """(adds, candidate block, value row) of slot s over columns :cols."""
+        block = cand[s, :, :cols]
+        cost = step_costs[s if changing else 0]
+        adds = [
+            (
+                windows[s, base - u * width + r0 : base - u * width + r1, :cols, targets],
+                cost[r0:r1, :cols, targets],
+                block[r0:r1, :, targets],
+            )
+            for r0, r1, targets, u in segments
+        ]
+        return adds, block, values[s + 1, :cols]
+
+    def reach(i):
+        """Columns that may be finite after step i; later ones are all inf."""
+        return min(n_cols, start + (i + 1) * u_max)
+
+    # a budget DP's first n_early steps reach fewer columns than the rest
+    full, n_early = reach(cfg.n_t - 1), 0
+    while reach(n_early) < full:
+        n_early += 1
+    plans = [views(i % chunk, reach(i)) for i in range(min(cfg.n_t, n_early + chunk))]
+    n_plans = len(plans)
+    if not changing:
+        build_costs(0, 1)
     # backpointers: an offset row, or -1 where no candidate is finite
     back_type = np.min_scalar_type(-n_offsets)
     back = np.full((cfg.n_t, n_cols, width), -1, back_type) if want_path else None
@@ -174,48 +229,33 @@ def _dp(
     hits = np.empty(cand.shape, dtype=bool)
     ranks = np.empty(cand.shape, dtype=back_type)
     first = np.empty((chunk, n_cols, width), dtype=back_type)
-    key = (None, None)  # the (f row, g row) of step_cost
-    for i, step_rows in enumerate(zip(tab.f_rows.tolist(), tab.g_rows.tolist())):
-        if step_rows != key:
-            f_row, g_row = step_rows
-            if f_row != key[0]:
-                fq = np.take(costs[f_row], pairs, axis=1).transpose(1, 0, 2)
-            if g_row != key[1]:
-                g_ext[2 * top : 2 * top + n_x] = tab.g_costs[g_row]
-            key = step_rows
-            np.add(g_windows, fq, out=step_cost)
-            np.multiply(step_cost, tab.step, out=step_cost)
-        s = i % chunk
-        reach = min(n_cols, start + (i + 1) * u_max)  # later columns are all infinite
-        block = cand[s, :, :reach]
-        for r0, r1, targets, u in segments:
-            at = base - u * width
-            np.add(
-                windows[s, at + r0 : at + r1, :reach, targets],
-                step_cost[r0:r1, :reach, targets],
-                out=block[r0:r1, :, targets],
-            )
-        np.minimum.reduce(block, axis=0, out=values[s + 1, :reach])
-        if s + 1 < chunk and i + 1 < cfg.n_t:
-            continue
+    for i0 in range(0, cfg.n_t, chunk):
+        m = min(chunk, cfg.n_t - i0)
+        if changing:
+            build_costs(i0, m)
+        for i in range(i0, i0 + m):
+            adds, block, row = plans[i] if i < n_plans else plans[n_early + (i - n_early) % chunk]
+            for window, cost, out in adds:
+                np.add(window, cost, out=out)
+            np.minimum.reduce(block, axis=0, out=row)
         # The chunk's backpointers.  Columns at or beyond an earlier step's
         # reach hold stale candidates, but their values are inf, so their
         # backpointers are -1.
+        last = reach(i0 + m - 1)
         if want_path:
-            m = s + 1
-            best = values[1 : m + 1, :reach]
-            np.equal(cand[:m, :, :reach], best[:, None], out=hits[:m, :, :reach])
-            np.multiply(hits[:m, :, :reach].view(np.int8), weights, out=ranks[:m, :, :reach])
-            np.maximum.reduce(ranks[:m, :, :reach], axis=1, out=first[:m, :reach])
-            steps = back[i + 1 - m : i + 1, :reach]
-            np.subtract(weights[0], first[:m, :reach], out=steps)
+            best = values[1 : m + 1, :last]
+            np.equal(cand[:m, :, :last], best[:, None], out=hits[:m, :, :last])
+            np.multiply(hits[:m, :, :last].view(np.int8), weights, out=ranks[:m, :, :last])
+            np.maximum.reduce(ranks[:m, :, :last], axis=1, out=first[:m, :last])
+            steps = back[i0 : i0 + m, :last]
+            np.subtract(weights[0], first[:m, :last], out=steps)
             np.copyto(steps, -1, where=best == np.inf)
-        values[0, :reach] = values[s + 1, :reach]
+        values[0, :last] = values[m, :last]
     column = values[0, :, top + disc.endpoints[1]]
-    ends = range(n_cols) if per_rate else [int(np.argmin(column))]
     path = (top, pairs, units)
-    results = [_backtrack(tab, cfg, column, back, path, end) for end in ends]
-    return results if per_rate else results[0]
+    if per_rate:
+        return _backtrack_columns(tab, cfg, column, back, path)
+    return _backtrack(tab, cfg, column, back, path, int(np.argmin(column)))
 
 
 def _segments(admissible: np.ndarray, pair_units: np.ndarray) -> list:
@@ -259,6 +299,39 @@ def _backtrack(tab, cfg, column, back, path, level):
     return best, np.array(nodes[::-1], dtype=np.int64), np.array(quotients[::-1], dtype=np.int64)
 
 
+def _backtrack_columns(tab, cfg, column, back, path):
+    """(value, node path, quotient path) of the DP ending in each column of
+    the per-rate layout, walked together: every step there costs 0 units,
+    so each path stays in its column."""
+    found = np.flatnonzero(np.isfinite(column))
+    results = [(None, None, None)] * column.size
+    for c in found.tolist():
+        results[c] = (float(column[c]), None, None)
+    if back is None:
+        return results
+    top, pairs, _ = path
+    n_t, stride, width = cfg.n_t, back[0].size, pairs.shape[1]
+    end = top + tab.disc.endpoints[1]
+    # Each walk's flat index into back, at step i its target's padded
+    # node K in its column; the predecessor's is K + r - top.
+    at = (n_t - 1) * stride + found * width + end
+    flat = back.reshape(-1)
+    offsets = np.empty((n_t, found.size), dtype=back.dtype)
+    for i in range(n_t - 1, -1, -1):
+        flat.take(at, out=offsets[i])
+        at += offsets[i]
+        at -= stride + top
+    # padded nodes K_0 .. K_n_t, with K_i = K_i+1 + r_i - top
+    padded = np.empty((found.size, n_t + 1), dtype=np.int64)
+    padded[:, -1] = end
+    np.cumsum((offsets[::-1] - top).T, axis=1, out=padded[:, -2::-1])
+    padded[:, :-1] += end
+    quotients = pairs[offsets.T, padded[:, 1:]]
+    for c, nodes, qidx in zip(found.tolist(), padded - top, quotients):
+        results[c] = (float(column[c]), nodes, qidx)
+    return results
+
+
 def _solve(problem: Problem, cfg: DPConfig, tab: _Tables) -> Trajectory:
     """The minimizer of the DP under ``cfg``, its speed budget included."""
     value, idx, qidx = _dp(tab, cfg, cfg.theta_budget, want_path=True)
@@ -285,7 +358,7 @@ def _checked(
         warnings.append("cap-saturation")
     f_values = tab.f_costs[tab.f_rows, qidx]
     g_values = tab.g_costs[tab.g_rows, idx[:-1]]
-    costing = (problem.f, tab.disc.times[:-1].copy(), tab.f_table, tab.f_rows)
+    costing = (tab.disc, tab.disc.times[:-1].copy(), tab.f_table, tab.f_rows)
     traj = Trajectory.costed(
         tab.disc.times, states, q, f_values, g_values, cfg.theta, tuple(warnings), costing
     )
@@ -508,7 +581,7 @@ def coercivity_bound_check(
     A violated inequality flags inconsistent hypothesis constants rather
     than raising: the report is a diagnostic on fitted constants.
     """
-    disc = Discretization.of(problem, cfg)
+    disc = Discretization.of_path(problem, cfg, trajectory)
     step, times = disc.step, disc.times
     mean_speed = (problem.end - problem.start) / problem.horizon
     raw = problem.start + mean_speed * times

@@ -29,7 +29,7 @@ from varelax.errors import DegenerateInputError, InfeasibleError, OutOfDomainErr
 from varelax.families import IntegrandFamily
 from varelax.io import emit_trajectory, parse_problem, read_trajectory, to_jsonable
 from varelax.problem import DPConfig, Problem, Trajectory
-from varelax.reconstruct import decompose_velocities
+from varelax.reconstruct import compare_costs, decompose_velocities, rearrange
 from varelax.solve import coercivity_bound_check, solve_relaxed
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -120,6 +120,20 @@ def tables(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def discretizations(monkeypatch):
+    """List that grows by one entry per ``Discretization.of`` call."""
+    calls = []
+    build = Discretization.of.__func__
+
+    def counting(cls, problem, cfg):
+        calls.append((problem, cfg))
+        return build(cls, problem, cfg)
+
+    monkeypatch.setattr(Discretization, "of", classmethod(counting))
+    return calls
+
+
 def bare(traj):
     """``traj`` without the table that costed it."""
     return Trajectory(
@@ -159,6 +173,24 @@ class TestCarriedTable:
         hulls.clear()
         stages(problem, traj, cfg)
         assert len(hulls) == certificates
+
+    def test_one_fine_grid_pipeline_builds_one_discretization(self, discretizations, tmp_path):
+        # fine-grid's doublewell op, then the coercivity check: the stages
+        # after the DP reuse its discretization, as they do a CSV read's
+        problem, cfg = load("doublewell")
+        cfg = replace(cfg, n_t=256, n_x=512)
+        traj = solve_relaxed(problem, cfg)
+        dubois_reymond_residual(problem, traj, cfg)
+        track = decompose_velocities(problem, traj, cfg)
+        compare_costs(problem, traj, rearrange(problem, traj, track))
+        coercivity_bound_check(problem, traj, hypothesis_check(problem), cfg)
+        assert len(discretizations) == 1
+        emit_trajectory(traj, tmp_path / "traj.csv")
+        discretizations.clear()
+        read = read_trajectory(tmp_path / "traj.csv", problem, cfg)
+        dubois_reymond_residual(problem, read, cfg)
+        decompose_velocities(problem, read, cfg)
+        assert len(discretizations) == 1
 
     @pytest.mark.parametrize("change", ["n_x", "n_t", "f"])
     def test_not_reused_for_another_grid_or_f(self, solved, hulls, change):

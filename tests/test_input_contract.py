@@ -88,6 +88,12 @@ BAD_PROBLEMS = {
     "table-grid-not-a-list": (g_table(3.0, [0.0, 1.0]), 2, "grid: expected a list of numbers"),
     "nagumo-not-finite": (theta(params={"p": 1000.0}), 2, "not finite on the probe schedule"),
     "nagumo-superlinear": (theta(params={"p": 1.0000000000000002}), 2, "superlinearity probe"),
+    # finite on the probe box, up to 2^1000, but not on the class-E box
+    "f-overflows-class-e-box": (
+        edit("f.base.params.p", 1000.0),
+        2,
+        "velocity cost f must be finite on the class-E box",
+    ),
     # the number rule, for every catalog parameter as for numerics
     "p-string": (edit("f.base.params.p", "x"), 2, "'power_p': p: expected a number"),
     "p-null": (edit("f.base.params.p", None), 2, "'power_p': p: expected a number"),
@@ -102,7 +108,11 @@ BAD_PROBLEMS = {
         2,
         "slope: expected a number",
     ),
-    "theta-p-numeric-string": (theta(params={"p": "2"}), 2, "p: expected a number"),
+    "theta-p-numeric-string": (
+        theta(params={"p": "2"}),
+        2,
+        "numerics.theta: catalog entry 'power_p': p: expected a number",
+    ),
     "T-numeric-string": (edit("horizon.T", "1"), 2, "horizon.T: expected a number"),
     "T-int-beyond-float": (edit("horizon.T", 10**400), 2, "horizon.T: must be finite"),
     "cap-bool": (edit("numerics.velocity_cap", True), 2, "velocity_cap: expected a number"),

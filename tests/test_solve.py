@@ -698,6 +698,19 @@ class TestChunkedBackpointers:
             ),
             DPConfig(n_t=9, n_x=17, theta=THETA, budget_levels=8),
         ),
+        # f is autonomous and g changes with time: only g's rows change
+        (
+            Problem(
+                horizon=1.0,
+                start=0.0,
+                end=0.25,
+                f=IntegrandFamily(base=velocity_function("double_well")),
+                g=G_FAMILIES[2],
+                state_box=(-0.5, 0.5),
+                velocity_cap=2.0,
+            ),
+            DPConfig(n_t=9, n_x=17, theta=THETA, budget_levels=8),
+        ),
     )
 
     # steps per chunk: one, a non-divisor of the odd n_t, and all of them

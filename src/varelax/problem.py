@@ -73,10 +73,51 @@ class DPConfig:
             raise SchemaError("need at least 2 budget levels")
 
 
-def running_sum(terms) -> float:
-    """The sum of ``terms`` from 0.0, left to right, as a loop adds them: the
-    one rule by which every path's cost is summed."""
-    return float(np.cumsum(np.concatenate([[0.0], terms]))[-1])
+def running_sum(terms):
+    """The sums of ``terms`` along the last axis, each from 0.0, left to
+    right, as a loop adds them: the one rule by which every path's cost is
+    summed.  One path's terms give a float."""
+    terms = np.asarray(terms, dtype=float)
+    zeros = np.zeros(terms.shape[:-1] + (1,))
+    sums = np.cumsum(np.concatenate([zeros, terms], axis=-1), axis=-1)[..., -1]
+    return float(sums) if terms.ndim == 1 else sums
+
+
+def path_sums(times, f_values, g_values, theta=None, velocities=None):
+    """(f cost, g cost, theta value) of paths on the uniform grid ``times``,
+    one path along the last axis of the interval values: the one rule for
+    a path's cost.  h*f and h*g are summed by ``running_sum``, with
+    h = times[1] - times[0]; the theta value, when a ``theta`` is given,
+    is h*sum(theta(velocities)), a pairwise numpy sum."""
+    h = float(times[1] - times[0])
+    f_cost, g_cost = (running_sum(np.multiply(h, v)) for v in (f_values, g_values))
+    theta_value = None if theta is None else h * np.sum(theta(velocities), axis=-1)
+    return f_cost, g_cost, theta_value
+
+
+def check_paths(times, states, velocities, values) -> None:
+    """Raise ``SchemaError`` unless each path is a trajectory: states and
+    velocities along the last axis, on one strictly increasing uniform
+    time grid, finite, with velocities that match the state increments,
+    and a finite value."""
+    if times.ndim != 1 or times.size < 2:
+        raise SchemaError("trajectory needs at least two time nodes")
+    paths = np.shape(values)  # one value per path
+    if states.shape != paths + times.shape or velocities.shape != paths + (times.size - 1,):
+        raise SchemaError("trajectory arrays have inconsistent lengths")
+    steps = np.diff(times)
+    if not np.all(steps > 0):
+        raise SchemaError("trajectory times must be strictly increasing")
+    if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+        raise SchemaError("trajectory time grid must be uniform")
+    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(velocities))):
+        raise SchemaError("trajectory data must be finite")
+    implied = np.diff(states, axis=-1) / steps[0]
+    scale = 1.0 + np.max(np.abs(velocities), axis=-1)
+    if np.any(np.max(np.abs(implied - velocities), axis=-1) > 1e-9 * scale):
+        raise SchemaError("velocities are inconsistent with the state increments")
+    if not np.all(np.isfinite(values)):
+        raise SchemaError("trajectory value must be finite")
 
 
 @dataclass(eq=False)
@@ -98,42 +139,21 @@ class Trajectory:
     costing = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
-        vels = np.asarray(self.velocities, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise SchemaError("trajectory needs at least two time nodes")
-        if states.shape != times.shape or vels.shape != (times.size - 1,):
-            raise SchemaError("trajectory arrays have inconsistent lengths")
-        steps = np.diff(times)
-        if not np.all(steps > 0):
-            raise SchemaError("trajectory times must be strictly increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
-            raise SchemaError("trajectory time grid must be uniform")
-        if not (np.all(np.isfinite(states)) and np.all(np.isfinite(vels))):
-            raise SchemaError("trajectory data must be finite")
-        implied = np.diff(states) / steps[0]
-        scale = 1.0 + float(np.max(np.abs(vels))) if vels.size else 1.0
-        if np.max(np.abs(implied - vels)) > 1e-9 * scale:
-            raise SchemaError("velocities are inconsistent with the state increments")
-        if not np.isfinite(self.value):
-            raise SchemaError("trajectory value must be finite")
-        self.times = times
-        self.states = states
-        self.velocities = vels
+        self.times = np.asarray(self.times, dtype=float)
+        self.states = np.asarray(self.states, dtype=float)
+        self.velocities = np.asarray(self.velocities, dtype=float)
+        check_paths(self.times, self.states, self.velocities, self.value)
 
     @classmethod
     def costed(
         cls, times, states, velocities, f_values, g_values, theta=None, warnings=(), costing=None
     ):
-        """The path with interval costs ``f_values`` and ``g_values``, by the
-        one rule for a path's cost: h*f and h*g summed left to right, with
-        h = times[1] - times[0], and ``theta_value`` h*sum(theta(velocities))
-        when a ``theta`` is given.  The path carries ``costing``, the
-        table that gave ``f_values``."""
-        h = float(times[1] - times[0])
-        f_cost, g_cost = (running_sum(np.multiply(h, v)) for v in (f_values, g_values))
-        theta_value = None if theta is None else float(h * np.sum(theta(velocities)))
+        """The path with interval costs ``f_values`` and ``g_values``, costed
+        by ``path_sums``.  The path carries ``costing``, the table that gave
+        ``f_values``."""
+        f_cost, g_cost, theta_value = path_sums(times, f_values, g_values, theta, velocities)
+        if theta_value is not None:
+            theta_value = float(theta_value)
         path = cls(
             times, states, velocities, f_cost + g_cost, f_cost, g_cost, theta_value, warnings
         )

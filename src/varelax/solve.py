@@ -1,20 +1,11 @@
 """Dynamic-programming solver for the relaxed problem, speed-budget
 sweeps, penalized variants, and the a-priori coercivity check.
 
-The DP is exact on its grid: transitions run between state-grid nodes
-with per-interval constant velocities, time-dependent costs are sampled
-at the left endpoint of each interval, and ties are broken toward the
-smallest predecessor index so results are schedule-independent.  The grid
-and the offset table of admissible (predecessor, target) pairs come from
-``discretize.Discretization``; the DP adds only its cost rows.  Steps
-run in chunks of about ``CHUNK_ENTRIES`` candidates.  A step is two calls
-on views built once per DP: an add of its cost block to strided windows
-of the padded value buffer, into its (offsets x columns x states)
-candidate block, and a minimum over offsets; a budget whose unit counts
-differ between offsets takes one add per segment of equal counts.  The
-cost blocks, h*(g + f**) gathered through the offset table, are built
-once per chunk when a row of f or g changes, else once per DP, and one
-pass over a chunk's candidate blocks takes their backpointers.
+One DP kernel (``_dp``) serves every solve and sweep.  It is exact on its
+grid, which ``discretize.Discretization`` builds, with ties broken toward
+the smallest predecessor, so results are schedule-independent.  Each path
+it returns is costed again by ``problem.path_sums`` and must reproduce its
+DP value; ``lagrangian_sweep`` costs its 14 paths as one batch.
 """
 
 from __future__ import annotations
@@ -29,7 +20,7 @@ from .classify import HypothesisReport
 from .convex import EnvelopeTable
 from .discretize import Discretization, nearest_index
 from .errors import CertificateError, DegenerateInputError, InfeasibleError
-from .problem import DPConfig, Problem, SweepReport, Trajectory
+from .problem import DPConfig, Problem, SweepReport, Trajectory, check_paths, path_sums
 
 SETTLE_TOL = 1e-9
 # Candidate entries a chunk of DP steps holds before it takes their
@@ -47,6 +38,7 @@ class _Tables:
     ``f_table``, and ``g_costs`` holds g on the state grid, each on the
     rows its integrand's ``table`` returns; time step i reads rows
     ``f_rows[i]`` and ``g_rows[i]``.  A DP trajectory carries ``f_table``.
+    ``theta_steps``, h*theta at the quotients, gives every budget's units.
     """
 
     disc: Discretization
@@ -56,6 +48,7 @@ class _Tables:
     g_costs: np.ndarray
     f_rows: np.ndarray
     g_rows: np.ndarray
+    theta_steps: np.ndarray | None
 
 
 def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
@@ -65,14 +58,15 @@ def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     g_costs, g_rows = problem.g.table(disc.times[:-1], disc.xs)
     if not np.isfinite(g_costs).all():
         raise DegenerateInputError("state cost g must be finite on the state grid")
-    return _Tables(disc, disc.step, table, f_costs, g_costs, f_rows, g_rows)
+    theta_steps = None if cfg.theta is None else disc.step * cfg.theta(disc.grid)
+    return _Tables(disc, disc.step, table, f_costs, g_costs, f_rows, g_rows, theta_steps)
 
 
 def _units(tab: _Tables, cfg: DPConfig, budget: float) -> np.ndarray:
     """Budget units of each quotient: h*theta(q) rounded up to whole quanta
     of budget/levels.  They do not increase as the budget grows."""
     quantum = budget / cfg.budget_levels
-    units = np.ceil(tab.step * cfg.theta(tab.disc.grid) / quantum)
+    units = np.ceil(tab.theta_steps / quantum)
     # counts above the levels are all inadmissible; clip them before the cast
     return np.clip(units, 0, cfg.budget_levels + 1).astype(np.int64)
 
@@ -91,41 +85,35 @@ def _dp(
     budget units: a path starts in column 0 and each step moves it up by
     the step's units, h*theta(q) rounded up to the quantum budget/levels,
     so any accepted path satisfies the true budget and feasibility can
-    only grow with the budget.  After i steps no column above i times the
-    largest admissible unit count holds a finite value, and the step skips
-    those columns.  Without a budget every step costs zero units and the
-    columns are the penalty rates: one for ``cfg.penalty``, or one per
-    entry of ``rates``, each with cost rows f** + rate*theta.
+    only grow with the budget; after i steps no column above i times the
+    largest unit count is finite, and the step skips those columns.
+    Without a budget every step costs zero units and the columns are the
+    penalty rates: one for ``cfg.penalty``, or one per entry of ``rates``,
+    each with cost rows f** + rate*theta.
 
-    Transitions are indexed by state offset (``Discretization.transitions``):
-    the value buffer is padded with inf by the largest offsets on the state
-    axis and by the largest admissible unit count on the column axis, so
-    every offset's predecessor values are one strided window of it.  A
-    step adds h*(g + f**) of each (offset, target) pair, inf where the
-    pair is not admissible, to those windows in one (offsets x columns x
-    states) block, with one add per (offset, unit count) segment when the
-    unit counts differ; the next value is the minimum over offsets, and
-    the backpointer the first offset that attains it, or -1 where no
-    candidate is finite.  Offsets run from the largest, so ties go to the
-    smallest predecessor.
+    Transitions are indexed by state offset (``Discretization.transitions``).
+    The value buffer is padded with inf, so every offset's predecessor
+    values are one strided window of it.  A step adds h*(g + f**) of each
+    (offset, target) pair, inf where the pair is not admissible, to those
+    windows in one (offsets x columns x states) block, one add per (offset,
+    unit count) segment when the counts differ, and takes the minimum over
+    offsets.  Offsets run from the largest, and the backpointer is the
+    first offset that attains the minimum, so ties go to the smallest
+    predecessor.  An unreachable target's backpointer is arbitrary: a walk
+    starts at a finite end value, and every predecessor of a finite value
+    is finite, so no walk reads it.
 
-    Steps are taken in chunks of K = CHUNK_ENTRIES // (offsets x columns x
-    states) steps, at least one and at most n_t.  Step s of a chunk adds
-    cost block s, block 0 when no row changes, to its windows into value
-    row s, into candidate block s, and writes their minimum to value row
-    s + 1.  The (window, cost, candidate) views of every segment are built
-    once per call: for the first K steps, after a budget DP's first steps,
-    which skip the higher columns that no path reaches yet; every later
-    step reuses those of the step a whole number of chunks before it.  So
-    a step is its adds and one minimum.  When a row of f or g changes
-    within the DP, the chunk's cost blocks are built before its steps, by
-    one gather of f** through the offset table, one add of g and one
-    multiply by h; else the one block is built once.  After the chunk's
-    last step one pass over the stored blocks and rows takes all its
-    backpointers by the rule above, and the last value row becomes the
-    first.  The chunk holds about CHUNK_ENTRIES candidates whatever n_t
-    is, and its cost blocks as many entries or fewer, so memory beyond
-    them grows with n_t only by the backpointers and the path.
+    Steps run in chunks of K = CHUNK_ENTRIES // (offsets x columns x states)
+    steps, at least one and at most n_t, on views built once per call:
+    step s of a chunk adds cost block s (block 0 when no row of f or g
+    changes) to its windows of value row s, into candidate block s, and
+    writes the minimum to value row s + 1.  When a row changes, a chunk's
+    cost blocks are built before its steps by one gather of f** through
+    the offset table, one add of g and one multiply by h.  After its last
+    step three passes take the chunk's backpointers: the candidates equal
+    to their minimum, that mask times the offsets' descending weights in
+    int8, and the maximum over offsets, the weight (rank) of the first
+    hit.  So memory grows with n_t only by the backpointers and the path.
 
     Returns (value, node path, quotient path), or Nones when the end node
     is unreachable; the paths are None unless ``want_path``.  With
@@ -221,14 +209,14 @@ def _dp(
     n_plans = len(plans)
     if not changing:
         build_costs(0, 1)
-    # backpointers: an offset row, or -1 where no candidate is finite
+    # Backpointers: the rank n_offsets - 1 - r of the first offset row r
+    # that attains the minimum, which has the largest weight; the walks
+    # turn a rank back into its row.
     back_type = np.min_scalar_type(-n_offsets)
-    back = np.full((cfg.n_t, n_cols, width), -1, back_type) if want_path else None
-    # the first offset row that attains the minimum has the largest weight
+    back = np.empty((cfg.n_t, n_cols, width), back_type) if want_path else None
     weights = np.arange(n_offsets - 1, -1, -1, dtype=back_type)[:, None, None]
     hits = np.empty(cand.shape, dtype=bool)
     ranks = np.empty(cand.shape, dtype=back_type)
-    first = np.empty((chunk, n_cols, width), dtype=back_type)
     for i0 in range(0, cfg.n_t, chunk):
         m = min(chunk, cfg.n_t - i0)
         if changing:
@@ -238,18 +226,15 @@ def _dp(
             for window, cost, out in adds:
                 np.add(window, cost, out=out)
             np.minimum.reduce(block, axis=0, out=row)
-        # The chunk's backpointers.  Columns at or beyond an earlier step's
-        # reach hold stale candidates, but their values are inf, so their
-        # backpointers are -1.
-        last = reach(i0 + m - 1)
+        # The chunk's backpointers, over every column: columns beyond an
+        # early step's reach hold stale candidates, and an unreachable
+        # target's rank is arbitrary, but its value is inf, so no walk
+        # reads it.
         if want_path:
-            best = values[1 : m + 1, :last]
-            np.equal(cand[:m, :, :last], best[:, None], out=hits[:m, :, :last])
-            np.multiply(hits[:m, :, :last].view(np.int8), weights, out=ranks[:m, :, :last])
-            np.maximum.reduce(ranks[:m, :, :last], axis=1, out=first[:m, :last])
-            steps = back[i0 : i0 + m, :last]
-            np.subtract(weights[0], first[:m, :last], out=steps)
-            np.copyto(steps, -1, where=best == np.inf)
+            np.equal(cand[:m], values[1 : m + 1, None], out=hits[:m])
+            np.multiply(hits[:m].view(np.int8), weights, out=ranks[:m])
+            np.maximum.reduce(ranks[:m], axis=1, out=back[i0 : i0 + m])
+        last = reach(i0 + m - 1)
         values[0, :last] = values[m, :last]
     column = values[0, :, top + disc.endpoints[1]]
     path = (top, pairs, units)
@@ -287,16 +272,17 @@ def _backtrack(tab, cfg, column, back, path, level):
     if back is None:
         return best, None, None
     top, pairs, units = path
-    k = tab.disc.endpoints[1]
-    nodes, quotients = [k], []
+    # Rank b is offset row r = last - b, and the predecessor of padded node
+    # K is K + r - top; a budget path spends units down the columns.
+    last, k = pairs.shape[0] - 1, top + tab.disc.endpoints[1]
+    padded = [k]
     for i in range(cfg.n_t - 1, -1, -1):
-        r = back.item(i, level, top + k)
-        q = pairs.item(r, top + k)
-        k -= top - r
-        nodes.append(k)
-        quotients.append(q)
-        level -= units.item(q)
-    return best, np.array(nodes[::-1], dtype=np.int64), np.array(quotients[::-1], dtype=np.int64)
+        r = last - back.item(i, level, k)
+        level -= units.item(pairs.item(r, k))
+        k += r - top
+        padded.append(k)
+    padded = np.array(padded[::-1], dtype=np.int64)
+    return best, padded - top, pairs[top - np.diff(padded), padded[1:]]
 
 
 def _backtrack_columns(tab, cfg, column, back, path):
@@ -311,16 +297,18 @@ def _backtrack_columns(tab, cfg, column, back, path):
         return results
     top, pairs, _ = path
     n_t, stride, width = cfg.n_t, back[0].size, pairs.shape[1]
-    end = top + tab.disc.endpoints[1]
+    last, end = pairs.shape[0] - 1, top + tab.disc.endpoints[1]
     # Each walk's flat index into back, at step i its target's padded
-    # node K in its column; the predecessor's is K + r - top.
+    # node K in its column; rank b is offset row r = last - b, and the
+    # predecessor's index is K + r - top one step down.
     at = (n_t - 1) * stride + found * width + end
     flat = back.reshape(-1)
-    offsets = np.empty((n_t, found.size), dtype=back.dtype)
+    ranks = np.empty((n_t, found.size), dtype=back.dtype)
     for i in range(n_t - 1, -1, -1):
-        flat.take(at, out=offsets[i])
-        at += offsets[i]
-        at -= stride + top
+        flat.take(at, out=ranks[i])
+        at -= ranks[i]
+        at += last - top - stride
+    offsets = last - ranks
     # padded nodes K_0 .. K_n_t, with K_i = K_i+1 + r_i - top
     padded = np.empty((found.size, n_t + 1), dtype=np.int64)
     padded[:, -1] = end
@@ -333,39 +321,39 @@ def _backtrack_columns(tab, cfg, column, back, path):
 
 
 def _solve(problem: Problem, cfg: DPConfig, tab: _Tables) -> Trajectory:
-    """The minimizer of the DP under ``cfg``, its speed budget included."""
+    """The minimizer of the DP under ``cfg``, its speed budget included,
+    whose recomputed cost must reproduce the DP value."""
     value, idx, qidx = _dp(tab, cfg, cfg.theta_budget, want_path=True)
     if value is None:
         if cfg.theta_budget is None:
             raise InfeasibleError("no admissible grid path connects the endpoints")
         raise InfeasibleError("speed budget excludes every admissible path")
-    return _checked(problem, cfg, tab, value, idx, qidx)
-
-
-def _checked(
-    problem: Problem, cfg: DPConfig, tab: _Tables, value: float, idx, qidx
-) -> Trajectory:
-    """The trajectory of a DP path, whose recomputed cost must reproduce
-    the DP value."""
-    xs = tab.disc.xs
-    states = xs[idx]
-    q = tab.disc.grid[qidx]
+    disc, xs = tab.disc, tab.disc.xs
+    states, q = xs[idx], disc.grid[qidx]
     warnings = []
     interior = states[1:-1]
     if interior.size and (np.any(interior == xs[0]) or np.any(interior == xs[-1])):
         warnings.append("boundary-contact")
     if np.any(np.abs(q) >= problem.velocity_cap * (1.0 - 1e-12)):
         warnings.append("cap-saturation")
-    f_values = tab.f_costs[tab.f_rows, qidx]
-    g_values = tab.g_costs[tab.g_rows, idx[:-1]]
-    costing = (tab.disc, tab.disc.times[:-1].copy(), tab.f_table, tab.f_rows)
+    costing = (disc, disc.times[:-1].copy(), tab.f_table, tab.f_rows)
     traj = Trajectory.costed(
-        tab.disc.times, states, q, f_values, g_values, cfg.theta, tuple(warnings), costing
+        disc.times, states, q, *_path_values(tab, idx, qidx), cfg.theta, tuple(warnings), costing
     )
     total = traj.value if cfg.theta is None else traj.value + cfg.penalty * traj.theta_value
-    if abs(total - value) > 1e-9 * (1.0 + abs(total)):
-        raise CertificateError("trajectory cost does not reproduce the DP value")
+    _reproduces(total, value)
     return traj
+
+
+def _path_values(tab: _Tables, idx, qidx):
+    """f** and g of each interval of DP paths, one along the last axis."""
+    return tab.f_costs[tab.f_rows, qidx], tab.g_costs[tab.g_rows, idx[..., :-1]]
+
+
+def _reproduces(totals, values) -> None:
+    """Raise unless each recomputed path cost reproduces its DP value."""
+    if np.any(np.abs(totals - values) > 1e-9 * (1.0 + np.abs(totals))):
+        raise CertificateError("trajectory cost does not reproduce the DP value")
 
 
 def solve_relaxed(problem: Problem, cfg: DPConfig) -> Trajectory:
@@ -499,8 +487,9 @@ def lagrangian_sweep(
     """Fast dual lower bound on the budget-constrained values.
 
     One DP pass solves the penalized problem for every multiplier of
-    ``MULTIPLIERS``, with one cost column f** + multiplier*theta each, and
-    every column's path is costed again and must reproduce its DP value.
+    ``MULTIPLIERS``, with one cost column f** + multiplier*theta each.  The
+    14 paths are costed again as one batch, by the rule and the checks of
+    a ``Trajectory``, and each must reproduce its DP value.
     Each multiplier contributes the affine bound (penalized minimum) -
     multiplier * budget, and the pointwise maximum over multipliers bounds
     the constrained value from below.  This is an approximation; the
@@ -510,16 +499,17 @@ def lagrangian_sweep(
         raise CertificateError("Lagrangian sweep requires a Nagumo entry")
     budgets = _budget_schedule(budget_schedule)
     tab = _tables(problem, cfg)
-    penalized_minima = []
-    for rate, (value, idx, qidx) in zip(
-        MULTIPLIERS, _dp(tab, cfg, None, want_path=True, rates=MULTIPLIERS)
-    ):
-        if value is None:
-            raise InfeasibleError("no admissible grid path connects the endpoints")
-        rated = replace(cfg, penalty=float(rate))
-        traj = _checked(problem, rated, tab, value, idx, qidx)
-        penalized_minima.append(traj.value + float(rate) * traj.theta_value)
-    duals = np.array(penalized_minima)[:, None] - MULTIPLIERS[:, None] * budgets[None, :]
+    columns = _dp(tab, cfg, None, want_path=True, rates=MULTIPLIERS)
+    if any(value is None for value, _, _ in columns):
+        raise InfeasibleError("no admissible grid path connects the endpoints")
+    dp_values, idx, qidx = (np.array(part) for part in zip(*columns))
+    disc = tab.disc
+    states, q = disc.xs[idx], disc.grid[qidx]
+    f_cost, g_cost, theta_value = path_sums(disc.times, *_path_values(tab, idx, qidx), cfg.theta, q)
+    check_paths(disc.times, states, q, f_cost + g_cost)
+    penalized_minima = f_cost + g_cost + MULTIPLIERS * theta_value
+    _reproduces(penalized_minima, dp_values)
+    duals = penalized_minima[:, None] - MULTIPLIERS[:, None] * budgets[None, :]
     values = [float(v) for v in duals.max(axis=0)]
     return SweepReport(
         budgets=budgets, values=values, settle_index=settle_index(budgets, values)

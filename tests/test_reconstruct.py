@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from rearrange_reference import order_costs, rearrange_reference
 from varelax import cli, reconstruct
-from varelax.catalog import state_function, time_factor, velocity_function
+from varelax.catalog import nagumo_function, state_function, time_factor, velocity_function
 from varelax.convex import CaratheodoryDecomposition
 from varelax.discretize import Discretization
 from varelax.errors import InfeasibleError
 from varelax.families import IntegrandFamily
-from varelax.problem import DPConfig, Problem, Trajectory, running_sum
+from varelax.problem import DPConfig, Problem, Trajectory, path_sums, running_sum
 from varelax.reconstruct import compare_costs, decompose_velocities, rearrange
 from varelax.solve import solve_relaxed
 
@@ -437,6 +437,36 @@ class TestRearrangeStaysInTheBox:
 
 
 class TestMergedRulesKeepTheirBits:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        paths=st.integers(1, 6),
+        intervals=st.integers(1, 512),
+        seed=st.integers(0, 2**32 - 1),
+        theta=st.sampled_from([("power_p", {"p": 2.0}), ("exp_minus_linear", None)]),
+    )
+    def test_batched_path_sums_give_each_row_its_bits(self, paths, intervals, seed, theta):
+        # lagrangian_sweep costs its paths as one (paths, intervals) batch;
+        # past 128 terms numpy's pairwise sum of the theta values splits
+        # into blocks, and mixed magnitudes show any reassociation
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.integers(-12, 13, (2, paths, intervals))
+        f_values, g_values = rng.uniform(-1.0, 1.0, (2, paths, intervals)) * scales
+        velocities = rng.uniform(-4.0, 4.0, (paths, intervals))
+        times = np.linspace(0.0, rng.uniform(0.5, 4.0), intervals + 1)
+        h, nagumo = float(times[1] - times[0]), nagumo_function(*theta)
+        batch = path_sums(times, f_values, g_values, nagumo, velocities)
+        assert [b.shape for b in batch] == [(paths,)] * 3
+        for row in range(paths):
+            # the 1-D rule, as Trajectory.costed applies it
+            want = (
+                running_sum(h * f_values[row]),
+                running_sum(h * g_values[row]),
+                float(h * np.sum(nagumo(velocities[row]))),
+            )
+            single = path_sums(times, f_values[row], g_values[row], nagumo, velocities[row])
+            assert all(same_bits(b[row], w) for b, w in zip(batch, want))
+            assert all(same_bits(one, w) for one, w in zip(single, want))
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(

@@ -711,6 +711,21 @@ class TestChunkedBackpointers:
             ),
             DPConfig(n_t=9, n_x=17, theta=THETA, budget_levels=8),
         ),
+        # the path starts at the box's lower corner and moves at most two
+        # nodes a step, so after step i every node above 2i is unreachable;
+        # g falls with x, and the plain path climbs along that frontier
+        (
+            Problem(
+                horizon=1.0,
+                start=-0.5,
+                end=-0.5,
+                f=IntegrandFamily(base=velocity_function("double_well")),
+                g=IntegrandFamily(base=state_function("affine", {"slope": -1.0, "offset": 0.0})),
+                state_box=(-0.5, 0.5),
+                velocity_cap=1.25,
+            ),
+            DPConfig(n_t=9, n_x=17, theta=THETA, budget_levels=8),
+        ),
     )
 
     # steps per chunk: one, a non-divisor of the odd n_t, and all of them
@@ -751,6 +766,25 @@ class TestChunkedBackpointers:
                 assert value.hex() == bare.hex() == float(ref_value).hex()
                 np.testing.assert_array_equal(idx, ref_idx)
                 np.testing.assert_array_equal(qidx, ref_qidx)
+
+    def test_per_rate_layout_at_one_step_per_chunk(self):
+        # lagrangian_sweep on budget-sweep's 64x129 grid: a step's block of
+        # 9 offsets x 14 columns x 137 padded states fills a chunk alone.
+        # The layout test above patches CHUNK_ENTRIES; this one runs the
+        # shipped value and checks that it gives one step per chunk here.
+        loaded = parse_problem(PROBLEMS / "quadratic.json")
+        problem, cfg = loaded.problem, replace(loaded.config, n_t=64, n_x=129)
+        tab = _tables(problem, cfg)
+        assert step_entries(tab, solve.MULTIPLIERS.size) == 9 * 14 * 137
+        assert solve.CHUNK_ENTRIES // step_entries(tab, solve.MULTIPLIERS.size) == 1
+        columns = _dp(tab, cfg, None, True, rates=solve.MULTIPLIERS)
+        for rate, (value, idx, qidx) in zip(solve.MULTIPLIERS, columns):
+            rated = replace(cfg, penalty=float(rate))
+            ref_value, ref_states = dense_reference_dp(problem, rated)
+            _, ref_idx, ref_qidx = dense_path_indices(problem, rated, ref_states)
+            assert value.hex() == float(ref_value).hex()
+            np.testing.assert_array_equal(idx, ref_idx)
+            np.testing.assert_array_equal(qidx, ref_qidx)
 
     def test_peak_grows_only_by_the_backpointers(self):
         # doublewell with its cap scaled to the grid, so both grids have the
@@ -931,6 +965,32 @@ class TestSweepsAgainstPerEntrySolves:
             minima.append(traj.value + float(rate) * traj.theta_value)
         duals = np.array(minima)[:, None] - multipliers[:, None] * schedule[None, :]
         assert report.values == [float(v) for v in duals.max(axis=0)]
+
+    @pytest.mark.parametrize(
+        "column, broken, error",
+        [
+            # a DP value 1e-6 off its path's recomputed cost
+            (0, lambda value, idx, qidx: (value + 1e-6, idx, qidx), CertificateError),
+            (13, lambda value, idx, qidx: (value - 1e-6, idx, qidx), CertificateError),
+            # a column whose end node is unreachable
+            (6, lambda value, idx, qidx: (None, None, None), InfeasibleError),
+        ],
+    )
+    def test_lagrangian_sweep_checks_every_column(self, monkeypatch, column, broken, error):
+        loaded = parse_problem(PROBLEMS / "quadratic.json")
+        problem, cfg = loaded.problem, replace(loaded.config, n_t=16, n_x=17)
+        schedule = np.linspace(0.25, 4.0, 16)
+        lagrangian_sweep(problem, cfg, schedule)
+        kernel = solve._dp
+
+        def perturbed(*args, **kwargs):
+            results = kernel(*args, **kwargs)
+            results[column] = broken(*results[column])
+            return results
+
+        monkeypatch.setattr(solve, "_dp", perturbed)
+        with pytest.raises(error):
+            lagrangian_sweep(problem, cfg, schedule)
 
     def test_fewest_units_decide_feasibility(self):
         # the README sweep: no 256-step path fits 64 levels of l = 4

@@ -98,15 +98,11 @@ def _pair_quotients(xs: np.ndarray, step: float, cap: float) -> np.ndarray:
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """``numpy.unique(values)`` of finite values, from a sort and a mask of
-    changed values, without the ``numpy.ma`` import that ``numpy.unique``
-    makes.  Equal values then have equal bits, except 0.0 and -0.0: where
-    both occur, which ones ``numpy.unique`` keeps is up to its hash table,
-    so those arrays go to it."""
-    signs = np.signbit(values[values == 0.0])
-    if signs.any() and not signs.all():
-        return np.unique(values)
-    ordered = np.sort(values)
+    """The distinct finite values, sorted, from a sort and a mask of changed
+    values, without the ``numpy.ma`` import that ``numpy.unique`` makes.
+    -0.0 counts as 0.0 (adding 0.0 maps it there and keeps every other
+    value's bits), so equal values have equal bits."""
+    ordered = np.sort(values + 0.0)
     return ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
 
 
@@ -218,8 +214,9 @@ class Discretization:
         carries when it was built for this f, exactly these times and
         exactly this grid, else a new one."""
         if trajectory is not None and trajectory.costing is not None:
-            disc, built_for, table, rows = trajectory.costing
+            disc, table, rows = trajectory.costing
             same_f = disc.problem.f is self.problem.f
+            built_for = trajectory.times[:-1]
             if same_f and _same_bits(built_for, times) and _same_bits(table.grid, self.grid):
                 return table, rows
         values, rows = self.problem.f.table(times, self.grid)

@@ -264,7 +264,7 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
         table, rows, f_values, g_values = disc.extended(vels).path_costs(
             times[:-1], states[:-1], vels
         )
-        costing = (disc, times[:-1].copy(), table, rows)
+        costing = (disc, table, rows)
         return Trajectory.costed(
             times, states, vels, f_values, g_values, theta=cfg.theta, costing=costing
         )

@@ -133,8 +133,8 @@ class Trajectory:
     theta_value: float | None = None
     warnings: tuple[str, ...] = ()
     # The costing that gave f_cost, when a table did: (the Discretization
-    # of its problem and grid, interval times, f's EnvelopeTable, each
-    # interval's row).  ``costed`` sets it; it is not a field, so reports,
+    # of its problem and grid, f's EnvelopeTable, the row of each interval
+    # time times[:-1]).  ``costed`` sets it; it is not a field, so reports,
     # repr and equality never see it, and only ``Discretization`` reads it.
     costing = None
 

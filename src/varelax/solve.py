@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .classify import HypothesisReport
+from .classify import HypothesisReport, _finite_table
 from .convex import EnvelopeTable
 from .discretize import Discretization, nearest_index
-from .errors import CertificateError, DegenerateInputError, InfeasibleError
+from .errors import CertificateError, InfeasibleError
 from .problem import DPConfig, Problem, SweepReport, Trajectory, check_paths, path_sums
 
 SETTLE_TOL = 1e-9
@@ -38,7 +38,7 @@ class _Tables:
     ``f_table``, and ``g_costs`` holds g on the state grid, each on the
     rows its integrand's ``table`` returns; time step i reads rows
     ``f_rows[i]`` and ``g_rows[i]``.  A DP trajectory carries ``f_table``.
-    ``theta_steps``, h*theta at the quotients, gives every budget's units.
+    ``thetas``, theta at the quotients, prices penalties and budgets.
     """
 
     disc: Discretization
@@ -48,25 +48,24 @@ class _Tables:
     g_costs: np.ndarray
     f_rows: np.ndarray
     g_rows: np.ndarray
-    theta_steps: np.ndarray | None
+    thetas: np.ndarray | None
 
 
 def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     disc = Discretization.of(problem, cfg)
-    table, f_rows = disc.envelope_table(disc.times[:-1])
+    times = disc.times[:-1]
+    table, f_rows = disc.envelope_table(times)
     f_costs = table.at(np.arange(len(table.values))[:, None], disc.grid)
-    g_costs, g_rows = problem.g.table(disc.times[:-1], disc.xs)
-    if not np.isfinite(g_costs).all():
-        raise DegenerateInputError("state cost g must be finite on the state grid")
-    theta_steps = None if cfg.theta is None else disc.step * cfg.theta(disc.grid)
-    return _Tables(disc, disc.step, table, f_costs, g_costs, f_rows, g_rows, theta_steps)
+    g_costs, g_rows = _finite_table(problem.g, times, disc.xs, "state cost g", "the state grid")
+    thetas = None if cfg.theta is None else cfg.theta(disc.grid)
+    return _Tables(disc, disc.step, table, f_costs, g_costs, f_rows, g_rows, thetas)
 
 
 def _units(tab: _Tables, cfg: DPConfig, budget: float) -> np.ndarray:
     """Budget units of each quotient: h*theta(q) rounded up to whole quanta
     of budget/levels.  They do not increase as the budget grows."""
     quantum = budget / cfg.budget_levels
-    units = np.ceil(tab.theta_steps / quantum)
+    units = np.ceil(tab.disc.step * tab.thetas / quantum)
     # counts above the levels are all inadmissible; clip them before the cast
     return np.clip(units, 0, cfg.budget_levels + 1).astype(np.int64)
 
@@ -86,7 +85,7 @@ def _dp(
     the step's units, h*theta(q) rounded up to the quantum budget/levels,
     so any accepted path satisfies the true budget and feasibility can
     only grow with the budget; after i steps no column above i times the
-    largest unit count is finite, and the step skips those columns.
+    largest unit count is finite, and a chunk of steps skips those columns.
     Without a budget every step costs zero units and the columns are the
     penalty rates: one for ``cfg.penalty``, or one per entry of ``rates``,
     each with cost rows f** + rate*theta.
@@ -104,16 +103,17 @@ def _dp(
     is finite, so no walk reads it.
 
     Steps run in chunks of K = CHUNK_ENTRIES // (offsets x columns x states)
-    steps, at least one and at most n_t, on views built once per call:
-    step s of a chunk adds cost block s (block 0 when no row of f or g
-    changes) to its windows of value row s, into candidate block s, and
-    writes the minimum to value row s + 1.  When a row changes, a chunk's
-    cost blocks are built before its steps by one gather of f** through
-    the offset table, one add of g and one multiply by h.  After its last
-    step three passes take the chunk's backpointers: the candidates equal
-    to their minimum, that mask times the offsets' descending weights in
-    int8, and the maximum over offsets, the weight (rank) of the first
-    hit.  So memory grows with n_t only by the backpointers and the path.
+    steps, at least one and at most n_t, on views built once per call (per
+    chunk over its columns in a budget DP's early chunks): step s of a
+    chunk adds cost block s (block 0 when no row of f or g changes) to its
+    windows of value row s, into candidate block s, and writes the minimum
+    to value row s + 1.  When a row changes, a chunk's cost blocks are
+    built before its steps by one gather of f** through the offset table,
+    one add of g and one multiply by h.  After its last step three passes
+    take the chunk's backpointers: the candidates equal to their minimum,
+    that mask in int8 times the offsets' descending weights, and the
+    maximum over offsets, the weight (rank) of the first hit.  So memory
+    grows with n_t only by the backpointers and the path.
 
     Returns (value, node path, quotient path), or Nones when the end node
     is unreachable; the paths are None unless ``want_path``.  With
@@ -122,11 +122,10 @@ def _dp(
     per_rate = rates is not None
     disc = tab.disc
     top, table = disc.transitions
-    reps = disc.grid
     n_offsets, n_x = table.shape
-    n_q = reps.size
+    n_q = disc.grid.size
     columns = [
-        tab.f_costs + rate * cfg.theta(reps) if rate > 0.0 else tab.f_costs
+        tab.f_costs + rate * tab.thetas if rate > 0.0 else tab.f_costs
         for rate in (map(float, rates) if per_rate else [cfg.penalty])
     ]
     # [f row, cost column, quotient], with inf at the sentinel quotient n_q
@@ -197,16 +196,7 @@ def _dp(
         ]
         return adds, block, values[s + 1, :cols]
 
-    def reach(i):
-        """Columns that may be finite after step i; later ones are all inf."""
-        return min(n_cols, start + (i + 1) * u_max)
-
-    # a budget DP's first n_early steps reach fewer columns than the rest
-    full, n_early = reach(cfg.n_t - 1), 0
-    while reach(n_early) < full:
-        n_early += 1
-    plans = [views(i % chunk, reach(i)) for i in range(min(cfg.n_t, n_early + chunk))]
-    n_plans = len(plans)
+    plans = [views(s, n_cols) for s in range(chunk)]
     if not changing:
         build_costs(0, 1)
     # Backpointers: the rank n_offsets - 1 - r of the first offset row r
@@ -219,22 +209,22 @@ def _dp(
     ranks = np.empty(cand.shape, dtype=back_type)
     for i0 in range(0, cfg.n_t, chunk):
         m = min(chunk, cfg.n_t - i0)
+        # columns that may be finite after the chunk; later ones are all inf
+        last = min(n_cols, start + (i0 + m) * u_max)
         if changing:
             build_costs(i0, m)
-        for i in range(i0, i0 + m):
-            adds, block, row = plans[i] if i < n_plans else plans[n_early + (i - n_early) % chunk]
+        for adds, block, row in plans[:m] if last == n_cols else [views(s, last) for s in range(m)]:
             for window, cost, out in adds:
                 np.add(window, cost, out=out)
             np.minimum.reduce(block, axis=0, out=row)
         # The chunk's backpointers, over every column: columns beyond an
-        # early step's reach hold stale candidates, and an unreachable
+        # early chunk's reach hold stale candidates, and an unreachable
         # target's rank is arbitrary, but its value is inf, so no walk
         # reads it.
         if want_path:
             np.equal(cand[:m], values[1 : m + 1, None], out=hits[:m])
             np.multiply(hits[:m].view(np.int8), weights, out=ranks[:m])
             np.maximum.reduce(ranks[:m], axis=1, out=back[i0 : i0 + m])
-        last = reach(i0 + m - 1)
         values[0, :last] = values[m, :last]
     column = values[0, :, top + disc.endpoints[1]]
     path = (top, pairs, units)
@@ -336,7 +326,7 @@ def _solve(problem: Problem, cfg: DPConfig, tab: _Tables) -> Trajectory:
         warnings.append("boundary-contact")
     if np.any(np.abs(q) >= problem.velocity_cap * (1.0 - 1e-12)):
         warnings.append("cap-saturation")
-    costing = (disc, disc.times[:-1].copy(), tab.f_table, tab.f_rows)
+    costing = (disc, tab.f_table, tab.f_rows)
     traj = Trajectory.costed(
         disc.times, states, q, *_path_values(tab, idx, qidx), cfg.theta, tuple(warnings), costing
     )

@@ -654,7 +654,8 @@ class TestDiscretizationOwnsTheGrid:
         extra = np.clip(
             data.draw(st.lists(st.one_of(free, nudged), min_size=1, max_size=12)), -cap, cap
         )
-        want = merge_close_velocities(np.unique(np.concatenate([brute, extra])))
+        # -0.0 counts as 0.0, as in Discretization.extended
+        want = merge_close_velocities(np.unique(np.concatenate([brute, extra]) + 0.0))
         assert same_bits(disc.extended(extra).grid, want)
 
 

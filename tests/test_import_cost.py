@@ -67,6 +67,8 @@ def test_import_and_lp_free_commands_load_no_scipy(tmp_path):
     dw, quad = str(PROBLEMS / "doublewell.json"), str(PROBLEMS / "quadratic.json")
     tv = str(PROBLEMS / "doublewell_timevarying.json")
     traj = str(tmp_path / "dw_relaxed.csv")
+    rest = tmp_path / "rest.csv"
+    rest.write_text("t,x,xdot\n" + "".join(f"{k / 128!r},0.0,-0\n" for k in range(129)))
     commands = [
         ["relax", dw, "--out", traj],
         ["verify", dw, "--traj", traj, "--out", str(tmp_path / "dw_verify.json")],
@@ -77,6 +79,9 @@ def test_import_and_lp_free_commands_load_no_scipy(tmp_path):
         # the grid of the budget-sweep benchmark, where the sweep settles
         ["sweep", quad, "--n-t", "64", "--n-x", "129", "--l-schedule", "0.25:4:16",
          "--out", str(tmp_path / "sweep.json")],
+        # a resting path whose velocities are written -0, beside the grid's 0
+        ["verify", dw, "--traj", str(rest), "--out", str(tmp_path / "rest_verify.json")],
+        ["decompose", dw, "--traj", str(rest), "--out", str(tmp_path / "rest_dec.json")],
     ]
     seen = run_fresh(commands)
     # the exit codes of the same commands with scipy importable

@@ -215,6 +215,27 @@ def test_bad_trajectory_ends_with_one_error_line(name, command, tmp_path, capsys
     assert_one_error_line(argv, 2, message, capsys)
 
 
+# --l-schedule values that cli._parse_schedule refuses, with their errors
+BAD_SCHEDULES = {
+    "0.25:4": "--l-schedule must be start:stop:count",
+    "a:4:16": "--l-schedule: could not convert string to float: 'a'",
+    "0.25:4:2.5": "--l-schedule: invalid literal for int() with base 10: '2.5'",
+    "4:0.25:16": "--l-schedule needs 0 < start < stop and count >= 2",
+    "0.25:4:1": "--l-schedule needs 0 < start < stop and count >= 2",
+    "nan:4:16": "--l-schedule needs 0 < start < stop and count >= 2",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("schedule", sorted(BAD_SCHEDULES))
+def test_bad_l_schedule_ends_with_one_error_line(schedule, tmp_path, capsys):
+    doc = copy.deepcopy(BASE)
+    doc["numerics"]["theta"] = THETA
+    problem = write(tmp_path / "case.json", json.dumps(doc))
+    argv = ["sweep", problem, "--l-schedule", schedule, "--out", str(tmp_path / "out")]
+    assert_one_error_line(argv, 2, f"error: {BAD_SCHEDULES[schedule]}", capsys)
+
+
 def test_the_straight_path_is_a_valid_trajectory(tmp_path):
     """The CSV cases above break one check each of this valid file."""
     problem = write(tmp_path / "case.json", json.dumps(BASE))

@@ -407,6 +407,36 @@ class TestCliExitCodes:
         for name in ("run.json", "run_relaxed.csv", "run_reconstructed.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
+    def test_relax_warns_when_the_hypotheses_fail(self, tmp_path, capsys):
+        # kappa = 100 gives g slope beta = 25 > B = 4.34, so H2 fails
+        doc = json.loads((PROBLEMS / "doublewell_concave.json").read_text())
+        doc["g"]["base"]["params"]["kappa"] = 100.0
+        problem = write_problem(tmp_path, doc)
+        out = tmp_path / "traj.csv"
+        argv = ["relax", str(problem), "--n-t", "32", "--n-x", "33", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: hypothesis constants failed on the probe box; solving anyway\n"
+        )
+        assert json.loads((tmp_path / "traj_dr.json").read_text())["hypotheses_pass"] is False
+
+    def test_signed_zero_velocities_give_one_report(self, tmp_path):
+        # 0 is a hull vertex of v^2 on this grid, so decompose lists it
+        doc = json.loads((PROBLEMS / "quadratic.json").read_text())
+        doc["horizon"].update(a=0.0, b=0.0)
+        problem = str(write_problem(tmp_path, doc))
+        grid = ["--n-t", "128", "--n-x", "129"]
+        for command in ("verify", "decompose"):
+            reports = []
+            for zero in ("-0", "0"):
+                traj = tmp_path / f"rest{zero}.csv"
+                rows = "".join(f"{k / 128!r},0.0,{zero}\n" for k in range(129))
+                traj.write_text("t,x,xdot\n" + rows, encoding="utf-8")
+                out = tmp_path / f"{command}{zero}.json"
+                assert main([command, problem, *grid, "--traj", str(traj), "--out", str(out)]) == 0
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1]
+
 
 class TestExitCodeTable:
     """``main`` turns every library error into one ``error:`` line and the

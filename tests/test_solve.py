@@ -321,6 +321,21 @@ class TestCoercivityBound:
         report = coercivity_bound_check(shifted, traj, hypothesis_check(shifted), cfg)
         assert report.consistent
 
+    def test_no_velocity_bound_when_the_state_slope_dominates(self):
+        # g = -100 x^2 has slope beta = 25 > B = 4.34 at T = 1, so
+        # B - beta * T <= 0 bounds no speed and the other two checks decide
+        problem = make_problem(
+            "double_well", g_name="concave_quadratic", g_params={"kappa": 100.0},
+            start=0.0, end=0.0, state_box=(-0.25, 0.25),
+        )
+        cfg = DPConfig(n_t=32, n_x=33)
+        hyp = hypothesis_check(problem)
+        assert hyp.f_bound_slope - hyp.g_bound_slope * problem.horizon <= 0.0
+        report = coercivity_bound_check(problem, solve_relaxed(problem, cfg), hyp, cfg)
+        assert report.velocity_l1_bound is None and report.velocity_bound_ok is None
+        assert report.consistent == (report.reference_ok and report.lower_bound_ok)
+        assert report.consistent
+
 
 
 @st.composite
@@ -384,6 +399,17 @@ class TestStateCostChecked:
             warnings.filterwarnings("ignore", "overflow", RuntimeWarning)
             with pytest.raises(DegenerateInputError, match="state cost g"):
                 solve_relaxed(problem, DPConfig(n_t=8, n_x=9))
+
+    def test_overflow_is_reported_once_without_a_warning(self):
+        problem = make_problem(
+            "double_well", g_name="concave_quadratic", g_params={"kappa": 1e308},
+            state_box=(-2.0, 2.0), velocity_cap=8.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateInputError) as info:
+                solve_relaxed(problem, DPConfig(n_t=8, n_x=9))
+        assert str(info.value) == "state cost g must be finite on the state grid"
 
 
 class TestBudgetUnitOverflow:

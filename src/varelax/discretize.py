@@ -56,6 +56,8 @@ def _place(xs: np.ndarray, v: float, start: float) -> np.ndarray:
 
 
 MERGE_TOL = 1e-12
+# Quotient-array entries that ``offset_table`` places per pass, to bound its temporaries.
+BLOCK_ENTRIES = 2**15
 
 
 def merge_close_velocities(values: np.ndarray) -> np.ndarray:
@@ -131,9 +133,11 @@ def offset_table(quotients: np.ndarray, points: np.ndarray) -> tuple[int, np.nda
     are too close to tell apart."""
     top, sentinel = quotients.shape[0] // 2, points.size
     table = np.full(quotients.shape, sentinel, np.min_scalar_type(sentinel))
-    for row, q in zip(table, quotients):  # row by row, to bound the temporaries
+    per_block = max(1, BLOCK_ENTRIES // quotients.shape[1])
+    for r in range(0, len(table), per_block):  # row blocks of a fixed entry budget
+        q, out = quotients[r : r + per_block], table[r : r + per_block]
         admissible = np.isfinite(q)
-        row[admissible] = nearest_index(points, q[admissible])
+        out[admissible] = nearest_index(points, q[admissible])
     ordered = np.sort(table, axis=0)
     if np.any((ordered[1:] == ordered[:-1]) & (ordered[1:] < sentinel)):
         raise InfeasibleError("two state nodes are closer than one step's quotients resolve")

@@ -250,7 +250,7 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
     data = np.array(rows)
     if not np.all(np.isfinite(data)):
         raise SchemaError(f"{path}: trajectory values must be finite")
-    times, states, vels = data[:, 0], data[:, 1], data[:, 2][:-1]
+    times, states, vels = data[:, 0], data[:, 1], data[:, 2][:-1] + 0.0  # -0.0 reads as 0.0
     tol = 1e-9 * problem.horizon
     if abs(times[0]) > tol or abs(times[-1] - problem.horizon) > tol:
         raise SchemaError(f"{path}: times must run from 0 to T = {problem.horizon!r}")

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .classify import HypothesisReport, _finite_table
 from .convex import EnvelopeTable
@@ -61,11 +61,11 @@ def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     return _Tables(disc, disc.step, table, f_costs, g_costs, f_rows, g_rows, thetas)
 
 
-def _units(tab: _Tables, cfg: DPConfig, budget: float) -> np.ndarray:
-    """Budget units of each quotient: h*theta(q) rounded up to whole quanta
-    of budget/levels.  They do not increase as the budget grows."""
-    quantum = budget / cfg.budget_levels
-    units = np.ceil(tab.disc.step * tab.thetas / quantum)
+def _units(tab: _Tables, cfg: DPConfig, budgets: float | np.ndarray) -> np.ndarray:
+    """Budget units of each quotient, a row per budget of an array: h*theta(q)
+    rounded up to whole quanta of budget/levels, never rising with the budget."""
+    quanta = np.divide(budgets, cfg.budget_levels)[..., None]
+    units = np.ceil(tab.disc.step * tab.thetas / quanta)
     # counts above the levels are all inadmissible; clip them before the cast
     return np.clip(units, 0, cfg.budget_levels + 1).astype(np.int64)
 
@@ -103,9 +103,10 @@ def _dp(
     is finite, so no walk reads it.
 
     Steps run in chunks of K = CHUNK_ENTRIES // (offsets x columns x states)
-    steps, at least one and at most n_t, on views built once per call (per
-    chunk over its columns in a budget DP's early chunks): step s of a
-    chunk adds cost block s (block 0 when no row of f or g changes) to its
+    steps, at least one and at most n_t, after a set-up in whole-array
+    calls, on views cut once per call from one view per segment over all K
+    slots (per chunk over its columns in a budget DP's early chunks): step s
+    of a chunk adds cost block s (block 0 when no row of f or g changes) to its
     windows of value row s, into candidate block s, and writes the minimum
     to value row s + 1.  When a row changes, a chunk's cost blocks are
     built before its steps by one gather of f** through the offset table,
@@ -124,15 +125,14 @@ def _dp(
     top, table = disc.transitions
     n_offsets, n_x = table.shape
     n_q = disc.grid.size
-    columns = [
-        tab.f_costs + rate * tab.thetas if rate > 0.0 else tab.f_costs
-        for rate in (map(float, rates) if per_rate else [cfg.penalty])
-    ]
+    rates = rates if per_rate else [cfg.penalty]
     # [f row, cost column, quotient], with inf at the sentinel quotient n_q
-    costs = np.pad(np.stack(columns, axis=1), ((0, 0), (0, 0), (0, 1)), constant_values=np.inf)
+    costs = np.full((len(tab.f_costs), len(rates), n_q + 1), np.inf)
+    for c, rate in enumerate(map(float, rates)):
+        costs[:, c, :n_q] = tab.f_costs + rate * tab.thetas if rate > 0.0 else tab.f_costs
     if budget is None:
         units = np.zeros(n_q + 1, dtype=np.int64)
-        n_cols = start = costs.shape[1]
+        n_cols = start = len(rates)
     else:
         units = np.append(_units(tab, cfg, budget), 0)
         n_cols, start = cfg.budget_levels + 1, 1
@@ -140,7 +140,8 @@ def _dp(
     # wide enough for every offset; the table gets the same padding, as
     # inadmissible pairs.
     width = n_x + n_offsets - 1
-    pairs = np.pad(table.astype(np.intp), ((0, 0), (top, width - n_x - top)), constant_values=n_q)
+    pairs = np.full((n_offsets, width), n_q, np.intp)
+    pairs[:, top : top + n_x] = table
     # a quotient whose units exceed the levels is never admissible
     pairs[units[pairs] >= n_cols] = n_q
     pair_units = units[pairs]
@@ -157,20 +158,23 @@ def _dp(
     buffers = np.full((chunk + 1, rows * width), np.inf)
     values = buffers.reshape(chunk + 1, rows, width)[:, 1 + u_max : 1 + u_max + n_cols]
     values[0, :start, top + disc.endpoints[0]] = 0.0
-    windows = sliding_window_view(buffers, n_cols * width, axis=1)
-    windows = windows.reshape(chunk + 1, -1, n_cols, width)
+    (pitch, item), shape = buffers.strides, (chunk + 1, (rows - n_cols) * width + 1, n_cols, width)
+    windows = as_strided(buffers, shape, (pitch, item, width * item, item), writeable=False)
     cand = np.empty((chunk, n_offsets, n_cols, width))
     # Cost blocks [slot, offset, cost column, padded target]: one per step
-    # of a chunk when a row changes, else one for all steps; the budget
-    # columns share one cost column.  An f row's flat entry c * (n_q + 1)
-    # + pairs[r, k] is its cost column c at the pair (r, k), and g of the
-    # predecessor, node k - (top - r), sits at r + top + k of g's padded row.
-    changing = bool(np.any(tab.f_rows != tab.f_rows[0]) or np.any(tab.g_rows != tab.g_rows[0]))
+    # of a chunk when a row changes (a table has a row per distinct time),
+    # else one for all steps; the budget columns share one cost column.  An
+    # f row's flat entry c * (n_q + 1) + pairs[r, k] is its cost column c
+    # at the pair (r, k), and g of the predecessor, node k - (top - r), sits
+    # at r + top + k of g's padded row.
+    changing = len(tab.f_costs) > 1 or len(tab.g_costs) > 1
     cost_cols = costs.shape[1]
     step_costs = np.empty((chunk if changing else 1, n_offsets, cost_cols, width))
     flat_pairs = pairs[:, None, :] + (n_q + 1) * np.arange(cost_cols)[:, None]
     g_ext = np.full((len(step_costs), width + n_offsets - 1), np.inf)
-    g_windows = sliding_window_view(g_ext, width, axis=1)[:, :, None]
+    g_windows = as_strided(
+        g_ext, (len(g_ext), n_offsets, 1, width), (g_ext.strides[0], item, 0, item), writeable=False
+    )
 
     def build_costs(i, m):
         """Cost blocks 0 .. m - 1, of steps i .. i + m - 1."""
@@ -182,21 +186,24 @@ def _dp(
         np.add(out, g_windows[:m], out=out)
         np.multiply(out, tab.step, out=out)
 
-    def views(s, cols):
-        """(adds, candidate block, value row) of slot s over columns :cols."""
-        block = cand[s, :, :cols]
-        cost = step_costs[s if changing else 0]
-        adds = [
+    def views(cols, m):
+        """(adds, candidate block, value row) of slots 0 .. m - 1 over columns
+        :cols, cut from each segment's views over every slot."""
+        segs = [
             (
-                windows[s, base - u * width + r0 : base - u * width + r1, :cols, targets],
-                cost[r0:r1, :cols, targets],
-                block[r0:r1, :, targets],
+                windows[:, base - u * width + r0 : base - u * width + r1, :cols, targets],
+                step_costs[:, r0:r1, :cols, targets],
+                cand[:, r0:r1, :cols, targets],
             )
             for r0, r1, targets, u in segments
         ]
-        return adds, block, values[s + 1, :cols]
+        blocks, value_rows = cand[:, :, :cols], values[1:, :cols]
+        return [
+            ([(w[s], k[s if changing else 0], o[s]) for w, k, o in segs], blocks[s], value_rows[s])
+            for s in range(m)
+        ]
 
-    plans = [views(s, n_cols) for s in range(chunk)]
+    plans = views(n_cols, chunk)
     if not changing:
         build_costs(0, 1)
     # Backpointers: the rank n_offsets - 1 - r of the first offset row r
@@ -213,7 +220,7 @@ def _dp(
         last = min(n_cols, start + (i0 + m) * u_max)
         if changing:
             build_costs(i0, m)
-        for adds, block, row in plans[:m] if last == n_cols else [views(s, last) for s in range(m)]:
+        for adds, block, row in plans[:m] if last == n_cols else views(last, m):
             for window, cost, out in adds:
                 np.add(window, cost, out=out)
             np.minimum.reduce(block, axis=0, out=row)
@@ -417,16 +424,14 @@ def _budget_values(
     values: list[float | None] = [None] * budgets.size
     if plain is None:
         return values
-    units = [_units(tab, cfg, float(b)) for b in budgets]
-
-    def fits(k: int) -> bool:
-        return int(units[k][plain_q].sum()) <= cfg.budget_levels
+    units = _units(tab, cfg, budgets)
+    fits = units[:, plain_q].sum(axis=1) <= cfg.budget_levels
 
     def admits(k: int) -> bool:
-        return fits(k) or _fewest_units(tab, cfg, units[k]) <= cfg.budget_levels
+        return bool(fits[k]) or _fewest_units(tab, cfg, units[k]) <= cfg.budget_levels
 
     for k in range(bisect_left(range(budgets.size), True, key=admits), budgets.size):
-        values[k] = plain if fits(k) else _dp(tab, cfg, float(budgets[k]), False)[0]
+        values[k] = plain if fits[k] else _dp(tab, cfg, float(budgets[k]), False)[0]
         if values[k] == plain:
             values[k:] = [plain] * (budgets.size - k)
             break

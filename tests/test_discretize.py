@@ -10,6 +10,7 @@ import re
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import envelope_reference as ref
+from offset_table_reference import offset_table_reference
 import varelax.convex as convex
 import varelax.discretize as discretize
 from varelax import cli
@@ -657,6 +659,41 @@ class TestDiscretizationOwnsTheGrid:
         # -0.0 counts as 0.0, as in Discretization.extended
         want = merge_close_velocities(np.unique(np.concatenate([brute, extra]) + 0.0))
         assert same_bits(disc.extended(extra).grid, want)
+
+
+class TestOffsetTableInRowBlocks:
+    """``offset_table`` places a block of rows per ``nearest_index`` call;
+    it must give the bits and the errors of the row-by-row loop."""
+
+    @staticmethod
+    def assert_matches_the_row_loop(quotients, points):
+        try:
+            want_top, want = offset_table_reference(quotients, points)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                discretize.offset_table(quotients, points)
+            return
+        top, table = discretize.offset_table(quotients, points)
+        assert top == want_top and same_bits(table, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(discretization_cases(), st.integers(1, 400))
+    def test_drawn_grids_and_block_budgets(self, case, entries):
+        # a budget below one row still places one row per block
+        problem, cfg = case
+        try:
+            disc = Discretization.of(problem, cfg)
+        except (InfeasibleError, DegenerateInputError):
+            assume(False)
+        with mock.patch.object(discretize, "BLOCK_ENTRIES", entries):
+            self.assert_matches_the_row_loop(disc.quotients, disc.grid)
+
+    def test_the_memory_case_spans_several_blocks(self):
+        problem, _ = load("doublewell")
+        disc = Discretization.of(problem, DPConfig(n_t=64, n_x=2049))
+        rows, n = disc.quotients.shape
+        assert rows > discretize.BLOCK_ENTRIES // n > 0
+        self.assert_matches_the_row_loop(disc.quotients, disc.grid)
 
 
 class TestStateGridKeepsBothEndpoints:

@@ -420,11 +420,10 @@ class TestCliExitCodes:
         )
         assert json.loads((tmp_path / "traj_dr.json").read_text())["hypotheses_pass"] is False
 
-    def test_signed_zero_velocities_give_one_report(self, tmp_path):
-        # 0 is a hull vertex of v^2 on this grid, so decompose lists it
-        doc = json.loads((PROBLEMS / "quadratic.json").read_text())
-        doc["horizon"].update(a=0.0, b=0.0)
-        problem = str(write_problem(tmp_path, doc))
+    @staticmethod
+    def assert_signed_zeros_give_one_report(tmp_path, problem):
+        """A resting 128-step CSV written with -0 and with 0 gives the same
+        verify and decompose reports on ``problem`` at 128 x 129."""
         grid = ["--n-t", "128", "--n-x", "129"]
         for command in ("verify", "decompose"):
             reports = []
@@ -436,6 +435,17 @@ class TestCliExitCodes:
                 assert main([command, problem, *grid, "--traj", str(traj), "--out", str(out)]) == 0
                 reports.append(out.read_bytes())
             assert reports[0] == reports[1]
+
+    def test_signed_zero_velocities_give_one_report(self, tmp_path):
+        # 0 is a hull vertex of v^2 on this grid, so decompose lists it
+        doc = json.loads((PROBLEMS / "quadratic.json").read_text())
+        doc["horizon"].update(a=0.0, b=0.0)
+        self.assert_signed_zeros_give_one_report(tmp_path, str(write_problem(tmp_path, doc)))
+
+    def test_signed_zero_velocities_give_one_target(self, tmp_path):
+        # 0 is not a hull vertex of the double well: each interval's target
+        # is the CSV's own velocity, which was -0.0 in the -0 file's report
+        self.assert_signed_zeros_give_one_report(tmp_path, str(PROBLEMS / "doublewell.json"))
 
 
 class TestExitCodeTable:

@@ -395,10 +395,8 @@ class TestStateCostChecked:
             "double_well", g_name="concave_quadratic", g_params={"kappa": 1e308},
             state_box=(-2.0, 2.0), velocity_cap=8.0,
         )
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "overflow", RuntimeWarning)
-            with pytest.raises(DegenerateInputError, match="state cost g"):
-                solve_relaxed(problem, DPConfig(n_t=8, n_x=9))
+        with pytest.raises(DegenerateInputError, match="state cost g"):
+            solve_relaxed(problem, DPConfig(n_t=8, n_x=9))
 
     def test_overflow_is_reported_once_without_a_warning(self):
         problem = make_problem(
@@ -1017,6 +1015,23 @@ class TestSweepsAgainstPerEntrySolves:
         monkeypatch.setattr(solve, "_dp", perturbed)
         with pytest.raises(error):
             lagrangian_sweep(problem, cfg, schedule)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dp_cases(), st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=16), st.integers(2, 256))
+    def test_units_of_a_schedule_are_the_one_budget_rows(self, case, schedule, levels):
+        # value_sweep takes every entry's units in one pass; each row must
+        # have the bits of the one-budget call that _dp makes
+        problem, cfg, _, _ = case
+        cfg = replace(cfg, budget_levels=levels)
+        try:
+            tab = _tables(problem, cfg)
+        except InfeasibleError:  # the cap admits fewer than two quotients
+            return
+        batch = solve._units(tab, cfg, np.array(schedule))
+        assert batch.shape == (len(schedule), tab.disc.grid.size)
+        for row, budget in zip(batch, schedule):
+            one = solve._units(tab, cfg, budget)
+            assert row.dtype == one.dtype and row.tobytes() == one.tobytes()
 
     def test_fewest_units_decide_feasibility(self):
         # the README sweep: no 256-step path fits 64 levels of l = 4

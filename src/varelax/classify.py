@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .convex import LP_PIVOTS_PER_ROW, EnvelopeTable, _lp_vertex
-from .errors import CertificateError, DegenerateInputError, OutOfDomainError
+from .errors import CertificateError, OutOfDomainError
 from .families import IntegrandFamily
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e3
@@ -87,11 +87,13 @@ def class_e_certificate(
     for k, radius in enumerate(radii):
         box = CLASS_E_MARGIN * radius
         grid = np.linspace(-box, box, CERTIFICATE_GRID_POINTS)
-        values, rows = _finite_table(family, t_grid, grid, "velocity cost f", "the class-E box")
+        values, rows = family.finite_table(t_grid, grid, "velocity cost f", "the class-E box")
         table = EnvelopeTable.of(grid, values)
         beyond = grid[np.abs(grid) > radius]
         lo, hi = table.subgradients(rows[:, None], beyond)
-        chi[k] = (table.at(rows[:, None], beyond) - np.minimum(lo * beyond, hi * beyond)).max()
+        # a supporting line beyond float range has defect -inf there, never the maximum
+        with np.errstate(over="ignore"):
+            chi[k] = (table.at(rows[:, None], beyond) - np.minimum(lo * beyond, hi * beyond)).max()
     diffs = np.diff(chi)
     tol = 1e-9 * np.maximum(1.0, np.abs(chi[:-1]))
     if np.any(diffs > tol):
@@ -143,7 +145,7 @@ def sci_certificate(
     box = float(radii[-1])
     inner = float(radii[-3])
     grid = np.linspace(-box, box, CERTIFICATE_GRID_POINTS)
-    values, rows = family.table(t_grid, grid)
+    values, rows = family.finite_table(t_grid, grid, "velocity cost f", "the SCI box")
     table = EnvelopeTable.of(grid, values)
     certificates = []
     for row in range(len(values)):
@@ -346,20 +348,9 @@ def default_probe(problem) -> ProbeBox:
     times = probe_times(problem)
     states = np.linspace(lo, hi, PROBE_STATES)
     velocities = np.linspace(-problem.velocity_cap, problem.velocity_cap, PROBE_VELOCITIES)
-    f_table, f_rows = _finite_table(problem.f, times, velocities, "velocity cost f", "the probe box")
-    g_table, g_rows = _finite_table(problem.g, times, states, "state cost g", "the probe box")
+    f_table, f_rows = problem.f.finite_table(times, velocities, "velocity cost f", "the probe box")
+    g_table, g_rows = problem.g.finite_table(times, states, "state cost g", "the probe box")
     return ProbeBox(times, states, velocities, f_table, f_rows, g_table[g_rows])
-
-
-def _finite_table(family: IntegrandFamily, times, points, name: str, where: str):
-    """``family.table(times, points)``.  A sample that is not finite, an
-    overflow included, is an input error that names the integrand and
-    where it was sampled."""
-    with np.errstate(all="ignore"):
-        values, rows = family.table(times, points)
-    if not np.isfinite(values).all():
-        raise DegenerateInputError(f"{name} must be finite on {where}")
-    return values, rows
 
 
 def _midpoint_concave(problem, probe: ProbeBox) -> np.ndarray:
@@ -516,7 +507,7 @@ def fstar_lipschitz_check(
     probe_radius = 4.0 * (1.0 + float(np.max(np.abs(xi_probe))))
     grid = np.linspace(-probe_radius, probe_radius, FSTAR_GRID_POINTS)
     pitch = 2.0 * probe_radius / (FSTAR_GRID_POINTS - 1)
-    f_table, rows = family.table(t_grid, grid)
+    f_table, rows = family.finite_table(t_grid, grid, "velocity cost f", "the f*-Lipschitz box")
     table = EnvelopeTable.of(grid, f_table)
     values = f_table[rows]  # (nt, nxi_grid)
     dt = np.diff(t_grid)

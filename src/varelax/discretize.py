@@ -2,14 +2,15 @@
 and the reconstruction stage.
 
 The per-step velocity set is the set of state-grid difference quotients
-clipped at the velocity cap, and envelopes are built on exactly that set.
+clipped at the speed limit, and envelopes are built on exactly that set.
 Costs, decompositions, and necessary-condition checks therefore all see
-the same discrete relaxation.  f is sampled on the rows of ``f.table``
-into one ``convex.EnvelopeTable`` per solve, and costs, subgradients and
-splittings are read from it by array gathers: ``path_costs`` gives a
-path's interval costs, which ``Trajectory.costed`` sums, and the
-trajectory carries the table that costed it, so the stages after the DP
-or after a trajectory read reuse it (``envelope_table``).
+the same discrete relaxation.  f and g are sampled at a path's
+``interval_times``, f on the rows of ``f.table`` into one
+``convex.EnvelopeTable`` per solve, and costs, subgradients and splittings
+are read from it by array gathers: ``path_costs`` gives a path's interval
+costs, which ``Trajectory.costed`` sums, and the trajectory carries the
+table that costed it, so the stages after the DP or after a trajectory
+read reuse it (``envelope_table``).
 The DP reads its transitions from ``Discretization.transitions``: per state
 offset and target node, the quotient of the admissible pair, in
 O(n_offsets * n_x) small integers.
@@ -74,15 +75,14 @@ def merge_close_velocities(values: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def _pair_quotients(xs: np.ndarray, step: float, cap: float) -> np.ndarray:
+def _pair_quotients(xs: np.ndarray, step: float, limit: float) -> np.ndarray:
     """Every admissible state pair's difference quotient, by offset and
     target: entry [r, k] is the quotient of the pair (k - top + r, k), so
     the rows run offsets top, ..., -top, and inf where that pair is off
-    the grid or beyond the cap.  Offsets d = 0, 1, ... are walked until
-    none of d's pairs is within the cap; on an increasing grid the
+    the grid or beyond the speed limit.  Offsets d = 0, 1, ... are walked
+    until none of d's pairs is within the limit; on an increasing grid the
     quotients grow with |d|.  Offset -d's row is d's negated and shifted:
     a - b is exactly -(b - a)."""
-    limit = cap * (1.0 + 1e-12)
     n = xs.size
     spans = []
     for d in range(n):
@@ -168,7 +168,7 @@ class Discretization:
     def of(cls, problem: Problem, cfg: DPConfig) -> Discretization:
         xs = state_grid(problem, cfg.n_x)
         step = problem.horizon / cfg.n_t
-        quotients = _pair_quotients(xs, step, problem.velocity_cap)
+        quotients = _pair_quotients(xs, step, problem.speed_limit)
         grid = merge_close_velocities(_distinct_quotients(quotients))
         times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
         return cls(problem, (cfg.n_t, cfg.n_x), xs, times, step, grid, quotients)
@@ -182,6 +182,12 @@ class Discretization:
             if disc.problem is problem and disc.sizes == (cfg.n_t, cfg.n_x):
                 return disc
         return cls.of(problem, cfg)
+
+    @staticmethod
+    def interval_times(times: np.ndarray) -> np.ndarray:
+        """The interval starts, ``times[:-1]``: the time at which every stage
+        samples f and g on each interval of a path with node times ``times``."""
+        return times[:-1]
 
     @cached_property
     def transitions(self) -> tuple[int, np.ndarray]:
@@ -203,7 +209,7 @@ class Discretization:
         """This discretization with the quotient grid extended by the
         velocities of an externally supplied trajectory."""
         extra = np.asarray(velocities, dtype=float)
-        if np.any(np.abs(extra) > self.problem.velocity_cap * (1.0 + 1e-12)):
+        if np.any(np.abs(extra) > self.problem.speed_limit):
             raise OutOfDomainError(
                 "trajectory velocity exceeds the cap; outside the envelope domain"
             )
@@ -217,13 +223,13 @@ class Discretization:
         ``f.table``, and each time's row: the table that ``trajectory``
         carries when it was built for this f, exactly these times and
         exactly this grid, else a new one."""
+        f = self.problem.f
         if trajectory is not None and trajectory.costing is not None:
             disc, table, rows = trajectory.costing
-            same_f = disc.problem.f is self.problem.f
-            built_for = trajectory.times[:-1]
-            if same_f and _same_bits(built_for, times) and _same_bits(table.grid, self.grid):
+            same_times = _same_bits(self.interval_times(trajectory.times), times)
+            if disc.problem.f is f and same_times and _same_bits(table.grid, self.grid):
                 return table, rows
-        values, rows = self.problem.f.table(times, self.grid)
+        values, rows = f.finite_table(times, self.grid, "velocity cost f", "the quotient grid")
         return EnvelopeTable.of(self.grid, values), rows
 
     def path_costs(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ShapeFunction, TimeFactor, time_factor
-from .errors import SchemaError
+from .errors import DegenerateInputError, SchemaError
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,3 +63,12 @@ class IntegrandFamily:
         else:
             keys, rows = np.unique(times, return_inverse=True)
         return self._formula(keys[:, None], y).reshape(keys.size, -1), rows
+
+    def finite_table(self, times, y, name: str, where: str) -> tuple[np.ndarray, np.ndarray]:
+        """``table(times, y)``; a sample that is not finite, an overflow
+        included, is an input error naming the integrand and where it was."""
+        with np.errstate(all="ignore"):
+            values, rows = self.table(times, y)
+        if not np.isfinite(values).all():
+            raise DegenerateInputError(f"{name} must be finite on {where}")
+        return values, rows

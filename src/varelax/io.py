@@ -262,7 +262,7 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
     try:
         disc = Discretization.of(problem, cfg)
         table, rows, f_values, g_values = disc.extended(vels).path_costs(
-            times[:-1], states[:-1], vels
+            disc.interval_times(times), states[:-1], vels
         )
         costing = (disc, table, rows)
         return Trajectory.costed(

@@ -36,10 +36,15 @@ class Problem:
         if not (np.isfinite(self.velocity_cap) and self.velocity_cap > 0):
             raise SchemaError("velocity cap must be positive")
         mean_speed = abs(self.end - self.start) / self.horizon
-        if mean_speed > self.velocity_cap * (1.0 + 1e-12):
+        if mean_speed > self.speed_limit:
             raise InfeasibleError(
                 "endpoints are unreachable: |b - a|/T exceeds the velocity cap"
             )
+
+    @property
+    def speed_limit(self) -> float:
+        """The largest admissible speed: the cap with a relative 1e-12 slack."""
+        return self.velocity_cap * (1.0 + 1e-12)
 
     @property
     def autonomous(self) -> bool:
@@ -133,8 +138,8 @@ class Trajectory:
     theta_value: float | None = None
     warnings: tuple[str, ...] = ()
     # The costing that gave f_cost, when a table did: (the Discretization
-    # of its problem and grid, f's EnvelopeTable, the row of each interval
-    # time times[:-1]).  ``costed`` sets it; it is not a field, so reports,
+    # of its problem and grid, f's EnvelopeTable, the row of each of its
+    # ``interval_times``).  ``costed`` sets it; it is not a field, so reports,
     # repr and equality never see it, and only ``Discretization`` reads it.
     costing = None
 

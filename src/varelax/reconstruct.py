@@ -38,7 +38,7 @@ def decompose_velocities(
     (problem, grid).
     """
     disc = Discretization.of_path(problem, cfg, trajectory).extended(trajectory.velocities)
-    table, rows = disc.envelope_table(trajectory.times[:-1], trajectory)
+    table, rows = disc.envelope_table(disc.interval_times(trajectory.times), trajectory)
     return table.split(rows, trajectory.velocities)
 
 
@@ -97,17 +97,17 @@ def rearrange(
     # a splitting of support 1 has weight exactly 1.0: one sub-interval of length step
     kept = np.stack([np.ones_like(split), split], axis=1)
     mid_t, mid_x = t0 + durations[:, 0], x0 + points[:, 0] * durations[:, 0]
-    starts_t = np.stack([t0, mid_t], axis=1)[kept]
-    starts_x = np.stack([x0, mid_x], axis=1)[kept]
     t1, x1 = trajectory.times[1:], trajectory.states[1:]
     ends_t = np.stack([np.where(split, mid_t, t1), t1], axis=1)[kept]
     ends_x = np.stack([np.where(split, mid_x, x1), x1], axis=1)[kept]
+    times = np.concatenate([trajectory.times[:1], ends_t])
+    states = np.concatenate([trajectory.states[:1], ends_x])
     durations = durations[kept]
     f_terms = durations * values[kept]
-    g_terms = durations * problem.g.value(starts_t, starts_x)
+    g_terms = durations * problem.g.value(Discretization.interval_times(times), states[:-1])
     return ReconstructedTrajectory(
-        times=np.concatenate([trajectory.times[:1], ends_t]),
-        states=np.concatenate([trajectory.states[:1], ends_x]),
+        times=times,
+        states=states,
         velocities=points[kept],
         piece=order[kept].astype(np.int64),
         f_cost=running_sum(f_terms),

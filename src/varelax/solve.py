@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .classify import HypothesisReport, _finite_table
+from .classify import HypothesisReport
 from .convex import EnvelopeTable
 from .discretize import Discretization, nearest_index
 from .errors import CertificateError, InfeasibleError
@@ -53,10 +53,10 @@ class _Tables:
 
 def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     disc = Discretization.of(problem, cfg)
-    times = disc.times[:-1]
+    times = disc.interval_times(disc.times)
     table, f_rows = disc.envelope_table(times)
     f_costs = table.at(np.arange(len(table.values))[:, None], disc.grid)
-    g_costs, g_rows = _finite_table(problem.g, times, disc.xs, "state cost g", "the state grid")
+    g_costs, g_rows = problem.g.finite_table(times, disc.xs, "state cost g", "the state grid")
     thetas = None if cfg.theta is None else cfg.theta(disc.grid)
     return _Tables(disc, disc.step, table, f_costs, g_costs, f_rows, g_rows, thetas)
 
@@ -574,9 +574,10 @@ def coercivity_bound_check(
     snapped[0] = problem.start
     snapped[-1] = problem.end
     q = np.diff(snapped) / step
-    if np.any(np.abs(q) > problem.velocity_cap * (1.0 + 1e-12)):
+    if np.any(np.abs(q) > problem.speed_limit):
         raise InfeasibleError("reference path violates the velocity cap")
-    _, _, f_values, g_values = disc.path_costs(times[:-1], snapped[:-1], q, trajectory)
+    interval_times = disc.interval_times(times)
+    _, _, f_values, g_values = disc.path_costs(interval_times, snapped[:-1], q, trajectory)
     ref_value = Trajectory.costed(times, snapped, q, f_values, g_values).value
 
     a_const = hypotheses.f_bound_offset

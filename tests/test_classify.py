@@ -41,7 +41,7 @@ from varelax.classify import (
     linear_bounds,
     sci_certificate,
 )
-from varelax.errors import CertificateError
+from varelax.errors import CertificateError, DegenerateInputError
 from varelax.families import IntegrandFamily
 from varelax.io import parse_problem
 from varelax.problem import Problem
@@ -130,6 +130,25 @@ class TestSciCertificate:
             assert cert.verdict == "diverges"
             for cert in sci_certificate(fam, T_GRID, schedule):
                 assert cert.passed
+
+
+class TestOverflowingF:
+    """f = |xi|^1100 overflows on both boxes: each sampler names f and where
+    it sampled it, with no numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "sample, where",
+        [
+            (lambda fam: sci_certificate(fam, T_GRID, SHORT_SCHEDULE), "the SCI box"),
+            (lambda fam: fstar_lipschitz_check(fam, [0.5], T_GRID), "the f*-Lipschitz box"),
+        ],
+        ids=["sci", "fstar-lipschitz"],
+    )
+    def test_names_f_and_its_box(self, sample, where):
+        with pytest.raises(DegenerateInputError) as info:
+            sample(family("power_p", {"p": 1100.0}))
+        assert str(info.value) == f"velocity cost f must be finite on {where}"
 
 
 def make_problem(f_fam, g_fam, horizon=1.0, box=(-1.0, 1.0), cap=4.0, ends=(0.0, 0.0)):

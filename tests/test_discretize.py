@@ -163,8 +163,16 @@ class TestCarriedTable:
         cfg = replace(cfg, n_t=24, n_x=25)
         return problem, cfg, solve_relaxed(problem, cfg)
 
-    def test_reuse_gives_the_bits_of_a_fresh_build(self, solved, hulls):
+    @pytest.mark.parametrize("rule", ["starts", "midpoints"])
+    def test_reuse_gives_the_bits_of_a_fresh_build(
+        self, solved, hulls, monkeypatch, tmp_path, rule
+    ):
         problem, cfg, traj = solved
+        if rule == "midpoints":
+            # another interval sample time moves the DP and every stage after it
+            midpoints = staticmethod(lambda times: (times[:-1] + times[1:]) / 2.0)
+            monkeypatch.setattr(Discretization, "interval_times", midpoints)
+            traj = solve_relaxed(problem, cfg)
         fresh = stages(problem, bare(traj), cfg)
         hulls.clear()
         assert stages(problem, traj, cfg) == fresh
@@ -175,6 +183,12 @@ class TestCarriedTable:
         hulls.clear()
         stages(problem, traj, cfg)
         assert len(hulls) == certificates
+        if rule == "midpoints":
+            track = decompose_velocities(problem, traj, cfg)
+            assert compare_costs(problem, traj, rearrange(problem, traj, track)).f_gap == 0.0
+            emit_trajectory(traj, tmp_path / "traj.csv")
+            read = read_trajectory(tmp_path / "traj.csv", problem, cfg)
+            assert (read.value, read.f_cost) == (traj.value, traj.f_cost)
 
     def test_one_fine_grid_pipeline_builds_one_discretization(self, discretizations, tmp_path):
         # fine-grid's doublewell op, then the coercivity check: the stages

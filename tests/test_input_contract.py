@@ -94,6 +94,12 @@ BAD_PROBLEMS = {
         2,
         "velocity cost f must be finite on the class-E box",
     ),
+    # a supporting line overflows at a smaller radius than f itself
+    "f-overflows-class-e-box-after-a-line": (
+        edit("f.base.params.p", 60.0),
+        2,
+        "velocity cost f must be finite on the class-E box",
+    ),
     # the number rule, for every catalog parameter as for numerics
     "p-string": (edit("f.base.params.p", "x"), 2, "'power_p': p: expected a number"),
     "p-null": (edit("f.base.params.p", None), 2, "'power_p': p: expected a number"),
@@ -234,6 +240,29 @@ def test_bad_l_schedule_ends_with_one_error_line(schedule, tmp_path, capsys):
     problem = write(tmp_path / "case.json", json.dumps(doc))
     argv = ["sweep", problem, "--l-schedule", schedule, "--out", str(tmp_path / "out")]
     assert_one_error_line(argv, 2, f"error: {BAD_SCHEDULES[schedule]}", capsys)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_f_overflow_on_the_quotient_grid_ends_with_one_error_line(command, tmp_path, capsys):
+    # neither command runs the certificates: the envelope table checks f
+    doc = copy.deepcopy(BASE)
+    edit("f.base.params.p", 1100.0)(doc)
+    problem = write(tmp_path / "case.json", json.dumps(doc))
+    traj = write(tmp_path / "traj.csv", csv_rows(STRAIGHT))
+    argv = [command, problem, "--traj", traj, "--out", str(tmp_path / "out")]
+    message = "velocity cost f must be finite on the quotient grid"
+    assert_one_error_line(argv, 2, message, capsys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_class_e_lines_beyond_float_range_pass_silently(tmp_path, capsys):
+    # at p = 42.5 the outer supporting lines of the largest radii overflow, f does not
+    doc = copy.deepcopy(BASE)
+    edit("f.base.params.p", 42.5)(doc)
+    problem = write(tmp_path / "case.json", json.dumps(doc))
+    assert main(["classify", problem, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_the_straight_path_is_a_valid_trajectory(tmp_path):

@@ -240,11 +240,11 @@ class Discretization:
         Row i is the interval starting at (times[i], states[i]) with
         constant velocities[i]; all intervals are costed from one envelope
         table, ``envelope_table(times, trajectory)``, which answers further
-        queries on the same rows.  g takes one call on the arrays, with the
-        bits of one scalar call per interval.
+        queries on the same rows.  g takes one checked call on the arrays,
+        with the bits of one scalar call per interval.
         """
         table, rows = self.envelope_table(times, trajectory)
-        g = self.problem.g.value(times, states)
+        g = self.problem.g.finite_value(times, states, "state cost g", "the trajectory's states")
         return table, rows, table.at(rows, velocities), g
 
 

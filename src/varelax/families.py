@@ -69,6 +69,15 @@ class IntegrandFamily:
         included, is an input error naming the integrand and where it was."""
         with np.errstate(all="ignore"):
             values, rows = self.table(times, y)
-        if not np.isfinite(values).all():
-            raise DegenerateInputError(f"{name} must be finite on {where}")
-        return values, rows
+        return _finite(values, name, where), rows
+
+    def finite_value(self, t, y, name: str, where: str) -> np.ndarray:
+        """``value(t, y)``, checked as ``finite_table`` checks its samples."""
+        with np.errstate(all="ignore"):
+            return _finite(self.value(t, y), name, where)
+
+
+def _finite(values: np.ndarray, name: str, where: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise DegenerateInputError(f"{name} must be finite on {where}")
+    return values

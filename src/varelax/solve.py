@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from math import isfinite
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -207,8 +208,8 @@ def _dp(
     if not changing:
         build_costs(0, 1)
     # Backpointers: the rank n_offsets - 1 - r of the first offset row r
-    # that attains the minimum, which has the largest weight; the walks
-    # turn a rank back into its row.
+    # that attains the minimum, which has the largest weight; the walk
+    # turns a rank back into its row.
     back_type = np.min_scalar_type(-n_offsets)
     back = np.empty((cfg.n_t, n_cols, width), back_type) if want_path else None
     weights = np.arange(n_offsets - 1, -1, -1, dtype=back_type)[:, None, None]
@@ -225,19 +226,45 @@ def _dp(
                 np.add(window, cost, out=out)
             np.minimum.reduce(block, axis=0, out=row)
         # The chunk's backpointers, over every column: columns beyond an
-        # early chunk's reach hold stale candidates, and an unreachable
-        # target's rank is arbitrary, but its value is inf, so no walk
-        # reads it.
+        # early chunk's reach hold stale candidates, whose values are inf.
         if want_path:
             np.equal(cand[:m], values[1 : m + 1, None], out=hits[:m])
             np.multiply(hits[:m].view(np.int8), weights, out=ranks[:m])
             np.maximum.reduce(ranks[:m], axis=1, out=back[i0 : i0 + m])
         values[0, :last] = values[m, :last]
     column = values[0, :, top + disc.endpoints[1]]
-    path = (top, pairs, units)
+    # The walk reads back as Python ints through one flat view, at index
+    # (i * n_cols + c) * width + K of step i, column c and padded node K: the
+    # predecessor is K + r - top, in column c minus the units of pair (r, K).
+    ends, shift = column.tolist(), n_offsets - 1 - top - n_cols * width
+    flat = memoryview(back.reshape(-1)) if want_path else None
+    rank_units = pair_units[::-1].ravel().tolist() if want_path and u_max else None
+    # a walk's end node, then the move K_i - K_i+1 = r - top of steps n_t - 1 .. 0
+    moves = np.full(cfg.n_t + 1, disc.endpoints[1])
+
+    def walk(c):
+        """(value, node path, quotient path) of the DP ending in column c."""
+        if not isfinite(ends[c]):
+            return None, None, None
+        if not want_path:
+            return ends[c], None, None
+        at, read = ((cfg.n_t - 1) * n_cols + c) * width + top + disc.endpoints[1], []
+        if rank_units is None:
+            for _ in range(cfg.n_t):
+                read.append(b := flat[at])
+                at += shift - b
+        else:
+            for _ in range(cfg.n_t):
+                read.append(b := flat[at])
+                at += shift - b - width * rank_units[b * width + at % width]
+        moves[1:] = read
+        np.subtract(n_offsets - 1 - top, moves[1:], out=moves[1:])
+        nodes = moves.cumsum()[::-1]
+        return ends[c], nodes, pairs[:, top:][moves[:0:-1] + top, nodes[1:]]
+
     if per_rate:
-        return _backtrack_columns(tab, cfg, column, back, path)
-    return _backtrack(tab, cfg, column, back, path, int(np.argmin(column)))
+        return [walk(c) for c in range(n_cols)]
+    return walk(int(np.argmin(column)))
 
 
 def _segments(admissible: np.ndarray, pair_units: np.ndarray) -> list:
@@ -259,62 +286,6 @@ def _segments(admissible: np.ndarray, pair_units: np.ndarray) -> list:
         for lo, hi, u in zip(cuts, cuts[1:], units[starts].tolist() or [0]):
             segments.append((r, r + 1, slice(lo, hi), u))
     return segments
-
-
-def _backtrack(tab, cfg, column, back, path, level):
-    """(value, node path, quotient path) of the DP ending in column ``level``."""
-    if not np.isfinite(column[level]):
-        return None, None, None
-    best = float(column[level])
-    if back is None:
-        return best, None, None
-    top, pairs, units = path
-    # Rank b is offset row r = last - b, and the predecessor of padded node
-    # K is K + r - top; a budget path spends units down the columns.
-    last, k = pairs.shape[0] - 1, top + tab.disc.endpoints[1]
-    padded = [k]
-    for i in range(cfg.n_t - 1, -1, -1):
-        r = last - back.item(i, level, k)
-        level -= units.item(pairs.item(r, k))
-        k += r - top
-        padded.append(k)
-    padded = np.array(padded[::-1], dtype=np.int64)
-    return best, padded - top, pairs[top - np.diff(padded), padded[1:]]
-
-
-def _backtrack_columns(tab, cfg, column, back, path):
-    """(value, node path, quotient path) of the DP ending in each column of
-    the per-rate layout, walked together: every step there costs 0 units,
-    so each path stays in its column."""
-    found = np.flatnonzero(np.isfinite(column))
-    results = [(None, None, None)] * column.size
-    for c in found.tolist():
-        results[c] = (float(column[c]), None, None)
-    if back is None:
-        return results
-    top, pairs, _ = path
-    n_t, stride, width = cfg.n_t, back[0].size, pairs.shape[1]
-    last, end = pairs.shape[0] - 1, top + tab.disc.endpoints[1]
-    # Each walk's flat index into back, at step i its target's padded
-    # node K in its column; rank b is offset row r = last - b, and the
-    # predecessor's index is K + r - top one step down.
-    at = (n_t - 1) * stride + found * width + end
-    flat = back.reshape(-1)
-    ranks = np.empty((n_t, found.size), dtype=back.dtype)
-    for i in range(n_t - 1, -1, -1):
-        flat.take(at, out=ranks[i])
-        at -= ranks[i]
-        at += last - top - stride
-    offsets = last - ranks
-    # padded nodes K_0 .. K_n_t, with K_i = K_i+1 + r_i - top
-    padded = np.empty((found.size, n_t + 1), dtype=np.int64)
-    padded[:, -1] = end
-    np.cumsum((offsets[::-1] - top).T, axis=1, out=padded[:, -2::-1])
-    padded[:, :-1] += end
-    quotients = pairs[offsets.T, padded[:, 1:]]
-    for c, nodes, qidx in zip(found.tolist(), padded - top, quotients):
-        results[c] = (float(column[c]), nodes, qidx)
-    return results
 
 
 def _solve(problem: Problem, cfg: DPConfig, tab: _Tables) -> Trajectory:

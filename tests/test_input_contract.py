@@ -41,6 +41,16 @@ def edit(path, value):
     return apply
 
 
+def edits(*changes):
+    """One problem-file edit that applies each of ``changes`` in turn."""
+
+    def apply(doc):
+        for change in changes:
+            change(doc)
+
+    return apply
+
+
 def g_table(grid, values):
     return edit("g", {"base": {"name": "table", "params": {"grid": grid, "values": values}}})
 
@@ -242,16 +252,47 @@ def test_bad_l_schedule_ends_with_one_error_line(schedule, tmp_path, capsys):
     assert_one_error_line(argv, 2, f"error: {BAD_SCHEDULES[schedule]}", capsys)
 
 
+# (a problem-file edit of BASE, the CSV's text, text of the error line) of
+# an integrand that overflows where ``verify`` and ``decompose`` sample it;
+# neither command runs the certificates, so the sampling itself must check
+OVERFLOWS = {
+    # the envelope table checks f on the quotient grid
+    "f": (
+        edit("f.base.params.p", 1100.0),
+        csv_rows(STRAIGHT),
+        "velocity cost f must be finite on the quotient grid",
+    ),
+    # the path costs check g at the trajectory's states
+    "g": (
+        edits(
+            edit("g.base", {"name": "concave_quadratic", "params": {"kappa": 1e307}}),
+            edit("horizon", {"T": 10.0, "a": 0.0, "b": 10.0}),
+            edit("numerics", dict(BASE["numerics"], n_t=10, n_x=11, state_box=[0.0, 10.0])),
+        ),
+        # the straight path at unit speed, over T = 10
+        csv_rows([(k, k, 1.0) for k in range(11)]),
+        "state cost g must be finite on the trajectory's states",
+    ),
+}
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["verify", "decompose"])
-def test_f_overflow_on_the_quotient_grid_ends_with_one_error_line(command, tmp_path, capsys):
-    # neither command runs the certificates: the envelope table checks f
+@pytest.mark.parametrize(
+    ("command", "case"),
+    # the f cases keep the ids they had before the g case joined them
+    [
+        pytest.param(command, case, id=command if case == "f" else f"{case}-{command}")
+        for case in OVERFLOWS
+        for command in ("verify", "decompose")
+    ],
+)
+def test_f_overflow_on_the_quotient_grid_ends_with_one_error_line(command, case, tmp_path, capsys):
+    change, csv, message = OVERFLOWS[case]
     doc = copy.deepcopy(BASE)
-    edit("f.base.params.p", 1100.0)(doc)
+    change(doc)
     problem = write(tmp_path / "case.json", json.dumps(doc))
-    traj = write(tmp_path / "traj.csv", csv_rows(STRAIGHT))
+    traj = write(tmp_path / "traj.csv", csv)
     argv = [command, problem, "--traj", traj, "--out", str(tmp_path / "out")]
-    message = "velocity cost f must be finite on the quotient grid"
     assert_one_error_line(argv, 2, message, capsys)
 
 

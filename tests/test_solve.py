@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import envelope_reference as ref
@@ -573,6 +573,23 @@ def dp_cases(draw):
     return problem, cfg, draw(st.sampled_from([0.5, 3.0])), draw(st.sampled_from([0.3, 1.0, 5.0]))
 
 
+# A dp_cases case past its n_x range: 263 offset rows, so ranks are int16
+WIDE_CASE = (
+    Problem(
+        horizon=1.0,
+        start=0.0,
+        end=0.25,
+        f=IntegrandFamily(base=velocity_function("double_well")),
+        g=G_FAMILIES[1],
+        state_box=(-0.5, 0.5),
+        velocity_cap=4.0,
+    ),
+    DPConfig(n_t=2, n_x=131, theta=THETA, budget_levels=8),
+    3.0,
+    1.0,
+)
+
+
 def assert_kernel_matches(problem, cfg, budget, reference, solve):
     """The kernel's value and path equal the reference's bit for bit, and
     the public solve returns the same path."""
@@ -590,6 +607,7 @@ def assert_kernel_matches(problem, cfg, budget, reference, solve):
 class TestBandedKernelAgainstDenseOracle:
     @settings(max_examples=60, deadline=None)
     @given(dp_cases())
+    @example(WIDE_CASE)
     def test_plain_penalized_and_budget_solves(self, case):
         problem, cfg, penalty, budget = case
         assert_kernel_matches(
@@ -665,6 +683,7 @@ class TestBandedKernelAgainstDenseOracle:
 class TestPerRateKernelAgainstDenseOracle:
     @settings(max_examples=30, deadline=None)
     @given(dp_cases())
+    @example(WIDE_CASE)
     def test_every_rate_column_matches_the_dense_oracle(self, case):
         # lagrangian_sweep's one DP pass with a column per multiplier
         problem, cfg, _, _ = case

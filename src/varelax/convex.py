@@ -17,6 +17,7 @@ it is built."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -119,13 +120,17 @@ class CaratheodoryDecomposition:
 
 
 def _hull_vertices(xs: list[float], ys: list[float]) -> list[int]:
-    """Lower hull vertex indices of the points (xs[i], ys[i]), xs increasing,
-    by Andrew's monotone chain on Python floats: they round as numpy's
-    float64 scalars do, at a fraction of the cost per operation."""
-    keep: list[int] = []
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        while len(keep) >= 2:
-            a, b = keep[-2], keep[-1]
+    """Lower hull vertex indices of the points (xs[i], ys[i]), at least two,
+    xs increasing, by Andrew's monotone chain on Python floats: they round
+    as numpy's float64 scalars do, at a fraction of the cost per operation.
+    A middle point is dropped when the cross product is <= 0.0, so a NaN
+    one keeps it."""
+    keep = [0, 1]
+    for i in range(2, len(xs)):
+        x, y = xs[i], ys[i]
+        # index 0 is only ever first, so a nonzero top has one below it
+        while b := keep[-1]:
+            a = keep[-2]
             if (xs[b] - xs[a]) * (y - ys[a]) - (ys[b] - ys[a]) * (x - xs[a]) <= 0.0:
                 keep.pop()
             else:
@@ -170,9 +175,11 @@ class EnvelopeTable:
             raise DegenerateInputError("values length must match grid length")
         xs = grid.tolist()
         hulls = [_hull_vertices(xs, row) for row in values.tolist()]
-        counts = np.array([len(h) for h in hulls])
-        most = int(counts.max())
-        vertices = np.array([h + h[-1:] * (most - len(h)) for h in hulls])
+        counts = np.fromiter(map(len, hulls), np.intp, len(hulls))
+        flat = np.fromiter(chain.from_iterable(hulls), np.intp, int(counts.sum()))
+        # row r's vertices sit at starts[r] .. of flat; pad with the last
+        starts = np.cumsum(counts) - counts
+        vertices = flat[starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)]
         rows = np.arange(len(hulls))[:, None]
         is_vertex = np.zeros(values.shape, dtype=np.intp)
         is_vertex[rows, vertices] = 1

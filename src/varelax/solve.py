@@ -111,7 +111,11 @@ def _dp(
     windows of value row s, into candidate block s, and writes the minimum
     to value row s + 1.  When a row changes, a chunk's cost blocks are
     built before its steps by one gather of f** through the offset table,
-    one add of g and one multiply by h.  After its last step three passes
+    one add of g and one multiply by h.  When every sample of g is zero
+    they are one gather of h*f**, multiplied once per DP: F + g is F
+    except where F is -0.0 and g +0.0, and there only its sign differs,
+    which no candidate shows, since a value starts at +0.0 and no sum of
+    it becomes -0.0.  After its last step three passes
     take the chunk's backpointers: the candidates equal to their minimum,
     that mask in int8 times the offsets' descending weights, and the
     maximum over offsets, the weight (rank) of the first hit.  So memory
@@ -168,7 +172,11 @@ def _dp(
     # f row's flat entry c * (n_q + 1) + pairs[r, k] is its cost column c
     # at the pair (r, k), and g of the predecessor, node k - (top - r), sits
     # at r + top + k of g's padded row.
-    changing = len(tab.f_costs) > 1 or len(tab.g_costs) > 1
+    # with a zero g the blocks are gathered from h*costs, scaled once here
+    zero_g = not tab.g_costs.any()
+    if zero_g:
+        np.multiply(costs, tab.step, out=costs)
+    changing = len(tab.f_costs) > 1 or (len(tab.g_costs) > 1 and not zero_g)
     cost_cols = costs.shape[1]
     step_costs = np.empty((chunk if changing else 1, n_offsets, cost_cols, width))
     flat_pairs = pairs[:, None, :] + (n_q + 1) * np.arange(cost_cols)[:, None]
@@ -183,9 +191,10 @@ def _dp(
         f_costs = costs[tab.f_rows[i : i + m]].reshape(m, -1)
         # every index is in range; "clip" writes to out without a buffer
         np.take(f_costs, flat_pairs, axis=1, out=out, mode="clip")
-        g_ext[:m, 2 * top : 2 * top + n_x] = tab.g_costs[tab.g_rows[i : i + m]]
-        np.add(out, g_windows[:m], out=out)
-        np.multiply(out, tab.step, out=out)
+        if not zero_g:
+            g_ext[:m, 2 * top : 2 * top + n_x] = tab.g_costs[tab.g_rows[i : i + m]]
+            np.add(out, g_windows[:m], out=out)
+            np.multiply(out, tab.step, out=out)
 
     def views(cols, m):
         """(adds, candidate block, value row) of slots 0 .. m - 1 over columns

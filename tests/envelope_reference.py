@@ -10,15 +10,19 @@ import numpy as np
 
 def hull(xs, ys):
     """Lower hull vertex indices by the monotone chain, one numpy operation
-    per float operation; collinear interior samples are dropped."""
+    per float operation; collinear interior samples are dropped.  A point
+    is popped only when the cross product is <= 0.0, so a NaN one (rows
+    near the float range overflow to inf - inf) keeps it."""
     keep = []
     for i in range(xs.size):
         while len(keep) >= 2:
             a, b = keep[-2], keep[-1]
-            cross = (xs[b] - xs[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (xs[i] - xs[a])
-            if cross > 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                cross = (xs[b] - xs[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (xs[i] - xs[a])
+            if cross <= 0.0:
+                keep.pop()
+            else:
                 break
-            keep.pop()
         keep.append(i)
     return keep
 

@@ -21,7 +21,8 @@ BENCHMARK = {
 }
 
 
-def record(workload, seed, pass_s, rss, trace=0, attempted=10, failed=0):
+def record(workload, seed, pass_s, rss, trace=0, attempted=10, failed=0, ops=((1, 2, 3),)):
+    """A run's record; ``ops`` holds each pass's seconds per operation."""
     metrics = {
         "pass_s": {"value": pass_s, "unit": "s"},
         "peak_rss_mb": {"value": rss, "unit": "MB"},
@@ -31,6 +32,7 @@ def record(workload, seed, pass_s, rss, trace=0, attempted=10, failed=0):
         "seed": seed,
         "seconds": 15.0,
         "trace": trace,
+        "op_seconds": [list(times) for times in ops],
         "versions": {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", "nproc": 2},
         "result": {
             "correct": failed == 0,
@@ -60,9 +62,9 @@ def test_summary_of_synthetic_runs(tmp_path):
         [
             record("fine-grid", 1, 5.0, 51.0),  # superseded by the later record
             record("fine-grid", 1, 0.5, 49.0, failed=1),
-            record("fine-grid", 2, 2.5, 49.0, attempted=12),
-            record("fine-grid", 3, 2.0, 51.0, attempted=14),
-            record("fine-grid", 4, 3.0, 50.0, attempted=16),
+            record("fine-grid", 2, 2.5, 49.0, attempted=12, ops=[(1, 2, 3), (3, 1, 3)]),
+            record("fine-grid", 3, 2.0, 51.0, attempted=14, ops=[(1, 1, 3)] * 3),
+            record("fine-grid", 4, 3.0, 50.0, attempted=16, ops=[(0.5, 1, 3)]),
         ],
     )
     bench = tmp_path / "BENCHMARK.json"
@@ -86,6 +88,22 @@ def test_summary_of_synthetic_runs(tmp_path):
         "parent": {"q1": 10, "median": 10, "q3": 10},
         "change": {"q1": 11.5, "median": 13, "q3": 14.5},
     }
+    # each operation's per-run median, by its label: the change's runs
+    # have medians 1, 2, 1, 0.5 / 2, 1.5, 1, 1 / 3, 3, 3, 3
+    labels = [
+        "pipeline:doublewell@256x512",
+        "pipeline:doublewell_timevarying@384x385",
+        "pipeline:doublewell_concave@512x257",
+    ]
+    assert list(fine["op_seconds"]) == labels
+    assert [fine["op_seconds"][label]["parent"] for label in labels] == [
+        {"q1": v, "median": v, "q3": v} for v in (1.0, 2.0, 3.0)
+    ]
+    assert [fine["op_seconds"][label]["change"] for label in labels] == [
+        {"q1": 0.875, "median": 1.0, "q3": 1.25},
+        {"q1": 1.0, "median": 1.25, "q3": 1.625},
+        {"q1": 3.0, "median": 3.0, "q3": 3.0},
+    ]
     pass_s = fine["metrics"]["pass_s"]
     # inclusive quartiles of 1, 2, 3, 4 and of 0.5, 2, 2.5, 3
     assert pass_s["parent"] == {"q1": 1.75, "median": 2.5, "q3": 3.25}

@@ -142,6 +142,7 @@ class TestHullKernel:
                 rng.uniform(-1, 1) * xs + rng.uniform(-1, 1),  # collinear up to rounding
                 xs * xs + 1e-15 * rng.normal(size=xs.size),  # nearly collinear triples
                 np.abs(xs) * 1e300,
+                np.abs(xs) * 4e307,  # cross products overflow to inf - inf, NaN
             ]
             for ys in shapes:
                 assert _hull_vertices(xs.tolist(), ys.tolist()) == ref.hull(xs, ys)

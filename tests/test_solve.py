@@ -754,6 +754,39 @@ class TestChunkedBackpointers:
             ),
             DPConfig(n_t=9, n_x=17, theta=THETA, budget_levels=8),
         ),
+        # f changes with time and g is zero: the blocks are gathered from h*f**
+        (
+            Problem(
+                horizon=1.0,
+                start=0.0,
+                end=0.25,
+                f=IntegrandFamily(
+                    base=velocity_function("double_well"),
+                    modulation=velocity_function("power_p", {"p": 2.0}),
+                    factor=time_factor("sine", {"amplitude": 0.5, "frequency": 3.0}),
+                ),
+                g=G_FAMILIES[0],
+                state_box=(-0.5, 0.5),
+                velocity_cap=2.0,
+            ),
+            DPConfig(n_t=9, n_x=17, theta=THETA, budget_levels=8),
+        ),
+        # f is -0.0 at negative quotients and g is zero: every path costs
+        # zero, and the value's sign is the oracle's step * (g + move)
+        (
+            Problem(
+                horizon=1.0,
+                start=0.0,
+                end=0.25,
+                f=IntegrandFamily(
+                    base=velocity_function("affine", {"slope": 0.0, "offset": -0.0})
+                ),
+                g=G_FAMILIES[0],
+                state_box=(-0.5, 0.5),
+                velocity_cap=2.0,
+            ),
+            DPConfig(n_t=9, n_x=17, theta=THETA, budget_levels=8),
+        ),
         # the path starts at the box's lower corner and moves at most two
         # nodes a step, so after step i every node above 2i is unreachable;
         # g falls with x, and the plain path climbs along that frontier

@@ -11,7 +11,11 @@ wins.  For each end-to-end metric that ``BENCHMARK.json`` declares, the
 summary gives each side's quartiles over its paired runs, how many pairs
 the change won in the metric's better direction, and the ratio of the
 medians; each workload also gives each side's operations attempted per
-run, as quartiles, since ``peak_rss_mb`` grows with them.  Each metric
+run, as quartiles, since ``peak_rss_mb`` grows with them, and an
+in-process workload gives each side's quartiles of each operation's
+per-run median ``op_seconds``, keyed by its ``GridOp.label`` in
+``perfbench/workloads.py``, to show where a change of ``pass_s`` sits
+(``cli-shipped`` times no operation alone).  Each metric
 also applies the acceptance rules: whether the medians differ in the
 better direction by more than the parent's interquartile range, whether
 the change won at least nine pairs in ten, and whether the change's
@@ -28,6 +32,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+from perfbench.workloads import BUDGET_SWEEP, FINE_GRID  # noqa: E402
+
+# the operations of each in-process workload, in the order a pass times them
+GRID_OPS = {"fine-grid": FINE_GRID, "budget-sweep": BUDGET_SWEEP}
 WHAT = (
     "perfbench end-to-end metrics of the parent commit and of the commit that adds "
     "this file, run in alternating pairs (the side that runs first alternates), each "
@@ -53,8 +62,9 @@ def quartile_cuts(values: list[float]) -> list[float]:
     return values * 3
 
 
-def quartiles(values: list[float]) -> dict[str, float]:
-    return {name: round(v, 4) for name, v in zip(("q1", "median", "q3"), quartile_cuts(values))}
+def quartiles(values: list[float], digits: int = 4) -> dict[str, float]:
+    cuts = quartile_cuts(values)
+    return {name: round(v, digits) for name, v in zip(("q1", "median", "q3"), cuts)}
 
 
 def iqr(values: list[float]) -> float:
@@ -87,6 +97,16 @@ def summarise(parent: dict, change: dict, benchmark: dict, parent_commit: str) -
             side: quartiles([r["result"]["attempted"] for r in runs])
             for side, runs in sides.items()
         }
+        if name in GRID_OPS:
+            entry["op_seconds"] = {
+                op.label: {
+                    side: quartiles(
+                        [statistics.median(p[k] for p in r["op_seconds"]) for r in runs], 5
+                    )
+                    for side, runs in sides.items()
+                }
+                for k, op in enumerate(GRID_OPS[name])
+            }
         metrics = {}
         for metric in benchmark["end_to_end"]:
             values = {

@@ -45,13 +45,13 @@ def dubois_reymond_residual(
     ``interval_times``, by the envelope theorem: f**'s is sum_i lam_i *
     d/dt f(t, xi_i) over the splitting of the velocity on the table row that
     costs f**.  The interval times are costed in one call, so an autonomous
-    f needs a single envelope, and a trajectory that carries the table of
-    this (problem, grid) needs none; on an autonomous problem the drift is
-    exactly zero.
+    f needs a single envelope, and a trajectory that carries the
+    ``Discretization`` of this (problem, grid) needs none; on an autonomous
+    problem the drift is exactly zero.
     """
     disc = Discretization.of_path(problem, cfg, trajectory).extended(trajectory.velocities)
     t, x, xi = disc.interval_times(trajectory.times), trajectory.states[:-1], trajectory.velocities
-    table, rows, values, g = disc.path_costs(t, x, xi, trajectory)
+    table, rows, values, g = disc.path_costs(t, x, xi)
     # the linearization defect f**(xi) - p*xi + g per interval
     energies = values - table.midpoints(rows, xi) * xi + g
     rates = problem.f.envelope_rate(t, table.split(rows, xi)) + problem.g.time_rate(t, x)

@@ -31,6 +31,8 @@ RECONSTRUCTION_TOL = 1e-9
 # Pivot cap of each simplex run, per LP row: the entering rule never
 # cycles, so reaching it means the arithmetic went astray.
 LP_PIVOTS_PER_ROW = 20
+# Machine epsilon of a double, 2u for the unit roundoff u.
+EPS = 2.0**-52
 
 
 def _as_array(values, name: str) -> np.ndarray:
@@ -162,8 +164,18 @@ class EnvelopeTable:
     def of(cls, grid: np.ndarray, values: np.ndarray) -> EnvelopeTable:
         """The hulls of the rows of ``values`` over ``grid``, finite, 1-d and
         strictly increasing with at least two points.  The samples and the
-        edge slopes must be finite, and the slopes may fall only by rounding,
-        1e-12 of their size."""
+        edge slopes must be finite, and the slopes may fall only by rounding:
+        1e-12 of their size, plus what the hull kernel's rounding allows.
+
+        The kernel keeps vertex b between a and c (edge widths w1, w2, slopes
+        s1, s2) when its rounded cross product (xb - xa)(yc - ya) -
+        (yb - ya)(xc - xa) is positive; exactly, it is w1 w2 (s2 - s1).  Each
+        product rounds within 3u of its size and the difference within u
+        more, and |yc - ya| <= |s1| w1 + |s2| w2, so s2 - s1 > -4u (|s1| (1 +
+        2 w1/w2) + |s2|); rounding the slopes adds 3u (|s1| + |s2|), and the
+        check allows 8u on that sum.  So next to a much narrower edge, a
+        sample's rounding, about u |f|, may move the slope over width w by
+        about u |f| / w."""
         grid = _as_array(grid, "grid points")
         if grid.ndim != 1 or grid.size < 2:
             raise DegenerateInputError("grid needs at least 2 points")
@@ -185,13 +197,17 @@ class EnvelopeTable:
         is_vertex[rows, vertices] = 1
         rank = np.zeros((len(hulls), grid.size + 1), dtype=np.intp)
         np.cumsum(is_vertex, axis=1, out=rank[:, 1:])
-        rises = np.diff(values[rows, vertices])
+        rises, widths = np.diff(values[rows, vertices]), np.diff(grid[vertices])
         edges = np.arange(rises.shape[1]) < counts[:, None] - 1
-        slopes = np.divide(rises, np.diff(grid[vertices]), out=np.zeros_like(rises), where=edges)
+        slopes = np.divide(rises, widths, out=np.zeros_like(rises), where=edges)
         if not np.isfinite(slopes).all():
             raise DegenerateInputError("edge slopes must contain finite values only")
-        drop = slopes[:, 1:] - slopes[:, :-1] < -1e-12 * np.maximum(1.0, np.abs(slopes[:, :-1]))
-        if (drop & edges[:, 1:]).any():
+        s1, s2, pairs = slopes[:, :-1], slopes[:, 1:], edges[:, 1:]
+        ratio = np.divide(widths[:, :-1], widths[:, 1:], out=np.zeros_like(s1), where=pairs)
+        with np.errstate(over="ignore"):  # an inf allowance admits any fall
+            rounding = 4.0 * EPS * (np.abs(s1) * (1.0 + 2.0 * ratio) + np.abs(s2))
+        drop = s2 - s1 < -(1e-12 * np.maximum(1.0, np.abs(s1)) + rounding)
+        if (drop & pairs).any():
             raise DegenerateInputError("edge slopes must be nondecreasing")
         return cls(grid, values, vertices, counts, rank, slopes)
 

@@ -6,11 +6,11 @@ clipped at the speed limit, and envelopes are built on exactly that set.
 Costs, decompositions, and necessary-condition checks therefore all see
 the same discrete relaxation.  f and g are sampled at a path's
 ``interval_times``, f on the rows of ``f.table`` into one
-``convex.EnvelopeTable`` per solve, and costs, subgradients and splittings
-are read from it by array gathers: ``path_costs`` gives a path's interval
-costs, which ``Trajectory.costed`` sums, and the trajectory carries the
-table that costed it, so the stages after the DP or after a trajectory
-read reuse it (``envelope_table``).
+``convex.EnvelopeTable`` per set of times, which the ``Discretization``
+keeps, and costs, subgradients and splittings are read from it by array
+gathers: ``path_costs`` gives every path's interval costs, which
+``Trajectory.costed`` sums.  A trajectory carries its ``Discretization``,
+so the stages after the DP or a trajectory read reuse its tables.
 The DP reads its transitions from ``Discretization.transitions``: per state
 offset and target node, the quotient of the admissible pair, in
 O(n_offsets * n_x) small integers.
@@ -18,13 +18,13 @@ O(n_offsets * n_x) small integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .convex import EnvelopeTable
-from .errors import InfeasibleError, OutOfDomainError
+from .errors import DegenerateInputError, InfeasibleError, OutOfDomainError
 from .problem import DPConfig, Problem, Trajectory
 
 
@@ -108,11 +108,18 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
 
 
-def _distinct_quotients(quotients: np.ndarray) -> np.ndarray:
+def _quotient_grid(quotients: np.ndarray) -> np.ndarray:
+    """The merged distinct finite quotients: at least two velocities."""
     values = _sorted_distinct(quotients[np.isfinite(quotients)])
     if values.size < 2:
         raise InfeasibleError("velocity cap admits fewer than two difference quotients")
-    return values
+    grid = merge_close_velocities(values)
+    if grid.size < 2:
+        raise DegenerateInputError(
+            "difference quotients merge into one velocity within the relative "
+            f"{MERGE_TOL:g} merge tolerance; the velocity grid needs two"
+        )
+    return grid
 
 
 def nearest_index(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -151,9 +158,11 @@ class Discretization:
     ``of`` decides them once: the grid is the merged distinct finite entries
     of ``quotients``, the admissible pairs' quotients (``_pair_quotients``).
     The offset table, which places those entries on the grid, and the
-    endpoint indices are built on first use, so only the DP pays for them.
-    ``sizes`` is the (n_t, n_x) it was built for, and ``of_path`` reuses
-    the one that costed a trajectory.
+    endpoint indices are built on first use, so only the DP pays for them;
+    f's envelope tables and the extended grids are kept in ``_kept``, by the
+    bits of their times or grid, which ``replace`` starts empty.  ``sizes``
+    is the (n_t, n_x) it was built for, and ``of_path`` reuses the one that
+    costed a trajectory.
     """
 
     problem: Problem
@@ -163,13 +172,14 @@ class Discretization:
     step: float
     grid: np.ndarray
     quotients: np.ndarray
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, problem: Problem, cfg: DPConfig) -> Discretization:
         xs = state_grid(problem, cfg.n_x)
         step = problem.horizon / cfg.n_t
         quotients = _pair_quotients(xs, step, problem.speed_limit)
-        grid = merge_close_velocities(_distinct_quotients(quotients))
+        grid = _quotient_grid(quotients)
         times = np.linspace(0.0, problem.horizon, cfg.n_t + 1)
         return cls(problem, (cfg.n_t, cfg.n_x), xs, times, step, grid, quotients)
 
@@ -177,10 +187,9 @@ class Discretization:
     def of_path(cls, problem: Problem, cfg: DPConfig, trajectory: Trajectory) -> Discretization:
         """The discretization that costed ``trajectory`` when it was built
         for this problem and this grid, else ``of(problem, cfg)``."""
-        if trajectory.costing is not None:
-            disc = trajectory.costing[0]
-            if disc.problem is problem and disc.sizes == (cfg.n_t, cfg.n_x):
-                return disc
+        disc = trajectory.discretization
+        if disc is not None and disc.problem is problem and disc.sizes == (cfg.n_t, cfg.n_x):
+            return disc
         return cls.of(problem, cfg)
 
     @staticmethod
@@ -207,47 +216,45 @@ class Discretization:
 
     def extended(self, velocities: np.ndarray) -> Discretization:
         """This discretization with the quotient grid extended by the
-        velocities of an externally supplied trajectory."""
+        velocities of an externally supplied trajectory: ``self`` when they
+        add no grid point, else the one extension kept for that grid."""
         extra = np.asarray(velocities, dtype=float)
         if np.any(np.abs(extra) > self.problem.speed_limit):
             raise OutOfDomainError(
                 "trajectory velocity exceeds the cap; outside the envelope domain"
             )
-        points = _sorted_distinct(np.concatenate([self.grid, extra]))
-        return replace(self, grid=merge_close_velocities(points))
+        grid = merge_close_velocities(_sorted_distinct(np.concatenate([self.grid, extra])))
+        key = ("grid", grid.tobytes())
+        if key[1] == self.grid.tobytes():
+            return self
+        if key not in self._kept:
+            self._kept[key] = replace(self, grid=grid)
+        return self._kept[key]
 
-    def envelope_table(
-        self, times: np.ndarray, trajectory: Trajectory | None = None
-    ) -> tuple[EnvelopeTable, np.ndarray]:
+    def envelope_table(self, times: np.ndarray) -> tuple[EnvelopeTable, np.ndarray]:
         """f's envelope table on the quotient grid with the rows of
-        ``f.table``, and each time's row: the table that ``trajectory``
-        carries when it was built for this f, exactly these times and
-        exactly this grid, else a new one."""
-        f = self.problem.f
-        if trajectory is not None and trajectory.costing is not None:
-            disc, table, rows = trajectory.costing
-            same_times = _same_bits(self.interval_times(trajectory.times), times)
-            if disc.problem.f is f and same_times and _same_bits(table.grid, self.grid):
-                return table, rows
-        values, rows = f.finite_table(times, self.grid, "velocity cost f", "the quotient grid")
-        return EnvelopeTable.of(self.grid, values), rows
+        ``f.table``, and each time's row: built once per set of time bits."""
+        key = ("times", np.asarray(times, dtype=float).tobytes())
+        if key not in self._kept:
+            values, rows = self.problem.f.finite_table(
+                times, self.grid, "velocity cost f", "the quotient grid"
+            )
+            self._kept[key] = EnvelopeTable.of(self.grid, values), rows
+        return self._kept[key]
 
     def path_costs(
-        self, times: np.ndarray, states: np.ndarray, velocities: np.ndarray, trajectory=None
+        self, times: np.ndarray, states: np.ndarray, velocities: np.ndarray
     ) -> tuple[EnvelopeTable, np.ndarray, np.ndarray, np.ndarray]:
         """Per-interval envelope table and row, f**(velocity) and g.
 
         Row i is the interval starting at (times[i], states[i]) with
-        constant velocities[i]; all intervals are costed from one envelope
-        table, ``envelope_table(times, trajectory)``, which answers further
+        constant velocities[i], and paths may be stacked on leading axes
+        of ``states`` and ``velocities``; every interval is costed from one
+        envelope table, ``envelope_table(times)``, which answers further
         queries on the same rows.  g takes one checked call on the arrays,
-        with the bits of one scalar call per interval.
+        with the bits of one scalar call per interval.  It is the one
+        routine that gives a path's interval values.
         """
-        table, rows = self.envelope_table(times, trajectory)
+        table, rows = self.envelope_table(times)
         g = self.problem.g.finite_value(times, states, "state cost g", "the trajectory's states")
         return table, rows, table.at(rows, velocities), g
-
-
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -228,7 +228,8 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
     match the problem exactly (17-digit CSV round-trips doubles
     bit-exactly), and velocities must respect the cap.  The costs are
     recomputed on the configuration's envelope grid, and the trajectory
-    carries the table that costed them.
+    carries that grid's ``Discretization``, which keeps the table of its
+    extension by the velocities.
     """
     path = Path(path)
     lines = _read(path, "trajectory").splitlines()
@@ -261,13 +262,8 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
         raise SchemaError(f"{path}: endpoint states do not match the problem")
     try:
         disc = Discretization.of(problem, cfg)
-        table, rows, f_values, g_values = disc.extended(vels).path_costs(
-            disc.interval_times(times), states[:-1], vels
-        )
-        costing = (disc, table, rows)
-        return Trajectory.costed(
-            times, states, vels, f_values, g_values, theta=cfg.theta, costing=costing
-        )
+        costs = disc.extended(vels).path_costs(disc.interval_times(times), states[:-1], vels)[2:]
+        return Trajectory.costed(times, states, vels, *costs, cfg.theta, discretization=disc)
     except (SchemaError, OutOfDomainError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 

@@ -137,11 +137,10 @@ class Trajectory:
     g_cost: float
     theta_value: float | None = None
     warnings: tuple[str, ...] = ()
-    # The costing that gave f_cost, when a table did: (the Discretization
-    # of its problem and grid, f's EnvelopeTable, the row of each of its
-    # ``interval_times``).  ``costed`` sets it; it is not a field, so reports,
-    # repr and equality never see it, and only ``Discretization`` reads it.
-    costing = None
+    # The Discretization whose envelope table gave f_cost, when one did.
+    # ``costed`` sets it; it is not a field, so reports, repr and equality
+    # never see it, and only ``Discretization.of_path`` reads it.
+    discretization = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -151,18 +150,19 @@ class Trajectory:
 
     @classmethod
     def costed(
-        cls, times, states, velocities, f_values, g_values, theta=None, warnings=(), costing=None
+        cls, times, states, velocities, f_values, g_values, theta=None, warnings=(),
+        discretization=None,
     ):
         """The path with interval costs ``f_values`` and ``g_values``, costed
-        by ``path_sums``.  The path carries ``costing``, the table that gave
-        ``f_values``."""
+        by ``path_sums``.  The path carries ``discretization``, whose table
+        gave ``f_values``."""
         f_cost, g_cost, theta_value = path_sums(times, f_values, g_values, theta, velocities)
         if theta_value is not None:
             theta_value = float(theta_value)
         path = cls(
             times, states, velocities, f_cost + g_cost, f_cost, g_cost, theta_value, warnings
         )
-        path.costing = costing
+        path.discretization = discretization
         return path
 
     @property

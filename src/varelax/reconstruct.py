@@ -34,11 +34,11 @@ def decompose_velocities(
 
     The support points stay inside one velocity ball whose radius is
     reported; it is a property of the problem, not of the grid.  The
-    table is the one the trajectory carries when it was built for this
-    (problem, grid).
+    table is kept by the ``Discretization`` the trajectory carries when
+    that was built for this (problem, grid).
     """
     disc = Discretization.of_path(problem, cfg, trajectory).extended(trajectory.velocities)
-    table, rows = disc.envelope_table(disc.interval_times(trajectory.times), trajectory)
+    table, rows = disc.envelope_table(disc.interval_times(trajectory.times))
     return table.split(rows, trajectory.velocities)
 
 

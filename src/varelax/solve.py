@@ -4,8 +4,9 @@ sweeps, penalized variants, and the a-priori coercivity check.
 One DP kernel (``_dp``) serves every solve and sweep.  It is exact on its
 grid, which ``discretize.Discretization`` builds, with ties broken toward
 the smallest predecessor, so results are schedule-independent.  Each path
-it returns is costed again by ``problem.path_sums`` and must reproduce its
-DP value; ``lagrangian_sweep`` costs its 14 paths as one batch.
+it returns is costed again, by ``Discretization.path_costs`` from the
+envelope table and ``problem.path_sums``, and must reproduce its DP value;
+``lagrangian_sweep`` costs its 14 paths as one batch.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .classify import HypothesisReport
-from .convex import EnvelopeTable
 from .discretize import Discretization, nearest_index
 from .errors import CertificateError, InfeasibleError
 from .problem import DPConfig, Problem, SweepReport, Trajectory, check_paths, path_sums
@@ -35,16 +35,15 @@ MULTIPLIERS = np.concatenate([[0.0], 2.0 ** np.arange(-6.0, 7.0)])
 class _Tables:
     """Cost rows of one discretization and the DP's step factor.
 
-    ``f_costs`` holds the envelope of f at the quotients, read from
-    ``f_table``, and ``g_costs`` holds g on the state grid, each on the
-    rows its integrand's ``table`` returns; time step i reads rows
-    ``f_rows[i]`` and ``g_rows[i]``.  A DP trajectory carries ``f_table``.
-    ``thetas``, theta at the quotients, prices penalties and budgets.
+    ``f_costs`` holds the envelope of f at the quotients, read from the
+    discretization's envelope table, and ``g_costs`` holds g on the state
+    grid, each on the rows its integrand's ``table`` returns; time step i
+    reads rows ``f_rows[i]`` and ``g_rows[i]``.  ``thetas``, theta at the
+    quotients, prices penalties and budgets.
     """
 
     disc: Discretization
     step: float
-    f_table: EnvelopeTable
     f_costs: np.ndarray
     g_costs: np.ndarray
     f_rows: np.ndarray
@@ -59,7 +58,7 @@ def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     f_costs = table.at(np.arange(len(table.values))[:, None], disc.grid)
     g_costs, g_rows = problem.g.finite_table(times, disc.xs, "state cost g", "the state grid")
     thetas = None if cfg.theta is None else cfg.theta(disc.grid)
-    return _Tables(disc, disc.step, table, f_costs, g_costs, f_rows, g_rows, thetas)
+    return _Tables(disc, disc.step, f_costs, g_costs, f_rows, g_rows, thetas)
 
 
 def _units(tab: _Tables, cfg: DPConfig, budgets: float | np.ndarray) -> np.ndarray:
@@ -313,18 +312,11 @@ def _solve(problem: Problem, cfg: DPConfig, tab: _Tables) -> Trajectory:
         warnings.append("boundary-contact")
     if np.any(np.abs(q) >= problem.velocity_cap * (1.0 - 1e-12)):
         warnings.append("cap-saturation")
-    costing = (disc, tab.f_table, tab.f_rows)
-    traj = Trajectory.costed(
-        disc.times, states, q, *_path_values(tab, idx, qidx), cfg.theta, tuple(warnings), costing
-    )
+    costs = disc.path_costs(disc.interval_times(disc.times), states[:-1], q)[2:]
+    traj = Trajectory.costed(disc.times, states, q, *costs, cfg.theta, tuple(warnings), disc)
     total = traj.value if cfg.theta is None else traj.value + cfg.penalty * traj.theta_value
     _reproduces(total, value)
     return traj
-
-
-def _path_values(tab: _Tables, idx, qidx):
-    """f** and g of each interval of DP paths, one along the last axis."""
-    return tab.f_costs[tab.f_rows, qidx], tab.g_costs[tab.g_rows, idx[..., :-1]]
 
 
 def _reproduces(totals, values) -> None:
@@ -480,7 +472,8 @@ def lagrangian_sweep(
     dp_values, idx, qidx = (np.array(part) for part in zip(*columns))
     disc = tab.disc
     states, q = disc.xs[idx], disc.grid[qidx]
-    f_cost, g_cost, theta_value = path_sums(disc.times, *_path_values(tab, idx, qidx), cfg.theta, q)
+    costs = disc.path_costs(disc.interval_times(disc.times), states[:, :-1], q)[2:]
+    f_cost, g_cost, theta_value = path_sums(disc.times, *costs, cfg.theta, q)
     check_paths(disc.times, states, q, f_cost + g_cost)
     penalized_minima = f_cost + g_cost + MULTIPLIERS * theta_value
     _reproduces(penalized_minima, dp_values)
@@ -556,9 +549,8 @@ def coercivity_bound_check(
     q = np.diff(snapped) / step
     if np.any(np.abs(q) > problem.speed_limit):
         raise InfeasibleError("reference path violates the velocity cap")
-    interval_times = disc.interval_times(times)
-    _, _, f_values, g_values = disc.path_costs(interval_times, snapped[:-1], q, trajectory)
-    ref_value = Trajectory.costed(times, snapped, q, f_values, g_values).value
+    costs = disc.path_costs(disc.interval_times(times), snapped[:-1], q)[2:]
+    ref_value = Trajectory.costed(times, snapped, q, *costs).value
 
     a_const = hypotheses.f_bound_offset
     alpha = hypotheses.g_bound_offset

@@ -1,6 +1,7 @@
 """The BENCH summariser pairs untraced runs by (workload, seed) and reports
 quartiles, pair wins and median ratios per end-to-end metric, and applies
-the acceptance rules to them."""
+the acceptance rules to them; traced runs give each side's per-layer
+figures."""
 
 import importlib.util
 import json
@@ -53,7 +54,7 @@ def test_summary_of_synthetic_runs(tmp_path):
         tmp_path / "parent.jsonl",
         [record("fine-grid", s, float(s), 50.0) for s in (1, 2, 3, 4)]
         + [
-            record("fine-grid", 1, 9.0, 99.0, trace=1),  # traced: ignored
+            record("fine-grid", 1, 9.0, 99.0, trace=1),  # traced: not paired
             record("budget-sweep", 7, 0.5, 36.0),  # no partner: ignored
         ],
     )
@@ -121,6 +122,55 @@ def test_summary_of_synthetic_runs(tmp_path):
     assert rss["median_ratio"] == 0.99  # 49.5 / 50
     assert rss["parent_iqr"] == 0.0
     assert rss["median_gain_exceeds_parent_iqr"] is True
+
+
+def test_per_layer_figures_of_traced_runs(tmp_path):
+    # traced runs are not paired: each side's per-layer figures are that
+    # side's quartiles over its traced runs of the workload
+    def traced(workload, seed, layers):
+        rec = record(workload, seed, 1.0, 1.0, trace=1)
+        rec["result"]["metrics"] = {
+            name: {"value": v, "unit": "count" if name.endswith("_count") else "s"}
+            for name, v in layers.items()
+        }
+        return rec
+
+    sweep = record("budget-sweep", 1, 1.0, 50.0, ops=[(1, 2, 3, 4)])
+    parent = write(
+        tmp_path / "parent.jsonl",
+        [record("fine-grid", 1, 1.0, 50.0), sweep]
+        + [traced("fine-grid", s, {"solve.relaxed_s": 0.03 + 0.001 * s}) for s in (8, 9)],
+    )
+    change = write(
+        tmp_path / "change.jsonl",
+        [record("fine-grid", 1, 1.0, 50.0), sweep]
+        + [
+            traced("fine-grid", 7, {"solve.relaxed_s": 0.05}),  # superseded
+            traced("fine-grid", 7, {"solve.relaxed_s": 0.02, "reconstruct.split_count": 4}),
+        ],
+    )
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(BENCHMARK), encoding="utf-8")
+    out = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--parent-commit", "abc", "--benchmark", str(bench)]
+    assert bench_summary.main(argv + ["--out", str(out)]) == 0
+    workloads = json.loads(out.read_text(encoding="utf-8"))["workloads"]
+    assert "per_layer" not in workloads["budget-sweep"]  # no traced run
+    assert workloads["fine-grid"]["per_layer"] == {
+        "traced_runs": {"parent": 2, "change": 1},
+        "figures": {
+            "reconstruct.split_count": {
+                "unit": "count", "parent": None, "change": {"q1": 4, "median": 4, "q3": 4}
+            },
+            "solve.relaxed_s": {
+                "unit": "s",
+                "parent": {"q1": 0.03825, "median": 0.0385, "q3": 0.03875},
+                "change": {"q1": 0.02, "median": 0.02, "q3": 0.02},
+            },
+        },
+    }
+    # the untraced pair's figures are as without the traced runs
+    assert workloads["fine-grid"]["metrics"]["pass_s"]["parent"]["median"] == 1.0
 
 
 def test_no_shared_pair_is_an_error(tmp_path, capsys):

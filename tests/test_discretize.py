@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import envelope_reference as ref
@@ -137,7 +137,7 @@ def discretizations(monkeypatch):
 
 
 def bare(traj):
-    """``traj`` without the table that costed it."""
+    """``traj`` without the ``Discretization`` that costed it."""
     return Trajectory(
         traj.times, traj.states, traj.velocities, traj.value, traj.f_cost, traj.g_cost,
         traj.theta_value, traj.warnings,
@@ -153,9 +153,9 @@ def stages(problem, traj, cfg):
 
 
 class TestCarriedTable:
-    """A trajectory carries the envelope table that costed it, and the
-    stages after it reuse that table only for the same f, interval times
-    and quotient grid."""
+    """A trajectory carries the ``Discretization`` that costed it, and the
+    stages after it reuse its tables only for the same problem, grid and
+    interval times."""
 
     @pytest.fixture(scope="class")
     def solved(self):
@@ -244,7 +244,7 @@ class TestCarriedTable:
         emit_trajectory(traj, tmp_path / "traj.csv")
         read = read_trajectory(tmp_path / "traj.csv", problem, cfg)
         for path in (traj, read):
-            assert path.costing is not None
+            assert path.discretization is not None
             plain = bare(path)
             assert to_jsonable(path) == to_jsonable(plain)
             assert sorted(to_jsonable(path)) == sorted(f.name for f in fields(Trajectory))
@@ -252,13 +252,46 @@ class TestCarriedTable:
             assert path != plain and path == path
 
     def test_read_trajectory_carries_its_table(self, solved, tables, tmp_path):
+        # the DP's path, and one with off-grid velocities: DR and decompose
+        # reuse the one extension of the read
         problem, cfg, traj = solved
-        emit_trajectory(traj, tmp_path / "traj.csv")
-        tables.clear()
-        read = read_trajectory(tmp_path / "traj.csv", problem, cfg)
-        dubois_reymond_residual(problem, read, cfg)
-        decompose_velocities(problem, read, cfg)
-        assert tables == [cfg.n_t]
+        nudge = np.r_[0.0, 1e-3 * np.sin(np.arange(1, cfg.n_t)), 0.0]
+        states = np.clip(traj.states + nudge, *problem.state_box)
+        off_grid = Trajectory(traj.times, states, np.diff(states) / traj.step, 0.0, 0.0, 0.0)
+        for path in (traj, off_grid):
+            emit_trajectory(path, tmp_path / "traj.csv")
+            tables.clear()
+            read = read_trajectory(tmp_path / "traj.csv", problem, cfg)
+            dubois_reymond_residual(problem, read, cfg)
+            decompose_velocities(problem, read, cfg)
+            assert tables == [cfg.n_t]
+
+
+class TestKeptTables:
+    """A ``Discretization`` keeps f's envelope table of each set of time bits
+    and one extension of each extended grid."""
+
+    def test_equal_time_bits_share_one_table(self, hulls):
+        problem, cfg = load("doublewell_timevarying")
+        disc = Discretization.of(problem, cfg)
+        times = disc.interval_times(disc.times)
+        table, rows = disc.envelope_table(times)
+        hulls.clear()
+        again = disc.envelope_table(times.copy())
+        assert again[0] is table and again[1] is rows and hulls == []
+        other = disc.envelope_table(times + 1e-3)
+        assert other[0] is not table and len(hulls) == cfg.n_t
+
+    def test_extensions(self):
+        problem, cfg = load("doublewell")
+        traj = solve_relaxed(problem, replace(cfg, n_t=24, n_x=25))
+        disc = traj.discretization
+        assert disc.extended(traj.velocities) is disc
+        off_grid = traj.velocities + 1e-3
+        extension = disc.extended(off_grid)
+        assert extension is not disc and extension.grid.size > disc.grid.size
+        assert disc.extended(off_grid.copy()) is extension
+        assert disc.extended(traj.velocities - 1e-3) is not extension
 
 
 class TestCliTableCounts:
@@ -354,9 +387,19 @@ def costing_cases(draw):
     return disc, times, states, velocities
 
 
+def narrow_edge_case():
+    """The collinear f at n_t = 5, n_x = 22, its grid extended by -2e-12: an
+    edge 2e-12 wide beside one of width 1.67, whose slopes the rounding of
+    the samples at t = 0.75 sets 5.2e-8 apart, once taken for a fall."""
+    disc = Discretization.of(collinear_problem(), DPConfig(n_t=5, n_x=22))
+    xi = np.array([-2e-12])
+    return disc.extended(xi), np.array([0.75]), np.array([0.5]), xi
+
+
 class TestPathCosts:
     @settings(max_examples=80, deadline=None)
     @given(costing_cases())
+    @example(narrow_edge_case())
     def test_matches_scalar_loop_bit_for_bit(self, case):
         disc, times, states, velocities = case
         want = scalar_costs(disc, times, states, velocities)
@@ -490,8 +533,10 @@ class TestEnvelopeTable:
         assert table.values.shape == (3, disc.grid.size)
         assert rows.tolist() == [2, 0, 2, 1, 0]
         autonomous, _ = load("doublewell")
-        table, rows = replace(disc, problem=autonomous).envelope_table(np.linspace(0, 1, 4))
-        assert table.values.shape[0] == 1 and rows.tolist() == [0, 0, 0, 0]
+        # a replaced discretization keeps none of the tables built before
+        for times in (np.linspace(0, 1, 4), np.array([0.5, 0.0, 0.5, 0.25, 0.0])):
+            table, rows = replace(disc, problem=autonomous).envelope_table(times)
+            assert table.values.shape[0] == 1 and rows.tolist() == [0] * times.size
 
     def test_out_of_domain_message_names_the_velocity(self):
         problem, cfg = load("quadratic")
@@ -589,6 +634,21 @@ class TestDiscretizationOwnsTheGrid:
 
     @settings(max_examples=150, deadline=None)
     @given(discretization_cases())
+    # the end is inserted 1.47e-14 from the start, and the quotients merge into one
+    @example(
+        (
+            Problem(
+                horizon=1.0,
+                start=0.0,
+                end=1.4726406000312254e-14,
+                f=IntegrandFamily(base=velocity_function("power_p", {"p": 2.0})),
+                g=IntegrandFamily(base=state_function("zero")),
+                state_box=(0.0, 1.0),
+                velocity_cap=0.5,
+            ),
+            DPConfig(n_t=2, n_x=3),
+        )
+    )
     def test_grid_is_the_band_quotients(self, case):
         problem, cfg = case
         xs = state_grid(problem, cfg.n_x)

@@ -306,6 +306,56 @@ def test_class_e_lines_beyond_float_range_pass_silently(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# An f affine on each side of 0 at every time, so convex at every t, and a
+# path whose velocities add -2e-12 to the quotient grid: an edge 2e-12 wide
+# beside one of width 1.67.  Rounding the samples moves that edge's slope
+# by 5.2e-8, which the slope check once took for a fall.
+NARROW_EDGE = (
+    edits(
+        edit("f", {
+            "base": {"name": "abs"},
+            "modulation": {"name": "affine", "params": {"slope": 0.5, "offset": 0.25}},
+            "time_factor": {"name": "affine_t", "params": {"slope": 1.0, "offset": 0.0}},
+        }),
+        edit("numerics", dict(BASE["numerics"], n_t=5, n_x=22)),
+    ),
+    "t,x,xdot\n0,0,0.80000000000000004\n0.25,0.20000000000000001,-2e-12\n"
+    "0.5,0.19999999999950002,1.600000000001\n0.75,0.59999999999975007,1.6000000000009997\n"
+    "1,1,1.6000000000009997\n",
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_a_narrow_edge_beside_a_wide_one_is_costed(command, tmp_path, capsys):
+    change, csv = NARROW_EDGE
+    doc = copy.deepcopy(BASE)
+    change(doc)
+    problem = write(tmp_path / "case.json", json.dumps(doc))
+    traj = write(tmp_path / "traj.csv", csv)
+    assert main([command, problem, "--traj", traj, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["relax", "solve"])
+def test_a_quotient_grid_merged_to_one_point_ends_with_one_error_line(command, tmp_path, capsys):
+    # the end, 1.47e-14 from the start, is inserted beside it, and every
+    # quotient merges into one velocity
+    doc = copy.deepcopy(BASE)
+    edits(
+        edit("horizon.b", 1.4726406000312254e-14),
+        edit("numerics", dict(BASE["numerics"], n_t=2, n_x=3, velocity_cap=0.5)),
+    )(doc)
+    problem = write(tmp_path / "case.json", json.dumps(doc))
+    message = (
+        "error: difference quotients merge into one velocity within the relative 1e-12 "
+        "merge tolerance; the velocity grid needs two"
+    )
+    assert main([command, problem, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_the_straight_path_is_a_valid_trajectory(tmp_path):
     """The CSV cases above break one check each of this valid file."""
     problem = write(tmp_path / "case.json", json.dumps(BASE))

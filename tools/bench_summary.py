@@ -4,10 +4,10 @@
         [--out BENCH.json] [--benchmark BENCHMARK.json]
 
 Each input is a ``perfbench/out/results.jsonl`` written by runs of one
-tree: the parent commit's, or the change's.  Only untraced records
-(``--trace 0``) count.  A pair is the parent's and the change's record of
-the same (workload, seed); when a file holds a key twice, its later record
-wins.  For each end-to-end metric that ``BENCHMARK.json`` declares, the
+tree: the parent commit's, or the change's.  Untraced records
+(``--trace 0``) are paired: a pair is the parent's and the change's record
+of the same (workload, seed); when a file holds a key twice, its later
+record wins.  For each end-to-end metric that ``BENCHMARK.json`` declares, the
 summary gives each side's quartiles over its paired runs, how many pairs
 the change won in the metric's better direction, and the ratio of the
 medians; each workload also gives each side's operations attempted per
@@ -15,7 +15,10 @@ run, as quartiles, since ``peak_rss_mb`` grows with them, and an
 in-process workload gives each side's quartiles of each operation's
 per-run median ``op_seconds``, keyed by its ``GridOp.label`` in
 ``perfbench/workloads.py``, to show where a change of ``pass_s`` sits
-(``cli-shipped`` times no operation alone).  Each metric
+(``cli-shipped`` times no operation alone).  Traced records
+(``--trace 1``) are not paired: a workload gives each side's count of
+them and, for each per-layer figure they report, such as
+``solve.relaxed_s``, that side's quartiles over them.  Each metric
 also applies the acceptance rules: whether the medians differ in the
 better direction by more than the parent's interquartile range, whether
 the change won at least nine pairs in ten, and whether the change's
@@ -44,13 +47,14 @@ WHAT = (
 )
 
 
-def untraced_records(path: Path) -> dict[tuple[str, int], dict]:
-    """(workload, seed) -> the last untraced record of that key in the file."""
+def read_records(path: Path, trace: int) -> dict[tuple[str, int], dict]:
+    """(workload, seed) -> the last record of that key in the file with
+    this ``trace`` flag."""
     records = {}
     for line in path.read_text(encoding="utf-8").splitlines():
         if line.strip():
             record = json.loads(line)
-            if record["trace"] == 0:
+            if record["trace"] == trace:
                 records[(record["workload"], record["seed"])] = record
     return records
 
@@ -73,7 +77,32 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarise(parent: dict, change: dict, benchmark: dict, parent_commit: str) -> dict:
+def per_layer(traced: dict[str, list[dict]]) -> dict:
+    """Each side's traced-run count and, per layer figure, its unit and
+    each side's quartiles over the side's traced runs; a side without a
+    traced run of a figure gives None."""
+    units = {
+        name: metric["unit"]
+        for runs in traced.values()
+        for r in runs
+        for name, metric in r["result"]["metrics"].items()
+    }
+    figures = {}
+    for name in sorted(units):
+        figures[name] = {"unit": units[name]}
+        for side, runs in traced.items():
+            found = [r["result"]["metrics"].get(name) for r in runs]
+            values = [metric["value"] for metric in found if metric is not None]
+            figures[name][side] = quartiles(values, 6) if values else None
+    return {"traced_runs": {side: len(runs) for side, runs in traced.items()}, "figures": figures}
+
+
+def summarise(
+    parent: dict, change: dict, benchmark: dict, parent_commit: str, traced: tuple[dict, dict]
+) -> dict:
+    """The comparison of the paired untraced records ``parent`` and
+    ``change``, with the per-layer figures of the traced records
+    ``traced``, the parent's and the change's."""
     keys = sorted(parent.keys() & change.keys())
     if not keys:
         raise ValueError("the two files share no (workload, seed) pair of untraced runs")
@@ -140,6 +169,12 @@ def summarise(parent: dict, change: dict, benchmark: dict, parent_commit: str) -
                 ),
             }
         entry["metrics"] = metrics
+        runs = {
+            side: [r for (workload, _), r in sorted(records.items()) if workload == name]
+            for side, records in zip(("parent", "change"), traced)
+        }
+        if any(runs.values()):
+            entry["per_layer"] = per_layer(runs)
         workloads[name] = entry
     first = change[keys[0]]
     versions = first["versions"]
@@ -173,10 +208,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         summary = summarise(
-            untraced_records(args.parent),
-            untraced_records(args.change),
+            read_records(args.parent, 0),
+            read_records(args.change, 0),
             json.loads(args.benchmark.read_text(encoding="utf-8")),
             args.parent_commit,
+            (read_records(args.parent, 1), read_records(args.change, 1)),
         )
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,10 @@ Along a minimizer the linearization defect of the velocity cost plus the
 state cost equals a constant plus the integral of a time-derivative
 selection, read from the support points of the envelope's splittings.
 For autonomous problems that reduces to constancy of the defect.  The
-check is a diagnostic and never constrains the solver.
+check reads f**, the subgradient midpoints and the splittings from the
+path's placement on its envelope table, the one that costed the path and
+that ``decompose_velocities`` returns the splitting of.  It is a
+diagnostic and never constrains the solver.
 """
 
 from __future__ import annotations
@@ -46,15 +49,17 @@ def dubois_reymond_residual(
     d/dt f(t, xi_i) over the splitting of the velocity on the table row that
     costs f**.  The interval times are costed in one call, so an autonomous
     f needs a single envelope, and a trajectory that carries the
-    ``Discretization`` of this (problem, grid) needs none; on an autonomous
-    problem the drift is exactly zero.
+    ``Discretization`` of this (problem, grid) needs none, nor a new
+    location or splitting of its velocities; on an autonomous problem the
+    drift is exactly zero.
     """
     disc = Discretization.of_path(problem, cfg, trajectory).extended(trajectory.velocities)
     t, x, xi = disc.interval_times(trajectory.times), trajectory.states[:-1], trajectory.velocities
-    table, rows, values, g = disc.path_costs(t, x, xi)
+    _, _, values, g = disc.path_costs(t, x, xi)
+    placed = disc.placement(t, xi)
     # the linearization defect f**(xi) - p*xi + g per interval
-    energies = values - table.midpoints(rows, xi) * xi + g
-    rates = problem.f.envelope_rate(t, table.split(rows, xi)) + problem.g.time_rate(t, x)
+    energies = values - placed.midpoints * xi + g
+    rates = problem.f.envelope_rate(t, placed.split) + problem.g.time_rate(t, x)
     step = trajectory.step
     drift = np.concatenate([[0.0], np.cumsum(rates[:-1]) * step])
     corrected = energies - drift

@@ -7,16 +7,18 @@ sample data and can be cross-checked by enumeration.
 
 One-dimensional velocity grids are the workhorse: one ``EnvelopeTable``
 holds the hulls of many sampled rows over one grid, built by Andrew's
-monotone chain, and answers f**, subgradient and splitting queries for
-(row, velocity) pairs by array gathers.  A planar velocity cloud is split
-at one target by a small linear program, solved by the dense simplex that
-the drift fit of the certify stage also uses.  Either way a splitting is
-a ``CaratheodoryDecomposition``, a batch of rows checked as a whole when
-it is built."""
+monotone chain, and places (row, velocity) pairs on them by array
+gathers; a ``Placement`` answers f**, subgradient and splitting queries
+from the located arrays.  A planar velocity cloud is split at one target
+by a small linear program, solved by the dense simplex that the drift fit
+of the certify stage also uses.  Either way a splitting is a
+``CaratheodoryDecomposition``, a batch of rows checked as a whole when it
+is built."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -211,11 +213,12 @@ class EnvelopeTable:
             raise DegenerateInputError("edge slopes must be nondecreasing")
         return cls(grid, values, vertices, counts, rank, slopes)
 
-    def _locate(self, rows, xis):
-        """The velocities after the domain check, clipped to the domain; the
-        grid index p of each and whether it is a vertex there; and the edge
-        (jl, jr) to interpolate on, with the weight lam of jl."""
-        xis = np.asarray(xis, dtype=float)
+    def place(self, rows, xis) -> Placement:
+        """The velocities ``xis`` located on rows ``rows``: the ``Placement``
+        that ``at``, ``subgradients``, ``midpoints`` and ``split`` read.  A
+        velocity farther than the domain tolerance outside the grid raises
+        ``OutOfDomainError``."""
+        rows, xis = np.asarray(rows), np.asarray(xis, dtype=float)
         lo, hi = float(self.grid[0]), float(self.grid[-1])
         tol = 1e-12 * max(1.0, abs(lo), abs(hi))
         outside = np.flatnonzero((xis < lo - tol) | (xis > hi + tol))
@@ -223,53 +226,115 @@ class EnvelopeTable:
             xi = float(xis.flat[outside[0]])
             raise OutOfDomainError(f"velocity {xi!r} outside envelope domain [{lo!r}, {hi!r}]")
         clipped = np.clip(xis, lo, hi)
-        p = np.searchsorted(self.grid, clipped)
-        exact = (self.grid[p] == clipped) & (self.rank[rows, p + 1] > self.rank[rows, p])
-        idx = np.maximum(self.rank[rows, p], 1)  # the last vertex is at or right of p
-        jl, jr = self.vertices[rows, idx - 1], self.vertices[rows, idx]
-        lam = (self.grid[jr] - clipped) / (self.grid[jr] - self.grid[jl])
-        return clipped, p, exact, jl, jr, lam
+        p = self.grid.searchsorted(clipped)
+        below = _take(self.rank, rows, p)
+        exact = (self.grid.take(p) == clipped) & (_take(self.rank, rows, p + 1) > below)
+        idx = np.maximum(below, 1)  # the last vertex is at or right of p
+        jl, jr = _take(self.vertices, rows, idx - 1), _take(self.vertices, rows, idx)
+        right = self.grid.take(jr)
+        lam = (right - clipped) / (right - self.grid.take(jl))
+        return Placement(self, rows, clipped, p, exact, jl, jr, lam)
 
     def at(self, rows, xis) -> np.ndarray:
-        """f** of row ``rows`` at ``xis``: exact at a vertex, linear in between."""
-        _, p, exact, jl, jr, lam = self._locate(rows, xis)
-        out = lam * self.values[rows, jl] + (1.0 - lam) * self.values[rows, jr]
-        return np.where(exact, self.values[rows, p], out)
+        """``Placement.values`` of ``xis`` on rows ``rows``."""
+        return self.place(rows, xis).values
 
     def subgradients(self, rows, xis) -> tuple[np.ndarray, np.ndarray]:
-        """Ends (lo, hi) of row ``rows``' subgradient interval at ``xis``:
+        """``Placement.subgradients`` of ``xis`` on rows ``rows``."""
+        return self.place(rows, xis).subgradients
+
+    def midpoints(self, rows, xis) -> np.ndarray:
+        """``Placement.midpoints`` of ``xis`` on rows ``rows``."""
+        return self.place(rows, xis).midpoints
+
+    def split(self, rows: np.ndarray, xis) -> CaratheodoryDecomposition:
+        """``Placement.split`` of ``xis`` on rows ``rows``."""
+        return self.place(rows, xis).split
+
+
+def _take(table: np.ndarray, rows, cols) -> np.ndarray:
+    """``table[rows, cols]`` for in-range indices, as one gather from the
+    flat table: cheaper than numpy's two-axis indexing on a path's or a
+    grid's worth of points, dearer on a handful."""
+    return table.ravel().take(rows * table.shape[1] + cols)
+
+
+def _read_only(a) -> np.ndarray:
+    """A read-only view of ``a``: the caller's own array stays writeable."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
+class Placement:
+    """Velocities located on rows of one ``EnvelopeTable``: each velocity
+    after the domain check, ``clipped`` to the domain; its grid index
+    ``p`` and whether it is a hull vertex there, ``exact``; and the edge
+    (``jl``, ``jr``) to interpolate on, with the weight ``lam`` of jl.
+    f**, the subgradient ends, their midpoints and the splitting are read
+    from these arrays once, on first use.  Every array is read-only, since
+    one placement may serve several readers.
+    """
+
+    table: EnvelopeTable
+    rows: np.ndarray
+    clipped: np.ndarray
+    p: np.ndarray
+    exact: np.ndarray
+    jl: np.ndarray
+    jr: np.ndarray
+    lam: np.ndarray
+
+    def __post_init__(self):
+        for name in ("rows", "clipped", "p", "exact", "jl", "jr", "lam"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """f** of each row at its velocity: exact at a vertex, linear in between."""
+        values, rows = self.table.values, self.rows
+        left, right = _take(values, rows, self.jl), _take(values, rows, self.jr)
+        out = self.lam * left + (1.0 - self.lam) * right
+        return _read_only(np.where(self.exact, _take(values, rows, self.p), out))
+
+    @cached_property
+    def subgradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ends (lo, hi) of each row's subgradient interval at its velocity:
         both the slope of the edge at an interior point, the slopes of the
         two edges at a vertex; the missing outward slope at a domain end is
         the extreme edge's."""
-        _, p, exact, _, _, _ = self._locate(rows, xis)
-        idx = self.rank[rows, p]  # the vertex at or right of p
-        lo = self.slopes[rows, np.maximum(idx - 1, 0)]
-        hi = self.slopes[rows, np.minimum(idx, self.counts[rows] - 2)]
-        return lo, np.where(exact, hi, lo)
+        table, rows = self.table, self.rows
+        idx = _take(table.rank, rows, self.p)  # the vertex at or right of p
+        lo = _take(table.slopes, rows, np.maximum(idx - 1, 0))
+        hi = _take(table.slopes, rows, np.minimum(idx, table.counts.take(rows) - 2))
+        return _read_only(lo), _read_only(np.where(self.exact, hi, lo))
 
-    def midpoints(self, rows, xis) -> np.ndarray:
-        """Midpoint of row ``rows``' subgradient interval at ``xis``; its ends
-        are two adjacent edge slopes, so they cross at most by the rounding
-        that ``of`` allows the slopes."""
-        lo, hi = self.subgradients(rows, xis)
-        return 0.5 * (lo + hi)
+    @cached_property
+    def midpoints(self) -> np.ndarray:
+        """Midpoint of each row's subgradient interval; its ends are two
+        adjacent edge slopes, so they cross at most by the rounding that
+        ``EnvelopeTable.of`` allows the slopes."""
+        lo, hi = self.subgradients
+        return _read_only(0.5 * (lo + hi))
 
-    def split(self, rows: np.ndarray, xis) -> CaratheodoryDecomposition:
-        """Each velocity's splitting on its row, with weights, points and
-        point values of shape (n, 2).  A hull vertex splits over itself
-        alone, its second column a copy with weight 0; any other point over
-        its edge's vertices."""
-        clipped, p, exact, jl, jr, lam = self._locate(rows, xis)
+    @cached_property
+    def split(self) -> CaratheodoryDecomposition:
+        """Each velocity's splitting on its row, checked once, with weights,
+        points and point values of shape (n, 2), for one row per velocity.
+        A hull vertex splits over itself alone, its second column a copy
+        with weight 0; any other point over its edge's vertices."""
+        rows, p, exact, lam = self.rows, self.p, self.exact, self.lam
         at_vertex = exact[:, None]
         weights = np.where(at_vertex, [1.0, 0.0], np.stack([lam, 1.0 - lam], axis=1))
-        index = np.where(at_vertex, p[:, None], np.stack([jl, jr], axis=1))
-        points, values = self.grid[index], self.values[rows[:, None], index]
+        index = np.where(at_vertex, p[:, None], np.stack([self.jl, self.jr], axis=1))
+        points = self.table.grid.take(index)
+        values = _take(self.table.values, rows[:, None], index)
         # lam * vl + (1 - lam) * vr, and exactly the vertex value at a vertex
         envelope = weights[:, 0] * values[:, 0] + weights[:, 1] * values[:, 1]
-        targets = np.where(exact, points[:, 0], clipped)
-        return CaratheodoryDecomposition(
-            weights, points, values, np.where(exact, 1, 2), targets, envelope
-        )
+        targets = np.where(exact, points[:, 0], self.clipped)
+        arrays = weights, points, values, np.where(exact, 1, 2), targets, envelope
+        return CaratheodoryDecomposition(*map(_read_only, arrays))
 
 
 # ---------------------------------------------------------------------------

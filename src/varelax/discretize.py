@@ -7,10 +7,13 @@ Costs, decompositions, and necessary-condition checks therefore all see
 the same discrete relaxation.  f and g are sampled at a path's
 ``interval_times``, f on the rows of ``f.table`` into one
 ``convex.EnvelopeTable`` per set of times, which the ``Discretization``
-keeps, and costs, subgradients and splittings are read from it by array
-gathers: ``path_costs`` gives every path's interval costs, which
+keeps.  A path's velocities are placed on that table once
+(``placement``, kept by the bits of its times and velocities), and its
+costs, subgradients and splitting are read from that placement:
+``path_costs`` gives every path's interval costs, which
 ``Trajectory.costed`` sums.  A trajectory carries its ``Discretization``,
-so the stages after the DP or a trajectory read reuse its tables.
+so the stages after the DP or a trajectory read reuse its tables and its
+placement.
 The DP reads its transitions from ``Discretization.transitions``: per state
 offset and target node, the quotient of the admissible pair, in
 O(n_offsets * n_x) small integers.
@@ -23,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .convex import EnvelopeTable
+from .convex import EnvelopeTable, Placement
 from .errors import DegenerateInputError, InfeasibleError, OutOfDomainError
 from .problem import DPConfig, Problem, Trajectory
 
@@ -159,8 +162,9 @@ class Discretization:
     of ``quotients``, the admissible pairs' quotients (``_pair_quotients``).
     The offset table, which places those entries on the grid, and the
     endpoint indices are built on first use, so only the DP pays for them;
-    f's envelope tables and the extended grids are kept in ``_kept``, by the
-    bits of their times or grid, which ``replace`` starts empty.  ``sizes``
+    f's envelope tables, the paths' placements and the extended grids are
+    kept in ``_kept``, by the bits of their times, velocities or grid,
+    which ``replace`` starts empty.  ``sizes``
     is the (n_t, n_x) it was built for, and ``of_path`` reuses the one that
     costed a trajectory.
     """
@@ -217,13 +221,19 @@ class Discretization:
     def extended(self, velocities: np.ndarray) -> Discretization:
         """This discretization with the quotient grid extended by the
         velocities of an externally supplied trajectory: ``self`` when they
-        add no grid point, else the one extension kept for that grid."""
+        add no grid point, else the one extension kept for that grid.  The
+        merged grid is kept by the bits of the velocities."""
         extra = np.asarray(velocities, dtype=float)
         if np.any(np.abs(extra) > self.problem.speed_limit):
             raise OutOfDomainError(
                 "trajectory velocity exceeds the cap; outside the envelope domain"
             )
-        grid = merge_close_velocities(_sorted_distinct(np.concatenate([self.grid, extra])))
+        merged = ("merged", extra.tobytes())
+        if merged not in self._kept:
+            self._kept[merged] = merge_close_velocities(
+                _sorted_distinct(np.concatenate([self.grid, extra]))
+            )
+        grid = self._kept[merged]
         key = ("grid", grid.tobytes())
         if key[1] == self.grid.tobytes():
             return self
@@ -242,6 +252,18 @@ class Discretization:
             self._kept[key] = EnvelopeTable.of(self.grid, values), rows
         return self._kept[key]
 
+    def placement(self, times: np.ndarray, velocities: np.ndarray) -> Placement:
+        """The velocities of a path with interval times ``times`` placed on
+        their rows of ``envelope_table(times)``: located once, and split
+        once on first use, per set of time and velocity bits."""
+        velocities = np.asarray(velocities, dtype=float)
+        times = np.asarray(times, dtype=float)
+        key = ("path", times.tobytes(), velocities.shape, velocities.tobytes())
+        if key not in self._kept:
+            table, rows = self.envelope_table(times)
+            self._kept[key] = table.place(rows, velocities)
+        return self._kept[key]
+
     def path_costs(
         self, times: np.ndarray, states: np.ndarray, velocities: np.ndarray
     ) -> tuple[EnvelopeTable, np.ndarray, np.ndarray, np.ndarray]:
@@ -249,12 +271,12 @@ class Discretization:
 
         Row i is the interval starting at (times[i], states[i]) with
         constant velocities[i], and paths may be stacked on leading axes
-        of ``states`` and ``velocities``; every interval is costed from one
-        envelope table, ``envelope_table(times)``, which answers further
-        queries on the same rows.  g takes one checked call on the arrays,
-        with the bits of one scalar call per interval.  It is the one
-        routine that gives a path's interval values.
+        of ``states`` and ``velocities``; f** is read from the path's
+        ``placement``, which answers further queries on the same rows.  g
+        takes one checked call on the arrays, with the bits of one scalar
+        call per interval.  It is the one routine that gives a path's
+        interval values.
         """
-        table, rows = self.envelope_table(times)
+        placed = self.placement(times, velocities)
         g = self.problem.g.finite_value(times, states, "state cost g", "the trajectory's states")
-        return table, rows, table.at(rows, velocities), g
+        return placed.table, placed.rows, placed.values, g

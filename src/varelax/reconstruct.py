@@ -2,11 +2,12 @@
 
 Each interval's velocity is split across the hull-edge support points
 that realize the relaxed cost: one ``CaratheodoryDecomposition`` batch,
-a row per interval, from one envelope table of the trajectory's times,
-checked once as a whole.  The two resulting sub-intervals are then
-ordered to favor the cheaper state cost.  Contiguous sub-intervals are a
-valid bang-bang realization as the step vanishes, and the ordering is the
-only degree of freedom that affects cost.
+a row per interval, from the path's placement on one envelope table of
+the trajectory's times, checked once as a whole.  The two resulting
+sub-intervals are then ordered to favor the cheaper state cost.
+Contiguous sub-intervals are a valid bang-bang realization as the step
+vanishes, and the ordering is the only degree of freedom that affects
+cost.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ def decompose_velocities(
     row per interval.
 
     The support points stay inside one velocity ball whose radius is
-    reported; it is a property of the problem, not of the grid.  The
-    table is kept by the ``Discretization`` the trajectory carries when
-    that was built for this (problem, grid).
+    reported; it is a property of the problem, not of the grid.  It is
+    the splitting of the path's ``Discretization.placement``, which the
+    ``Discretization`` the trajectory carries keeps when that was built
+    for this (problem, grid): the one the Du Bois-Reymond check read,
+    checked once, with read-only arrays.
     """
     disc = Discretization.of_path(problem, cfg, trajectory).extended(trajectory.velocities)
-    table, rows = disc.envelope_table(disc.interval_times(trajectory.times))
-    return table.split(rows, trajectory.velocities)
+    return disc.placement(disc.interval_times(trajectory.times), trajectory.velocities).split
 
 
 @dataclass(eq=False)

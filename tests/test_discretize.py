@@ -319,6 +319,59 @@ class TestCliTableCounts:
         assert (len(tables), len(hulls)) == (count, rows)
 
 
+@pytest.fixture
+def placements(monkeypatch):
+    """Counts that grow by one per velocity location on a table, per checked
+    splitting and per merge of velocities into a quotient grid."""
+    counts = dict.fromkeys(("locations", "splittings", "merges"), 0)
+
+    def counting(key, build):
+        def call(*args):
+            counts[key] += 1
+            return build(*args)
+
+        return call
+
+    splitting = convex.CaratheodoryDecomposition
+    monkeypatch.setattr(EnvelopeTable, "place", counting("locations", EnvelopeTable.place))
+    check = counting("splittings", splitting.__post_init__)
+    monkeypatch.setattr(splitting, "__post_init__", check)
+    merge = counting("merges", discretize.merge_close_velocities)
+    monkeypatch.setattr(discretize, "merge_close_velocities", merge)
+    return counts
+
+
+class TestPlacementCounts:
+    """Each path is located on its table and split once: the stages after
+    the DP read the placement that costed its path."""
+
+    @pytest.mark.parametrize(
+        "name, n_t, n_x",
+        [
+            ("doublewell", 256, 512),
+            ("doublewell_timevarying", 384, 385),
+            ("doublewell_concave", 512, 257),
+        ],
+    )
+    def test_fine_grid_pipeline(self, placements, name, n_t, n_x):
+        # the grid's costs and the path: 6 locations and 2 splittings
+        # before the placement was kept, and 2 merges after the DP
+        problem, cfg = load(name)
+        cfg = replace(cfg, n_t=n_t, n_x=n_x)
+        traj = solve_relaxed(problem, cfg)
+        placements["merges"] = 0  # the quotient grid's own merge
+        dubois_reymond_residual(problem, traj, cfg)
+        decompose_velocities(problem, traj, cfg)
+        assert placements == {"locations": 2, "splittings": 1, "merges": 1}
+
+    def test_cli_solve(self, placements, tmp_path):
+        # the certificates' queries, the DP's grid and path and the
+        # coercivity reference path: 67 locations and 3 splittings before
+        src = str(PROBLEMS / "doublewell_timevarying.json")
+        assert cli.main(["solve", src, "--out", str(tmp_path / "out.json")]) == 0
+        assert (placements["locations"], placements["splittings"]) == (63, 2)
+
+
 def scalar_costs(disc, times, states, velocities):
     """``path_costs``' f** and g with the midpoint subgradients of its
     table, interval by interval, on the per-envelope reference."""
@@ -430,6 +483,78 @@ class TestPathCosts:
         times = np.array([0.5, 0.0, 0.5, 0.25, 0.0])
         disc.path_costs(times, np.zeros(5), np.zeros(5))
         assert len(hulls) == 3
+
+
+# A path read from a CSV whose velocity -2e-12 lands beside the grid's 0,
+# on the collinear f at n_t = 5, n_x = 22: the narrow edge of
+# ``narrow_edge_case``.
+NARROW_EDGE_CSV = (
+    "t,x,xdot\n0,0,0.80000000000000004\n0.25,0.20000000000000001,-2e-12\n"
+    "0.5,0.19999999999950002,1.600000000001\n0.75,0.59999999999975007,1.6000000000009997\n"
+    "1,1,1.6000000000009997\n"
+)
+
+
+class TestKeptPlacements:
+    """The placement a ``Discretization`` keeps for a path answers every
+    query with the bits of fresh table queries, and is shared only by
+    paths of the same bits."""
+
+    @staticmethod
+    def assert_reads_fresh_queries(disc, times, states, velocities):
+        values = disc.path_costs(times, states, velocities)[2]
+        placed = disc.placement(times, velocities)
+        table, rows = disc.envelope_table(times)
+        kept, fresh = placed.split, table.split(rows, velocities)
+        got = [values, placed.values, *placed.subgradients, placed.midpoints]
+        want = [table.at(rows, velocities)] * 2
+        want += [*table.subgradients(rows, velocities), table.midpoints(rows, velocities)]
+        for name in ("weights", "points", "point_values", "targets", "envelope_values"):
+            got.append(getattr(kept, name))
+            want.append(getattr(fresh, name))
+        assert [bits(a) for a in got] == [bits(b) for b in want]
+        assert kept.support.tolist() == fresh.support.tolist()
+        assert placed.table is table
+        assert disc.placement(times.copy(), velocities.copy()) is placed
+        changed = velocities.copy()
+        changed[-1] = disc.grid[0] if bits(changed[-1:]) != bits(disc.grid[:1]) else disc.grid[-1]
+        assert disc.placement(times, changed) is not placed
+
+    @settings(max_examples=80, deadline=None)
+    @given(costing_cases())
+    @example(narrow_edge_case())
+    def test_kept_placement_reads_fresh_bits(self, case):
+        self.assert_reads_fresh_queries(*case)
+
+    def test_csv_read_beside_a_grid_point(self, tmp_path):
+        (tmp_path / "traj.csv").write_text(NARROW_EDGE_CSV)
+        problem, cfg = collinear_problem(), DPConfig(n_t=5, n_x=22)
+        read = read_trajectory(tmp_path / "traj.csv", problem, cfg)
+        disc = read.discretization.extended(read.velocities)
+        assert np.any((disc.grid < 0.0) & (disc.grid > -1e-11))
+        times = disc.interval_times(read.times)
+        self.assert_reads_fresh_queries(disc, times, read.states[:-1], read.velocities)
+        # DR and decompose read the placement that costed the read
+        placed = disc.placement(times, read.velocities)
+        assert decompose_velocities(problem, read, cfg) is placed.split
+
+    def test_arrays_are_read_only(self):
+        problem, cfg = load("doublewell_timevarying")
+        traj = solve_relaxed(problem, cfg)
+        disc = traj.discretization
+        times = disc.interval_times(traj.times)
+        dubois_reymond_residual(problem, traj, cfg)
+        split = decompose_velocities(problem, traj, cfg)
+        placed = disc.placement(times, traj.velocities)
+        assert split is placed.split
+        arrays = [getattr(placed, f.name) for f in fields(placed) if f.name != "table"]
+        arrays += [placed.values, *placed.subgradients, placed.midpoints]
+        arrays += [getattr(split, f.name) for f in fields(split)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+        # the table's own row array stays the caller's to write
+        assert disc.envelope_table(times)[1].flags.writeable
 
 
 def bits(values):

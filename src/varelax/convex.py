@@ -9,9 +9,12 @@ One-dimensional velocity grids are the workhorse: one ``EnvelopeTable``
 holds the hulls of many sampled rows over one grid, built by Andrew's
 monotone chain, and places (row, velocity) pairs on them by array
 gathers; a ``Placement`` answers f**, subgradient and splitting queries
-from the located arrays.  A planar velocity cloud is split at one target
-by a small linear program, solved by the dense simplex that the drift fit
-of the certify stage also uses.  Either way a splitting is a
+from the located arrays.  The chain's outcomes fix its steps, so it runs
+once per group of rows: on one row, whose cross-product tests are then
+replayed on the others in one array pass, bit for bit, and every row
+with the same outcomes takes that row's hull.  A planar velocity cloud
+is split at one target by a small linear program, solved by the dense
+simplex that the drift fit of the certify stage also uses.  Either way a splitting is a
 ``CaratheodoryDecomposition``, a batch of rows checked as a whole when it
 is built."""
 
@@ -123,24 +126,39 @@ class CaratheodoryDecomposition:
         }
 
 
-def _hull_vertices(xs: list[float], ys: list[float]) -> list[int]:
+def _hull_vertices(xs: list[float], ys: list[float], tests: list | None = None) -> list[int]:
     """Lower hull vertex indices of the points (xs[i], ys[i]), at least two,
     xs increasing, by Andrew's monotone chain on Python floats: they round
     as numpy's float64 scalars do, at a fraction of the cost per operation.
     A middle point is dropped when the cross product is <= 0.0, so a NaN
-    one keeps it."""
+    one keeps it.  Each test (a, b, i) and whether it dropped b is appended
+    to ``tests`` when given: the outcomes fix every step of the run."""
     keep = [0, 1]
     for i in range(2, len(xs)):
         x, y = xs[i], ys[i]
         # index 0 is only ever first, so a nonzero top has one below it
         while b := keep[-1]:
             a = keep[-2]
-            if (xs[b] - xs[a]) * (y - ys[a]) - (ys[b] - ys[a]) * (x - xs[a]) <= 0.0:
-                keep.pop()
-            else:
+            drop = (xs[b] - xs[a]) * (y - ys[a]) - (ys[b] - ys[a]) * (x - xs[a]) <= 0.0
+            if tests is not None:
+                tests.append((a, b, i, drop))
+            if not drop:
                 break
+            keep.pop()
         keep.append(i)
     return keep
+
+
+def _same_run(grid: np.ndarray, values: np.ndarray, tests: list) -> np.ndarray:
+    """Whether each row of ``values`` gets every outcome of ``tests``, one
+    chain run's, and so has that run's hull: the same products in the same
+    order as the chain, whose Python floats round alike and warn of
+    nothing, so an overflow's inf - inf is NaN and keeps the point."""
+    a, b, i, drop = np.array(tests, dtype=np.intp).reshape(-1, 4).T
+    x, ya = grid, values[:, a]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = (x[b] - x[a]) * (values[:, i] - ya) - (values[:, b] - ya) * (x[i] - x[a])
+    return ((cross <= 0.0) == drop).all(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,23 +201,33 @@ class EnvelopeTable:
             raise DegenerateInputError("grid needs at least 2 points")
         if not np.all(np.diff(grid) > 0):
             raise DegenerateInputError("grid points must be strictly increasing")
-        if not np.isfinite(values).all():
-            raise DegenerateInputError("sample values must contain finite values only")
+        values = _as_array(values, "sample values")
         if values.shape[1:] != grid.shape:
             raise DegenerateInputError("values length must match grid length")
-        xs = grid.tolist()
-        hulls = [_hull_vertices(xs, row) for row in values.tolist()]
+        xs, hulls, rows = grid.tolist(), [], np.arange(len(values))
+        group, left = np.zeros_like(rows), rows
+        while left.size > 1:  # one chain run per group of rows with its outcomes
+            tests = []
+            hulls.append(_hull_vertices(xs, values[left[0]].tolist(), tests))
+            same = _same_run(grid, values[left], tests)
+            group[left[same]] = len(hulls) - 1
+            left = left[~same]
+            if np.count_nonzero(same) <= 1:  # no other row shared it
+                break
+        for r in left.tolist():  # run the rest alone
+            group[r] = len(hulls)
+            hulls.append(_hull_vertices(xs, values[r].tolist()))
         counts = np.fromiter(map(len, hulls), np.intp, len(hulls))
         flat = np.fromiter(chain.from_iterable(hulls), np.intp, int(counts.sum()))
-        # row r's vertices sit at starts[r] .. of flat; pad with the last
+        # hull h's vertices sit at starts[h] .. of flat; pad with the last
         starts = np.cumsum(counts) - counts
         vertices = flat[starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)]
-        rows = np.arange(len(hulls))[:, None]
-        is_vertex = np.zeros(values.shape, dtype=np.intp)
-        is_vertex[rows, vertices] = 1
+        is_vertex = np.zeros((len(hulls), grid.size), dtype=np.intp)
+        is_vertex[rows[: len(hulls), None], vertices] = 1
         rank = np.zeros((len(hulls), grid.size + 1), dtype=np.intp)
         np.cumsum(is_vertex, axis=1, out=rank[:, 1:])
-        rises, widths = np.diff(values[rows, vertices]), np.diff(grid[vertices])
+        counts, vertices, rank = counts[group], vertices[group], rank[group]
+        rises, widths = np.diff(values[rows[:, None], vertices]), np.diff(grid[vertices])
         edges = np.arange(rises.shape[1]) < counts[:, None] - 1
         slopes = np.divide(rises, widths, out=np.zeros_like(rises), where=edges)
         if not np.isfinite(slopes).all():
@@ -227,13 +255,17 @@ class EnvelopeTable:
             raise OutOfDomainError(f"velocity {xi!r} outside envelope domain [{lo!r}, {hi!r}]")
         clipped = np.clip(xis, lo, hi)
         p = self.grid.searchsorted(clipped)
-        below = _take(self.rank, rows, p)
-        exact = (self.grid.take(p) == clipped) & (_take(self.rank, rows, p + 1) > below)
-        idx = np.maximum(below, 1)  # the last vertex is at or right of p
-        jl, jr = _take(self.vertices, rows, idx - 1), _take(self.vertices, rows, idx)
+        rank, vertices = self.rank.ravel(), self.vertices.ravel()
+        at_p = rows * self.rank.shape[1] + p  # flat indices, each read at two columns
+        below = rank.take(at_p)
+        exact = (self.grid.take(p) == clipped) & (rank.take(at_p + 1) > below)
+        # the edge ends at the first vertex at or right of p (the last one is)
+        at_r = rows * self.vertices.shape[1] + np.maximum(below, 1)
+        jl, jr = vertices.take(at_r - 1), vertices.take(at_r)
         right = self.grid.take(jr)
         lam = (right - clipped) / (right - self.grid.take(jl))
-        return Placement(self, rows, clipped, p, exact, jl, jr, lam)
+        # the caller's rows stay writeable; the rest are new
+        return Placement(self, rows.view(), clipped, p, exact, jl, jr, lam)
 
     def at(self, rows, xis) -> np.ndarray:
         """``Placement.values`` of ``xis`` on rows ``rows``."""
@@ -260,10 +292,10 @@ def _take(table: np.ndarray, rows, cols) -> np.ndarray:
 
 
 def _read_only(a) -> np.ndarray:
-    """A read-only view of ``a``: the caller's own array stays writeable."""
-    view = np.asarray(a).view()
-    view.flags.writeable = False
-    return view
+    """``a`` as an array, made read-only in place: for arrays no caller holds."""
+    a = np.asarray(a)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,8 +305,8 @@ class Placement:
     ``p`` and whether it is a hull vertex there, ``exact``; and the edge
     (``jl``, ``jr``) to interpolate on, with the weight ``lam`` of jl.
     f**, the subgradient ends, their midpoints and the splitting are read
-    from these arrays once, on first use.  Every array is read-only, since
-    one placement may serve several readers.
+    from these arrays once, on first use.  Every array is made read-only
+    in place, since one placement may serve several readers.
     """
 
     table: EnvelopeTable
@@ -293,10 +325,10 @@ class Placement:
     @cached_property
     def values(self) -> np.ndarray:
         """f** of each row at its velocity: exact at a vertex, linear in between."""
-        values, rows = self.table.values, self.rows
-        left, right = _take(values, rows, self.jl), _take(values, rows, self.jr)
+        values, row = self.table.values.ravel(), self.rows * self.table.values.shape[1]
+        left, right = values.take(row + self.jl), values.take(row + self.jr)
         out = self.lam * left + (1.0 - self.lam) * right
-        return _read_only(np.where(self.exact, _take(values, rows, self.p), out))
+        return _read_only(np.where(self.exact, values.take(row + self.p), out))
 
     @cached_property
     def subgradients(self) -> tuple[np.ndarray, np.ndarray]:

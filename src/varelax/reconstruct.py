@@ -22,6 +22,8 @@ from .errors import InfeasibleError
 from .problem import DPConfig, Problem, Trajectory, running_sum
 
 ORDER_TIE_TOL = 1e-12
+# The two orders of a splitting's support points: as given, and swapped.
+ORDERS = np.array([[0, 1], [1, 0]])
 # The probe grid of g's state Lipschitz constant in ``compare_costs``:
 # times over the horizon by states over the box.
 LIPSCHITZ_TIMES, LIPSCHITZ_STATES = 9, 129
@@ -81,37 +83,41 @@ def rearrange(
     summed by the path-cost rule over the sub-intervals in time order.
     """
     t0, x0 = trajectory.times[:-1], trajectory.states[:-1]
-    durations = trajectory.step * track.weights
+    durations, points = trajectory.step * track.weights, track.points
     split = track.support == 2
-    forward = _midpoint_cost(problem, t0, x0, durations, track.points)
-    swapped = _midpoint_cost(problem, t0, x0, durations[:, ::-1], track.points[:, ::-1])
+    # both orders in one batch: [sub-interval s, order o] is column ORDERS[o, s]
+    forward, swapped = _midpoint_cost(problem, t0, x0, durations.T[ORDERS.T], points.T[ORDERS.T])
     stuck = np.flatnonzero(split & (forward == np.inf) & (swapped == np.inf))
     if stuck.size:
         raise InfeasibleError(
             f"both orders of interval {int(stuck[0])}'s splitting leave the state box "
             f"{list(problem.state_box)}; a smaller step keeps one inside"
         )
-    order = np.where((split & (swapped < forward - ORDER_TIE_TOL))[:, None], [1, 0], [0, 1])
+    swap = split & (swapped < forward - ORDER_TIE_TOL)
+    # sub-interval slots: 2i for interval i, and 2i + 1 when it is split,
+    # since a splitting of support 1 has weight exactly 1.0; slot 2i + k
+    # reads column k ^ swap[i] of the splitting, its piece label
+    kept = split.repeat(2)
+    kept[::2] = True
+    slot = np.flatnonzero(kept)
+    i = slot >> 1
+    column = slot ^ swap.take(i)
     durations, points, values = (
-        np.take_along_axis(a, order, axis=1)
-        for a in (durations, track.points, track.point_values)
+        a.ravel().take(column) for a in (durations, points, track.point_values)
     )
-    # a splitting of support 1 has weight exactly 1.0: one sub-interval of length step
-    kept = np.stack([np.ones_like(split), split], axis=1)
-    mid_t, mid_x = t0 + durations[:, 0], x0 + points[:, 0] * durations[:, 0]
-    t1, x1 = trajectory.times[1:], trajectory.states[1:]
-    ends_t = np.stack([np.where(split, mid_t, t1), t1], axis=1)[kept]
-    ends_x = np.stack([np.where(split, mid_x, x1), x1], axis=1)[kept]
+    turn = slot & 1 < split.take(i)  # the first of two ends at the turning point
+    t1, x1 = trajectory.times[1:].take(i), trajectory.states[1:].take(i)
+    ends_t = np.where(turn, t0.take(i) + durations, t1)
+    ends_x = np.where(turn, x0.take(i) + points * durations, x1)
     times = np.concatenate([trajectory.times[:1], ends_t])
     states = np.concatenate([trajectory.states[:1], ends_x])
-    durations = durations[kept]
-    f_terms = durations * values[kept]
+    f_terms = durations * values
     g_terms = durations * problem.g.value(Discretization.interval_times(times), states[:-1])
     return ReconstructedTrajectory(
         times=times,
         states=states,
-        velocities=points[kept],
-        piece=order[kept].astype(np.int64),
+        velocities=points,
+        piece=column & 1,
         f_cost=running_sum(f_terms),
         g_cost=running_sum(g_terms),
     )
@@ -119,15 +125,16 @@ def rearrange(
 
 def _midpoint_cost(problem, t0, x0, durations, points) -> np.ndarray:
     """Midpoint quadrature of g over each interval's two sub-intervals, in
-    column order, or inf where the turning point leaves the state box: g
-    is then read at x0, so it is never evaluated outside the box."""
+    the order of the leading axis, or inf where the turning point leaves
+    the state box: g is then read at x0, so it is never evaluated outside
+    the box.  Later axes batch intervals, or orders of them."""
     lo, hi = problem.state_box
-    turns = x0 + points[:, 0] * durations[:, 0]
+    turns = x0 + points[0] * durations[0]
     inside = (turns >= lo) & (turns <= hi)
-    points = np.where(inside[:, None], points, 0.0)
+    points = np.where(inside, points, 0.0)
     cost = 0.0
     t_cursor, x_cursor = t0, x0
-    for dt, q in zip(durations.T, points.T):
+    for dt, q in zip(durations, points):
         cost = cost + dt * problem.g.value(t_cursor + dt / 2.0, x_cursor + q * dt / 2.0)
         t_cursor = t_cursor + dt
         x_cursor = x_cursor + q * dt

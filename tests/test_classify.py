@@ -658,9 +658,9 @@ class TestProbeTable:
         hulls, points = [], []
         build, value, table = convex._hull_vertices, IntegrandFamily.value, IntegrandFamily.table
 
-        def counted_build(xs, ys):
+        def counted_build(xs, ys, *tests):
             hulls.append(1)
-            return build(xs, ys)
+            return build(xs, ys, *tests)
 
         def counted_value(family, t, y):
             if family is problem.f:
@@ -690,28 +690,36 @@ class TestProbeTable:
 
 
 class TestClassifyHullRows:
-    """One ``classify`` runs the hull kernel on a fixed number of rows, as
+    """One ``classify`` builds a fixed number of envelope-table rows, as
     recorded before the certificates moved onto envelope tables: one per
     radius and sampled time for class-E (20 radii), one per probe time for
     SCI, and hypothesis_check's (``TestProbeTable``); an autonomous f is
     sampled at one time.  The time-varying count fell by the 16 rows at
-    t +- delta when the drift samples moved onto the probe table."""
+    t +- delta when the drift samples moved onto the probe table.  The
+    hull kernel ran once per row until the rows that share a run's
+    outcomes shared its hull; the time-varying rows now take 35 runs."""
 
     @pytest.mark.parametrize(
-        "name, rows", [("doublewell", 20 + 1 + 3), ("doublewell_timevarying", 20 * 9 + 9 + 11)]
+        "name, rows, runs",
+        [("doublewell", 20 + 1 + 3, 24), ("doublewell_timevarying", 20 * 9 + 9 + 11, 35)],
     )
-    def test_rows_per_classify(self, monkeypatch, tmp_path, name, rows):
-        calls = []
-        build = convex._hull_vertices
+    def test_rows_per_classify(self, monkeypatch, tmp_path, name, rows, runs):
+        tables, calls = [], []
+        build, table = convex._hull_vertices, convex.EnvelopeTable.of.__func__
 
-        def counting(xs, ys):
+        def counting(xs, ys, *tests):
             calls.append(1)
-            return build(xs, ys)
+            return build(xs, ys, *tests)
+
+        def counted_table(cls, grid, values):
+            tables.append(len(values))
+            return table(cls, grid, values)
 
         monkeypatch.setattr(convex, "_hull_vertices", counting)
+        monkeypatch.setattr(convex.EnvelopeTable, "of", classmethod(counted_table))
         out = tmp_path / "certificates.json"
         assert main(["classify", str(PROBLEMS / f"{name}.json"), "--out", str(out)]) == 0
-        assert len(calls) == rows
+        assert (sum(tables), len(calls)) == (rows, runs)
 
 
 class TestAutonomousClassE:

@@ -8,6 +8,8 @@ for bit, the table also matches the per-envelope reference of
 ``envelope_reference``.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -148,6 +150,96 @@ class TestHullKernel:
                 assert _hull_vertices(xs.tolist(), ys.tolist()) == ref.hull(xs, ys)
 
 
+def reference_table(xs, rows):
+    """``vertices``, ``counts``, ``rank`` and ``slopes`` of an envelope
+    table, row by row from ``envelope_reference.hull``."""
+    hulls = [ref.hull(xs, ys) for ys in rows]
+    width = max(map(len, hulls))
+    vertices = np.array([keep + keep[-1:] * (width - len(keep)) for keep in hulls])
+    rank = np.zeros((len(hulls), xs.size + 1), dtype=np.intp)
+    slopes = np.zeros((len(hulls), width - 1))
+    for r, (ys, keep) in enumerate(zip(rows, hulls)):
+        rank[r, np.array(keep) + 1] = 1
+        slopes[r, : len(keep) - 1] = np.diff(ys[keep]) / np.diff(xs[keep])
+    return vertices, np.array(list(map(len, hulls))), np.cumsum(rank, axis=1), slopes
+
+
+@st.composite
+def grouped_rows(draw):
+    """A grid and the rows of a multi-row table, of three kinds: base +
+    c * mod with c across a sign change, so rows fall into several hull
+    groups; a row that is affine on an integer grid and copies of it one
+    ulp off at one sample, near-collinear triples whose outcomes part; and
+    rows near the float range, whose cross products overflow to inf - inf."""
+    kind = draw(st.sampled_from(["sign change", "one ulp", "overflow"]))
+    n = draw(st.integers(3, 33))
+    if kind == "one ulp":
+        xs = np.arange(n, dtype=float) - n // 2
+        a, b = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        rows = [a * xs + b]
+        for j, up in draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=6)):
+            row = rows[0].copy()
+            row[j] = np.nextafter(row[j], np.inf if up else -np.inf)
+            rows.append(row)
+        return xs, np.array(draw(st.permutations(rows)))
+    xs = np.linspace(-4.0, 4.0, n)
+    if kind == "overflow":
+        # |x - shift| <= 8, so the samples stay below 1.6e308
+        scales = st.floats(1e306, 2e307)
+        shifts = st.sampled_from(xs.tolist())
+        pairs = draw(st.lists(st.tuples(scales, shifts), min_size=2, max_size=8))
+        return xs, np.array([np.abs(xs - shift) * scale for scale, shift in pairs])
+    shapes = {
+        "double well": (xs * xs - 1.0) ** 2,
+        "parabola": xs * xs,
+        "abs": np.abs(xs),
+        "sine": np.sin(2.0 * xs),
+        "line": xs,
+    }
+    base, mod = (shapes[draw(st.sampled_from(sorted(shapes)))] for _ in range(2))
+    lo, hi = draw(st.floats(-3.0, -1e-3)), draw(st.floats(1e-3, 3.0))
+    c = np.linspace(lo, hi, draw(st.integers(2, 40)))
+    return xs, base + c[:, None] * mod
+
+
+class TestGroupedRuns:
+    """A multi-row table runs the hull kernel once per group of rows with
+    the same test outcomes, and every row has its own hull's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_rows())
+    def test_rows_match_the_reference_hulls(self, case):
+        xs, rows = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the replay warns of nothing
+            table = EnvelopeTable.of(xs, rows)
+        vertices, counts, rank, slopes = reference_table(xs, rows)
+        assert table.vertices.tolist() == vertices.tolist()
+        assert table.counts.tolist() == counts.tolist()
+        assert table.rank.tolist() == rank.tolist()
+        assert bits(table.slopes) == bits(slopes)
+
+    def test_one_ulp_rows_fall_back_to_their_own_runs(self, monkeypatch):
+        # the middle sample of a line one ulp up or down: the replay of the
+        # line's run settles neither copy, the next replay only its leader,
+        # and the last row runs alone
+        runs = []
+        build = convex._hull_vertices
+
+        def counting(xs, ys, *tests):
+            runs.append(ys)
+            return build(xs, ys, *tests)
+
+        monkeypatch.setattr(convex, "_hull_vertices", counting)
+        xs = np.arange(5.0)
+        line = 3.0 * xs - 1.0
+        up, down = line.copy(), line.copy()
+        up[2], down[2] = np.nextafter(5.0, 6.0), np.nextafter(5.0, 4.0)
+        table = EnvelopeTable.of(xs, np.array([line, line, up, down]))
+        assert table.counts.tolist() == [2, 2, 2, 3]
+        assert [ys[2] for ys in runs] == [5.0, up[2], down[2]]
+
+
 class TestConvexEnvelopeValidation:
     """The envelope table rejects each kind of malformed input with its own
     message in ``EnvelopeTable.of``: its grid, its rows and the edge slopes
@@ -195,7 +287,8 @@ class TestConvexEnvelopeValidation:
 
     def test_rejects_decreasing_slopes(self, monkeypatch):
         # a kernel that keeps every sample: its slopes follow the samples
-        monkeypatch.setattr(convex, "_hull_vertices", lambda xs, ys: list(range(len(xs))))
+        keep_all = lambda xs, ys, tests=None: list(range(len(xs)))  # noqa: E731
+        monkeypatch.setattr(convex, "_hull_vertices", keep_all)
         with pytest.raises(DegenerateInputError, match="edge slopes must be nondecreasing"):
             self.table(self.BREAKPOINTS, [0.0, 1.0, -1.0])  # slopes 1, -1
         # a drop within the relative 1e-12 rounding allowance is accepted

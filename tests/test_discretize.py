@@ -44,13 +44,14 @@ def load(name):
 
 @pytest.fixture
 def hulls(monkeypatch):
-    """List that grows by one entry per row the hull kernel runs on."""
+    """List that grows by one entry per run of the hull kernel, on the row
+    it runs on; the rows that share a run's hull run no kernel."""
     calls = []
     build = convex._hull_vertices
 
-    def counting(xs, ys):
+    def counting(xs, ys, *tests):
         calls.append(ys)
-        return build(xs, ys)
+        return build(xs, ys, *tests)
 
     monkeypatch.setattr(convex, "_hull_vertices", counting)
     return calls
@@ -78,18 +79,26 @@ class TestHullCounts:
         read_trajectory(tmp_path / "traj.csv", problem, cfg)
         assert len(hulls) == 1
 
-    def test_time_varying_dr_builds_one_envelope_per_distinct_time(self, hulls):
+    def test_time_varying_dr_builds_one_envelope_per_distinct_time(self, hulls, tables):
         problem, cfg = load("doublewell_timevarying")
         assert not problem.f.autonomous
         hulls.clear()
         traj = solve_relaxed(problem, cfg)
         # the DP's envelopes at the interval times only, which DR reads from
         # the trajectory: it built them again, and t -+ delta once added
-        # 2 * n_t - 1 rows
-        assert len(hulls) == cfg.n_t
+        # 2 * n_t - 1 rows; all of them share one kernel run, which ran on
+        # each row before the rows were grouped
+        assert (tables, len(hulls)) == ([cfg.n_t], 1)
         hulls.clear()
         dubois_reymond_residual(problem, traj, cfg)
         assert len(hulls) == 0
+
+    def test_fine_grid_table_takes_one_kernel_run(self, hulls, tables):
+        # fine-grid's time-varying op: 384 rows, each of which ran the
+        # kernel before the rows were grouped
+        problem, cfg = load("doublewell_timevarying")
+        solve_relaxed(problem, replace(cfg, n_t=384, n_x=385))
+        assert (tables, len(hulls)) == ([384], 1)
 
     def test_coercivity_builds_no_transition_band(self, hulls, monkeypatch):
         problem, cfg = load("quadratic")
@@ -223,7 +232,7 @@ class TestCarriedTable:
         stages(problem, bare(traj), cfg)
         assert rebuilt == len(hulls)
 
-    def test_not_reused_for_other_times(self, solved, hulls, tmp_path):
+    def test_not_reused_for_other_times(self, solved, hulls, tables, tmp_path):
         # a resting path on 16 intervals, read under the 24 of cfg: its
         # velocities are on cfg's grid, and the coercivity reference path
         # runs on cfg's times, not on the path's
@@ -235,8 +244,9 @@ class TestCarriedTable:
         hypotheses = hypothesis_check(problem)
         fresh = coercivity_bound_check(problem, bare(read), hypotheses, cfg)
         hulls.clear()
+        tables.clear()
         got = coercivity_bound_check(problem, read, hypotheses, cfg)
-        assert len(hulls) == cfg.n_t
+        assert (tables, len(hulls)) == ([cfg.n_t], 1)  # n_t kernel runs before grouping
         assert to_jsonable(got) == to_jsonable(fresh)
 
     def test_reports_repr_and_equality_do_not_see_it(self, solved, tmp_path):
@@ -271,16 +281,17 @@ class TestKeptTables:
     """A ``Discretization`` keeps f's envelope table of each set of time bits
     and one extension of each extended grid."""
 
-    def test_equal_time_bits_share_one_table(self, hulls):
+    def test_equal_time_bits_share_one_table(self, hulls, tables):
         problem, cfg = load("doublewell_timevarying")
         disc = Discretization.of(problem, cfg)
         times = disc.interval_times(disc.times)
         table, rows = disc.envelope_table(times)
         hulls.clear()
+        tables.clear()
         again = disc.envelope_table(times.copy())
-        assert again[0] is table and again[1] is rows and hulls == []
+        assert again[0] is table and again[1] is rows and hulls == tables == []
         other = disc.envelope_table(times + 1e-3)
-        assert other[0] is not table and len(hulls) == cfg.n_t
+        assert other[0] is not table and (tables, len(hulls)) == ([cfg.n_t], 1)
 
     def test_extensions(self):
         problem, cfg = load("doublewell")
@@ -295,16 +306,22 @@ class TestKeptTables:
 
 
 class TestCliTableCounts:
-    """Envelope tables and hull rows of one CLI command on
-    doublewell_timevarying, certificates included."""
+    """Envelope tables, their rows and the hull kernel's runs of one CLI
+    command on doublewell_timevarying, certificates included."""
 
     @pytest.mark.parametrize(
-        "command, count, rows",
-        [("solve", 25, 328), ("relax", 3, 130), ("verify", 1, 128), ("decompose", 1, 128)],
+        "command, count, rows, runs",
+        [
+            ("solve", 25, 328, 36),
+            ("relax", 3, 130, 3),
+            ("verify", 1, 128, 1),
+            ("decompose", 1, 128, 1),
+        ],
     )
-    def test_counts(self, tables, hulls, tmp_path, command, count, rows):
+    def test_counts(self, tables, hulls, tmp_path, command, count, rows, runs):
         # before the trajectory carried its table, 28 and 712, 4 and 258,
-        # 2 and 256, and 2 and 256
+        # 2 and 256, and 2 and 256 tables and rows; the kernel ran once per
+        # row before the rows were grouped
         src = str(PROBLEMS / "doublewell_timevarying.json")
         csv = str(tmp_path / "relaxed.csv")
         assert cli.main(["relax", src, "--out", csv]) == 0
@@ -316,7 +333,7 @@ class TestCliTableCounts:
         tables.clear()
         hulls.clear()
         assert cli.main(argv) == 0
-        assert (len(tables), len(hulls)) == (count, rows)
+        assert (len(tables), sum(tables), len(hulls)) == (count, rows, runs)
 
 
 @pytest.fixture
@@ -477,12 +494,13 @@ class TestPathCosts:
         want = scalar_costs(disc, times, states, velocities)
         assert [a.tobytes() for a in got] == [np.array(b).tobytes() for b in want]
 
-    def test_envelopes_once_per_distinct_time(self, hulls):
+    def test_envelopes_once_per_distinct_time(self, hulls, tables):
         problem, cfg = load("doublewell_timevarying")
         disc = Discretization.of(problem, cfg)
         times = np.array([0.5, 0.0, 0.5, 0.25, 0.0])
         disc.path_costs(times, np.zeros(5), np.zeros(5))
-        assert len(hulls) == 3
+        # three rows, which share one kernel run (three before grouping)
+        assert (tables, len(hulls)) == ([3], 1)
 
 
 # A path read from a CSV whose velocity -2e-12 lands beside the grid's 0,
@@ -647,7 +665,9 @@ class TestEnvelopeTable:
                 with np.errstate(over="ignore"):  # the rise of an edge overflows
                     EnvelopeTable.of(xs, np.array([ys]))
         # a kernel that kept every sample of a concave row: its slopes fall
-        monkeypatch.setattr(convex, "_hull_vertices", lambda xs, ys: list(range(len(xs))))
+        # (it records no tests, so both rows share its one run)
+        keep_all = lambda xs, ys, tests=None: list(range(len(xs)))  # noqa: E731
+        monkeypatch.setattr(convex, "_hull_vertices", keep_all)
         with pytest.raises(DegenerateInputError, match="edge slopes must be nondecreasing"):
             EnvelopeTable.of(xs, np.array([-(xs**2) + 1.0, -(xs**2)]))
 

@@ -14,9 +14,9 @@ once per group of rows: on one row, whose cross-product tests are then
 replayed on the others in one array pass, bit for bit, and every row
 with the same outcomes takes that row's hull.  A planar velocity cloud
 is split at one target by a small linear program, solved by the dense
-simplex that the drift fit of the certify stage also uses.  Either way a splitting is a
-``CaratheodoryDecomposition``, a batch of rows checked as a whole when it
-is built."""
+simplex that the drift fit of the certify stage also uses.  Either way a
+splitting is a ``CaratheodoryDecomposition``, a batch of rows checked as
+a whole when it is built."""
 
 from __future__ import annotations
 

@@ -85,8 +85,8 @@ def rearrange(
     t0, x0 = trajectory.times[:-1], trajectory.states[:-1]
     durations, points = trajectory.step * track.weights, track.points
     split = track.support == 2
-    # both orders in one batch: [sub-interval s, order o] is column ORDERS[o, s]
-    forward, swapped = _midpoint_cost(problem, t0, x0, durations.T[ORDERS.T], points.T[ORDERS.T])
+    # both orders in one batch: [sub-interval s, order o] is column ORDERS[s, o]
+    forward, swapped = _midpoint_cost(problem, t0, x0, durations.T[ORDERS], points.T[ORDERS])
     stuck = np.flatnonzero(split & (forward == np.inf) & (swapped == np.inf))
     if stuck.size:
         raise InfeasibleError(

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .convex import LP_PIVOTS_PER_ROW, EnvelopeTable, _lp_vertex
+from .convex import LP_PIVOTS_PER_ROW, EnvelopeTable, Placement, _lp_vertex
 from .errors import CertificateError, OutOfDomainError
 from .families import IntegrandFamily
 
@@ -88,12 +88,12 @@ def class_e_certificate(
         box = CLASS_E_MARGIN * radius
         grid = np.linspace(-box, box, CERTIFICATE_GRID_POINTS)
         values, rows = family.finite_table(t_grid, grid, "velocity cost f", "the class-E box")
-        table = EnvelopeTable.of(grid, values)
         beyond = grid[np.abs(grid) > radius]
-        lo, hi = table.subgradients(rows[:, None], beyond)
+        placed = EnvelopeTable.of(grid, values).place(rows[:, None], beyond)
+        lo, hi = placed.subgradients
         # a supporting line beyond float range has defect -inf there, never the maximum
         with np.errstate(over="ignore"):
-            chi[k] = (table.at(rows[:, None], beyond) - np.minimum(lo * beyond, hi * beyond)).max()
+            chi[k] = (placed.values - np.minimum(lo * beyond, hi * beyond)).max()
     diffs = np.diff(chi)
     tol = 1e-9 * np.maximum(1.0, np.abs(chi[:-1]))
     if np.any(diffs > tol):
@@ -134,8 +134,9 @@ def sci_certificate(
     radius_schedule: np.ndarray | None = None,
 ) -> tuple[SciCertificate, ...]:
     """Check that the envelope's directional slope keeps increasing, with
-    one certificate per time of ``t_grid``, all read from one envelope
-    table with the rows of ``family.table``.
+    one certificate per time of ``t_grid``, all read from one placement of
+    the inner and outer radius in each direction on every row of one
+    envelope table, with the rows of ``family.table``.
 
     A direction fails when the slope shows no strict increase across the
     last two radius shells: a terminal flat run is the discrete signature
@@ -146,14 +147,14 @@ def sci_certificate(
     inner = float(radii[-3])
     grid = np.linspace(-box, box, CERTIFICATE_GRID_POINTS)
     values, rows = family.finite_table(t_grid, grid, "velocity cost f", "the SCI box")
-    table = EnvelopeTable.of(grid, values)
+    # the subgradient ends per row and direction, at the inner radius [0] and the outer one [1]
+    points = np.array(SCI_DIRECTIONS)[:, None] * [inner, box]
+    placed = EnvelopeTable.of(grid, values).place(np.arange(len(values))[:, None, None], points)
+    ends = [end.tolist() for end in placed.subgradients]
     certificates = []
-    for row in range(len(values)):
+    for row_lo, row_hi in zip(*ends):
         probes = []
-        for direction in SCI_DIRECTIONS:
-            # the subgradient ends at the inner radius [0] and the outer one [1]
-            ends = table.subgradients(row, direction * np.array([inner, box]))
-            lo, hi = (end.tolist() for end in ends)
+        for direction, lo, hi in zip(SCI_DIRECTIONS, row_lo, row_hi):
             if direction > 0:
                 inner_slope, outer_slope = hi[0], lo[1]
                 increase = outer_slope - inner_slope
@@ -174,8 +175,9 @@ def sci_certificate(
 @dataclass(frozen=True, eq=False)
 class ProbeBox:
     """The probe grid of the certify stage, with ``f`` and ``g`` tabulated
-    on it once; the envelope table of ``f`` and ``f**`` are built on first
-    use."""
+    on it once; f's envelope table over the probe velocities, and the one
+    placement of every probe velocity at every probe time on it, which
+    ``f**`` and the drift splittings read, are built on first use."""
 
     times: np.ndarray
     states: np.ndarray
@@ -190,16 +192,16 @@ class ProbeBox:
         return self.f_table[self.f_rows]
 
     @cached_property
-    def envelope(self) -> tuple[EnvelopeTable, np.ndarray]:
-        """f's envelope table on the probe velocities and each probe time's
-        row."""
-        return EnvelopeTable.of(self.velocities, self.f_table), self.f_rows
+    def placement(self) -> Placement:
+        """The probe velocities placed on each probe time's row of f's
+        envelope table over them, one time after another."""
+        table, n = EnvelopeTable.of(self.velocities, self.f_table), self.velocities.size
+        return table.place(np.repeat(self.f_rows, n), np.tile(self.velocities, self.times.size))
 
     @cached_property
     def fstar(self) -> np.ndarray:
         """f** on the probe velocities at each probe time: (times, velocities)."""
-        table, rows = self.envelope
-        return table.at(rows[:, None], self.velocities)
+        return self.placement.values.reshape(self.times.size, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,10 +380,9 @@ def _drift_samples(problem, probe: ProbeBox):
     """|phi|, |x| and |d phi/dt| at every probe point, where phi = g + f**
     on the (time, state, velocity) probe grid; by the envelope theorem f**'s
     time derivative is sum_i lam_i * d/dt f(t, xi_i) over the splitting of
-    each velocity on the probe table."""
+    each velocity on the probe table, read from the probe box's placement."""
     ts, xs, xis = probe.times, probe.states, probe.velocities
-    table, rows = probe.envelope
-    split = table.split(np.repeat(rows, xis.size), np.tile(xis, ts.size))
+    split = probe.placement.split
     f_rates = problem.f.envelope_rate(np.repeat(ts, xis.size), split).reshape(ts.size, xis.size)
     rates = problem.g.time_rate(ts[:, None], xs)[:, :, None] + f_rates[:, None, :]
     abs_phi = np.abs(probe.g_values[:, :, None] + probe.fstar[:, None, :]).ravel()
@@ -514,11 +515,10 @@ def fstar_lipschitz_check(
 
     entries = []
     for xi in xi_probe:
-        at = np.full(t_grid.size, xi)
-        radius = table.split(rows, at).support_radius
+        placed = table.place(rows, np.full(t_grid.size, xi))
+        radius = placed.split.support_radius
         conclusive = radius < probe_radius - pitch
-        env_at = table.at(rows, at)
-        envelope_rate = float(np.max(np.abs(np.diff(env_at)) / dt))
+        envelope_rate = float(np.max(np.abs(np.diff(placed.values)) / dt))
         mask = np.abs(grid) <= radius * (1.0 + 1e-12)
         ball_diffs = np.abs(np.diff(values[:, mask], axis=0)) / dt[:, None]
         integrand_rate = float(ball_diffs.max()) if mask.any() else 0.0

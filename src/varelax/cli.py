@@ -185,9 +185,9 @@ def _cmd_relax(args) -> int:
         trajectory = nagumo_penalized_solve(problem, cfg)
     else:
         trajectory = solve_relaxed(problem, cfg)
+    dr = dubois_reymond_residual(problem, trajectory, cfg)
     out = _out_base(args, name, "_relaxed.csv")
     vio.emit_trajectory(trajectory, out)
-    dr = dubois_reymond_residual(problem, trajectory, cfg)
     vio.emit_report(
         {
             "trajectory_value": trajectory.value,

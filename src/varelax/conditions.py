@@ -4,10 +4,10 @@ Along a minimizer the linearization defect of the velocity cost plus the
 state cost equals a constant plus the integral of a time-derivative
 selection, read from the support points of the envelope's splittings.
 For autonomous problems that reduces to constancy of the defect.  The
-check reads f**, the subgradient midpoints and the splittings from the
-path's placement on its envelope table, the one that costed the path and
-that ``decompose_velocities`` returns the splitting of.  It is a
-diagnostic and never constrains the solver.
+check reads f**, the subgradient ends and the splittings from the
+``Placement`` that ``Discretization.path_costs`` returns, the one that
+costed the path and that ``decompose_velocities`` returns the splitting
+of.  It is a diagnostic and never constrains the solver.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from .discretize import Discretization
 from .errors import NotAutonomousError
+from .families import _finite
 from .problem import DPConfig, Problem, Trajectory
 
 
@@ -43,7 +44,9 @@ def dubois_reymond_residual(
 ) -> DRReport:
     """Residual of the energy identity with the envelope's time derivative.
 
-    The subgradient selection is the interval midpoint at each velocity.
+    The subgradient selection is the interval midpoint at each velocity,
+    of two adjacent edge slopes that cross at most by the rounding that
+    ``EnvelopeTable.of`` allows the slopes.
     The time-derivative selection is d/dt(f** + g) at each interval's time,
     ``interval_times``, by the envelope theorem: f**'s is sum_i lam_i *
     d/dt f(t, xi_i) over the splitting of the velocity on the table row that
@@ -51,17 +54,20 @@ def dubois_reymond_residual(
     f needs a single envelope, and a trajectory that carries the
     ``Discretization`` of this (problem, grid) needs none, nor a new
     location or splitting of its velocities; on an autonomous problem the
-    drift is exactly zero.
+    drift is exactly zero.  An energy or a drift that is not finite, an
+    overflow included, is an input error that names f and g.
     """
     disc = Discretization.of_path(problem, cfg, trajectory).extended(trajectory.velocities)
     t, x, xi = disc.interval_times(trajectory.times), trajectory.states[:-1], trajectory.velocities
-    _, _, values, g = disc.path_costs(t, x, xi)
-    placed = disc.placement(t, xi)
-    # the linearization defect f**(xi) - p*xi + g per interval
-    energies = values - placed.midpoints * xi + g
-    rates = problem.f.envelope_rate(t, placed.split) + problem.g.time_rate(t, x)
-    step = trajectory.step
-    drift = np.concatenate([[0.0], np.cumsum(rates[:-1]) * step])
+    placed, g = disc.path_costs(t, x, xi)
+    lo, hi = placed.subgradients
+    with np.errstate(all="ignore"):
+        # the linearization defect f**(xi) - p*xi + g per interval
+        energies = placed.values - 0.5 * (lo + hi) * xi + g
+        rates = problem.f.envelope_rate(t, placed.split) + problem.g.time_rate(t, x)
+        drift = np.concatenate([[0.0], np.cumsum(rates[:-1]) * trajectory.step])
+    name = "the Du Bois-Reymond energy and drift of velocity cost f and state cost g"
+    _finite(np.concatenate([energies, drift]), name, "the trajectory")
     corrected = energies - drift
     constant = _median(corrected)
     residual = corrected - constant

@@ -7,16 +7,18 @@ sample data and can be cross-checked by enumeration.
 
 One-dimensional velocity grids are the workhorse: one ``EnvelopeTable``
 holds the hulls of many sampled rows over one grid, built by Andrew's
-monotone chain, and places (row, velocity) pairs on them by array
-gathers; a ``Placement`` answers f**, subgradient and splitting queries
-from the located arrays.  The chain's outcomes fix its steps, so it runs
-once per group of rows: on one row, whose cross-product tests are then
-replayed on the others in one array pass, bit for bit, and every row
-with the same outcomes takes that row's hull.  A planar velocity cloud
-is split at one target by a small linear program, solved by the dense
-simplex that the drift fit of the certify stage also uses.  Either way a
-splitting is a ``CaratheodoryDecomposition``, a batch of rows checked as
-a whole when it is built."""
+monotone chain.  Its one query, ``place``, locates (row, velocity) pairs
+on them by array gathers, and the ``Placement`` it returns reads f**,
+the subgradient ends and the splitting from the located arrays: a caller
+places a query set once and reads every answer from that placement.
+The chain's outcomes fix its steps, so it runs once per group of rows:
+on one row, whose cross-product tests are then replayed on the others in
+one array pass, bit for bit, and every row with the same outcomes takes
+that row's hull.  A planar velocity cloud is split at one target by a
+small linear program, solved by the dense simplex that the drift fit of
+the certify stage also uses.  Either way a splitting is a
+``CaratheodoryDecomposition``, a batch of rows checked as a whole when
+it is built."""
 
 from __future__ import annotations
 
@@ -167,7 +169,7 @@ class EnvelopeTable:
     row's lower convex hull: its vertices are the grid indices
     ``vertices[r, :counts[r]]``, padded with the last, ``rank[r, p]`` counts
     those below grid index p, and ``slopes[r, :counts[r] - 1]`` are its edge
-    slopes; collinear interior samples are not vertices.  The queries take
+    slopes; collinear interior samples are not vertices.  ``place`` takes
     (row, velocity) pairs, broadcast together; a velocity within 1e-12 of
     the domain scale outside the grid is clamped to the domain end, one
     farther out raises ``OutOfDomainError``.
@@ -243,9 +245,9 @@ class EnvelopeTable:
 
     def place(self, rows, xis) -> Placement:
         """The velocities ``xis`` located on rows ``rows``: the ``Placement``
-        that ``at``, ``subgradients``, ``midpoints`` and ``split`` read.  A
-        velocity farther than the domain tolerance outside the grid raises
-        ``OutOfDomainError``."""
+        that every envelope value, subgradient and splitting is read from.
+        A velocity farther than the domain tolerance outside the grid
+        raises ``OutOfDomainError``."""
         rows, xis = np.asarray(rows), np.asarray(xis, dtype=float)
         lo, hi = float(self.grid[0]), float(self.grid[-1])
         tol = 1e-12 * max(1.0, abs(lo), abs(hi))
@@ -266,22 +268,6 @@ class EnvelopeTable:
         lam = (right - clipped) / (right - self.grid.take(jl))
         # the caller's rows stay writeable; the rest are new
         return Placement(self, rows.view(), clipped, p, exact, jl, jr, lam)
-
-    def at(self, rows, xis) -> np.ndarray:
-        """``Placement.values`` of ``xis`` on rows ``rows``."""
-        return self.place(rows, xis).values
-
-    def subgradients(self, rows, xis) -> tuple[np.ndarray, np.ndarray]:
-        """``Placement.subgradients`` of ``xis`` on rows ``rows``."""
-        return self.place(rows, xis).subgradients
-
-    def midpoints(self, rows, xis) -> np.ndarray:
-        """``Placement.midpoints`` of ``xis`` on rows ``rows``."""
-        return self.place(rows, xis).midpoints
-
-    def split(self, rows: np.ndarray, xis) -> CaratheodoryDecomposition:
-        """``Placement.split`` of ``xis`` on rows ``rows``."""
-        return self.place(rows, xis).split
 
 
 def _take(table: np.ndarray, rows, cols) -> np.ndarray:
@@ -304,9 +290,9 @@ class Placement:
     after the domain check, ``clipped`` to the domain; its grid index
     ``p`` and whether it is a hull vertex there, ``exact``; and the edge
     (``jl``, ``jr``) to interpolate on, with the weight ``lam`` of jl.
-    f**, the subgradient ends, their midpoints and the splitting are read
-    from these arrays once, on first use.  Every array is made read-only
-    in place, since one placement may serve several readers.
+    f**, the subgradient ends and the splitting are read from these
+    arrays once, on first use.  Every array is made read-only in place,
+    since one placement may serve several readers.
     """
 
     table: EnvelopeTable
@@ -341,14 +327,6 @@ class Placement:
         lo = _take(table.slopes, rows, np.maximum(idx - 1, 0))
         hi = _take(table.slopes, rows, np.minimum(idx, table.counts.take(rows) - 2))
         return _read_only(lo), _read_only(np.where(self.exact, hi, lo))
-
-    @cached_property
-    def midpoints(self) -> np.ndarray:
-        """Midpoint of each row's subgradient interval; its ends are two
-        adjacent edge slopes, so they cross at most by the rounding that
-        ``EnvelopeTable.of`` allows the slopes."""
-        lo, hi = self.subgradients
-        return _read_only(0.5 * (lo + hi))
 
     @cached_property
     def split(self) -> CaratheodoryDecomposition:

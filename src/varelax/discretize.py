@@ -9,11 +9,12 @@ the same discrete relaxation.  f and g are sampled at a path's
 ``convex.EnvelopeTable`` per set of times, which the ``Discretization``
 keeps.  A path's velocities are placed on that table once
 (``placement``, kept by the bits of its times and velocities), and its
-costs, subgradients and splitting are read from that placement:
-``path_costs`` gives every path's interval costs, which
-``Trajectory.costed`` sums.  A trajectory carries its ``Discretization``,
-so the stages after the DP or a trajectory read reuse its tables and its
-placement.
+costs, subgradients and splitting are read from that ``Placement``:
+``path_costs`` returns it with g, and ``Trajectory.costed`` sums its
+values and g.  The DP's cost rows are one more placement, of the whole
+grid on every row of the table.  A trajectory carries its
+``Discretization``, so the stages after the DP or a trajectory read
+reuse its tables and its placement.
 The DP reads its transitions from ``Discretization.transitions``: per state
 offset and target node, the quotient of the admissible pair, in
 O(n_offsets * n_x) small integers.
@@ -162,7 +163,7 @@ class Discretization:
     of ``quotients``, the admissible pairs' quotients (``_pair_quotients``).
     The offset table, which places those entries on the grid, and the
     endpoint indices are built on first use, so only the DP pays for them;
-    f's envelope tables, the paths' placements and the extended grids are
+    f's envelope tables, the paths' placements and the extensions are
     kept in ``_kept``, by the bits of their times, velocities or grid,
     which ``replace`` starts empty.  ``sizes``
     is the (n_t, n_x) it was built for, and ``of_path`` reuses the one that
@@ -220,20 +221,17 @@ class Discretization:
 
     def extended(self, velocities: np.ndarray) -> Discretization:
         """This discretization with the quotient grid extended by the
-        velocities of an externally supplied trajectory: ``self`` when they
-        add no grid point, else the one extension kept for that grid.  The
-        merged grid is kept by the bits of the velocities."""
+        velocities of an externally supplied trajectory: ``self`` when each
+        is a grid point or they merge into no new one, else the one
+        extension kept for the merged grid."""
         extra = np.asarray(velocities, dtype=float)
         if np.any(np.abs(extra) > self.problem.speed_limit):
             raise OutOfDomainError(
                 "trajectory velocity exceeds the cap; outside the envelope domain"
             )
-        merged = ("merged", extra.tobytes())
-        if merged not in self._kept:
-            self._kept[merged] = merge_close_velocities(
-                _sorted_distinct(np.concatenate([self.grid, extra]))
-            )
-        grid = self._kept[merged]
+        if np.all(self.grid.take(self.grid.searchsorted(extra), mode="clip") == extra):
+            return self
+        grid = merge_close_velocities(_sorted_distinct(np.concatenate([self.grid, extra])))
         key = ("grid", grid.tobytes())
         if key[1] == self.grid.tobytes():
             return self
@@ -266,17 +264,17 @@ class Discretization:
 
     def path_costs(
         self, times: np.ndarray, states: np.ndarray, velocities: np.ndarray
-    ) -> tuple[EnvelopeTable, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-interval envelope table and row, f**(velocity) and g.
+    ) -> tuple[Placement, np.ndarray]:
+        """The path's ``placement``, whose ``values`` are f** per interval,
+        and g per interval.
 
         Row i is the interval starting at (times[i], states[i]) with
         constant velocities[i], and paths may be stacked on leading axes
-        of ``states`` and ``velocities``; f** is read from the path's
-        ``placement``, which answers further queries on the same rows.  g
-        takes one checked call on the arrays, with the bits of one scalar
-        call per interval.  It is the one routine that gives a path's
-        interval values.
+        of ``states`` and ``velocities``; the placement answers every
+        further query on the same rows.  g takes one checked call on the
+        arrays, with the bits of one scalar call per interval.  It is the
+        one routine that gives a path's interval values.
         """
         placed = self.placement(times, velocities)
         g = self.problem.g.finite_value(times, states, "state cost g", "the trajectory's states")
-        return placed.table, placed.rows, placed.values, g
+        return placed, g

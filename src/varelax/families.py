@@ -50,9 +50,11 @@ class IntegrandFamily:
     def envelope_rate(self, t, split) -> np.ndarray:
         """The time derivative of the envelope at each row of ``split``, a
         splitting at times ``t``: by the envelope theorem the weighted sum
-        of ``time_rate`` at the row's support points."""
-        rates = self.time_rate(np.asarray(t, dtype=float)[:, None], split.points)
-        return np.sum(split.weights * rates, axis=1)
+        of ``time_rate`` at the row's support points.  A rate beyond float
+        range gives inf or NaN without a warning; its caller checks it."""
+        with np.errstate(all="ignore"):
+            rates = self.time_rate(np.asarray(t, dtype=float)[:, None], split.points)
+            return np.sum(split.weights * rates, axis=1)
 
     def table(self, times: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``value(t, y)`` with one row per distinct time of ``times``, or a

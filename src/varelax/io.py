@@ -262,8 +262,10 @@ def read_trajectory(path: str | Path, problem: Problem, cfg: DPConfig) -> Trajec
         raise SchemaError(f"{path}: endpoint states do not match the problem")
     try:
         disc = Discretization.of(problem, cfg)
-        costs = disc.extended(vels).path_costs(disc.interval_times(times), states[:-1], vels)[2:]
-        return Trajectory.costed(times, states, vels, *costs, cfg.theta, discretization=disc)
+        placed, g = disc.extended(vels).path_costs(disc.interval_times(times), states[:-1], vels)
+        return Trajectory.costed(
+            times, states, vels, placed.values, g, cfg.theta, discretization=disc
+        )
     except (SchemaError, OutOfDomainError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 

@@ -55,7 +55,7 @@ def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     disc = Discretization.of(problem, cfg)
     times = disc.interval_times(disc.times)
     table, f_rows = disc.envelope_table(times)
-    f_costs = table.at(np.arange(len(table.values))[:, None], disc.grid)
+    f_costs = table.place(np.arange(len(table.values))[:, None], disc.grid).values
     g_costs, g_rows = problem.g.finite_table(times, disc.xs, "state cost g", "the state grid")
     thetas = None if cfg.theta is None else cfg.theta(disc.grid)
     return _Tables(disc, disc.step, f_costs, g_costs, f_rows, g_rows, thetas)
@@ -312,8 +312,10 @@ def _solve(problem: Problem, cfg: DPConfig, tab: _Tables) -> Trajectory:
         warnings.append("boundary-contact")
     if np.any(np.abs(q) >= problem.velocity_cap * (1.0 - 1e-12)):
         warnings.append("cap-saturation")
-    costs = disc.path_costs(disc.interval_times(disc.times), states[:-1], q)[2:]
-    traj = Trajectory.costed(disc.times, states, q, *costs, cfg.theta, tuple(warnings), disc)
+    placed, g = disc.path_costs(disc.interval_times(disc.times), states[:-1], q)
+    traj = Trajectory.costed(
+        disc.times, states, q, placed.values, g, cfg.theta, tuple(warnings), disc
+    )
     total = traj.value if cfg.theta is None else traj.value + cfg.penalty * traj.theta_value
     _reproduces(total, value)
     return traj
@@ -472,8 +474,8 @@ def lagrangian_sweep(
     dp_values, idx, qidx = (np.array(part) for part in zip(*columns))
     disc = tab.disc
     states, q = disc.xs[idx], disc.grid[qidx]
-    costs = disc.path_costs(disc.interval_times(disc.times), states[:, :-1], q)[2:]
-    f_cost, g_cost, theta_value = path_sums(disc.times, *costs, cfg.theta, q)
+    placed, g = disc.path_costs(disc.interval_times(disc.times), states[:, :-1], q)
+    f_cost, g_cost, theta_value = path_sums(disc.times, placed.values, g, cfg.theta, q)
     check_paths(disc.times, states, q, f_cost + g_cost)
     penalized_minima = f_cost + g_cost + MULTIPLIERS * theta_value
     _reproduces(penalized_minima, dp_values)
@@ -549,8 +551,8 @@ def coercivity_bound_check(
     q = np.diff(snapped) / step
     if np.any(np.abs(q) > problem.speed_limit):
         raise InfeasibleError("reference path violates the velocity cap")
-    costs = disc.path_costs(disc.interval_times(times), snapped[:-1], q)[2:]
-    ref_value = Trajectory.costed(times, snapped, q, *costs).value
+    placed, g = disc.path_costs(disc.interval_times(times), snapped[:-1], q)
+    ref_value = Trajectory.costed(times, snapped, q, placed.values, g).value
 
     a_const = hypotheses.f_bound_offset
     alpha = hypotheses.g_bound_offset

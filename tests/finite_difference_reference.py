@@ -24,10 +24,11 @@ def dr_rates(problem, trajectory, cfg):
     lo = np.maximum(t - delta, 0.0)
     hi = np.minimum(t + delta, horizon)
     xi = trajectory.velocities
-    table, rows, values, g = disc.path_costs(
+    placed, g = disc.path_costs(
         np.concatenate([t, lo, hi]), np.tile(trajectory.states[:-1], 3), np.tile(xi, 3)
     )
-    energies = values[:n] - table.midpoints(rows[:n], xi) * xi + g[:n]
+    values, (low, high) = placed.values, placed.subgradients
+    energies = values[:n] - 0.5 * (low[:n] + high[:n]) * xi + g[:n]
     phi_lo = values[n : 2 * n] + g[n : 2 * n]
     phi_hi = values[2 * n :] + g[2 * n :]
     rates = (phi_hi - phi_lo) / (hi - lo)
@@ -44,7 +45,8 @@ def probe_rates(problem, probe):
     delta = float(ts[-1] - ts[0]) / (4.0 * (ts.size - 1))
 
     def phi(t):
-        fstar = EnvelopeTable.of(xis, problem.f.table(np.array([t]), xis)[0]).at(0, xis)
+        table = EnvelopeTable.of(xis, problem.f.table(np.array([t]), xis)[0])
+        fstar = table.place(0, xis).values
         return problem.g.value(t, xs)[:, None] + fstar[None, :]
 
     rates = []

@@ -70,7 +70,7 @@ def test_criterion_1_decomposition_oracle():
         ys = rng.uniform(0.0, 2.0, size=xs.size)
         table = EnvelopeTable.of(xs, ys[None])
         target = float(rng.uniform(xs[0], xs[-1]))
-        envelope = table.split(np.zeros(1, dtype=np.intp), [target]).envelope_values[0]
+        envelope = table.place(np.zeros(1, dtype=np.intp), [target]).split.envelope_values[0]
         worst = max(worst, abs(envelope - pair_minimum_oracle(xs, ys, target)))
     worst2d = 0.0
     for seed in range(10):
@@ -100,9 +100,9 @@ def test_criterion_2_double_well_analytics():
     ):
         table = EnvelopeTable.of(xs, ((xs**2 - 1.0) ** 2)[None])
         inside = xs[(xs >= -1.0) & (xs <= 1.0)]
-        values = table.at(0, inside)
+        values = table.place(0, inside).values
         ok &= bool(np.max(np.abs(values)) <= 1e-12)
-        dec = table.split(np.zeros(1, dtype=np.intp), [0.0])
+        dec = table.place(np.zeros(1, dtype=np.intp), [0.0]).split
         k = dec.support[0]
         exact = (
             dec.weights[0, :k].tolist() == [0.5, 0.5]

@@ -195,8 +195,9 @@ def median_deviation(problem, trajectory, cfg):
     disc = Discretization.of(problem, cfg).extended(trajectory.velocities)
     xi = trajectory.velocities
     t, x = trajectory.times[:-1], trajectory.states[:-1]
-    table, rows, values, g = disc.path_costs(t, x, xi)
-    energies = values - table.midpoints(rows, xi) * xi + g
+    placed, g = disc.path_costs(t, x, xi)
+    lo, hi = placed.subgradients
+    energies = placed.values - 0.5 * (lo + hi) * xi + g
     return float(np.max(np.abs(energies - np.median(energies))))
 
 

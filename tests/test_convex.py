@@ -70,7 +70,8 @@ class TestLowerConvexHull:
         k = int(np.searchsorted(breakpoints, -1.0))
         assert breakpoints[k + 1] == 1.0
         assert table.slopes[0, k] == 0.0
-        assert table.at(0, np.array([-1.0, -0.25, 0.0, 0.75, 1.0])).tolist() == [0.0] * 5
+        values = table.place(0, np.array([-1.0, -0.25, 0.0, 0.75, 1.0])).values
+        assert values.tolist() == [0.0] * 5
 
     def test_affine_input(self):
         table = one_row(*sampled([0, 1], lambda x: -x))
@@ -101,7 +102,7 @@ class TestLowerConvexHull:
                 continue
             ys = rng.uniform(0, 2, size=xs.size)
             table = one_row(xs, ys)
-            vals = table.at(0, xs)
+            vals = table.place(0, xs).values
             assert np.all(vals <= ys + 1e-12)
             hit = vertex_indices(table)
             np.testing.assert_array_equal(vals[hit], ys[hit])
@@ -298,40 +299,40 @@ class TestConvexEnvelopeValidation:
 
 class TestEvaluateEnvelope:
     def test_double_well_origin(self):
-        assert one_row(*DOUBLE_WELL).at(0, 0.0) == 0.0
+        assert one_row(*DOUBLE_WELL).place(0, 0.0).values == 0.0
 
     def test_parabola_interpolates_chord(self):
-        assert one_row(*PARABOLA).at(0, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert one_row(*PARABOLA).place(0, 0.5).values == pytest.approx(0.5, abs=1e-15)
 
     def test_breakpoints_exact(self):
         table = one_row(*DOUBLE_WELL)
         for j in vertex_indices(table):
-            assert table.at(0, table.grid[j]) == table.values[0, j]
+            assert table.place(0, table.grid[j]).values == table.values[0, j]
 
     def test_out_of_domain(self):
         table = one_row(*PARABOLA)
         with pytest.raises(OutOfDomainError):
-            table.at(0, 2.5)
+            table.place(0, 2.5)
         with pytest.raises(OutOfDomainError):
-            table.at(0, np.array([0.0, -2.01]))
+            table.place(0, np.array([0.0, -2.01]))
 
 
 class TestSubdifferential:
     def test_parabola_kink_at_origin(self):
-        lo, hi = one_row(*PARABOLA).subgradients(0, 0.0)
+        lo, hi = one_row(*PARABOLA).place(0, 0.0).subgradients
         assert (lo, hi) == (-1.0, 1.0)
 
     def test_flat_edge_interior(self):
-        lo, hi = one_row(*DOUBLE_WELL).subgradients(0, 0.0)
+        lo, hi = one_row(*DOUBLE_WELL).place(0, 0.0).subgradients
         assert (lo, hi) == (0.0, 0.0)
 
     def test_affine_everywhere(self):
         table = one_row(*sampled([0, 0.5, 1], lambda x: 3.0 * x - 1.0))
-        lo, hi = table.subgradients(0, np.array([0.0, 0.3, 1.0]))
+        lo, hi = table.place(0, np.array([0.0, 0.3, 1.0])).subgradients
         assert lo.tolist() == hi.tolist() == [3.0, 3.0, 3.0]
 
     def test_boundary_clamped(self):
-        lo, hi = one_row(*PARABOLA).subgradients(0, np.array([-2.0, 2.0]))
+        lo, hi = one_row(*PARABOLA).place(0, np.array([-2.0, 2.0])).subgradients
         assert lo.tolist() == hi.tolist() == [-3.0, 3.0]
 
     def test_nested_monotone(self):
@@ -340,7 +341,7 @@ class TestSubdifferential:
         xs = np.unique(xs)
         table = one_row(xs, rng.uniform(0, 1, size=xs.size))
         probes = np.sort(rng.uniform(xs[0], xs[-1], size=40))
-        lo, hi = table.subgradients(0, probes)
+        lo, hi = table.place(0, probes).subgradients
         assert np.all(hi[:-1] <= lo[1:] + 1e-12)
 
 
@@ -349,7 +350,7 @@ class TestCaratheodoryDecompose:
     def split(samples, xi):
         """The weights, points and point values of one splitting, cut to its
         support, then its envelope value."""
-        dec = one_row(*samples).split(np.zeros(1, dtype=np.intp), [xi])
+        dec = one_row(*samples).place(np.zeros(1, dtype=np.intp), [xi]).split
         k = dec.support[0]
         cut = dec.weights[0, :k], dec.points[0, :k], dec.point_values[0, :k]
         return (*cut, dec.envelope_values[0])
@@ -493,8 +494,9 @@ class TestLegendreConjugate:
                 continue
             ys = rng.uniform(0, 2, size=xs.size)
             table = one_row(xs, ys)
-            los, his = table.subgradients(0, xs)
-            for xi, value, lo, hi in zip(xs, table.at(0, xs), los, his):
+            placed = table.place(0, xs)
+            los, his = placed.subgradients
+            for xi, value, lo, hi in zip(xs, placed.values, los, his):
                 for p in (lo, hi, 0.5 * (lo + hi)):
                     lhs = value + legendre_conjugate(xs, ys, p)
                     assert lhs == pytest.approx(p * xi, abs=1e-9)
@@ -535,7 +537,7 @@ class TestVectorizedAgainstScalar:
         xs, ys, table, points = case
         keep = ref.hull(xs, ys)
         scalar = [ref.value(xs, ys, keep, xi) for xi in points]
-        assert bits(table.at(0, points)) == bits(scalar)
+        assert bits(table.place(0, points).values) == bits(scalar)
 
     @settings(max_examples=200, deadline=None)
     @given(envelope_and_points())
@@ -544,11 +546,12 @@ class TestVectorizedAgainstScalar:
         keep = ref.hull(xs, ys)
         ends = [ref.subgradients(xs, ys, keep, xi) for xi in points]
         scalar = [0.5 * (lo + hi) for lo, hi in ends]
-        assert bits(table.midpoints(0, points)) == bits(scalar)
+        lo, hi = table.place(0, points).subgradients
+        assert bits(0.5 * (lo + hi)) == bits(scalar)
 
     def test_out_of_domain_rejected(self):
         with pytest.raises(OutOfDomainError):
-            one_row(*PARABOLA).midpoints(0, [0.0, 2.5])
+            one_row(*PARABOLA).place(0, [0.0, 2.5])
 
 
 @st.composite
@@ -571,12 +574,12 @@ def tables_and_points(draw):
 class TestSubgradientOrder:
     """The ends of a subgradient interval are two adjacent edge slopes of
     one row, so they cross at most by the fall that ``of`` allows the
-    slopes; ``midpoints`` therefore needs no order check of its own."""
+    slopes; their midpoint therefore needs no order check of its own."""
 
     @settings(max_examples=300, deadline=None)
     @given(tables_and_points())
     def test_ends_cross_only_within_the_slope_allowance(self, case):
         table, points = case
         rows = np.arange(table.values.shape[0])[:, None]
-        lo, hi = table.subgradients(rows, points)
+        lo, hi = table.place(rows, points).subgradients
         assert np.all(hi - lo >= -1e-12 * np.maximum(1.0, np.abs(lo)))

@@ -369,21 +369,53 @@ class TestPlacementCounts:
     )
     def test_fine_grid_pipeline(self, placements, name, n_t, n_x):
         # the grid's costs and the path: 6 locations and 2 splittings
-        # before the placement was kept, and 2 merges after the DP
+        # before the placement was kept; 2 merges after the DP before the
+        # merged grid was kept, 1 while it was, and none since the DP's
+        # velocities are found on its grid
         problem, cfg = load(name)
         cfg = replace(cfg, n_t=n_t, n_x=n_x)
         traj = solve_relaxed(problem, cfg)
         placements["merges"] = 0  # the quotient grid's own merge
         dubois_reymond_residual(problem, traj, cfg)
         decompose_velocities(problem, traj, cfg)
-        assert placements == {"locations": 2, "splittings": 1, "merges": 1}
+        assert placements == {"locations": 2, "splittings": 1, "merges": 0}
 
     def test_cli_solve(self, placements, tmp_path):
-        # the certificates' queries, the DP's grid and path and the
+        # the certificates' 22 placements, the DP's grid and path and the
         # coercivity reference path: 67 locations and 3 splittings before
+        # the path's placement was kept, 63 and 2 while the certificates
+        # placed each query set once per read
         src = str(PROBLEMS / "doublewell_timevarying.json")
         assert cli.main(["solve", src, "--out", str(tmp_path / "out.json")]) == 0
-        assert (placements["locations"], placements["splittings"]) == (63, 2)
+        assert (placements["locations"], placements["splittings"]) == (25, 2)
+
+    @pytest.mark.parametrize(
+        "command, counts",
+        [("classify", (22, 1, 0)), ("relax", (2, 1, 1)), ("verify", (1, 1, 1)),
+         ("decompose", (1, 1, 1))],
+    )
+    def test_cli_commands(self, placements, tmp_path, command, counts):
+        # (locations, splittings, merges); the one merge is the quotient
+        # grid's own.  classify made 60 locations while each query set was
+        # placed once per read, and the others 2 merges while the merged
+        # grid was kept by the velocities' bits
+        src = str(PROBLEMS / "doublewell_timevarying.json")
+        csv = str(tmp_path / "relaxed.csv")
+        argv = [command, src, "--out", str(tmp_path / "out.json")]
+        if command in ("verify", "decompose"):
+            assert cli.main(["relax", src, "--out", csv]) == 0
+            argv += ["--traj", csv]
+        placements.update(dict.fromkeys(placements, 0))
+        assert cli.main(argv) == 0
+        assert tuple(placements.values()) == counts
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in PROBLEMS.glob("*.json")))
+    def test_cli_classify(self, placements, tmp_path, name):
+        # one placement per class-E radius, one for SCI and one for the
+        # probe box: 43 locations before, 60 on doublewell_timevarying
+        src = str(PROBLEMS / f"{name}.json")
+        cli.main(["classify", src, "--out", str(tmp_path / "out.json")])
+        assert placements["locations"] == 22
 
 
 def scalar_costs(disc, times, states, velocities):
@@ -470,8 +502,9 @@ class TestPathCosts:
     def test_matches_scalar_loop_bit_for_bit(self, case):
         disc, times, states, velocities = case
         want = scalar_costs(disc, times, states, velocities)
-        table, rows, values, g = disc.path_costs(times, states, velocities)
-        got = values, table.midpoints(rows, velocities), g
+        placed, g = disc.path_costs(times, states, velocities)
+        lo, hi = placed.subgradients
+        got = placed.values, 0.5 * (lo + hi), g
         for a, b in zip(got, want):
             assert a.tobytes() == np.array(b, dtype=float).tobytes()
 
@@ -484,10 +517,11 @@ class TestPathCosts:
         assert disc.grid.size == 9
         disc = disc.extended(np.array([xi]))
         times, states, velocities = np.array([0.6289871980268343]), np.array([0.5]), np.array([xi])
-        lo, hi = disc.envelope_table(times)[0].subgradients(0, xi)
+        lo, hi = disc.envelope_table(times)[0].place(0, xi).subgradients
         assert 0.0 < lo - hi <= 1e-12 * max(1.0, abs(lo))
-        table, rows, values, g = disc.path_costs(times, states, velocities)
-        got = values, table.midpoints(rows, velocities), g
+        placed, g = disc.path_costs(times, states, velocities)
+        lo, hi = placed.subgradients
+        got = placed.values, 0.5 * (lo + hi), g
         want = scalar_costs(disc, times, states, velocities)
         assert [a.tobytes() for a in got] == [np.array(b).tobytes() for b in want]
 
@@ -517,18 +551,18 @@ class TestKeptPlacements:
 
     @staticmethod
     def assert_reads_fresh_queries(disc, times, states, velocities):
-        values = disc.path_costs(times, states, velocities)[2]
-        placed = disc.placement(times, velocities)
+        placed = disc.path_costs(times, states, velocities)[0]
         table, rows = disc.envelope_table(times)
-        kept, fresh = placed.split, table.split(rows, velocities)
-        got = [values, placed.values, *placed.subgradients, placed.midpoints]
-        want = [table.at(rows, velocities)] * 2
-        want += [*table.subgradients(rows, velocities), table.midpoints(rows, velocities)]
+        fresh = table.place(rows, velocities)
+        (lo, hi), (fresh_lo, fresh_hi) = placed.subgradients, fresh.subgradients
+        got = [placed.values, lo, hi, 0.5 * (lo + hi)]
+        want = [fresh.values, fresh_lo, fresh_hi, 0.5 * (fresh_lo + fresh_hi)]
+        kept, fresh_split = placed.split, fresh.split
         for name in ("weights", "points", "point_values", "targets", "envelope_values"):
             got.append(getattr(kept, name))
-            want.append(getattr(fresh, name))
+            want.append(getattr(fresh_split, name))
         assert [bits(a) for a in got] == [bits(b) for b in want]
-        assert kept.support.tolist() == fresh.support.tolist()
+        assert kept.support.tolist() == fresh_split.support.tolist()
         assert placed.table is table
         assert disc.placement(times.copy(), velocities.copy()) is placed
         changed = velocities.copy()
@@ -563,7 +597,7 @@ class TestKeptPlacements:
         placed = disc.placement(times, traj.velocities)
         assert split is placed.split
         arrays = [getattr(placed, f.name) for f in fields(placed) if f.name != "table"]
-        arrays += [placed.values, *placed.subgradients, placed.midpoints]
+        arrays += [placed.values, *placed.subgradients]
         arrays += [getattr(split, f.name) for f in fields(split)]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -607,11 +641,13 @@ class TestEnvelopeTable:
         rows = np.full(points.size, r)
         xs = table.grid
         keep = ref.hull(xs, ys)
-        assert bits(table.at(rows, points)) == bits([ref.value(xs, ys, keep, xi) for xi in points])
+        placed = table.place(rows, points)
+        assert bits(placed.values) == bits([ref.value(xs, ys, keep, xi) for xi in points])
         lo, hi = np.array([ref.subgradients(xs, ys, keep, xi) for xi in points]).T
-        assert [bits(a) for a in table.subgradients(rows, points)] == [bits(lo), bits(hi)]
-        assert bits(table.midpoints(rows, points)) == bits(0.5 * (lo + hi))
-        dec = table.split(rows, points)
+        got_lo, got_hi = placed.subgradients
+        assert [bits(got_lo), bits(got_hi)] == [bits(lo), bits(hi)]
+        assert bits(0.5 * (got_lo + got_hi)) == bits(0.5 * (lo + hi))
+        dec = placed.split
         for i, xi in enumerate(points.tolist()):
             k = dec.support[i]
             got = (
@@ -686,9 +722,8 @@ class TestEnvelopeTable:
         table, rows = disc.envelope_table(np.zeros(3))
         lo, hi = disc.grid[[0, -1]].tolist()
         want = f"velocity 9.5 outside envelope domain [{lo!r}, {hi!r}]"
-        for query in (table.at, table.subgradients, table.midpoints, table.split):
-            with pytest.raises(OutOfDomainError, match=re.escape(want)):
-                query(rows, np.array([0.0, 9.5, -9.5]))
+        with pytest.raises(OutOfDomainError, match=re.escape(want)):
+            table.place(rows, np.array([0.0, 9.5, -9.5]))
 
 
 class TestTransitionTableMemory:

@@ -10,7 +10,8 @@ import pytest
 
 from varelax.catalog import NagumoFunction
 from varelax.cli import main
-from varelax.errors import SchemaError
+from varelax.classify import hypothesis_check
+from varelax.errors import CertificateError, SchemaError
 from varelax.io import parse_problem
 from varelax.problem import DPConfig, Trajectory
 
@@ -354,6 +355,56 @@ def test_a_quotient_grid_merged_to_one_point_ends_with_one_error_line(command, t
     )
     assert main([command, problem, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr() == ("", message + "\n")
+
+
+# f's time rate overflows at every interval: the sine's amplitude times its
+# frequency is 1e612, and a splitting's zero weight times it is NaN
+DR_NOT_FINITE = {
+    "horizon": {"T": 2.0, "a": 0.0, "b": -0.5},
+    "f": {
+        "base": {"name": "sqrt_one_plus"},
+        "modulation": {"name": "sqrt_one_plus"},
+        "time_factor": {"name": "sine", "params": {"amplitude": 1e306, "frequency": 1e306}},
+    },
+    "g": {"base": {"name": "table", "params": {
+        "grid": [-1.0, 0.0, 1.0], "values": [0.0, 1.0, -1e306],
+    }}},
+    "numerics": {
+        "n_t": 33, "n_x": 65, "state_box": [-0.5, 1.0], "velocity_cap": 1.0,
+        "theta": {"name": "power_p", "params": {"p": 2.0}, "budget": 0.5, "levels": 200},
+    },
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["relax", "verify"])
+def test_a_dr_energy_or_drift_beyond_float_range_ends_with_one_error_line(
+    command, tmp_path, capsys
+):
+    problem = write(tmp_path / "case.json", json.dumps(DR_NOT_FINITE))
+    argv = [command, problem, "--out", str(tmp_path / "out.csv")]
+    lines = ["warning: hypothesis constants failed on the probe box; solving anyway"]
+    if command == "verify":
+        # the straight path from 0 to -0.5 over T = 2
+        path = csv_rows([(2.0 * k / 33, -0.5 * k / 33, -0.25) for k in range(34)])
+        argv += ["--traj", write(tmp_path / "traj.csv", path)]
+        lines = []
+    message = (
+        "error: the Du Bois-Reymond energy and drift of velocity cost f and state cost g "
+        "must be finite on the trajectory"
+    )
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "\n".join(lines + [message]) + "\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_probe_drift_samples_beyond_float_range_are_a_certificate_failure(tmp_path):
+    # the probe box's splittings meet the same rates: no warning, and the
+    # drift fit's check refuses them
+    problem = parse_problem(write(tmp_path / "case.json", json.dumps(DR_NOT_FINITE))).problem
+    with pytest.raises(CertificateError, match="drift samples are not all finite"):
+        hypothesis_check(problem)
 
 
 def test_the_straight_path_is_a_valid_trajectory(tmp_path):

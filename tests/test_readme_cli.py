@@ -1,5 +1,7 @@
 """Every ``varelax`` line of the README's CLI block runs as documented, on
-the shipped problems at their own numerics, in a scratch directory."""
+the shipped problems at their own numerics, in a scratch directory; and
+the python block under ``## Library`` runs, so a change to the public API
+that the README shows fails here."""
 
 import re
 import shlex
@@ -50,3 +52,9 @@ def test_readme_cli_block_runs_as_documented(tmp_path, monkeypatch, capsys):
             assert (code, err) == (sweep_code, sweep_stderr + "\n")
         else:
             assert code == 0, (argv, err)
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    block = re.search(r"## Library\n\n```python\n(.*?)```", README, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .convex import LP_PIVOTS_PER_ROW, EnvelopeTable, Placement, _lp_vertex
-from .errors import CertificateError, OutOfDomainError
+from .errors import CertificateError, DegenerateInputError, OutOfDomainError
 from .families import IntegrandFamily
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e3
@@ -266,8 +266,11 @@ def _pooled_radial_profile(radii, values):
     return uniq, vmins, np.maximum.reduceat(columns.max(axis=0), start)
 
 
-def _hull_edge_slopes(r, vmin):
-    table = EnvelopeTable.of(r, vmin[None])
+def _hull_edge_slopes(r, vmin, name):
+    try:
+        table = EnvelopeTable.of(r, vmin[None])
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(f"{name} on the probe box: {exc}") from None
     return table.slopes[0, : table.counts[0] - 1]
 
 
@@ -280,12 +283,13 @@ def _fit_lines(problem, probe: ProbeBox) -> tuple[float, ...]:
     """
     # f lower bound: -A + B|xi|
     r_u, fmin_u, fmax_u = _pooled_radial_profile(probe.velocities, probe.f_values)
+    f_slopes = _hull_edge_slopes(r_u, fmin_u, "velocity cost f")
     f_slope, f_intercept, _ = _fit_bound_line(
-        r_u, fmin_u, fmax_u, _hull_edge_slopes(r_u, fmin_u), tie_key=lambda s, b: (s, -b)
+        r_u, fmin_u, fmax_u, f_slopes, tie_key=lambda s, b: (s, -b)
     )
     # g lower bound: -alpha - beta|x|, beta >= 0
     rg_u, gmin_u, gmax_u = _pooled_radial_profile(probe.states, probe.g_values)
-    slopes_g = [s for s in _hull_edge_slopes(rg_u, gmin_u) if s <= 0.0] + [0.0]
+    slopes_g = [s for s in _hull_edge_slopes(rg_u, gmin_u, "state cost g") if s <= 0.0] + [0.0]
     gb_slope, gb_intercept, _ = _fit_bound_line(
         rg_u, gmin_u, gmax_u, slopes_g, tie_key=lambda s, b: (-s, -b)
     )

@@ -229,9 +229,10 @@ class EnvelopeTable:
         rank = np.zeros((len(hulls), grid.size + 1), dtype=np.intp)
         np.cumsum(is_vertex, axis=1, out=rank[:, 1:])
         counts, vertices, rank = counts[group], vertices[group], rank[group]
-        rises, widths = np.diff(values[rows[:, None], vertices]), np.diff(grid[vertices])
-        edges = np.arange(rises.shape[1]) < counts[:, None] - 1
-        slopes = np.divide(rises, widths, out=np.zeros_like(rises), where=edges)
+        with np.errstate(over="ignore"):  # an overflowed slope is refused below
+            rises, widths = np.diff(values[rows[:, None], vertices]), np.diff(grid[vertices])
+            edges = np.arange(rises.shape[1]) < counts[:, None] - 1
+            slopes = np.divide(rises, widths, out=np.zeros_like(rises), where=edges)
         if not np.isfinite(slopes).all():
             raise DegenerateInputError("edge slopes must contain finite values only")
         s1, s2, pairs = slopes[:, :-1], slopes[:, 1:], edges[:, 1:]

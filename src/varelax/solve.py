@@ -6,7 +6,9 @@ grid, which ``discretize.Discretization`` builds, with ties broken toward
 the smallest predecessor, so results are schedule-independent.  Each path
 it returns is costed again, by ``Discretization.path_costs`` from the
 envelope table and ``problem.path_sums``, and must reproduce its DP value;
-``lagrangian_sweep`` costs its 14 paths as one batch.
+``lagrangian_sweep`` costs its 14 paths as one batch.  A speed budget is
+first checked against Jensen's lower bound on every path's budget units
+(``_unit_floor``), and a budget that the bound excludes runs no DP.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .classify import HypothesisReport
-from .discretize import Discretization, nearest_index
-from .errors import CertificateError, InfeasibleError
+from .convex import EPS
+from .discretize import MERGE_TOL, Discretization, nearest_index
+from .errors import CertificateError, DegenerateInputError, InfeasibleError
+from .families import _finite
 from .problem import DPConfig, Problem, SweepReport, Trajectory, check_paths, path_sums
 
 SETTLE_TOL = 1e-9
@@ -57,7 +61,20 @@ def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
     table, f_rows = disc.envelope_table(times)
     f_costs = table.place(np.arange(len(table.values))[:, None], disc.grid).values
     g_costs, g_rows = problem.g.finite_table(times, disc.xs, "state cost g", "the state grid")
-    thetas = None if cfg.theta is None else cfg.theta(disc.grid)
+    # Every cost h*(f** + g) of a step lies between those of its row's least
+    # and greatest f** and g, and rounding is monotone, so those bound it.
+    with np.errstate(all="ignore"):
+        thetas = None
+        if cfg.theta is not None:
+            thetas = _finite(cfg.theta(disc.grid), "Nagumo penalty theta", "the quotient grid")
+        ends = [
+            disc.step * (pick(f_costs, axis=1)[f_rows] + pick(g_costs, axis=1)[g_rows])
+            for pick in (np.min, np.max)
+        ]
+    if not np.isfinite(ends).all():
+        raise DegenerateInputError(
+            "velocity cost f plus state cost g, times the time step, must be finite on the grid"
+        )
     return _Tables(disc, disc.step, f_costs, g_costs, f_rows, g_rows, thetas)
 
 
@@ -68,6 +85,59 @@ def _units(tab: _Tables, cfg: DPConfig, budgets: float | np.ndarray) -> np.ndarr
     units = np.ceil(tab.disc.step * tab.thetas / quanta)
     # counts above the levels are all inadmissible; clip them before the cast
     return np.clip(units, 0, cfg.budget_levels + 1).astype(np.int64)
+
+
+def _unit_floor(tab: _Tables, cfg: DPConfig, units: np.ndarray) -> np.ndarray:
+    """A lower bound, by Jensen's inequality, on the units of every grid
+    path under each row of ``units`` (budgets x quotients, from ``_units``),
+    inf where no grid path reaches the end: a row whose floor exceeds the
+    budget levels L admits no path.
+
+    Let u be a row, a whole number in [0, L + 1] per quotient, and v its
+    lower convex envelope over the quotient grid, the least chord through
+    a point of two grid points on either side of it.  A path of n_t steps
+    on grid points q_i with mean m totals sum u(q_i) >= sum v(q_i) >=
+    n_t * v(m) units.  The floor is n_t * v(c) less a margin, with e = EPS:
+    - m is within s = MERGE_TOL * max(1, limit) + 8e * limit of the mean
+      speed c = (b - a)/T as computed, limit the speed limit.  A step's
+      quotient (x' - x)/h rounds within 2e|q| of the exact one (two
+      roundings and h's own), and its grid point lies within
+      MERGE_TOL * max(1, limit) of it, as quotients merge only that close;
+      the exact quotients' mean is (b - a)/T, since the node differences
+      telescope, and c rounds within e * limit of it.
+    - v's slopes are at most (L + 1)/w, w the smallest gap of the grid, so
+      n_t * v(m) >= n_t * v(c) - n_t * (L + 1) * s / w.
+    - A chord (one quotient, product and sum of whole numbers below L + 2)
+      and its product with n_t round within 4e * n_t * (L + 1).
+    So the margin n_t * (L + 1) * (s / w + 16e) covers all three, and an
+    entry near the threshold is left to the DP.  Where c lies farther than
+    s outside the grid no path reaches the end; c closer outside is moved
+    onto the grid's end, which is no farther from m.  The DP's set-up
+    checks of the endpoints and transitions run first, so a grid the DP
+    refuses raises as it would.
+    """
+    disc, levels = tab.disc, cfg.budget_levels
+    disc.endpoints, disc.transitions  # the DP's set-up checks, first
+    problem, grid = disc.problem, disc.grid
+    limit = problem.speed_limit
+    slack = MERGE_TOL * max(1.0, limit) + 8.0 * EPS * limit
+    mean = (problem.end - problem.start) / problem.horizon
+    at = min(max(mean, grid[0]), grid[-1])
+    if abs(at - mean) > slack:
+        return np.full(len(units), np.inf)
+    # the chords from the points at or left of c to those at or right of it
+    lo, hi = grid.searchsorted(at, "right"), grid.searchsorted(at, "left")
+    widths = grid[hi:] - grid[:lo, None]
+    weights = (at - grid[:lo, None]) / np.where(widths > 0.0, widths, 1.0)
+    left, right = units[:, :lo, None], units[:, None, hi:]
+    least = np.full(len(units), np.inf)
+    per = max(1, CHUNK_ENTRIES // units[:, hi:].size)  # left points per block
+    for i in range(0, lo, per):
+        block = left[:, i : i + per]
+        chords = block + weights[i : i + per] * (right - block)
+        np.minimum(least, chords.min(axis=(1, 2)), out=least)
+    margin = cfg.n_t * (levels + 1) * (slack / np.diff(grid).min() + 16.0 * EPS)
+    return cfg.n_t * least - margin
 
 
 def _dp(
@@ -299,9 +369,14 @@ def _segments(admissible: np.ndarray, pair_units: np.ndarray) -> list:
 def _solve(problem: Problem, cfg: DPConfig, tab: _Tables) -> Trajectory:
     """The minimizer of the DP under ``cfg``, its speed budget included,
     whose recomputed cost must reproduce the DP value."""
-    value, idx, qidx = _dp(tab, cfg, cfg.theta_budget, want_path=True)
+    budget = cfg.theta_budget
+    units = None if budget is None else _units(tab, cfg, np.array([budget]))
+    if units is not None and _unit_floor(tab, cfg, units)[0] > cfg.budget_levels:
+        value = None  # Jensen's bound excludes every path: no budget DP
+    else:
+        value, idx, qidx = _dp(tab, cfg, budget, want_path=True)
     if value is None:
-        if cfg.theta_budget is None:
+        if budget is None:
             raise InfeasibleError("no admissible grid path connects the endpoints")
         raise InfeasibleError("speed budget excludes every admissible path")
     disc, xs = tab.disc, tab.disc.xs
@@ -382,7 +457,7 @@ def _budget_values(
     tab: _Tables, cfg: DPConfig, budgets: np.ndarray
 ) -> list[float | None]:
     """The budget DP's value at each entry of an increasing schedule,
-    running that DP only where three exact checks leave the answer open.
+    running that DP only where four exact checks leave the answer open.
 
     Float rounding is monotone, so a DP value is the least left-to-right
     float sum over the paths it admits, and a budget admits a path iff the
@@ -391,20 +466,26 @@ def _budget_values(
     is below the plain DP's (same ``cfg``, penalty included), and from the
     first entry that reaches it on, every entry equals it bit for bit.
     An entry is None iff even the fewest units of any grid path exceed the
-    levels; those entries are a prefix, found by bisection.  An entry
-    whose units admit the plain minimizer takes its value.
+    levels; those entries are a prefix.  Its first entries are those that
+    Jensen's bound on their units row excludes (``_unit_floor``), with no DP
+    at all; above them a bisection finds the rest.  An entry whose units
+    admit the plain minimizer takes its value.
     """
-    plain, _, plain_q = _dp(tab, cfg, None, want_path=True)
     values: list[float | None] = [None] * budgets.size
+    units = _units(tab, cfg, budgets)
+    excluded = _unit_floor(tab, cfg, units) > cfg.budget_levels
+    if excluded.all():
+        return values
+    plain, _, plain_q = _dp(tab, cfg, None, want_path=True)
     if plain is None:
         return values
-    units = _units(tab, cfg, budgets)
     fits = units[:, plain_q].sum(axis=1) <= cfg.budget_levels
 
     def admits(k: int) -> bool:
         return bool(fits[k]) or _fewest_units(tab, cfg, units[k]) <= cfg.budget_levels
 
-    for k in range(bisect_left(range(budgets.size), True, key=admits), budgets.size):
+    first = int(excluded.argmin())  # the first entry the bound leaves open
+    for k in range(bisect_left(range(budgets.size), True, first, key=admits), budgets.size):
         values[k] = plain if fits[k] else _dp(tab, cfg, float(budgets[k]), False)[0]
         if values[k] == plain:
             values[k:] = [plain] * (budgets.size - k)
@@ -431,10 +512,12 @@ def value_sweep(
     Rounding the per-step budget up to each entry's quantum makes larger
     budgets admit every path a smaller one does, so the feasible values
     are nonincreasing by construction.  Each value is the budget DP's bit
-    for bit, but entries that admit no path or admit the unconstrained
-    minimizer, and entries after the first that reaches its value, are
-    decided without one.  The settle index is reported when the last
-    quarter of the schedule agrees within tolerance.
+    for bit, but three rules decide entries without one, in this order:
+    Jensen's bound on an entry's units (``_unit_floor``) excludes every
+    path, with no DP at all; the entry's units admit the unconstrained
+    minimizer, or an earlier entry reached its value; the fewest units of
+    any grid path exceed the levels.  The settle index is reported when
+    the last quarter of the schedule agrees within tolerance.
     """
     if cfg.theta is None:
         raise CertificateError("value sweep requires a Nagumo entry")

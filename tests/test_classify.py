@@ -564,11 +564,12 @@ def per_probe_reference(problem):
     g_vals = np.stack([problem.g.value(t, xs) for t in ts])
 
     r_u, fmin_u, fmax_u = _pooled_radial_profile(xis, f_vals)
+    f_slopes = _hull_edge_slopes(r_u, fmin_u, "velocity cost f")
     f_slope, f_intercept, _ = _fit_bound_line(
-        r_u, fmin_u, fmax_u, _hull_edge_slopes(r_u, fmin_u), tie_key=lambda s, b: (s, -b)
+        r_u, fmin_u, fmax_u, f_slopes, tie_key=lambda s, b: (s, -b)
     )
     rg_u, gmin_u, gmax_u = _pooled_radial_profile(xs, g_vals)
-    slopes_g = [s for s in _hull_edge_slopes(rg_u, gmin_u) if s <= 0.0] + [0.0]
+    slopes_g = [s for s in _hull_edge_slopes(rg_u, gmin_u, "state cost g") if s <= 0.0] + [0.0]
     gb_slope, gb_intercept, _ = _fit_bound_line(
         rg_u, gmin_u, gmax_u, slopes_g, tie_key=lambda s, b: (-s, -b)
     )

@@ -407,6 +407,66 @@ def test_probe_drift_samples_beyond_float_range_are_a_certificate_failure(tmp_pa
         hypothesis_check(problem)
 
 
+# name: (a problem-file edit of BASE, the commands that meet it, text of
+# the error line) of a derived quantity beyond float range on the grid
+DERIVED_OVERFLOWS = {
+    # expm1(1000): theta at the quotients, which prices the penalty
+    "theta-at-the-quotients": (
+        edits(
+            edit("horizon.b", 0.0),
+            edit("numerics", dict(
+                BASE["numerics"], n_t=16, n_x=17, state_box=[-100.0, 100.0],
+                velocity_cap=1000.0, theta={"name": "exp_minus_linear", "penalty": 1.0},
+            )),
+        ),
+        ("relax", "solve"),
+        "Nagumo penalty theta must be finite on the quotient grid",
+    ),
+    # g reaches 1e306 at t = 1e6, and h = 62500 times it overflows
+    "step-cost": (
+        edits(
+            edit("horizon", {"T": 1e6, "a": 0.0, "b": 0.0}),
+            edit("g", {
+                "base": {"name": "affine", "params": {"slope": 1.0, "offset": 0.0}},
+                "modulation": {"name": "affine", "params": {"slope": 0.0, "offset": 1.0}},
+                "time_factor": {"name": "affine_t", "params": {"slope": 1e300, "offset": 0.0}},
+            }),
+            edit("numerics", dict(BASE["numerics"], n_t=16, n_x=17, state_box=[-1.0, 1.0],
+                                  velocity_cap=1.0)),
+        ),
+        ("relax",),
+        "velocity cost f plus state cost g, times the time step, must be finite on the grid",
+    ),
+    # the class-E line fit's hull of g's radial profile has an edge slope
+    # beyond float range
+    "g-edge-slope": (
+        edits(
+            edit("horizon", {"T": 1e-6, "a": 0.0, "b": 0.0}),
+            edit("g.base", {"name": "affine", "params": {"slope": -1.7e308, "offset": 0.0}}),
+            edit("numerics", dict(BASE["numerics"], n_t=16, n_x=17, state_box=[-0.5, 0.25],
+                                  velocity_cap=1.0)),
+        ),
+        ("classify", "relax", "solve"),
+        "state cost g on the probe box: edge slopes must contain finite values only",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("case", "command"),
+    [(case, command) for case, (_, commands, _) in DERIVED_OVERFLOWS.items() for command in commands],
+)
+def test_a_derived_quantity_beyond_float_range_ends_with_one_error_line(
+    case, command, tmp_path, capsys
+):
+    change, _, message = DERIVED_OVERFLOWS[case]
+    doc = copy.deepcopy(BASE)
+    change(doc)
+    problem = write(tmp_path / "case.json", json.dumps(doc))
+    assert_one_error_line([command, problem, "--out", str(tmp_path / "out")], 2, message, capsys)
+
+
 def test_the_straight_path_is_a_valid_trajectory(tmp_path):
     """The CSV cases above break one check each of this valid file."""
     problem = write(tmp_path / "case.json", json.dumps(BASE))

@@ -7,22 +7,30 @@ two commutes with each rounding, so every comparison of the DP and every
 hull test keeps its outcome.  The path is the same, and the value and the
 Du Bois-Reymond energies and drift scale by 2**k, bit for bit.
 
+Scaling theta by 2**k and the speed budgets by 2**k scales h*theta(q) and
+each quantum budget/levels by 2**k exactly, so every budget unit count,
+ceil of their quotient, is unchanged: a budget sweep's values, its None
+entries and its settle index do not move, bit for bit.
+
 Adding c*xi to f, a null Lagrangian, adds c*(b - a) to every path's cost
 and c to every slope, so the value moves by c*(b - a) and the energies
 f**(xi) - p*xi + g do not move; in floats both hold within a bound (see
 ``assert_null_lagrangian``).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varelax.catalog import state_function, time_factor, velocity_function
+from varelax import solve
+from varelax.catalog import NagumoFunction, state_function, time_factor, velocity_function
 from varelax.conditions import dubois_reymond_residual
 from varelax.families import IntegrandFamily
 from varelax.problem import DPConfig, Problem, running_sum
-from varelax.solve import solve_relaxed
+from varelax.solve import solve_relaxed, value_sweep
 
 CAP, BOX = 2.0, (-0.5, 0.5)
 VELOCITIES = np.linspace(-CAP, CAP, 9)
@@ -164,3 +172,43 @@ class TestNullLagrangian:
     @pytest.mark.parametrize("c", [-1.75, 3.0])
     def test_large_grid(self, c):
         assert_null_lagrangian(LARGE_CASE, DPConfig(1024, 1025), c)
+
+
+# the catalog's Nagumo entries, to be scaled by a power of two
+NAGUMO = {"power_p": lambda r: r**2, "exp_minus_linear": lambda r: np.expm1(r) - r}
+
+
+def assert_budget_scaling(case, cfg, name, k, schedule):
+    """value_sweep on the case with theta over the schedule, and with
+    theta*2**k over the schedule*2**k: the same units, values, None
+    entries and settle index."""
+    problem, runs = scaled(case, 0), []
+    for scale in (1.0, 2.0**k):
+        theta = NagumoFunction(name, lambda r, fn=NAGUMO[name], scale=scale: scale * fn(r))
+        run, budgets = replace(cfg, theta=theta), scale * schedule
+        report = value_sweep(problem, run, budgets)
+        units = solve._units(solve._tables(problem, run), run, budgets)
+        values = [None if v is None else float(v).hex() for v in report.values]
+        runs.append((units.tobytes(), values, report.settle_index))
+    assert runs[1] == runs[0]
+
+
+class TestBudgetScaling:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        case=cases(),
+        sizes=st.sampled_from([(16, 17, 16), (32, 33, 64), (24, 40, 32)]),
+        name=st.sampled_from(sorted(NAGUMO)),
+        k=st.sampled_from([-3, 5]),
+        exponents=st.lists(st.integers(-10, 6), min_size=2, max_size=8, unique=True),
+    )
+    def test_sweep_keeps_its_values_when_theta_and_budgets_scale(
+        self, case, sizes, name, k, exponents
+    ):
+        schedule = np.array(sorted(2.0 ** (j / 2) for j in exponents))
+        assert_budget_scaling(case, DPConfig(*sizes[:2], budget_levels=sizes[2]), name, k, schedule)
+
+    @pytest.mark.parametrize("name", sorted(NAGUMO))
+    def test_large_grid(self, name):
+        cfg = DPConfig(128, 129, budget_levels=128)
+        assert_budget_scaling(LARGE_CASE, cfg, name, 5, np.geomspace(2.0**-5, 2.0**-1, 17))

@@ -1096,22 +1096,99 @@ class TestSweepsAgainstPerEntrySolves:
             assert fits == (reference is not None)
 
 
+@st.composite
+def floor_cases(draw):
+    """A ``dp_cases`` problem under either Nagumo entry, its endpoints
+    possibly swapped, with the units rows of a schedule over three decades."""
+    problem, cfg, _, _ = draw(dp_cases())
+    if draw(st.booleans()):
+        problem = replace(problem, start=problem.end, end=problem.start)
+    theta = draw(st.sampled_from([THETA, nagumo_function("exp_minus_linear")]))
+    cfg = replace(cfg, theta=theta)
+    exponents = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=6, unique=True))
+    return problem, cfg, np.array(sorted(2.0 ** (k / 4) for k in exponents))
+
+
+class TestUnitFloor:
+    """Jensen's bound on a units row never exceeds the fewest units of any
+    grid path, the one-column DP's exact count."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(floor_cases())
+    # 0 and 0.25 inserted off the uniform grid, a above b
+    @example((
+        replace(QUADRATIC, start=0.25, end=0.0, state_box=(-0.5, 0.5)),
+        DPConfig(n_t=4, n_x=6, theta=THETA, budget_levels=8),
+        np.array([0.05, 0.3, 1.0, 5.0]),
+    ))
+    def test_floor_is_below_the_fewest_units(self, case):
+        problem, cfg, schedule = case
+        try:
+            tab = _tables(problem, cfg)
+            tab.disc.transitions
+        except InfeasibleError:  # fewer than two quotients, or nodes too close
+            return
+        units = solve._units(tab, cfg, schedule)
+        floors = solve._unit_floor(tab, cfg, units)
+        fewest = [solve._fewest_units(tab, cfg, row) for row in units]
+        assert np.all(floors <= fewest), (floors, fewest)
+
+    def test_floor_of_the_readme_sweep_clears_the_levels(self):
+        # 256 steps of at least one unit each where 64 levels are allowed
+        loaded = parse_problem(PROBLEMS / "quadratic.json")
+        tab = _tables(loaded.problem, loaded.config)
+        units = solve._units(tab, loaded.config, np.linspace(0.25, 4.0, 16))
+        floors = solve._unit_floor(tab, loaded.config, units)
+        assert np.all(floors > loaded.config.budget_levels)
+        assert floors[-1] == pytest.approx(255.0, abs=1e-6)
+
+    def test_no_path_reaches_an_end_beyond_the_quotient_grid(self):
+        # (b - a)/T = 1.25 is below the cap, but the quotients are -1, 0 and 1
+        problem = replace(QUADRATIC, end=1.25, state_box=(0.0, 1.25), velocity_cap=1.5)
+        cfg = DPConfig(n_t=4, n_x=6, theta=THETA)
+        tab = _tables(problem, cfg)
+        units = solve._units(tab, cfg, np.array([1.0, 100.0]))
+        assert np.all(solve._unit_floor(tab, cfg, units) == np.inf)
+        with pytest.raises(InfeasibleError, match="no admissible grid path"):
+            solve_relaxed(problem, cfg)
+
+
 class TestSweepBudgetDPCount:
     """value_sweep runs a budget DP only where its exact checks leave the
     value open."""
 
     @staticmethod
-    def budget_dps(monkeypatch, problem, cfg, schedule):
+    def dp_budgets(monkeypatch, problem, cfg, schedule):
+        """The budget of each ``_dp`` call of a value_sweep, None for a DP
+        without one."""
         calls = []
         kernel = solve._dp
 
         def counted(tab, cfg, budget, want_path, rates=None):
-            calls.append(budget is not None)
+            calls.append(budget)
             return kernel(tab, cfg, budget, want_path, rates)
 
         monkeypatch.setattr(solve, "_dp", counted)
         value_sweep(problem, cfg, schedule)
-        return sum(calls)
+        return calls
+
+    @classmethod
+    def budget_dps(cls, monkeypatch, problem, cfg, schedule):
+        return sum(b is not None for b in cls.dp_budgets(monkeypatch, problem, cfg, schedule))
+
+    @pytest.mark.parametrize("n_t", [64, 128])
+    def test_budget_sweep_grid_runs_only_the_plain_dp(self, monkeypatch, n_t):
+        # Jensen's bound excludes the infeasible entries, so no fewest-units DP
+        loaded = parse_problem(PROBLEMS / "quadratic.json")
+        cfg = replace(loaded.config, n_t=n_t, n_x=129, budget_levels=128)
+        schedule = np.linspace(0.25, 4.0, 16)
+        assert self.dp_budgets(monkeypatch, loaded.problem, cfg, schedule) == [None]
+
+    def test_readme_sweep_runs_no_dp(self, monkeypatch):
+        # Jensen's bound excludes all 16 entries: 255 units > 64 at l = 4
+        loaded = parse_problem(PROBLEMS / "quadratic.json")
+        schedule = np.linspace(0.25, 4.0, 16)
+        assert self.dp_budgets(monkeypatch, loaded.problem, loaded.config, schedule) == []
 
     def test_budget_sweep_grid_needs_no_budget_dp(self, monkeypatch):
         loaded = parse_problem(PROBLEMS / "quadratic.json")

@@ -6,9 +6,10 @@ grid, which ``discretize.Discretization`` builds, with ties broken toward
 the smallest predecessor, so results are schedule-independent.  Each path
 it returns is costed again, by ``Discretization.path_costs`` from the
 envelope table and ``problem.path_sums``, and must reproduce its DP value;
-``lagrangian_sweep`` costs its 14 paths as one batch.  A speed budget is
-first checked against Jensen's lower bound on every path's budget units
-(``_unit_floor``), and a budget that the bound excludes runs no DP.
+``lagrangian_sweep`` costs its 14 paths as one batch.  ``value_sweep``
+first checks each budget against Jensen's lower bound on every path's
+budget units (``_unit_floor``), and a budget that the bound excludes runs
+no DP.
 """
 
 from __future__ import annotations
@@ -113,11 +114,11 @@ def _unit_floor(tab: _Tables, cfg: DPConfig, units: np.ndarray) -> np.ndarray:
     entry near the threshold is left to the DP.  Where c lies farther than
     s outside the grid no path reaches the end; c closer outside is moved
     onto the grid's end, which is no farther from m.  The DP's set-up
-    checks of the endpoints and transitions run first, so a grid the DP
-    refuses raises as it would.
+    checks of the transitions and endpoints run first, in its order, so a
+    grid the DP refuses raises as it would.
     """
     disc, levels = tab.disc, cfg.budget_levels
-    disc.endpoints, disc.transitions  # the DP's set-up checks, first
+    disc.transitions, disc.endpoints  # the DP's set-up checks, in its order
     problem, grid = disc.problem, disc.grid
     limit = problem.speed_limit
     slack = MERGE_TOL * max(1.0, limit) + 8.0 * EPS * limit
@@ -369,14 +370,9 @@ def _segments(admissible: np.ndarray, pair_units: np.ndarray) -> list:
 def _solve(problem: Problem, cfg: DPConfig, tab: _Tables) -> Trajectory:
     """The minimizer of the DP under ``cfg``, its speed budget included,
     whose recomputed cost must reproduce the DP value."""
-    budget = cfg.theta_budget
-    units = None if budget is None else _units(tab, cfg, np.array([budget]))
-    if units is not None and _unit_floor(tab, cfg, units)[0] > cfg.budget_levels:
-        value = None  # Jensen's bound excludes every path: no budget DP
-    else:
-        value, idx, qidx = _dp(tab, cfg, budget, want_path=True)
+    value, idx, qidx = _dp(tab, cfg, cfg.theta_budget, want_path=True)
     if value is None:
-        if budget is None:
+        if cfg.theta_budget is None:
             raise InfeasibleError("no admissible grid path connects the endpoints")
         raise InfeasibleError("speed budget excludes every admissible path")
     disc, xs = tab.disc, tab.disc.xs

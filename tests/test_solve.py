@@ -22,7 +22,7 @@ import envelope_reference as ref
 from varelax.catalog import nagumo_function, state_function, time_factor, velocity_function
 from varelax.classify import hypothesis_check
 from varelax.conditions import dubois_reymond_residual
-from varelax.discretize import merge_close_velocities, nearest_index, state_grid
+from varelax.discretize import Discretization, merge_close_velocities, nearest_index, state_grid
 from varelax.errors import CertificateError, DegenerateInputError, InfeasibleError
 from varelax.families import IntegrandFamily
 from varelax.io import parse_problem
@@ -1151,6 +1151,24 @@ class TestUnitFloor:
         assert np.all(solve._unit_floor(tab, cfg, units) == np.inf)
         with pytest.raises(InfeasibleError, match="no admissible grid path"):
             solve_relaxed(problem, cfg)
+
+    def test_sweep_raises_the_set_up_error_the_dp_raises_first(self, monkeypatch):
+        # both set-up checks fail; the DP reads the transitions first
+        def failing(name):
+            def read(disc):
+                raise InfeasibleError(name)
+
+            return property(read)
+
+        monkeypatch.setattr(Discretization, "transitions", failing("transitions"))
+        monkeypatch.setattr(Discretization, "endpoints", failing("endpoints"))
+        cfg = DPConfig(n_t=4, n_x=6, theta=THETA)
+        for run in (
+            lambda: solve_relaxed(QUADRATIC, cfg),
+            lambda: value_sweep(QUADRATIC, cfg, np.array([1.0, 100.0])),
+        ):
+            with pytest.raises(InfeasibleError, match="^transitions$"):
+                run()
 
 
 class TestSweepBudgetDPCount:

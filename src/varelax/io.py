@@ -36,8 +36,9 @@ from .catalog import (
     time_factor,
     velocity_function,
 )
+from .classify import _radii
 from .discretize import Discretization
-from .errors import OutOfDomainError, SchemaError, VarelaxError
+from .errors import CertificateError, OutOfDomainError, SchemaError, VarelaxError
 from .families import IntegrandFamily
 from .problem import DPConfig, Problem, Trajectory
 
@@ -156,13 +157,12 @@ def parse_problem(path: str | Path) -> LoadedProblem:
     schedule = None
     if "radius_schedule" in num:
         raw = num["radius_schedule"]
-        if not (isinstance(raw, list) and len(raw) >= 4):
-            raise SchemaError("numerics.radius_schedule: expected a list with >= 4 radii")
-        schedule = np.array([finite_number(v, "numerics.radius_schedule") for v in raw])
-        if not np.all(np.diff(schedule) > 0):
-            raise SchemaError("numerics.radius_schedule: radii must be increasing")
-        if schedule[0] <= 0.0:
-            raise SchemaError("numerics.radius_schedule: radii must be positive")
+        if not isinstance(raw, list):
+            raise SchemaError("numerics.radius_schedule: expected a list of radii")
+        try:
+            schedule = _radii([finite_number(v, "numerics.radius_schedule") for v in raw])
+        except CertificateError as exc:
+            raise SchemaError(f"numerics.radius_schedule: {exc}") from exc
 
     try:
         problem = Problem(

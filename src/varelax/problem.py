@@ -35,16 +35,18 @@ class Problem:
                 raise SchemaError(f"{name} endpoint must lie inside the state box")
         if not (np.isfinite(self.velocity_cap) and self.velocity_cap > 0):
             raise SchemaError("velocity cap must be positive")
-        mean_speed = abs(self.end - self.start) / self.horizon
-        if mean_speed > self.speed_limit:
-            raise InfeasibleError(
-                "endpoints are unreachable: |b - a|/T exceeds the velocity cap"
-            )
+        if abs(self.mean_speed) > self.speed_limit:
+            raise InfeasibleError("endpoints are unreachable: |b - a|/T exceeds the velocity cap")
 
     @property
     def speed_limit(self) -> float:
         """The largest admissible speed: the cap with a relative 1e-12 slack."""
         return self.velocity_cap * (1.0 + 1e-12)
+
+    @property
+    def mean_speed(self) -> float:
+        """The endpoints' mean speed (b - a)/T."""
+        return (self.end - self.start) / self.horizon
 
     @property
     def autonomous(self) -> bool:

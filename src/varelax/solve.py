@@ -1,15 +1,16 @@
 """Dynamic-programming solver for the relaxed problem, speed-budget
 sweeps, penalized variants, and the a-priori coercivity check.
 
-One DP kernel (``_dp``) serves every solve and sweep.  It is exact on its
-grid, which ``discretize.Discretization`` builds, with ties broken toward
-the smallest predecessor, so results are schedule-independent.  Each path
-it returns is costed again, by ``Discretization.path_costs`` from the
-envelope table and ``problem.path_sums``, and must reproduce its DP value;
+One set-up (``_tables``) builds and checks the cost columns of every DP
+and reads its transitions and endpoints; one kernel (``_dp``) only steps
+and walks.  It is exact on its grid, which ``discretize.Discretization``
+builds, with ties broken toward the smallest predecessor, so results are
+schedule-independent.  Each path it returns is costed again, by
+``Discretization.path_costs`` from the envelope table and
+``problem.path_sums``, and must reproduce its DP value;
 ``lagrangian_sweep`` costs its 14 paths as one batch.  ``value_sweep``
 first checks each budget against Jensen's lower bound on every path's
-budget units (``_unit_floor``), and a budget that the bound excludes runs
-no DP.
+budget units (``_unit_floor``), and a budget that the bound excludes runs no DP.
 """
 
 from __future__ import annotations
@@ -38,45 +39,56 @@ MULTIPLIERS = np.concatenate([[0.0], 2.0 ** np.arange(-6.0, 7.0)])
 
 @dataclass(frozen=True, eq=False)
 class _Tables:
-    """Cost rows of one discretization and the DP's step factor.
+    """The set-up of one DP: its cost columns, g and the step factor.
 
-    ``f_costs`` holds the envelope of f at the quotients, read from the
-    discretization's envelope table, and ``g_costs`` holds g on the state
-    grid, each on the rows its integrand's ``table`` returns; time step i
-    reads rows ``f_rows[i]`` and ``g_rows[i]``.  ``thetas``, theta at the
-    quotients, prices penalties and budgets.
+    ``costs`` holds a column f** + rate*theta per penalty rate at the
+    quotients, f** from the discretization's envelope table, and inf at a
+    sentinel quotient n_q; ``g_costs`` holds g on the state grid.  Step i
+    reads rows ``f_rows[i]`` and ``g_rows[i]`` of the integrands' ``table``.
+    ``thetas``, theta at the quotients, prices budgets.
     """
 
     disc: Discretization
     step: float
-    f_costs: np.ndarray
+    costs: np.ndarray
     g_costs: np.ndarray
     f_rows: np.ndarray
     g_rows: np.ndarray
     thetas: np.ndarray | None
 
 
-def _tables(problem: Problem, cfg: DPConfig) -> _Tables:
+def _tables(problem: Problem, cfg: DPConfig, rates: np.ndarray | None = None) -> _Tables:
+    """Every DP's set-up: a cost column per rate (``cfg.penalty`` by default),
+    checked finite with g, then the DP's reads of its transitions and endpoints."""
     disc = Discretization.of(problem, cfg)
     times = disc.interval_times(disc.times)
     table, f_rows = disc.envelope_table(times)
     f_costs = table.place(np.arange(len(table.values))[:, None], disc.grid).values
     g_costs, g_rows = problem.g.finite_table(times, disc.xs, "state cost g", "the state grid")
-    # Every cost h*(f** + g) of a step lies between those of its row's least
-    # and greatest f** and g, and rounding is monotone, so those bound it.
+    rates = [cfg.penalty] if rates is None else rates
+    # [f row, cost column, quotient], with inf at the sentinel quotient n_q
+    costs = np.full((len(f_costs), len(rates), disc.grid.size + 1), np.inf)
+    columns = costs[..., :-1]
+    # Every cost h*(f** + rate*theta + g) of a step lies between those of its
+    # row's least and greatest column entry and g (rounding is monotone).
     with np.errstate(all="ignore"):
         thetas = None
         if cfg.theta is not None:
             thetas = _finite(cfg.theta(disc.grid), "Nagumo penalty theta", "the quotient grid")
+        for c, rate in enumerate(map(float, rates)):
+            columns[:, c] = f_costs + rate * thetas if rate > 0.0 else f_costs
         ends = [
-            disc.step * (pick(f_costs, axis=1)[f_rows] + pick(g_costs, axis=1)[g_rows])
+            disc.step * (pick(columns, axis=2)[f_rows] + pick(g_costs, axis=1)[g_rows, None])
             for pick in (np.min, np.max)
         ]
     if not np.isfinite(ends).all():
+        what = "f plus the penalty times Nagumo theta" if max(rates) > 0.0 else "f"
         raise DegenerateInputError(
-            "velocity cost f plus state cost g, times the time step, must be finite on the grid"
+            f"velocity cost {what} plus state cost g, times the time step, "
+            "must be finite on the grid"
         )
-    return _Tables(disc, disc.step, f_costs, g_costs, f_rows, g_rows, thetas)
+    disc.transitions, disc.endpoints  # the DP's own reads, which check the grid
+    return _Tables(disc, disc.step, costs, g_costs, f_rows, g_rows, thetas)
 
 
 def _units(tab: _Tables, cfg: DPConfig, budgets: float | np.ndarray) -> np.ndarray:
@@ -113,16 +125,13 @@ def _unit_floor(tab: _Tables, cfg: DPConfig, units: np.ndarray) -> np.ndarray:
     So the margin n_t * (L + 1) * (s / w + 16e) covers all three, and an
     entry near the threshold is left to the DP.  Where c lies farther than
     s outside the grid no path reaches the end; c closer outside is moved
-    onto the grid's end, which is no farther from m.  The DP's set-up
-    checks of the transitions and endpoints run first, in its order, so a
-    grid the DP refuses raises as it would.
+    onto the grid's end, which is no farther from m.
     """
     disc, levels = tab.disc, cfg.budget_levels
-    disc.transitions, disc.endpoints  # the DP's set-up checks, in its order
     problem, grid = disc.problem, disc.grid
     limit = problem.speed_limit
     slack = MERGE_TOL * max(1.0, limit) + 8.0 * EPS * limit
-    mean = (problem.end - problem.start) / problem.horizon
+    mean = problem.mean_speed
     at = min(max(mean, grid[0]), grid[-1])
     if abs(at - mean) > slack:
         return np.full(len(units), np.inf)
@@ -141,15 +150,9 @@ def _unit_floor(tab: _Tables, cfg: DPConfig, units: np.ndarray) -> np.ndarray:
     return cfg.n_t * least - margin
 
 
-def _dp(
-    tab: _Tables,
-    cfg: DPConfig,
-    budget: float | None,
-    want_path: bool,
-    rates: np.ndarray | None = None,
-):
-    """Minimum of the (penalized) path cost, optionally under a speed budget
-    or for several penalty rates in one pass.
+def _dp(tab: _Tables, cfg: DPConfig, budget: float | None, want_path: bool):
+    """Minimum of the path cost over each of the table's cost columns,
+    optionally under a speed budget (one cost column only).
 
     The state is (column, grid node).  With a budget the columns are used
     budget units: a path starts in column 0 and each step moves it up by
@@ -158,8 +161,8 @@ def _dp(
     only grow with the budget; after i steps no column above i times the
     largest unit count is finite, and a chunk of steps skips those columns.
     Without a budget every step costs zero units and the columns are the
-    penalty rates: one for ``cfg.penalty``, or one per entry of ``rates``,
-    each with cost rows f** + rate*theta.
+    table's cost columns, one per penalty rate.  The table comes checked
+    from ``_tables``; a sum along a path can still overflow, which raises.
 
     Transitions are indexed by state offset (``Discretization.transitions``).
     The value buffer is padded with inf, so every offset's predecessor
@@ -192,22 +195,17 @@ def _dp(
     grows with n_t only by the backpointers and the path.
 
     Returns (value, node path, quotient path), or Nones when the end node
-    is unreachable; the paths are None unless ``want_path``.  With
-    ``rates`` it returns a list of such triples, one per rate.
+    is unreachable; the paths are None unless ``want_path``.  With several
+    cost columns it returns a list of such triples, one per column.
     """
-    per_rate = rates is not None
     disc = tab.disc
     top, table = disc.transitions
     n_offsets, n_x = table.shape
     n_q = disc.grid.size
-    rates = rates if per_rate else [cfg.penalty]
-    # [f row, cost column, quotient], with inf at the sentinel quotient n_q
-    costs = np.full((len(tab.f_costs), len(rates), n_q + 1), np.inf)
-    for c, rate in enumerate(map(float, rates)):
-        costs[:, c, :n_q] = tab.f_costs + rate * tab.thetas if rate > 0.0 else tab.f_costs
+    cost_cols = tab.costs.shape[1]
     if budget is None:
         units = np.zeros(n_q + 1, dtype=np.int64)
-        n_cols = start = len(rates)
+        n_cols = start = cost_cols
     else:
         units = np.append(_units(tab, cfg, budget), 0)
         n_cols, start = cfg.budget_levels + 1, 1
@@ -244,10 +242,8 @@ def _dp(
     # at r + top + k of g's padded row.
     # with a zero g the blocks are gathered from h*costs, scaled once here
     zero_g = not tab.g_costs.any()
-    if zero_g:
-        np.multiply(costs, tab.step, out=costs)
-    changing = len(tab.f_costs) > 1 or (len(tab.g_costs) > 1 and not zero_g)
-    cost_cols = costs.shape[1]
+    costs = tab.costs * tab.step if zero_g else tab.costs
+    changing = len(costs) > 1 or (len(tab.g_costs) > 1 and not zero_g)
     step_costs = np.empty((chunk if changing else 1, n_offsets, cost_cols, width))
     flat_pairs = pairs[:, None, :] + (n_q + 1) * np.arange(cost_cols)[:, None]
     g_ext = np.full((len(step_costs), width + n_offsets - 1), np.inf)
@@ -294,23 +290,29 @@ def _dp(
     weights = np.arange(n_offsets - 1, -1, -1, dtype=back_type)[:, None, None]
     hits = np.empty(cand.shape, dtype=bool)
     ranks = np.empty(cand.shape, dtype=back_type)
-    for i0 in range(0, cfg.n_t, chunk):
-        m = min(chunk, cfg.n_t - i0)
-        # columns that may be finite after the chunk; later ones are all inf
-        last = min(n_cols, start + (i0 + m) * u_max)
-        if changing:
-            build_costs(i0, m)
-        for adds, block, row in plans[:m] if last == n_cols else views(last, m):
-            for window, cost, out in adds:
-                np.add(window, cost, out=out)
-            np.minimum.reduce(block, axis=0, out=row)
-        # The chunk's backpointers, over every column: columns beyond an
-        # early chunk's reach hold stale candidates, whose values are inf.
-        if want_path:
-            np.equal(cand[:m], values[1 : m + 1, None], out=hits[:m])
-            np.multiply(hits[:m].view(np.int8), weights, out=ranks[:m])
-            np.maximum.reduce(ranks[:m], axis=1, out=back[i0 : i0 + m])
-        values[0, :last] = values[m, :last]
+    with np.errstate(over="raise"):  # inf plus a finite cost raises no flag
+        try:
+            for i0 in range(0, cfg.n_t, chunk):
+                m = min(chunk, cfg.n_t - i0)
+                # columns that may be finite after the chunk; later ones are all inf
+                last = min(n_cols, start + (i0 + m) * u_max)
+                if changing:
+                    build_costs(i0, m)
+                for adds, block, row in plans[:m] if last == n_cols else views(last, m):
+                    for window, cost, out in adds:
+                        np.add(window, cost, out=out)
+                    np.minimum.reduce(block, axis=0, out=row)
+                # The chunk's backpointers, over every column: columns beyond an
+                # early chunk's reach hold stale candidates, whose values are inf.
+                if want_path:
+                    np.equal(cand[:m], values[1 : m + 1, None], out=hits[:m])
+                    np.multiply(hits[:m].view(np.int8), weights, out=ranks[:m])
+                    np.maximum.reduce(ranks[:m], axis=1, out=back[i0 : i0 + m])
+                values[0, :last] = values[m, :last]
+        except FloatingPointError:
+            raise DegenerateInputError(
+                "velocity cost f plus state cost g, summed along a grid path, overflows"
+            ) from None
     column = values[0, :, top + disc.endpoints[1]]
     # The walk reads back as Python ints through one flat view, at index
     # (i * n_cols + c) * width + K of step i, column c and padded node K: the
@@ -341,7 +343,7 @@ def _dp(
         nodes = moves.cumsum()[::-1]
         return ends[c], nodes, pairs[:, top:][moves[:0:-1] + top, nodes[1:]]
 
-    if per_rate:
+    if cost_cols > 1:
         return [walk(c) for c in range(n_cols)]
     return walk(int(np.argmin(column)))
 
@@ -428,15 +430,10 @@ def _fewest_units(tab: _Tables, cfg: DPConfig, units: np.ndarray) -> float:
     """Fewest budget units of any grid path, or inf when none reaches the
     end: the plain DP with the units as step costs.  Units are whole
     numbers, so their float sums are exact."""
-    counts = replace(
-        tab,
-        step=1.0,
-        f_costs=units[None, :].astype(float),
-        g_costs=np.zeros((1, tab.disc.xs.size)),
-        f_rows=np.zeros(cfg.n_t, dtype=np.intp),
-        g_rows=np.zeros(cfg.n_t, dtype=np.intp),
-    )
-    value = _dp(counts, replace(cfg, penalty=0.0), None, want_path=False)[0]
+    rows = np.zeros(cfg.n_t, dtype=np.intp)
+    costs = np.append(units, np.inf)[None, None]
+    counts = _Tables(tab.disc, 1.0, costs, np.zeros((1, tab.disc.xs.size)), rows, rows, None)
+    value = _dp(counts, cfg, None, want_path=False)[0]
     return np.inf if value is None else value
 
 
@@ -535,19 +532,19 @@ def lagrangian_sweep(
     """Fast dual lower bound on the budget-constrained values.
 
     One DP pass solves the penalized problem for every multiplier of
-    ``MULTIPLIERS``, with one cost column f** + multiplier*theta each.  The
-    14 paths are costed again as one batch, by the rule and the checks of
-    a ``Trajectory``, and each must reproduce its DP value.
-    Each multiplier contributes the affine bound (penalized minimum) -
-    multiplier * budget, and the pointwise maximum over multipliers bounds
-    the constrained value from below.  This is an approximation; the
-    authoritative sweep is ``value_sweep``.
+    ``MULTIPLIERS``, on one cost column f** + multiplier*theta each, which
+    ``_tables`` builds and checks.  The 14 paths are costed again as one
+    batch, by the rule and the checks of a ``Trajectory``, and each must
+    reproduce its DP value.  Each multiplier contributes the affine bound
+    (penalized minimum) - multiplier * budget, and the pointwise maximum
+    over multipliers bounds the constrained value from below.  This is an
+    approximation; the authoritative sweep is ``value_sweep``.
     """
     if cfg.theta is None:
         raise CertificateError("Lagrangian sweep requires a Nagumo entry")
     budgets = _budget_schedule(budget_schedule)
-    tab = _tables(problem, cfg)
-    columns = _dp(tab, cfg, None, want_path=True, rates=MULTIPLIERS)
+    tab = _tables(problem, cfg, MULTIPLIERS)
+    columns = _dp(tab, cfg, None, want_path=True)
     if any(value is None for value, _, _ in columns):
         raise InfeasibleError("no admissible grid path connects the endpoints")
     dp_values, idx, qidx = (np.array(part) for part in zip(*columns))
@@ -622,8 +619,7 @@ def coercivity_bound_check(
     """
     disc = Discretization.of_path(problem, cfg, trajectory)
     step, times = disc.step, disc.times
-    mean_speed = (problem.end - problem.start) / problem.horizon
-    raw = problem.start + mean_speed * times
+    raw = problem.start + problem.mean_speed * times
     snapped = disc.xs[nearest_index(disc.xs, raw)]
     snapped[0] = problem.start
     snapped[-1] = problem.end

@@ -166,6 +166,32 @@ BAD_PROBLEMS = {
     "penalty-negative": (theta(penalty=-1.0), 2, "penalty weight must be nonnegative"),
     "budget-nonpositive": (theta(budget=0.0), 2, "speed budget must be positive"),
     "levels-too-few": (theta(levels=1), 2, "at least 2 budget levels"),
+    # the radius schedule: io reads the numbers, classify._radii checks the shape
+    "radius-schedule-not-a-list": (
+        edit("numerics.radius_schedule", 16.0),
+        2,
+        "numerics.radius_schedule: expected a list of radii",
+    ),
+    "radius-schedule-three-radii": (
+        edit("numerics.radius_schedule", [16.0, 32.0, 64.0]),
+        2,
+        "numerics.radius_schedule: radius schedule must be increasing with at least 4 entries",
+    ),
+    "radius-schedule-string": (
+        edit("numerics.radius_schedule", [16.0, "32", 64.0, 128.0]),
+        2,
+        "numerics.radius_schedule: expected a number",
+    ),
+    "radius-schedule-not-increasing": (
+        edit("numerics.radius_schedule", [16.0, 64.0, 32.0, 128.0]),
+        2,
+        "numerics.radius_schedule: radius schedule must be increasing with at least 4 entries",
+    ),
+    "radius-schedule-zero": (
+        edit("numerics.radius_schedule", [0.0, 16.0, 32.0, 64.0]),
+        2,
+        "numerics.radius_schedule: radius schedule entries must be positive",
+    ),
 }
 
 # name: (the CSV's text or bytes, or None for a file that does not exist;
@@ -449,6 +475,30 @@ DERIVED_OVERFLOWS = {
         ("classify", "relax", "solve"),
         "state cost g on the probe box: edge slopes must contain finite values only",
     ),
+    # theta(16) = 2^240 at the cap, and 1e250 times it overflows
+    "penalty-column": (
+        edits(
+            edit("horizon.b", 0.0),
+            edit("numerics", dict(
+                BASE["numerics"], n_t=16, n_x=17, state_box=[-1.0, 1.0], velocity_cap=16.0,
+                theta={"name": "power_p", "params": {"p": 60.0}, "penalty": 1e250},
+            )),
+        ),
+        ("relax",),
+        "velocity cost f plus the penalty times Nagumo theta plus state cost g, "
+        "times the time step, must be finite on the grid",
+    ),
+    # every step costs about 1e307, and 32 of them overflow
+    "path-sum": (
+        edits(
+            edit("horizon", {"T": 32.0, "a": 0.0, "b": 0.0}),
+            edit("g.base", {"name": "affine", "params": {"slope": 0.0, "offset": 1e307}}),
+            edit("numerics", dict(BASE["numerics"], n_t=32, n_x=17, state_box=[-1.0, 1.0],
+                                  velocity_cap=1.0)),
+        ),
+        ("relax", "solve"),
+        "velocity cost f plus state cost g, summed along a grid path, overflows",
+    ),
 }
 
 
@@ -472,6 +522,37 @@ def test_the_straight_path_is_a_valid_trajectory(tmp_path):
     problem = write(tmp_path / "case.json", json.dumps(BASE))
     traj = write(tmp_path / "traj.csv", csv_rows(STRAIGHT))
     assert main(["verify", problem, "--traj", traj, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_blank_lines_of_a_trajectory_csv_are_skipped(tmp_path):
+    problem = write(tmp_path / "case.json", json.dumps(BASE))
+    lines = csv_rows(STRAIGHT).splitlines(keepends=True)
+    spaced = "".join(lines[:1] + ["\n"] + lines[1:5] + ["  \n"] + lines[5:] + ["\n"])
+    reports = []
+    for name, text in (("plain", csv_rows(STRAIGHT)), ("spaced", spaced)):
+        out = tmp_path / name / "verify.json"
+        out.parent.mkdir()
+        traj = write(tmp_path / f"{name}.csv", text)
+        assert main(["verify", problem, "--traj", traj, "--out", str(out)]) == 0
+        reports.append([p.read_bytes() for p in sorted(out.parent.iterdir())])
+    assert len(reports[0]) == 2 and reports[0] == reports[1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_a_bad_tol_ends_with_one_error_line(tol, tmp_path, capsys):
+    problem = write(tmp_path / "case.json", json.dumps(BASE))
+    argv = ["classify", problem, f"--tol={tol}", "--out", str(tmp_path / "out")]
+    assert_one_error_line(argv, 2, "--tol must be finite and >= 0", capsys)
+
+
+def test_a_radius_schedule_is_read_into_the_class_e_report(tmp_path):
+    doc = copy.deepcopy(BASE)
+    doc["numerics"]["radius_schedule"] = [16.0, 32.0, 64.0, 128.0]
+    problem = write(tmp_path / "case.json", json.dumps(doc))
+    out = tmp_path / "certificates.json"
+    assert main(["classify", problem, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["class_e"]["radii"] == [16.0, 32.0, 64.0, 128.0]
 
 
 def test_theta_levels_are_read(tmp_path):

@@ -695,7 +695,7 @@ class TestPerRateKernelAgainstDenseOracle:
             with pytest.raises(InfeasibleError):
                 solve_relaxed(problem, cfg)
             return
-        columns = _dp(_tables(problem, cfg), cfg, None, want_path=True, rates=solve.MULTIPLIERS)
+        columns = _dp(_tables(problem, cfg, solve.MULTIPLIERS), cfg, None, want_path=True)
         assert len(columns) == len(references)
         xs = state_grid(problem, cfg.n_x)
         for (value, idx, _), (ref_value, ref_states) in zip(columns, references):
@@ -820,7 +820,7 @@ class TestChunkedBackpointers:
             ),
             (
                 solve.MULTIPLIERS.size,
-                lambda path: _dp(tab, cfg, None, path, rates=solve.MULTIPLIERS),
+                lambda path: _dp(_tables(problem, cfg, solve.MULTIPLIERS), cfg, None, path),
                 [
                     dense_reference_dp(problem, replace(cfg, penalty=float(rate)))
                     for rate in solve.MULTIPLIERS
@@ -853,7 +853,7 @@ class TestChunkedBackpointers:
         tab = _tables(problem, cfg)
         assert step_entries(tab, solve.MULTIPLIERS.size) == 9 * 14 * 137
         assert solve.CHUNK_ENTRIES // step_entries(tab, solve.MULTIPLIERS.size) == 1
-        columns = _dp(tab, cfg, None, True, rates=solve.MULTIPLIERS)
+        columns = _dp(_tables(problem, cfg, solve.MULTIPLIERS), cfg, None, True)
         for rate, (value, idx, qidx) in zip(solve.MULTIPLIERS, columns):
             rated = replace(cfg, penalty=float(rate))
             ref_value, ref_states = dense_reference_dp(problem, rated)
@@ -1182,9 +1182,9 @@ class TestSweepBudgetDPCount:
         calls = []
         kernel = solve._dp
 
-        def counted(tab, cfg, budget, want_path, rates=None):
+        def counted(tab, cfg, budget, want_path):
             calls.append(budget)
-            return kernel(tab, cfg, budget, want_path, rates)
+            return kernel(tab, cfg, budget, want_path)
 
         monkeypatch.setattr(solve, "_dp", counted)
         value_sweep(problem, cfg, schedule)

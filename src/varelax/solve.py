@@ -166,15 +166,15 @@ def _dp(tab: _Tables, cfg: DPConfig, budget: float | None, want_path: bool):
 
     Transitions are indexed by state offset (``Discretization.transitions``).
     The value buffer is padded with inf, so every offset's predecessor
-    values are one strided window of it.  A step adds h*(g + f**) of each
-    (offset, target) pair, inf where the pair is not admissible, to those
-    windows in one (offsets x columns x states) block, one add per (offset,
-    unit count) segment when the counts differ, and takes the minimum over
-    offsets.  Offsets run from the largest, and the backpointer is the
-    first offset that attains the minimum, so ties go to the smallest
-    predecessor.  An unreachable target's backpointer is arbitrary: a walk
-    starts at a finite end value, and every predecessor of a finite value
-    is finite, so no walk reads it.
+    values are one strided window of it.  A step adds h*(f** + rate*theta
+    + g) of each (offset, target) pair, inf where it is not admissible, to
+    those windows in one (offsets x columns x states) block, one add per
+    (offset, unit count) segment when the counts differ, and takes the
+    minimum over offsets.  Offsets run from the largest, and the
+    backpointer is the first offset that attains the minimum, so ties go
+    to the smallest predecessor.  An unreachable target's backpointer is
+    arbitrary: a walk starts at a finite end value, and every predecessor
+    of a finite value is finite, so no walk reads it.
 
     Steps run in chunks of K = CHUNK_ENTRIES // (offsets x columns x states)
     steps, at least one and at most n_t, after a set-up in whole-array
